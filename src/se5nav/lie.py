@@ -59,15 +59,18 @@ def so3_exp(v: np.ndarray) -> np.ndarray:
     """Exponential map so(3) -> SO(3), Rodrigues closed form.
 
     Below ``SMALL_ANGLE`` the sin/versine coefficients switch to their
-    second-order series to avoid 0/0.
+    second-order series to avoid 0/0. A stack of vectors (..., 3) gives a
+    stack of rotations (..., 3, 3), each equal bit for bit to the
+    exponential of its vector taken alone.
     """
     v = np.asarray(v, dtype=float)
-    theta = float(np.linalg.norm(v))
     k = hat(v)
-    if theta < SMALL_ANGLE:
-        return _I3 + k + 0.5 * (k @ k)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / (theta * theta)
+    # sqrt(v . v) rounds as the 1-D norm does; norm(axis=-1) does not
+    theta = np.sqrt(np.vecdot(v, v))[..., None, None]
+    small = theta < SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))
     return _I3 + a * k + b * (k @ k)
 
 

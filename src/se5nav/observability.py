@@ -22,25 +22,47 @@ OBSV_CSV_SCHEMA = "se5nav-observability-v1"
 
 DEFAULT_MU_THRESHOLD = 1e-6
 
+_I3 = np.eye(3)
+
 
 def transition_matrix(a_of_t, t0: float, t1: float, dt: float) -> np.ndarray:
     """RK4 integration of d(phi)/dt = A(t) phi from phi(t0, t0) = I."""
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
-    n_dim = a_of_t(t0).shape[0]
-    phi = np.eye(n_dim)
     n = int(round((t1 - t0) / dt))
-    for k in range(n):
-        t = t0 + k * dt
-        a1 = a_of_t(t)
-        a2 = a_of_t(t + 0.5 * dt)
-        a4 = a_of_t(t + dt)
-        k1 = a1 @ phi
-        k2 = a2 @ (phi + 0.5 * dt * k1)
-        k3 = a2 @ (phi + 0.5 * dt * k2)
-        k4 = a4 @ (phi + dt * k3)
-        phi = phi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    for phi in _phi_nodes(a_of_t, t0 + np.arange(n + 1) * dt, dt):
+        pass
     return phi
+
+
+def _phi_nodes(a_of_t, ts: np.ndarray, dt: float):
+    """phi(ts[k], ts[0]) at the grid nodes ts (spaced dt) by RK4, with A
+    evaluated once per node and midpoint: a step's end is the next start."""
+    a0 = a_of_t(ts[0])
+    phi = np.eye(a0.shape[0])
+    yield phi
+    for t_half, t_end in zip(ts[:-1] + 0.5 * dt, ts[1:]):
+        a1 = a_of_t(t_end)
+        phi = _phi_step(phi, a0, a_of_t(t_half), a1, dt)
+        yield phi
+        a0 = a1
+
+
+def _phi_step(phi: np.ndarray, a0: np.ndarray, a_half: np.ndarray, a1: np.ndarray,
+              dt: float) -> np.ndarray:
+    """One RK4 step of d(phi)/dt = A phi from A at the step's start, midpoint and end."""
+    k1 = a0 @ phi
+    k2 = a_half @ (phi + 0.5 * dt * k1)
+    k3 = a_half @ (phi + 0.5 * dt * k2)
+    k4 = a1 @ (phi + dt * k3)
+    return phi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def trapezoid_weights(n: int, dt: float) -> np.ndarray:
+    """Composite-trapezoid weights on n + 1 nodes spaced dt apart."""
+    weights = np.full(n + 1, dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    return weights
 
 
 @dataclass(frozen=True)
@@ -72,36 +94,55 @@ def gramian(
     if delta <= 0:
         raise ValueError("delta must be positive")
     n = int(round(delta / dt))
-    n_dim = a_of_t(t).shape[0]
-    phi = np.eye(n_dim)
-    w = np.zeros((n_dim, n_dim))
-
-    def integrand(s, phi_s):
-        cs = c_of_t(s) @ phi_s
-        return cs.T @ cs
-
-    prev = integrand(t, phi)
-    for k in range(n):
-        s = t + k * dt
-        phi = _phi_step(a_of_t, phi, s, dt)
-        cur = integrand(s + dt, phi)
-        w += 0.5 * dt * (prev + cur)
-        prev = cur
+    ts = t + np.arange(n + 1) * dt
+    w = 0.0
+    for s, wq, phi in zip(ts, trapezoid_weights(n, dt), _phi_nodes(a_of_t, ts, dt)):
+        cs = c_of_t(s) @ phi
+        w = w + wq * (cs.T @ cs)
     w /= delta
     w = 0.5 * (w + w.T)
     mu = float(np.linalg.eigvalsh(w)[0])
     return GramianReport(t=t, delta=delta, W=w, mu=mu, threshold=threshold)
 
 
-def _phi_step(a_of_t, phi: np.ndarray, t: float, dt: float) -> np.ndarray:
-    a1 = a_of_t(t)
-    a2 = a_of_t(t + 0.5 * dt)
-    a4 = a_of_t(t + dt)
-    k1 = a1 @ phi
-    k2 = a2 @ (phi + 0.5 * dt * k1)
-    k3 = a2 @ (phi + 0.5 * dt * k2)
-    k4 = a4 @ (phi + dt * k3)
-    return phi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def kron_gramians(
+    abar: np.ndarray,
+    rs: np.ndarray,
+    starts,
+    delta: float,
+    dt: float,
+    threshold: float = DEFAULT_MU_THRESHOLD,
+) -> list[GramianReport]:
+    """Closed-form Gramians of A(t) = Abar kron I3 - I5 kron hat(omega(t))
+    with C(t) = R_s(t) kron I3, one per window start.
+
+    ``rs`` holds the rows of R_s at the trapezoid nodes t + k dt of every
+    window, shaped (windows, n + 1, m, 5). The transition matrix factors as
+    Phibar kron Q with Q orthogonal, so the rotation cancels in
+    (C phi)^T (C phi) and W = Wbar kron I3 with
+
+        Wbar = (1/delta) int Phibar^T R_s^T R_s Phibar ds,
+
+    where Phibar(tau) = I + Abar tau + Abar^2 tau^2 / 2 is exact because
+    Abar^3 = 0. The quadrature is the trapezoid rule of :func:`gramian` on
+    the same nodes, so mu is the same number.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    abar2 = abar @ abar
+    if np.any(abar2 @ abar):
+        raise ValueError("Abar^3 must vanish for the polynomial transition matrix")
+    n = rs.shape[1] - 1
+    taus = (np.arange(n + 1) * dt)[:, None, None]
+    phibar = np.eye(5) + abar * taus + abar2 * (0.5 * taus * taus)
+    b = rs @ phibar
+    wbar = np.einsum("k,wkmi,wkmj->wij", trapezoid_weights(n, dt), b, b) / delta
+    wbar = 0.5 * (wbar + np.swapaxes(wbar, -1, -2))
+    mus = np.linalg.eigvalsh(wbar)[:, 0]
+    return [
+        GramianReport(t=float(t), delta=delta, W=np.kron(w, _I3), mu=float(mu), threshold=threshold)
+        for t, w, mu in zip(starts, wbar, mus)
+    ]
 
 
 @dataclass(frozen=True)
@@ -135,32 +176,31 @@ def gps_pe_condition(
     magnetometer channel is present, plus the windowed velocity outer
     product when a velocity channel is present. Full rank of the sum (min
     eigenvalue at or above the threshold) is sufficient for uniform
-    observability of the corresponding error pair.
+    observability of the corresponding error pair. ``vdot_of_t`` and
+    ``v_of_t`` are called once, on the array of quadrature nodes; a
+    constant (3,) return stands for every node.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     g = np.asarray(g, dtype=float)
     n = int(round(delta / dt))
     ts = t + np.arange(n + 1) * dt
+    weights = trapezoid_weights(n, dt)
 
-    acc = np.zeros((3, 3))
-    vel = np.zeros((3, 3))
-    weights = np.full(n + 1, dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    for s, wq in zip(ts, weights):
-        f = np.asarray(vdot_of_t(s), dtype=float) - g
-        acc += wq * np.outer(f, f)
-        if use_vel:
-            vv = np.asarray(v_of_t(s), dtype=float)
-            vel += wq * np.outer(vv, vv)
-    m = acc / delta
+    def on_nodes(fn):
+        return np.broadcast_to(np.asarray(fn(ts), dtype=float), (n + 1, 3))
+
+    def outer_mean(x):
+        return np.einsum("k,ki,kj->ij", weights, x, x) / delta
+
+    m = outer_mean(on_nodes(vdot_of_t) - g)
     if use_mag:
         if xi_mag is None:
             raise ValueError("magnetometer direction required when use_mag is set")
         xi = np.asarray(xi_mag, dtype=float)
         m = m + np.outer(xi, xi)
     if use_vel:
-        m = m + vel / delta
+        m = m + outer_mean(on_nodes(v_of_t))
     m = 0.5 * (m + m.T)
     min_eig = float(np.linalg.eigvalsh(m)[0])
     return ExcitationReport(t=t, delta=delta, matrix=m, min_eig=min_eig, threshold=threshold)

@@ -491,16 +491,19 @@ def kalman_reference_run(
             dP = dP + v
         return dx, dP
 
+    # A and C once per grid node and midpoint: a step's end is the next start
+    a0, c0 = a_of_t(ts[0]), c_of_t(ts[0])
     for k in range(n):
-        t = ts[k]
-        a0, a1, a2 = a_of_t(t), a_of_t(t + 0.5 * dt), a_of_t(t + dt)
-        c0, c1, c2 = c_of_t(t), c_of_t(t + 0.5 * dt), c_of_t(t + dt)
+        t_half = ts[k] + 0.5 * dt
+        a_half, c_half = a_of_t(t_half), c_of_t(t_half)
+        a1, c1 = a_of_t(ts[k + 1]), c_of_t(ts[k + 1])
         k1 = f(x, P, a0, c0)
-        k2 = f(x + 0.5 * dt * k1[0], P + 0.5 * dt * k1[1], a1, c1)
-        k3 = f(x + 0.5 * dt * k2[0], P + 0.5 * dt * k2[1], a1, c1)
-        k4 = f(x + dt * k3[0], P + dt * k3[1], a2, c2)
+        k2 = f(x + 0.5 * dt * k1[0], P + 0.5 * dt * k1[1], a_half, c_half)
+        k3 = f(x + 0.5 * dt * k2[0], P + 0.5 * dt * k2[1], a_half, c_half)
+        k4 = f(x + dt * k3[0], P + dt * k3[1], a1, c1)
         x = x + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         P = P + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         P = 0.5 * (P + P.T)
         xs[k + 1] = x
+        a0, c0 = a1, c1
     return ts, xs

@@ -37,7 +37,7 @@ from .observability import (
     ExcitationReport,
     GramianReport,
     gps_pe_condition,
-    gramian,
+    kron_gramians,
 )
 from .observer import (
     ESTIMATE_CSV_SCHEMA,
@@ -69,6 +69,7 @@ from .trajectory import (
     eval_omega,
     eval_trajectory,
     simulate_truth,
+    truth_attitude,
     write_truth_csv,
 )
 
@@ -754,22 +755,27 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
 
 # observability checks ------------------------------------------------------
 
+def _needs_attitude(channels) -> bool:
+    """True when a position channel has a lever arm, whose reference vector
+    then depends on the truth attitude."""
+    return any(ch.kind is ChannelKind.INERTIAL_POSITION and np.any(ch.b_vec) for ch in channels)
+
+
 def scenario_output_map(cfg: ScenarioConfig, horizon: float):
     """(A(t), C(t)) callables for the scenario on noiseless truth.
 
     Lever-arm position channels need the truth attitude, which only exists
-    on the integration grid, so the truth run is precomputed out to
-    `horizon`; C(t) snaps those channels to the nearest grid sample.
+    on the integration grid, so it is precomputed out to `horizon`; C(t)
+    snaps those channels to the nearest grid sample.
     """
     spec = cfg.trajectory
     g = spec.g
     dt = cfg.observer.dt
     channels = cfg.channels
 
-    needs_attitude = any(
-        ch.kind is ChannelKind.INERTIAL_POSITION and np.any(ch.b_vec) for ch in channels
-    )
-    truth = simulate_truth(spec, horizon + dt, dt) if needs_attitude else None
+    attitude = None
+    if _needs_attitude(channels):
+        attitude = truth_attitude(spec, int(round((horizon + dt) / dt)), dt)[0]
 
     def a_of_t(t: float) -> np.ndarray:
         return build_a(eval_omega(spec, t), g)
@@ -781,9 +787,8 @@ def scenario_output_map(cfg: ScenarioConfig, horizon: float):
             if ch.kind is ChannelKind.BODY_VECTOR:
                 r = np.concatenate([[float(ch.gamma), 0.0], -ch.xi_vec])
             elif ch.kind is ChannelKind.INERTIAL_POSITION:
-                if truth is not None:
-                    rt = truth.R[int(round(t / dt))]
-                    eta = p + rt @ ch.b_vec
+                if attitude is not None:
+                    eta = p + attitude[int(round(t / dt))] @ ch.b_vec
                 else:
                     eta = p
                 r = np.concatenate([[1.0, 0.0], -eta])
@@ -806,18 +811,47 @@ def scenario_output_map(cfg: ScenarioConfig, horizon: float):
     return a_of_t, lambda t: c_const
 
 
+_OBSV_CHUNK_NODES = 1 << 16  # quadrature nodes batched per group in check_observability
+
+
 def check_observability(
     cfg: ScenarioConfig,
     delta: float,
     grid: list[float],
     threshold: float = DEFAULT_MU_THRESHOLD,
 ) -> list[GramianReport]:
-    """Gramian smallest eigenvalue across a grid of window start times."""
-    a_of_t, c_of_t = scenario_output_map(cfg, horizon=max(grid) + delta)
-    return [
-        gramian(a_of_t, c_of_t, t, delta, cfg.observer.dt, threshold=threshold)
-        for t in grid
-    ]
+    """Gramian smallest eigenvalue across a grid of window start times.
+
+    Closed form on 5 x 5 matrices (:func:`kron_gramians`): the reference
+    vectors at every trapezoid node t + k dt of every window come from the
+    channel rules of :class:`UnifiedLayout` in one batch per group of
+    windows, each group at most ``_OBSV_CHUNK_NODES`` nodes (or one window).
+    Lever-arm position channels take the truth attitude at the nearest grid
+    sample, as :func:`scenario_output_map` does, from one truth attitude run
+    over all windows; other configs synthesize no truth.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    spec, dt = cfg.trajectory, cfg.observer.dt
+    starts = np.asarray(grid, dtype=float)
+    offsets = np.arange(int(round(delta / dt)) + 1) * dt
+    attitude = None
+    if _needs_attitude(cfg.channels):
+        last = int(np.rint((starts + offsets[-1]) / dt).max(initial=0))
+        attitude = truth_attitude(spec, last, dt)[0]
+    layout = UnifiedLayout(cfg.channels)
+    abar = build_abar(spec.g)
+    per_group = max(1, _OBSV_CHUNK_NODES // offsets.size)
+    reports = []
+    for g0 in range(0, starts.size, per_group):
+        group = starts[g0:g0 + per_group]
+        ts = (group[:, None] + offsets).ravel()
+        p, v, _ = eval_trajectory(spec, ts)
+        r = np.eye(3) if attitude is None else attitude[np.rint(ts / dt).astype(int)]
+        _, rs = layout.stacks(layout.raw_from_pose(r, p, v))
+        rs = rs.reshape(group.size, offsets.size, *rs.shape[1:])
+        reports += kron_gramians(abar, rs, group, delta, dt, threshold=threshold)
+    return reports
 
 
 def check_gps_pe(

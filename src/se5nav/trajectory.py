@@ -145,9 +145,10 @@ def propagate_attitude(r0: np.ndarray, spec: TrajectorySpec, t0: float, t1: floa
         raise ValueError("dt must be positive")
     r = np.array(r0, dtype=float)
     n_steps = int(round((t1 - t0) / dt))
-    for k in range(n_steps):
-        w = eval_omega(spec, t0 + (k + 0.5) * dt)
-        r = r @ so3_exp(dt * w)
+    for k0 in range(0, n_steps, _EXP_CHUNK):
+        ks = np.arange(k0, min(k0 + _EXP_CHUNK, n_steps))
+        for step in so3_exp(dt * eval_omega(spec, t0 + (ks + 0.5) * dt)):
+            r = r @ step
     return r
 
 
@@ -213,6 +214,32 @@ class TruthRun:
         return stages(self.R, self.R_mid), stages(self.p, self.p_mid), stages(self.v, self.v_mid)
 
 
+_EXP_CHUNK = 4096  # half-step exponentials built per batch in truth_attitude
+
+
+def truth_attitude(spec: TrajectorySpec, n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Truth attitude on the grid t_k = k dt (k = 0 .. n) and at the step
+    midpoints, shaped (n + 1, 3, 3) and (n, 3, 3).
+
+    Each step applies the half-step factor exp(dt/2 hat(omega(t_k + dt/2)))
+    twice, R_mid[k] = R[k] E_k and R[k + 1] = R_mid[k] E_k; the factors are
+    built in batches of ``_EXP_CHUNK`` steps.
+    """
+    rs = np.empty((n + 1, 3, 3))
+    rs[0] = spec.r0
+    r_mid = np.empty((n, 3, 3))
+    for k0 in range(0, n, _EXP_CHUNK):
+        k1 = min(k0 + _EXP_CHUNK, n)
+        mid_omega = eval_omega(spec, np.arange(k0, k1) * dt + 0.5 * dt)
+        half_steps = so3_exp(0.5 * dt * mid_omega)
+        r = rs[k0]
+        for half, r_m, r_next in zip(half_steps, r_mid[k0:k1], rs[k0 + 1:k1 + 1]):
+            np.matmul(r, half, out=r_m)
+            np.matmul(r_m, half, out=r_next)
+            r = r_next
+    return rs, r_mid
+
+
 def simulate_truth(spec: TrajectorySpec, duration: float, dt: float = 1e-3) -> TruthRun:
     """Generate truth samples over [0, duration] at fixed step dt."""
     if duration <= 0 or dt <= 0:
@@ -223,19 +250,13 @@ def simulate_truth(spec: TrajectorySpec, duration: float, dt: float = 1e-3) -> T
     omega = eval_omega(spec, ts)
     g = spec.g
 
-    rs = np.empty((n + 1, 3, 3))
-    rs[0] = spec.r0
-    mid_omega = eval_omega(spec, ts[:-1] + 0.5 * dt)
-    half_steps = _batch_exp(0.5 * dt * mid_omega)
-    r_mid = np.empty((n, 3, 3))
-    for k in range(n):
-        r_mid[k] = rs[k] @ half_steps[k]
-        rs[k + 1] = r_mid[k] @ half_steps[k]
-
+    rs, r_mid = truth_attitude(spec, n, dt)
     ab = np.einsum("kji,kj->ki", rs, a - g[None, :])
 
     # Stage-time IMU signal for step k: samples at t_k, t_k + dt/2, t_k + dt.
-    p_mid, v_mid, a_mid = eval_trajectory(spec, ts[:-1] + 0.5 * dt)
+    t_mid = ts[:-1] + 0.5 * dt
+    mid_omega = eval_omega(spec, t_mid)
+    p_mid, v_mid, a_mid = eval_trajectory(spec, t_mid)
     ab_mid = np.einsum("kji,kj->ki", r_mid, a_mid - g[None, :])
     imu_omega = np.stack([omega[:-1], mid_omega, omega[1:]], axis=1)
     imu_accel = np.stack([ab[:-1], ab_mid, ab[1:]], axis=1)
@@ -245,13 +266,6 @@ def simulate_truth(spec: TrajectorySpec, duration: float, dt: float = 1e-3) -> T
         p_mid=p_mid, v_mid=v_mid, R_mid=r_mid,
         imu_omega=imu_omega, imu_accel=imu_accel,
     )
-
-
-def _batch_exp(vs: np.ndarray) -> np.ndarray:
-    out = np.empty((vs.shape[0], 3, 3))
-    for k in range(vs.shape[0]):
-        out[k] = so3_exp(vs[k])
-    return out
 
 
 def write_truth_csv(run: TruthRun, path, stride: int = 1) -> None:

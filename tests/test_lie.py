@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from se5nav.lie import (
+    SMALL_ANGLE,
     SEn,
     hat,
     is_rotation,
@@ -25,6 +26,17 @@ def random_rotation(rng, scale=np.pi):
 def _unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def _rodrigues(v):
+    """Rodrigues formula for one vector, angle from the 1-D norm."""
+    theta = float(np.linalg.norm(v))
+    k = hat(v)
+    if theta < SMALL_ANGLE:
+        return np.eye(3) + k + 0.5 * (k @ k)
+    a = np.sin(theta) / theta
+    b = (1.0 - np.cos(theta)) / (theta * theta)
+    return np.eye(3) + a * k + b * (k @ k)
 
 
 class TestHatVexPsi:
@@ -87,6 +99,20 @@ class TestSO3Exp:
         for scale in (1e-10, 1e-6, 0.1, 1.0, np.pi, 5 * np.pi, 10 * np.pi):
             r = so3_exp(scale * _unit(RNG))
             assert is_rotation(r, tol=1e-10)
+
+    def test_batched_equals_reference_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        scales = np.array([0.0, 1e-12, 1e-9, 5e-9, 2e-8, 1e-4, 0.1, 1.0, np.pi, 7.0])
+        vs = rng.standard_normal((200, 3)) * rng.choice(scales, size=(200, 1))
+        vs[0] = 0.0
+        vs[1] = [3e-9, -1e-9, 2e-9]
+        batched = so3_exp(vs)
+        assert batched.shape == (200, 3, 3)
+        assert np.array_equal(batched, np.stack([_rodrigues(v) for v in vs]))
+        assert np.array_equal(batched, np.stack([so3_exp(v) for v in vs]))
+        assert np.array_equal(batched[0], np.eye(3))
+        stacked = so3_exp(vs.reshape(20, 10, 3))
+        assert np.array_equal(stacked, batched.reshape(20, 10, 3, 3))
 
     def test_small_angle_series_continuity(self):
         v = 1e-9 * np.array([1.0, -2.0, 0.5])

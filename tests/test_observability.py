@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from se5nav.observability import gps_pe_condition, gramian, transition_matrix
+from se5nav.observability import gps_pe_condition, gramian, kron_gramians, transition_matrix
 from se5nav.observer import build_a
-from se5nav.scenario import bundled_config_path, check_gps_pe, check_observability, parse_scenario
+from se5nav.scenario import (
+    bundled_config_path,
+    check_gps_pe,
+    check_observability,
+    parse_scenario,
+    scenario_output_map,
+)
+from se5nav.sensors import ChannelKind, ChannelSpec
 from se5nav.trajectory import TrajectorySpec, eval_omega, eval_trajectory
 
 RNG = np.random.default_rng(31)
@@ -107,6 +114,95 @@ class TestGramian:
             gramian(lambda t: np.zeros((2, 2)), lambda t: np.eye(2), 0.0, -1.0, 1e-3)
 
 
+class TestClosedFormGramian:
+    """check_observability (closed-form 5 x 5 Gramian) against the 15 x 15
+    RK4 Gramian of scenario_output_map on the same trapezoid nodes."""
+
+    @staticmethod
+    def assert_matches_oracle(cfg, t, delta):
+        rep = check_observability(cfg, delta=delta, grid=[t])[0]
+        a_of_t, c_of_t = scenario_output_map(cfg, horizon=t + delta)
+        oracle = gramian(a_of_t, c_of_t, t, delta, cfg.observer.dt)
+        assert rep.t == t and rep.delta == delta
+        assert abs(rep.mu - oracle.mu) <= 1e-10 * abs(oracle.mu)
+        # the oracle's RK4 rotation factor drifts from orthogonal by ~1e-13
+        # over a window, so W is compared relative to its largest entry
+        assert np.max(np.abs(rep.W - oracle.W)) <= 1e-12 * np.max(np.abs(oracle.W))
+        assert rep.passed == oracle.passed
+
+    def test_bundled_stereo(self):
+        self.assert_matches_oracle(stereo_cfg(), 5.0, 1.0)
+
+    def test_bundled_gps_with_lever_arm(self):
+        cfg = gps_cfg()
+        assert any(np.any(ch.b_vec) for ch in cfg.channels)
+        self.assert_matches_oracle(cfg, 5.0, 0.25)
+
+    def test_gps_without_lever_arm(self):
+        import dataclasses
+
+        cfg = gps_cfg()
+        channels = tuple(dataclasses.replace(ch, b=(0.0, 0.0, 0.0)) for ch in cfg.channels)
+        self.assert_matches_oracle(dataclasses.replace(cfg, channels=channels), 5.0, 0.25)
+
+    def test_body_velocity_channel(self):
+        import dataclasses
+
+        cfg = stereo_cfg()
+        channels = cfg.channels[:3] + (ChannelSpec(kind=ChannelKind.BODY_VELOCITY),)
+        self.assert_matches_oracle(dataclasses.replace(cfg, channels=channels), 2.0, 0.5)
+
+    def test_window_start_off_the_grid(self):
+        cfg = gps_cfg()
+        self.assert_matches_oracle(cfg, 3.0 + 0.3 * cfg.observer.dt, 0.25)
+
+    def test_windows_batched_like_single_calls(self):
+        cfg = gps_cfg()
+        batch = check_observability(cfg, delta=0.5, grid=[0.0, 2.5, 7.0])
+        for rep in batch:
+            single = check_observability(cfg, delta=0.5, grid=[rep.t])[0]
+            assert np.array_equal(rep.W, single.W) and rep.mu == single.mu
+
+    def test_node_budget_groups_windows(self, monkeypatch):
+        import se5nav.scenario as scenario
+
+        cfg = gps_cfg()
+        grid = [0.0, 0.3, 2.5, 7.0, 7.1]
+        whole = check_observability(cfg, delta=0.5, grid=grid)
+        calls = []
+        truth_attitude = scenario.truth_attitude
+
+        def counted(*args):
+            calls.append(args)
+            return truth_attitude(*args)
+
+        monkeypatch.setattr(scenario, "truth_attitude", counted)
+        monkeypatch.setattr(scenario, "_OBSV_CHUNK_NODES", 3)
+        grouped = check_observability(cfg, delta=0.5, grid=grid)
+        assert len(calls) == 1
+        assert [rep.t for rep in grouped] == grid
+        for rep, ref in zip(grouped, whole):
+            assert np.array_equal(rep.W, ref.W) and rep.mu == ref.mu
+
+    def test_rejects_drift_that_is_not_nilpotent(self):
+        rs = np.ones((1, 11, 2, 5))
+        with pytest.raises(ValueError, match="Abar"):
+            kron_gramians(np.eye(5), rs, [0.0], 0.01, 1e-3)
+
+    def test_no_truth_without_lever_arm(self, monkeypatch):
+        import se5nav.scenario as scenario
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("truth synthesized for a config without lever arm")
+
+        monkeypatch.setattr(scenario, "simulate_truth", refuse)
+        monkeypatch.setattr(scenario, "truth_attitude", refuse)
+        reports = check_observability(stereo_cfg(), delta=1.0, grid=[0.0, 5.0])
+        assert all(rep.passed for rep in reports)
+        with pytest.raises(AssertionError, match="lever arm"):
+            check_observability(gps_cfg(), delta=1.0, grid=[0.0])
+
+
 class TestGpsPeCondition:
     def test_static_hover_without_aiding_fails(self):
         # vdot = 0 and no magnetometer/velocity terms: matrix = g g^T, rank 1
@@ -160,6 +256,32 @@ class TestGpsPeCondition:
                 g=G_NED, xi_mag=None, use_mag=True, use_vel=False,
                 t=0.0, delta=1.0,
             )
+
+    def test_matches_per_node_quadrature(self):
+        spec = TrajectorySpec()
+        xi = np.array([1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)])
+        calls = []
+
+        def vdot_of_t(t):
+            calls.append(t)
+            return eval_trajectory(spec, t)[2]
+
+        rep = gps_pe_condition(
+            vdot_of_t=vdot_of_t, v_of_t=lambda t: eval_trajectory(spec, t)[1],
+            g=spec.g, xi_mag=xi, use_mag=True, use_vel=True,
+            t=0.5, delta=1.0, dt=1e-3,
+        )
+        assert len(calls) == 1
+        ts = 0.5 + np.arange(1001) * 1e-3
+        acc = sum(np.outer(f, f) for f in (eval_trajectory(spec, s)[2] - spec.g for s in ts[1:-1]))
+        vel = sum(np.outer(v, v) for v in (eval_trajectory(spec, s)[1] for s in ts[1:-1]))
+        for s in (ts[0], ts[-1]):
+            f = eval_trajectory(spec, s)[2] - spec.g
+            v = eval_trajectory(spec, s)[1]
+            acc = acc + 0.5 * np.outer(f, f)
+            vel = vel + 0.5 * np.outer(v, v)
+        want = 1e-3 * (acc + vel) + np.outer(xi, xi)
+        assert np.max(np.abs(rep.matrix - want)) < 1e-10 * np.max(np.abs(want))
 
     def test_agreement_with_gramian_on_gps_scenario(self):
         """Excitation check passing implies the direct Gramian also passes."""

@@ -157,6 +157,20 @@ class TestSimulateTruth:
         )
         assert worst < 1e-9
 
+    def test_attitude_matches_scalar_recursion_across_chunks(self):
+        from se5nav.trajectory import _EXP_CHUNK, truth_attitude
+
+        spec = TrajectorySpec()
+        dt, n = 1e-3, _EXP_CHUNK + 300
+        rs, r_mid = truth_attitude(spec, n, dt)
+        r = spec.r0
+        assert np.array_equal(rs[0], r)
+        for k in (0, 1, _EXP_CHUNK - 1, _EXP_CHUNK, n - 1):
+            half = so3_exp(0.5 * dt * eval_omega(spec, k * dt + 0.5 * dt))
+            assert np.array_equal(r_mid[k], rs[k] @ half)
+            assert np.array_equal(rs[k + 1], r_mid[k] @ half)
+        assert np.array_equal(simulate_truth(spec, n * dt, dt).R, rs)
+
     def test_midpoint_states_consistent(self):
         spec = reference_spec()
         run = simulate_truth(spec, 0.5, 1e-3)
