@@ -76,8 +76,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_obsv(args) -> int:
     cfg = parse_scenario(args.config)
-    grid = [float(x) for x in args.grid.split(",")] if args.grid else list(np.arange(0.0, 51.0, 5.0))
-    reports = check_observability(cfg, delta=args.delta, grid=grid, threshold=args.mu)
+    grid = args.grid or list(np.arange(0.0, 51.0, 5.0))
+    try:
+        reports = check_observability(cfg, delta=args.delta, grid=grid, threshold=args.mu)
+    except ValueError as err:  # a window the config cannot resolve, such as delta < dt
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     out = _out_dir(args, Path(args.config), "obsv")
     out.mkdir(parents=True, exist_ok=True)
     write_observability_csv(reports, out / "observability.csv")
@@ -106,6 +110,20 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _checked(parse, ok, what: str):
+    """argparse type that parses the text and requires ok(value); anything
+    else exits 2 with a message saying what was expected."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="se5nav", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -118,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="randomized convergence sweep (noiseless)")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--runs", type=int, default=100)
+    p_sweep.add_argument("--runs", type=_checked(int, lambda n: n >= 1, "a positive integer"),
+                         default=100)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--max-angle-deg", type=float, default=170.0)
     p_sweep.add_argument("--ball", type=float, default=10.0)
@@ -126,8 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obsv = sub.add_parser("obsv", help="observability Gramian check")
     p_obsv.add_argument("config")
-    p_obsv.add_argument("--delta", type=float, default=1.0)
-    p_obsv.add_argument("--grid", help="comma-separated window start times (default 0..50 step 5)")
+    p_obsv.add_argument("--delta", type=_checked(float, lambda d: 0 < d < np.inf, "a positive number"),
+                        default=1.0)
+    p_obsv.add_argument("--grid", type=_checked(lambda text: [float(t) for t in text.split(",")],
+                                                lambda ts: all(0 <= t < np.inf for t in ts),
+                                                "comma-separated nonnegative times"),
+                        help="comma-separated window start times (default 0..50 step 5)")
     p_obsv.add_argument("--mu", type=float, default=1e-6, help="pass threshold on min eigenvalue")
     p_obsv.set_defaults(func=_cmd_obsv)
 

@@ -12,7 +12,8 @@ and the stacked output matrix C(t) (rows r_i^T kron I_3) makes the
 translational error dynamics linear.
 
 Reference vectors per kind (xi, b known channel constants; eta the raw
-sample):
+sample, from the measurement model :func:`se5nav.sensors.value_from_pose`),
+written once, in :class:`UnifiedLayout`:
 
     body_vector        y = eta            r = [gamma, 0, -xi^T]
     inertial_position  y = b              r = [1, 0, -eta^T]
@@ -30,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import SEn
-from .sensors import ChannelKind, ChannelSpec, MeasurementSample
+from .sensors import ChannelKind, ChannelSpec, MeasurementSample, value_from_pose
 
 _I3 = np.eye(3)
-_G = np.hstack([np.eye(3), np.zeros((3, 5))])  # picks the top block of an 8-vector
 
 
 @dataclass(frozen=True)
@@ -54,25 +54,15 @@ class UnifiedOutput:
 
 def reference_vector(channel: ChannelSpec, sample: MeasurementSample) -> UnifiedOutput:
     """Build (y, r) for one channel from its latest raw sample."""
-    kind = channel.kind
-    if kind is ChannelKind.BODY_VECTOR:
-        r = np.concatenate([[float(channel.gamma), 0.0], -channel.xi_vec])
-        return UnifiedOutput(y=np.asarray(sample.y, dtype=float), r=r)
-    if kind is ChannelKind.INERTIAL_POSITION:
-        r = np.concatenate([[1.0, 0.0], -np.asarray(sample.y, dtype=float)])
-        return UnifiedOutput(y=channel.b_vec, r=r)
-    if kind is ChannelKind.INERTIAL_VELOCITY:
-        r = np.concatenate([[0.0, 1.0], -np.asarray(sample.y, dtype=float)])
-        return UnifiedOutput(y=np.zeros(3), r=r)
-    # body velocity
-    return UnifiedOutput(y=np.asarray(sample.y, dtype=float), r=np.array([0.0, -1.0, 0.0, 0.0, 0.0]))
+    ys, rs = UnifiedLayout([channel]).stacks(np.asarray(sample.y, dtype=float)[None])
+    return UnifiedOutput(y=ys[0], r=rs[0])
 
 
 def output_matrix(unified: list[UnifiedOutput]) -> np.ndarray:
     """C(t): stacked row blocks r_i^T kron I_3, shape (3m, 15)."""
     if not unified:
         raise ValueError("at least one output channel is required")
-    return np.vstack([np.kron(u.r.reshape(1, 5), _I3) for u in unified])
+    return fast_output_matrix(np.stack([u.r for u in unified]))
 
 
 def build_unified(
@@ -100,19 +90,8 @@ def innovation_inputs(
     return dys, dz
 
 
-def innovation_stack(unified: list[UnifiedOutput], rhat: np.ndarray, zhat: np.ndarray) -> np.ndarray:
-    """Fast path for dz used in the integration loop.
-
-    G dy_i = -(Rhat y_i + zhat r_i); every channel at once.
-    """
-    ys = np.stack([u.y for u in unified])
-    rs = np.stack([u.r for u in unified])
-    return -(ys @ rhat.T + rs @ zhat.T).reshape(-1)
-
-
 def fast_output_matrix(rs: np.ndarray) -> np.ndarray:
-    """Output matrix from stacked reference vectors; same values as
-    :func:`output_matrix` without the per-channel Kronecker products."""
+    """Output matrix R_s kron I_3 from stacked reference vectors R_s (m, 5)."""
     m = rs.shape[0]
     return np.einsum("ij,ab->iajb", rs, _I3).reshape(3 * m, 15)
 
@@ -120,9 +99,10 @@ def fast_output_matrix(rs: np.ndarray) -> np.ndarray:
 class UnifiedLayout:
     """Batch mapping from raw channel samples to (y, r) stacks.
 
-    Precomputes the constant parts per channel so the integration loop can
-    refresh the stacks from an (m, 3) array of raw samples in O(1) numpy
-    calls. Matches :func:`reference_vector` channel by channel.
+    The one place the (y, r) rule of each channel kind is written: y and r
+    are a constant per-channel base, with the raw sample copied into y or,
+    negated, into the tail of r. The integration loop refreshes the stacks
+    from an (m, 3) array of raw samples in O(1) numpy calls.
     """
 
     def __init__(self, channels: list[ChannelSpec]):
@@ -130,47 +110,25 @@ class UnifiedLayout:
         self.channels = list(channels)
         self.y_base = np.zeros((m, 3))
         self.r_base = np.zeros((m, 5))
-        self.y_raw = np.zeros(m, dtype=bool)   # y copies the raw sample
-        self.r_raw = np.zeros(m, dtype=bool)   # r carries -raw in its tail
-        self.xi_mat = np.zeros((m, 3))
-        self.gamma_vec = np.zeros(m)
-        self.b_mat = np.zeros((m, 3))
-        self.body_vec = np.zeros(m, dtype=bool)
-        self.in_pos = np.zeros(m, dtype=bool)
-        self.in_vel = np.zeros(m, dtype=bool)
-        self.body_vel = np.zeros(m, dtype=bool)
+        y_raw, r_raw = [], []   # y copies the raw sample; r carries -raw in its tail
         for i, ch in enumerate(channels):
             if ch.kind is ChannelKind.BODY_VECTOR:
                 self.r_base[i] = np.concatenate([[float(ch.gamma), 0.0], -ch.xi_vec])
-                self.y_raw[i] = True
-                self.xi_mat[i] = ch.xi_vec
-                self.gamma_vec[i] = ch.gamma
-                self.body_vec[i] = True
+                y_raw.append(i)
             elif ch.kind is ChannelKind.INERTIAL_POSITION:
                 self.y_base[i] = ch.b_vec
                 self.r_base[i, 0] = 1.0
-                self.r_raw[i] = True
-                self.b_mat[i] = ch.b_vec
-                self.in_pos[i] = True
+                r_raw.append(i)
             elif ch.kind is ChannelKind.INERTIAL_VELOCITY:
                 self.r_base[i, 1] = 1.0
-                self.r_raw[i] = True
-                self.in_vel[i] = True
+                r_raw.append(i)
             else:
                 self.r_base[i, 1] = -1.0
-                self.y_raw[i] = True
-                self.body_vel[i] = True
-        self.constant_r = not self.r_raw.any()
+                y_raw.append(i)
+        self._y_raw_idx = np.array(y_raw, dtype=int)
+        self._r_raw_idx = np.array(r_raw, dtype=int)
+        self.constant_r = not r_raw
         self._c_cache = fast_output_matrix(self.r_base) if self.constant_r else None
-        self._y_raw_idx = np.nonzero(self.y_raw)[0]
-        self._r_raw_idx = np.nonzero(self.r_raw)[0]
-        self._bv_idx = np.nonzero(self.body_vec)[0]
-        self._ip_idx = np.nonzero(self.in_pos)[0]
-        self._iv_idx = np.nonzero(self.in_vel)[0]
-        self._bvel_idx = np.nonzero(self.body_vel)[0]
-        self._bv_xi = self.xi_mat[self._bv_idx]
-        self._bv_gamma = self.gamma_vec[self._bv_idx, None]
-        self._ip_b = self.b_mat[self._ip_idx]
 
     def stacks(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(ys, rs) from raw samples (..., m, 3): shapes (..., m, 3) and
@@ -191,18 +149,12 @@ class UnifiedLayout:
         return fast_output_matrix(rs)
 
     def raw_from_pose(self, r: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Noiseless raw samples for every channel at a pose, (m, 3).
+        """Noiseless raw samples for every channel at a pose, (m, 3): the
+        measurement model :func:`value_from_pose` of each channel.
 
         Poses may carry leading batch dimensions, r (..., 3, 3) with p and
         v (..., 3); the result is then (..., m, 3).
         """
-        raw = np.empty(p.shape[:-1] + (len(self.channels), 3))
-        if self._bv_idx.size:
-            raw[..., self._bv_idx, :] = (self._bv_xi - self._bv_gamma * p[..., None, :]) @ r
-        if self._ip_idx.size:
-            raw[..., self._ip_idx, :] = p[..., None, :] + self._ip_b @ np.swapaxes(r, -1, -2)
-        if self._iv_idx.size:
-            raw[..., self._iv_idx, :] = v[..., None, :]
-        if self._bvel_idx.size:
-            raw[..., self._bvel_idx, :] = v[..., None, :] @ r
-        return raw
+        if not self.channels:
+            return np.empty(p.shape[:-1] + (0, 3))
+        return np.stack([value_from_pose(ch, r, p, v) for ch in self.channels], axis=-2)

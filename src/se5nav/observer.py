@@ -47,6 +47,7 @@ from .trajectory import TruthState
 
 _I3 = np.eye(3)
 _E3 = np.eye(3)
+_EYE5 = np.eye(5)
 
 ESTIMATE_CSV_SCHEMA = "se5nav-estimate-v1"
 
@@ -143,30 +144,10 @@ def build_u(omega: np.ndarray, accel: np.ndarray) -> np.ndarray:
     return u
 
 
-_A_BASE_CACHE: dict[bytes, np.ndarray] = {}
-
-
-def _a_base(g: np.ndarray) -> np.ndarray:
-    key = g.tobytes()
-    cached = _A_BASE_CACHE.get(key)
-    if cached is None:
-        cached = kron(build_abar(g), _I3)
-        cached.setflags(write=False)
-        _A_BASE_CACHE[key] = cached
-    return cached
-
-
-_BLOCK_DIAG_FLAT = np.concatenate(
-    [[(3 * j + a) * 15 + 3 * j + b for a in range(3) for b in range(3)] for j in range(5)]
-)
-
-
 def build_a(omega: np.ndarray, g: np.ndarray) -> np.ndarray:
     """15 x 15 error-dynamics matrix Abar kron I_3 - I_5 kron hat(omega)."""
-    a = _a_base(np.asarray(g, dtype=float)).copy()
-    w = hat(omega)
-    a.flat[_BLOCK_DIAG_FLAT] -= np.tile(w.reshape(-1), 5)
-    return a
+    a = build_abar(g)[:, None, :, None] * _I3[:, None] - _EYE5[:, None, :, None] * hat(omega)[:, None]
+    return a.reshape(15, 15)
 
 
 # innovation ---------------------------------------------------------------
@@ -213,9 +194,6 @@ def gain(P: np.ndarray, C: np.ndarray, Q, rhat: np.ndarray) -> tuple[np.ndarray,
 
 
 # integration core ----------------------------------------------------------
-
-_EYE5 = np.eye(5)
-
 
 def _kron_factor(P: np.ndarray) -> np.ndarray:
     """The 5 x 5 factor Pi of P = Pi kron I_3.
@@ -275,8 +253,9 @@ def make_stage_inputs(omega, accel, ys, rs, g) -> StageInputs:
     return StageInputs(flow=flow, cross=cross, info=rs_t @ rs)
 
 
-def _observer_rhs(x, pi, st: StageInputs, q: float, v: float, rho, abar):
-    """Vector field of (X, Pi) at one stage, X = [Rhat, zhat] (3 x 8).
+def _observer_rhs(x, pi, flow, cross, info, q: float, v: float, rho, abar):
+    """Vector field of (X, Pi) at one stage, X = [Rhat, zhat] (3 x 8), for
+    that stage's StageInputs fields flow, cross and info.
 
     dX = X flow + hat(delta_r) X - q (Rhat Rhat^T) X cross Pi, the last
     term only in the zhat columns: it is the gain K_I applied to the
@@ -288,29 +267,44 @@ def _observer_rhs(x, pi, st: StageInputs, q: float, v: float, rho, abar):
     rhat = x[:, :3]
     m = x[:, 5:] * rho
     hdr = 0.5 * (m.T - m)  # hat(delta_r(ehat, rho))
-    dx = x @ st.flow + hdr @ x
-    dx[:, 3:] -= q * ((rhat @ rhat.T) @ (x @ st.cross @ pi))
-    tp = (abar - (0.5 * q) * (pi @ st.info)) @ pi
+    dx = x @ flow + hdr @ x
+    dx[:, 3:] -= q * ((rhat @ rhat.T) @ (x @ cross @ pi))
+    tp = (abar - (0.5 * q) * (pi @ info)) @ pi
     return dx, tp + tp.T + v * _EYE5
 
 
-def _rk4_observer(x, pi, stages, dt: float, q: float, v: float, rho, abar):
-    """One RK4 step over four StageInputs, one per RK4 stage: the step
-    start, the midpoint twice, and the end. Inputs sampled at the stage
-    times pass the midpoint entry twice; the coupled oracle passes the
-    measurements on the truth's own four stages.
+def _rk4_observer(x, pi, st: StageInputs, dt: float, q: float, v: float, rho, abar):
+    """One RK4 step over StageInputs whose fields carry a leading axis of
+    the four RK4 stages: the step start, the midpoint twice, and the end.
+    Inputs sampled at the stage times repeat the midpoint entry; the
+    coupled oracle passes the measurements on the truth's own four stages.
 
     Returns the raw (X, Pi); the caller projects and checks.
     """
-    s1, s2, s3, s4 = stages
+    f, c, i = st.flow, st.cross, st.info
     h2 = 0.5 * dt
-    k1x, k1p = _observer_rhs(x, pi, s1, q, v, rho, abar)
-    k2x, k2p = _observer_rhs(x + h2 * k1x, pi + h2 * k1p, s2, q, v, rho, abar)
-    k3x, k3p = _observer_rhs(x + h2 * k2x, pi + h2 * k2p, s3, q, v, rho, abar)
-    k4x, k4p = _observer_rhs(x + dt * k3x, pi + dt * k3p, s4, q, v, rho, abar)
+    k1x, k1p = _observer_rhs(x, pi, f[0], c[0], i[0], q, v, rho, abar)
+    k2x, k2p = _observer_rhs(x + h2 * k1x, pi + h2 * k1p, f[1], c[1], i[1], q, v, rho, abar)
+    k3x, k3p = _observer_rhs(x + h2 * k2x, pi + h2 * k2p, f[2], c[2], i[2], q, v, rho, abar)
+    k4x, k4p = _observer_rhs(x + dt * k3x, pi + dt * k3p, f[3], c[3], i[3], q, v, rho, abar)
     c6 = dt / 6.0
     return (x + c6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
             pi + c6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+
+
+def _check_pd(pi: np.ndarray, t: float | None = None) -> np.ndarray:
+    """Symmetrized Riccati matrix; DivergenceError unless positive definite."""
+    pi = 0.5 * (pi + pi.T)
+    try:
+        np.linalg.cholesky(pi)
+    except np.linalg.LinAlgError:
+        mineig = float(np.linalg.eigvalsh(pi)[0])
+        where = "" if t is None else f" at t={t:.4f}"
+        raise DivergenceError(
+            f"Riccati matrix lost positive definiteness{where} "
+            f"(min eig {mineig:.3e}); reduce dt or check observability"
+        ) from None
+    return pi
 
 
 def _finalize_step(x, pi, t):
@@ -318,16 +312,23 @@ def _finalize_step(x, pi, t):
     if not (np.isfinite(x).all() and np.isfinite(pi).all()):
         raise DivergenceError(f"non-finite estimate at t={t:.4f}")
     x[:, :3] = project_rotation(x[:, :3])
-    pi = 0.5 * (pi + pi.T)
+    return x, _check_pd(pi, t)
+
+
+def _state(x: np.ndarray, pi: np.ndarray, t) -> ObserverState:
+    """ObserverState of X = [Rhat, zhat] and P = Pi kron I_3."""
+    return ObserverState(xhat=SEn(x[:, :3], x[:, 3:], check=False), P=kron(pi, _I3), t=float(t))
+
+
+def _step(x, pi, stages: StageInputs, t: float, cfg: ObserverConfig, abar, rho):
+    """One checked RK4 step of (X, Pi) from time t over the four RK4 stages
+    of `stages` (see :func:`_rk4_observer`). A failed check raises
+    DivergenceError carrying the state at t, the start of the failing step."""
+    x1, pi1 = _rk4_observer(x, pi, stages, cfg.dt, cfg.q, cfg.v, rho, abar)
     try:
-        np.linalg.cholesky(pi)
-    except np.linalg.LinAlgError:
-        mineig = float(np.linalg.eigvalsh(pi)[0])
-        raise DivergenceError(
-            f"Riccati matrix lost positive definiteness at t={t:.4f} "
-            f"(min eig {mineig:.3e}); reduce dt or check observability"
-        ) from None
-    return x, pi
+        return _finalize_step(x1, pi1, t)
+    except DivergenceError as err:
+        raise DivergenceError(str(err), _state(x, pi, t)) from None
 
 
 # public operations ---------------------------------------------------------
@@ -353,17 +354,7 @@ def riccati_step(P: np.ndarray, a: np.ndarray, c: np.ndarray, q, v, dt: float) -
     k2 = _riccati_rhs(P + 0.5 * dt * k1, a, c, q, v)
     k3 = _riccati_rhs(P + 0.5 * dt * k2, a, c, q, v)
     k4 = _riccati_rhs(P + dt * k3, a, c, q, v)
-    out = P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = 0.5 * (out + out.T)
-    try:
-        np.linalg.cholesky(out)
-    except np.linalg.LinAlgError:
-        mineig = float(np.linalg.eigvalsh(out)[0])
-        raise DivergenceError(
-            f"Riccati matrix lost positive definiteness (min eig {mineig:.3e}); "
-            "reduce dt or check observability"
-        ) from None
-    return out
+    return _check_pd(P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 def observer_step(
@@ -406,16 +397,9 @@ def observer_step(
     st = make_stage_inputs(
         omega, accel, np.broadcast_to(ys, (3,) + ys.shape), np.broadcast_to(rs, (3,) + rs.shape), cfg.g
     )
-    s0, s1, s2 = (st.at(i) for i in range(3))
     x = np.hstack([state.rhat, state.zhat])
-    x, pi = _rk4_observer(
-        x, pi, (s0, s1, s1, s2), cfg.dt, cfg.q, cfg.v, np.asarray(cfg.rho), build_abar(cfg.g)
-    )
-    try:
-        x, pi = _finalize_step(x, pi, state.t)
-    except DivergenceError as err:
-        raise DivergenceError(str(err), state) from None
-    return ObserverState(xhat=SEn(x[:, :3], x[:, 3:], check=False), P=kron(pi, _I3), t=state.t + cfg.dt)
+    x, pi = _step(x, pi, st.at([0, 1, 1, 2]), state.t, cfg, build_abar(cfg.g), np.asarray(cfg.rho))
+    return _state(x, pi, state.t + cfg.dt)
 
 
 # diagnostics --------------------------------------------------------------
@@ -482,14 +466,7 @@ def kalman_reference_run(
     def f(xx, pp, a, c):
         pct = pp @ c.T
         kb = pct * q if np.isscalar(q) else pct @ q
-        dx = a @ xx - kb @ (c @ xx)
-        ap = a @ pp
-        dP = ap + ap.T - kb @ pct.T
-        if np.isscalar(v):
-            dP[np.diag_indices_from(dP)] += v
-        else:
-            dP = dP + v
-        return dx, dP
+        return a @ xx - kb @ (c @ xx), _riccati_rhs(pp, a, c, q, v)
 
     # A and C once per grid node and midpoint: a step's end is the next start
     a0, c0 = a_of_t(ts[0]), c_of_t(ts[0])

@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .frontend import UnifiedLayout
-from .lie import SEn, hat, kron, project_rotation, so3_exp
+from .frontend import UnifiedLayout, fast_output_matrix
+from .lie import SEn, hat, project_rotation, so3_exp
 from .observability import (
     DEFAULT_MU_THRESHOLD,
     ExcitationReport,
@@ -41,13 +41,11 @@ from .observability import (
 )
 from .observer import (
     ESTIMATE_CSV_SCHEMA,
-    DivergenceError,
     ObserverConfig,
     ObserverState,
-    StageInputs,
-    _finalize_step,
     _kron_factor,
-    _rk4_observer,
+    _state,
+    _step,
     build_a,
     build_abar,
     error_arrays,
@@ -71,6 +69,7 @@ from .trajectory import (
     simulate_truth,
     truth_attitude,
     write_truth_csv,
+    z_block,
 )
 
 log = logging.getLogger("se5nav")
@@ -107,11 +106,8 @@ class ScenarioConfig:
     settle_window: float = 20.0
 
     def initial_state(self) -> ObserverState:
-        z = np.zeros((3, 5))
-        z[:, 0] = self.phat0
-        z[:, 1] = self.vhat0
-        z[:, 2:] = np.eye(3)
         rhat0 = so3_exp(np.asarray(self.rhat0_rotvec, dtype=float))
+        z = z_block(self.phat0, self.vhat0)
         return ObserverState(xhat=SEn(rhat0, z), P=self.p0_scale * np.eye(15), t=0.0)
 
     def noiseless(self) -> "ScenarioConfig":
@@ -252,7 +248,7 @@ def estimate_from_errors(truth_r: np.ndarray, truth_z: np.ndarray,
 
 # observer run driver -------------------------------------------------------
 
-# steps whose truth- and noise-only stage inputs run_observer builds at once;
+# steps whose truth- and noise-only stage inputs a run builds at once;
 # larger chunks run no faster and raise the peak memory of a run
 _CHUNK_STEPS = 64
 
@@ -320,6 +316,45 @@ def _recorded_steps(n: int, stride: int) -> list[int]:
     return steps
 
 
+def _run_loop(chunks, first, n: int, ts: np.ndarray, cfg: ObserverConfig, init: ObserverState,
+              trace_stride: int, stop_when=None) -> tuple[RunTrace, int]:
+    """The stepping loop of (Rhat, zhat, Pi) over steps 0 .. n - 1.
+
+    ``chunks(k0, k1)`` returns the truth (R, p, v) at steps k0 .. k1 and
+    the StageInputs of steps k0 .. k1 - 1 on the four RK4 stages, batched
+    as (step, stage); ``first`` is the truth at step 0, each array with a
+    leading axis of one. Steps are fetched ``_CHUNK_STEPS`` at a time.
+    Every ``trace_stride``-th step and the last are recorded against the
+    truth, and ``stop_when(t, att_err, col_norms)`` may end the run at a
+    recorded step. A failed step raises DivergenceError carrying the state
+    at its start. Returns the trace and the step the run ended at.
+    """
+    x, pi = np.hstack([init.rhat, init.zhat]), _kron_factor(init.P)
+    abar, rho = build_abar(cfg.g), np.asarray(cfg.rho)
+    rec_idx = _recorded_steps(n, trace_stride)
+    out = RunTrace.allocate(len(rec_idx), init)
+    nodes, stages = first, None
+    k0 = k1 = rec = 0
+    for k in range(n + 1):
+        if rec < len(rec_idx) and k == rec_idx[rec]:
+            r, p, v = (a[k - k0] for a in nodes)
+            rep = out.put(rec, ts[k], r, z_block(p, v), x, pi)
+            rec += 1
+            if stop_when is not None and stop_when(ts[k], rep.angle, rep.column_norms):
+                out.stopped_at = ts[k]
+                break
+        if k == n:
+            break
+        if k == k1:
+            k0, k1 = k, min(k + _CHUNK_STEPS, n)
+            nodes, stages = chunks(k0, k1)
+        j = k - k0
+        x, pi = _step(x, pi, stages.at(j), ts[k], cfg, abar, rho)
+    out.final_state = _state(x, pi, ts[k])
+    out._trim(rec)
+    return out, k
+
+
 def run_observer(
     truth: TruthRun,
     channels: list[ChannelSpec],
@@ -339,7 +374,8 @@ def run_observer(
     delivered at the integrator's stage times. ``stop_when(t, att_err,
     col_norms)`` may end the run early (used by convergence sweeps).
     ``init.P`` must have the form Pi kron I_3 (p0 * I_15, for instance);
-    any other P raises ValueError.
+    any other P raises ValueError. A DivergenceError carries the state at
+    the start of the failing step.
 
     What depends only on truth and noise (stage samples, y/r stacks, the
     noisy IMU and its hat(omega)) is built ahead of the recursion, in
@@ -347,11 +383,9 @@ def run_observer(
     same per-channel streams in the same order as one draw per step, so a
     seeded run gives the same numbers.
     """
-    n = len(truth) - 1
     dt = truth.dt
     if abs(cfg.dt - dt) > 1e-12:
         raise ValueError("observer dt must match the truth sampling step")
-    pi = _kron_factor(init.P)
 
     imu_rng, ch_rngs = spawn_channel_rngs(seed, len(channels))
     if not noisy_channels:
@@ -367,16 +401,10 @@ def run_observer(
     m = len(channels)
     if m == 0:
         log.warning("no output channels configured; observer runs open loop")
-    abar = build_abar(cfg.g)
-    q, v, rho = cfg.q, cfg.v, np.asarray(cfg.rho)
-
-    rec_idx = _recorded_steps(n, trace_stride)
-    n_rec = len(rec_idx)
-    out = RunTrace.allocate(n_rec, init)
     pending_rows = []  # (step, measurement row)
 
-    def stage_inputs(k0: int, k1: int) -> StageInputs:
-        """Stage inputs of steps k0 .. k1 - 1, batched as (step, stage)."""
+    def chunk(k0: int, k1: int):
+        """Truth at steps k0 .. k1 and the stage inputs of steps k0 .. k1 - 1."""
         w_st, a_st = truth.imu_omega[k0:k1], truth.imu_accel[k0:k1]
         if imu_noise is not None:
             w_st, a_st = corrupt_imu(w_st, a_st, imu_noise, imu_rng)
@@ -391,55 +419,14 @@ def run_observer(
             for j, c in zip(*np.nonzero(logged[:, row_order])):
                 i = row_order[c]
                 pending_rows.append((k0 + j, (truth.t[k0 + j], i, raw[j, 0, i].copy())))
-        return make_stage_inputs(w_st, a_st, *layout.stacks(raw), cfg.g)
+        # samples at the stage times: the midpoint serves RK4 stages 2 and 3
+        stages = make_stage_inputs(w_st, a_st, *layout.stacks(raw), cfg.g).at(slice(None), [0, 1, 1, 2])
+        return (truth.R[k0:k1 + 1], truth.p[k0:k1 + 1], truth.v[k0:k1 + 1]), stages
 
-    x = np.hstack([init.rhat, init.zhat])  # [Rhat, zhat]
-    rec = 0
-    stopped_at = None
-    last_good = init
-    k0 = k1 = 0
-
-    for k in range(n + 1):
-        if rec < n_rec and k == rec_idx[rec]:
-            rep = out.put(rec, truth.t[k], truth.R[k], _z_block(truth.p[k], truth.v[k]), x, pi)
-            rec += 1
-            last_good = _state(x, pi, truth.t[k])
-            if stop_when is not None and stop_when(truth.t[k], rep.angle, rep.column_norms):
-                stopped_at = truth.t[k]
-                break
-        if k == n:
-            break
-
-        if k == k1:
-            k0, k1 = k, min(k + _CHUNK_STEPS, n)
-            chunk = stage_inputs(k0, k1)
-        j = k - k0
-        s0, s1, s2 = chunk.at(j, 0), chunk.at(j, 1), chunk.at(j, 2)
-        x, pi = _rk4_observer(x, pi, (s0, s1, s1, s2), dt, q, v, rho, abar)
-        try:
-            x, pi = _finalize_step(x, pi, truth.t[k])
-        except DivergenceError as err:
-            raise DivergenceError(str(err), last_good) from None
-
+    first = (truth.R[:1], truth.p[:1], truth.v[:1])
+    out, k = _run_loop(chunk, first, len(truth) - 1, truth.t, cfg, init, trace_stride, stop_when)
     out.measurements = [row for step, row in pending_rows if step < k]
-    out.final_state = _state(x, pi, truth.t[min(k, n)])
-    out.stopped_at = stopped_at
-    out._trim(rec)
     return out
-
-
-def _state(x: np.ndarray, pi: np.ndarray, t) -> ObserverState:
-    """ObserverState of X = [Rhat, zhat] and P = Pi kron I_3."""
-    return ObserverState(xhat=SEn(x[:, :3], x[:, 3:], check=False), P=kron(pi, _I3), t=float(t))
-
-
-def _z_block(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Extended translation block [p, v, e1, e2, e3] (3 x 5)."""
-    z = np.zeros((3, 5))
-    z[:, 0] = p
-    z[:, 1] = v
-    z[:, 2:] = _I3
-    return z
 
 
 def run_observer_coupled(
@@ -470,9 +457,7 @@ def run_observer_coupled(
     dt = cfg.dt
     h2, c6 = 0.5 * dt, dt / 6.0
     g = spec.g
-    abar = build_abar(g)
     layout = UnifiedLayout(channels)
-    q, v, rho = cfg.q, cfg.v, np.asarray(cfg.rho)
 
     # body rates and accelerations at the step starts and midpoints, each
     # evaluated once
@@ -495,7 +480,6 @@ def run_observer_coupled(
         count = k1 - k0
         r_st, p_st, v_st = np.empty((count, 4, 3, 3)), np.empty((count, 4, 3)), np.empty((count, 4, 3))
         w_st, a_st = stages(w_hat, w_hat_mid, k0, k1), stages(vdot, vdot_mid, k0, k1)
-        nodes = [(r_t, p_t, v_t)]
         for j in range(count):
             wk, ak = w_st[j], a_st[j]
             r_st[j, 0], p_st[j, 0], v_st[j, 0] = r_t, p_t, v_t
@@ -510,39 +494,14 @@ def run_observer_coupled(
             r_t = project_rotation(r_t + c6 * (dr[0] + 2 * dr[1] + 2 * dr[2] + dr[3]))
             p_t = p_t + c6 * (vs[0] + 2 * vs[1] + 2 * vs[2] + vs[3])
             v_t = v_t + c6 * (ak[0] + 2 * ak[1] + 2 * ak[2] + ak[3])
-            nodes.append((r_t, p_t, v_t))
+        nodes = tuple(np.concatenate([st[:, 0], end[None]])
+                      for st, end in ((r_st, r_t), (p_st, p_t), (v_st, v_t)))
         ys, rs = layout.stacks(layout.raw_from_pose(r_st, p_st, v_st))
         accel = (np.swapaxes(r_st, -1, -2) @ (a_st - g)[..., None])[..., 0]
         return nodes, make_stage_inputs(stages(w, w_mid, k0, k1), accel, ys, rs, g)
 
-    x, pi = np.hstack([init.rhat, init.zhat]), _kron_factor(init.P)
-    rec_idx = _recorded_steps(n, trace_stride)
-    n_rec = len(rec_idx)
-    out = RunTrace.allocate(n_rec, init)
-    rec = 0
-    k0 = k1 = 0
-    nodes = [(r_t, p_t, v_t)]
-    for k in range(n + 1):
-        if k == k1 < n:
-            k0, k1 = k, min(k + _CHUNK_STEPS, n)
-            nodes, chunk = truth_chunk(k0, k1)
-        j = k - k0
-        if rec < n_rec and k == rec_idx[rec]:
-            r, p, vv = nodes[j]
-            out.put(rec, ts[k], r, _z_block(p, vv), x, pi)
-            rec += 1
-        if k == n:
-            break
-
-        x1, pi1 = _rk4_observer(x, pi, [chunk.at(j, s) for s in range(4)], dt, q, v, rho, abar)
-        try:
-            x, pi = _finalize_step(x1, pi1, ts[k])
-        except DivergenceError as err:
-            raise DivergenceError(str(err), _state(x, pi, ts[k])) from None
-
-    out.final_state = _state(x, pi, n * dt)
-    out._trim(rec)
-    return out
+    first = (r_t[None], p_t[None], v_t[None])
+    return _run_loop(truth_chunk, first, n, ts, cfg, init, trace_stride)[0]
 
 
 # summary + file outputs ----------------------------------------------------
@@ -699,10 +658,7 @@ def sweep_agas(
         v_err = rng.uniform(-1.0, 1.0, 3)
         v_err *= translation_ball * rng.uniform() / max(np.linalg.norm(v_err), 1e-12)
 
-        zhat = np.zeros((3, 5))
-        zhat[:, 0] = rtilde.T @ (truth0.p - p_err)
-        zhat[:, 1] = rtilde.T @ (truth0.v - v_err)
-        zhat[:, 2:] = np.eye(3)
+        zhat = z_block(rtilde.T @ (truth0.p - p_err), rtilde.T @ (truth0.v - v_err))
         init = ObserverState(
             xhat=SEn(rtilde.T @ truth0.R, zhat), P=cfg.p0_scale * np.eye(15), t=0.0
         )
@@ -755,57 +711,49 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
 
 # observability checks ------------------------------------------------------
 
-def _needs_attitude(channels) -> bool:
-    """True when a position channel has a lever arm, whose reference vector
-    then depends on the truth attitude."""
-    return any(ch.kind is ChannelKind.INERTIAL_POSITION and np.any(ch.b_vec) for ch in channels)
+def _reference_attitude(cfg: ScenarioConfig, t_max: float):
+    """The attitude at which the channels' reference vectors are evaluated,
+    as a function of times t in [0, t_max] (scalar or array).
+
+    Only a position channel with a lever arm b has an r that depends on it,
+    r = [1, 0, -(p + R b)]; then R is the truth attitude at the nearest grid
+    sample k = round(t / dt), from one truth attitude run up to t_max.
+    Otherwise the identity stands in and no truth is synthesized.
+    """
+    if not any(ch.kind is ChannelKind.INERTIAL_POSITION and np.any(ch.b_vec) for ch in cfg.channels):
+        return lambda t: _I3
+    dt = cfg.observer.dt
+    attitude = truth_attitude(cfg.trajectory, int(np.rint(t_max / dt)), dt)[0]
+
+    def at(t):
+        k = np.rint(np.asarray(t) / dt).astype(int)
+        if np.any(k < 0) or np.any(k >= len(attitude)):
+            raise ValueError(f"truth attitude is computed for times in [0, {t_max:g}] only")
+        return attitude[k]
+
+    return at
 
 
 def scenario_output_map(cfg: ScenarioConfig, horizon: float):
     """(A(t), C(t)) callables for the scenario on noiseless truth.
 
-    Lever-arm position channels need the truth attitude, which only exists
-    on the integration grid, so it is precomputed out to `horizon`; C(t)
-    snaps those channels to the nearest grid sample.
+    C(t) = R_s(t) kron I_3 with R_s from the channel rules of
+    :class:`UnifiedLayout` at the truth pose. Lever-arm position channels
+    take the truth attitude at the nearest grid sample, precomputed out to
+    `horizon` (see :func:`_reference_attitude`).
     """
     spec = cfg.trajectory
-    g = spec.g
-    dt = cfg.observer.dt
-    channels = cfg.channels
-
-    attitude = None
-    if _needs_attitude(channels):
-        attitude = truth_attitude(spec, int(round((horizon + dt) / dt)), dt)[0]
+    layout = UnifiedLayout(cfg.channels)
+    attitude = _reference_attitude(cfg, horizon + cfg.observer.dt)
 
     def a_of_t(t: float) -> np.ndarray:
-        return build_a(eval_omega(spec, t), g)
+        return build_a(eval_omega(spec, t), spec.g)
 
     def build_c(t: float) -> np.ndarray:
         p, v, _ = eval_trajectory(spec, t)
-        rows = []
-        for ch in channels:
-            if ch.kind is ChannelKind.BODY_VECTOR:
-                r = np.concatenate([[float(ch.gamma), 0.0], -ch.xi_vec])
-            elif ch.kind is ChannelKind.INERTIAL_POSITION:
-                if attitude is not None:
-                    eta = p + attitude[int(round(t / dt))] @ ch.b_vec
-                else:
-                    eta = p
-                r = np.concatenate([[1.0, 0.0], -eta])
-            elif ch.kind is ChannelKind.INERTIAL_VELOCITY:
-                r = np.concatenate([[0.0, 1.0], -v])
-            else:
-                r = np.array([0.0, -1.0, 0.0, 0.0, 0.0])
-            rows.append(np.kron(r.reshape(1, 5), np.eye(3)))
-        if not rows:
-            return np.zeros((0, 15))
-        return np.vstack(rows)
+        return fast_output_matrix(layout.stacks(layout.raw_from_pose(attitude(t), p, v))[1])
 
-    time_varying = any(
-        ch.kind in (ChannelKind.INERTIAL_POSITION, ChannelKind.INERTIAL_VELOCITY)
-        for ch in channels
-    )
-    if time_varying:
+    if not layout.constant_r:
         return a_of_t, build_c
     c_const = build_c(0.0)
     return a_of_t, lambda t: c_const
@@ -828,17 +776,17 @@ def check_observability(
     windows, each group at most ``_OBSV_CHUNK_NODES`` nodes (or one window).
     Lever-arm position channels take the truth attitude at the nearest grid
     sample, as :func:`scenario_output_map` does, from one truth attitude run
-    over all windows; other configs synthesize no truth.
+    over all windows; other configs synthesize no truth. Window starts must
+    be nonnegative and `delta` at least the config's step dt (ValueError).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     spec, dt = cfg.trajectory, cfg.observer.dt
+    if not delta >= dt:
+        raise ValueError(f"delta must be at least the step dt = {dt:g}, got {delta:g}")
     starts = np.asarray(grid, dtype=float)
+    if not np.all(starts >= 0):
+        raise ValueError("window start times must be nonnegative")
     offsets = np.arange(int(round(delta / dt)) + 1) * dt
-    attitude = None
-    if _needs_attitude(cfg.channels):
-        last = int(np.rint((starts + offsets[-1]) / dt).max(initial=0))
-        attitude = truth_attitude(spec, last, dt)[0]
+    attitude = _reference_attitude(cfg, (starts + offsets[-1]).max(initial=0.0))
     layout = UnifiedLayout(cfg.channels)
     abar = build_abar(spec.g)
     per_group = max(1, _OBSV_CHUNK_NODES // offsets.size)
@@ -847,8 +795,7 @@ def check_observability(
         group = starts[g0:g0 + per_group]
         ts = (group[:, None] + offsets).ravel()
         p, v, _ = eval_trajectory(spec, ts)
-        r = np.eye(3) if attitude is None else attitude[np.rint(ts / dt).astype(int)]
-        _, rs = layout.stacks(layout.raw_from_pose(r, p, v))
+        _, rs = layout.stacks(layout.raw_from_pose(attitude(ts), p, v))
         rs = rs.reshape(group.size, offsets.size, *rs.shape[1:])
         reports += kron_gramians(abar, rs, group, delta, dt, threshold=threshold)
     return reports

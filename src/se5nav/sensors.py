@@ -88,14 +88,18 @@ class MeasurementSample:
 
 
 def value_from_pose(channel: ChannelSpec, r: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The channel's defining identity evaluated at a pose (R, p, v)."""
+    """The channel's defining identity evaluated at a pose (R, p, v).
+
+    Poses may carry leading batch dimensions, r (..., 3, 3) with p and v
+    (..., 3); the result is then (..., 3).
+    """
     if channel.kind is ChannelKind.BODY_VECTOR:
-        return r.T @ (channel.xi_vec - channel.gamma * p)
+        return ((channel.xi_vec - channel.gamma * p)[..., None, :] @ r)[..., 0, :]
     if channel.kind is ChannelKind.INERTIAL_POSITION:
-        return p + r @ channel.b_vec
+        return p + channel.b_vec @ np.swapaxes(r, -1, -2)
     if channel.kind is ChannelKind.INERTIAL_VELOCITY:
-        return v.copy()
-    return r.T @ v
+        return np.array(v, dtype=float)
+    return (v[..., None, :] @ r)[..., 0, :]
 
 
 def noiseless_value(channel: ChannelSpec, state: TruthState) -> np.ndarray:
@@ -226,8 +230,7 @@ class ChannelSampler:
 
     def poll_stages(self, k: int, truth) -> tuple[np.ndarray, bool]:
         """Stage-resolved values (3, 3) for step k. Returns (values, updated)."""
-        values = np.stack([value_from_pose(self.spec, *truth.stage_pose(k, s)) for s in range(3)])
-        out, updated = self.sample(k, values[None])
+        out, updated = self.sample(k, value_from_pose(self.spec, *truth.stage_poses(k, k + 1)))
         return out[0], bool(updated[0])
 
 

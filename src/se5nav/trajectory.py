@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -79,11 +78,17 @@ class TruthState:
     @property
     def z(self) -> np.ndarray:
         """Extended translation block [p, v, e1, e2, e3] (3 x 5)."""
-        out = np.zeros((3, 5))
-        out[:, 0] = self.p
-        out[:, 1] = self.v
-        out[:, 2:] = np.eye(3)
-        return out
+        return z_block(self.p, self.v)
+
+
+def z_block(p, v) -> np.ndarray:
+    """Extended translation block [p, v, e1, e2, e3] (3 x 5) of a position
+    and a velocity; the e_i columns are the canonical basis."""
+    out = np.zeros((3, 5))
+    out[:, 0] = p
+    out[:, 1] = v
+    out[:, 2:] = np.eye(3)
+    return out
 
 
 def eval_trajectory(spec: TrajectorySpec, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,18 +197,6 @@ class TruthRun:
             t=float(self.t[k]), p=self.p[k], v=self.v[k], vdot=self.vdot[k],
             R=self.R[k], omega=self.omega[k], aB=self.aB[k],
         )
-
-    def states(self) -> Iterator[TruthState]:
-        for k in range(len(self)):
-            yield self.state(k)
-
-    def stage_pose(self, k: int, stage: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(R, p, v) at stage time 0/1/2 (start, midpoint, end) of step k."""
-        if stage == 0:
-            return self.R[k], self.p[k], self.v[k]
-        if stage == 1:
-            return self.R_mid[k], self.p_mid[k], self.v_mid[k]
-        return self.R[k + 1], self.p[k + 1], self.v[k + 1]
 
     def stage_poses(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(R, p, v) at the three stage times of steps k0 .. k1 - 1, shaped

@@ -6,7 +6,6 @@ from se5nav.frontend import (
     build_unified,
     fast_output_matrix,
     innovation_inputs,
-    innovation_stack,
     output_matrix,
     reference_vector,
 )
@@ -216,14 +215,6 @@ class TestInnovations:
         lhs = kron(np.eye(len(KINDS)), rhat).T @ dz
         assert np.max(np.abs(lhs - c @ x_body)) < 1e-12
 
-    def test_innovation_stack_fast_path(self):
-        truth = random_truth(RNG)
-        rhat = so3_exp(RNG.standard_normal(3))
-        zhat = RNG.standard_normal((3, 5))
-        unified, _ = build_unified(KINDS, [noiseless_sample(ch, truth) for ch in KINDS])
-        _, dz = innovation_inputs(unified, SEn(rhat, zhat))
-        assert np.allclose(innovation_stack(unified, rhat, zhat), dz, atol=1e-13)
-
     def test_wrong_group_dimension_rejected(self):
         truth = random_truth(RNG)
         unified, _ = build_unified(KINDS, [noiseless_sample(ch, truth) for ch in KINDS])
@@ -260,3 +251,11 @@ class TestUnifiedLayout:
         raw = RNG.standard_normal((2, 3))
         _, rs = layout.stacks(raw)
         assert layout.c_matrix(rs) is layout.c_matrix(rs)
+
+    def test_no_channels(self):
+        layout = UnifiedLayout([])
+        raw = layout.raw_from_pose(np.stack([np.eye(3)] * 4), np.zeros((4, 3)), np.zeros((4, 3)))
+        assert raw.shape == (4, 0, 3)
+        ys, rs = layout.stacks(raw)
+        assert ys.shape == (4, 0, 3) and rs.shape == (4, 0, 5)
+        assert layout.c_matrix(rs).shape == (0, 15)

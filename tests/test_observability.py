@@ -202,6 +202,25 @@ class TestClosedFormGramian:
         with pytest.raises(AssertionError, match="lever arm"):
             check_observability(gps_cfg(), delta=1.0, grid=[0.0])
 
+    @pytest.mark.parametrize("name", ["stereo", "gps"])
+    def test_negative_window_start_rejected(self, name):
+        cfg = parse_scenario(bundled_config_path(name)).noiseless()
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_observability(cfg, delta=0.5, grid=[-0.5, 2.0])
+
+    @pytest.mark.parametrize("factor", [0.5, 0.0, -1.0])
+    def test_window_shorter_than_step_rejected(self, factor):
+        cfg = gps_cfg()
+        with pytest.raises(ValueError, match="delta"):
+            check_observability(cfg, delta=factor * cfg.observer.dt, grid=[0.0])
+
+    def test_output_map_rejects_times_without_attitude(self):
+        _, c_of_t = scenario_output_map(gps_cfg(), horizon=1.0)
+        assert c_of_t(0.5).shape == (9, 15)
+        for t in (-0.5, 2.0):
+            with pytest.raises(ValueError, match="attitude"):
+                c_of_t(t)
+
 
 class TestGpsPeCondition:
     def test_static_hover_without_aiding_fails(self):

@@ -310,8 +310,9 @@ class TestObserverStep:
         bad = ObserverState(xhat=SEn(np.eye(3), z, check=False), P=np.eye(15), t=0.0)
         run = simulate_truth(TrajectorySpec(), 0.01, 1e-3)
         unified, _ = unified_from_truth(STEREO_CHANNELS, run.state(0))
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError) as exc:
             observer_step(bad, (run.imu_omega[0], run.imu_accel[0]), unified, cfg)
+        assert exc.value.state.t == bad.t
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

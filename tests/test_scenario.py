@@ -10,6 +10,7 @@ from se5nav.scenario import (
     estimate_from_errors,
     parse_scenario,
     run_observer,
+    run_observer_coupled,
     run_scenario,
     sweep_agas,
 )
@@ -116,6 +117,39 @@ class TestRunObserver:
         assert len(slow_rows) == 10  # 100 Hz over 0.1 s
         ts = [r[0] for r in slow_rows]
         assert np.allclose(np.diff(ts), 0.01)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_divergence_carries_state_at_failing_step(self, coupled, monkeypatch):
+        import se5nav.observer as observer
+
+        cfg = short_cfg(duration=0.02)
+
+        def run(stride):
+            if coupled:
+                return run_observer_coupled(cfg.trajectory, list(cfg.channels), cfg.observer,
+                                            cfg.initial_state(), cfg.duration, trace_stride=stride)
+            truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+            return run_observer(truth, list(cfg.channels), cfg.observer, cfg.initial_state(),
+                                noisy_channels=False, trace_stride=stride)
+
+        clean = run(1)
+        finalize = observer._finalize_step
+        calls = []
+
+        def fail_at_step_7(x, pi, t):
+            calls.append(t)
+            if len(calls) == 8:
+                raise observer.DivergenceError(f"injected at t={t:.4f}")
+            return finalize(x, pi, t)
+
+        monkeypatch.setattr(observer, "_finalize_step", fail_at_step_7)
+        with pytest.raises(observer.DivergenceError, match="t=0.0070") as exc:
+            run(5)  # step 7 is not a recorded step
+        state = exc.value.state
+        assert state.t == clean.t[7]
+        assert np.array_equal(state.rhat, clean.rhat[7])
+        assert np.array_equal(state.phat, clean.phat[7])
+        assert np.array_equal(state.vhat, clean.vhat[7])
 
     def test_estimate_from_errors_inverts_error_map(self):
         rng = np.random.default_rng(3)
@@ -274,6 +308,24 @@ class TestCli:
         )
         assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == EXIT_DIVERGED
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["obsv", str(STEREO), "--delta", "0"],
+        ["obsv", str(STEREO), "--grid=abc"],
+        ["obsv", str(GPS), "--grid=-1"],
+        ["sweep", str(STEREO), "--runs", "0"],
+    ])
+    def test_bad_arguments_exit_2_with_message(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path)] + argv)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_obsv_window_shorter_than_step(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "obsv", str(GPS),
+                     "--delta", "1e-4", "--grid", "0"]) == EXIT_CONFIG
+        assert "dt" in capsys.readouterr().err
 
     def test_output_root_env_var(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "tiny.cfg"

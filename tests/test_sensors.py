@@ -12,6 +12,7 @@ from se5nav.sensors import (
     noiseless_value,
     parse_channel_kind,
     spawn_channel_rngs,
+    value_from_pose,
 )
 from se5nav.trajectory import TrajectorySpec, TruthState, simulate_truth
 
@@ -77,6 +78,24 @@ class TestNoiselessValues:
             ]
             for ch, expected in zip(chans, vals):
                 assert np.max(np.abs(noiseless_value(ch, s) - expected)) < 1e-12
+
+    def test_batched_poses_match_single_poses(self):
+        rng = np.random.default_rng(5)
+        r = so3_exp(rng.standard_normal((4, 2, 3)))
+        p, v = rng.standard_normal((4, 2, 3)), rng.standard_normal((4, 2, 3))
+        chans = [
+            ChannelSpec(kind=ChannelKind.BODY_VECTOR, xi=(2, -1, 0.5), gamma=1),
+            ChannelSpec(kind=ChannelKind.BODY_VECTOR, xi=(0.6, 0, 0.8), gamma=0),
+            ChannelSpec(kind=ChannelKind.INERTIAL_POSITION, b=(0.1, -0.3, 0.2)),
+            ChannelSpec(kind=ChannelKind.INERTIAL_VELOCITY),
+            ChannelSpec(kind=ChannelKind.BODY_VELOCITY),
+        ]
+        for ch in chans:
+            batch = value_from_pose(ch, r, p, v)
+            assert batch.shape == (4, 2, 3)
+            for idx in np.ndindex(4, 2):
+                single = noiseless_value(ch, make_state(R=r[idx], p=p[idx], v=v[idx]))
+                assert np.allclose(batch[idx], single, rtol=0, atol=1e-14)
 
 
 class TestChannelSpecValidation:
