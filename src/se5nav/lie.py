@@ -91,9 +91,9 @@ def project_rotation(r: np.ndarray) -> np.ndarray:
 
 
 def rotation_angle(r: np.ndarray) -> float:
-    """Geodesic angle of a rotation, arccos((trace - 1)/2), clamped."""
-    c = 0.5 * (np.trace(r) - 1.0)
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    """Geodesic angle of a rotation from its sine |psi(R)| and cosine
+    (trace - 1)/2, accurate at every angle (arccos loses it near 0 and pi)."""
+    return float(np.arctan2(np.linalg.norm(psi(r)), 0.5 * (np.trace(r) - 1.0)))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -107,7 +107,7 @@ def gramian(
 
 def kron_gramians(
     abar: np.ndarray,
-    rs: np.ndarray,
+    pieces,
     starts,
     delta: float,
     dt: float,
@@ -116,8 +116,9 @@ def kron_gramians(
     """Closed-form Gramians of A(t) = Abar kron I3 - I5 kron hat(omega(t))
     with C(t) = R_s(t) kron I3, one per window start.
 
-    ``rs`` holds the rows of R_s at the trapezoid nodes t + k dt of every
-    window, shaped (windows, n + 1, m, 5). The transition matrix factors as
+    ``pieces`` yields the rows of R_s at the trapezoid nodes t + k dt
+    (k = 0 .. round(delta / dt)) of every window, shaped (windows, K, m, 5),
+    K consecutive nodes at a time. The transition matrix factors as
     Phibar kron Q with Q orthogonal, so the rotation cancels in
     (C phi)^T (C phi) and W = Wbar kron I3 with
 
@@ -132,11 +133,18 @@ def kron_gramians(
     abar2 = abar @ abar
     if np.any(abar2 @ abar):
         raise ValueError("Abar^3 must vanish for the polynomial transition matrix")
-    n = rs.shape[1] - 1
-    taus = (np.arange(n + 1) * dt)[:, None, None]
-    phibar = np.eye(5) + abar * taus + abar2 * (0.5 * taus * taus)
-    b = rs @ phibar
-    wbar = np.einsum("k,wkmi,wkmj->wij", trapezoid_weights(n, dt), b, b) / delta
+    n = int(round(delta / dt))
+    weights = trapezoid_weights(n, dt)
+    wbar, k0 = None, 0
+    for rs in pieces:
+        k1 = k0 + rs.shape[1]
+        taus = (np.arange(k0, k1) * dt)[:, None, None]
+        b = rs @ (np.eye(5) + abar * taus + abar2 * (0.5 * taus * taus))
+        part = np.einsum("k,wkmi,wkmj->wij", weights[k0:k1], b, b)
+        wbar, k0 = part if wbar is None else wbar + part, k1
+    if k0 != n + 1:
+        raise ValueError(f"expected {n + 1} nodes per window, got {k0}")
+    wbar = wbar / delta
     wbar = 0.5 * (wbar + np.swapaxes(wbar, -1, -2))
     mus = np.linalg.eigvalsh(wbar)[:, 0]
     return [

@@ -71,12 +71,12 @@ class ObserverConfig:
     gravity: tuple[float, float, float] = (0.0, 0.0, 9.81)
 
     def __post_init__(self):
-        if any(r <= 0 for r in self.rho) or len(set(self.rho)) != 3:
+        if not all(r > 0 for r in self.rho) or len(set(self.rho)) != 3:
             raise ValueError("rho must be three positive, pairwise distinct scalars")
-        if self.q <= 0 or self.v <= 0:
+        if not (self.q > 0 and self.v > 0):
             raise ValueError("q and v weights must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and positive")
 
     @property
     def g(self) -> np.ndarray:

@@ -21,12 +21,16 @@ from __future__ import annotations
 import configparser
 import csv
 import dataclasses
+import functools
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -91,11 +95,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario file (see :func:`parse_scenario`); messages name its keys."""
+
     trajectory: TrajectorySpec
     channels: tuple[ChannelSpec, ...]
     observer: ObserverConfig
     duration: float
-    seed: int
+    seed: int = 0
     imu_noise_power: float = 0.0
     noise: bool = True
     p0_scale: float = 1.0
@@ -104,6 +110,18 @@ class ScenarioConfig:
     rhat0_rotvec: tuple[float, float, float] = (0.0, 0.0, 0.0)
     trace_stride: int = 10
     settle_window: float = 20.0
+
+    def __post_init__(self):
+        if not self.observer.dt <= self.duration < math.inf:
+            raise ValueError(f"[observer] duration must be finite and at least dt, got {self.duration:g}")
+        if self.trace_stride < 1:
+            raise ValueError("[observer] trace_stride must be >= 1")
+        if self.seed < 0:
+            raise ValueError("[observer] seed must be nonnegative")
+        if not self.p0_scale > 0:
+            raise ValueError("[observer] p0_scale must be positive")
+        if not self.imu_noise_power >= 0:
+            raise ValueError("[imu] noise_power must be nonnegative")
 
     def initial_state(self) -> ObserverState:
         rhat0 = so3_exp(np.asarray(self.rhat0_rotvec, dtype=float))
@@ -122,13 +140,73 @@ def bundled_config_path(name: str) -> Path:
 
 
 # config parsing -----------------------------------------------------------
+# [trajectory] sets TrajectorySpec, each [channel.N] a ChannelSpec, [observer]
+# ObserverConfig and ScenarioConfig, and [imu] noise_power imu_noise_power.
+# The observer weights are renamed: rho1..rho3 -> rho, q_scale -> q, v_scale -> v.
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.replace(",", " ").split())
+_FLAGS = {"on": True, "true": True, "yes": True, "1": True,
+          "off": False, "false": False, "no": False, "0": False}
+
+
+def _convert(tp, text: str):
+    """The value of type `tp` that `text` writes; ValueError if it writes none."""
+    if isinstance(tp, UnionType):  # an optional field, such as rate: float | None
+        (tp,) = set(get_args(tp)) - {type(None)}
+    if get_origin(tp) is tuple:
+        parts = text.replace(",", " ").split()
+        if len(parts) != len(get_args(tp)):
+            raise ValueError(f"expected {len(get_args(tp))} numbers, got {text!r}")
+        return tuple(_convert(float, part) for part in parts)
+    if tp is bool:
+        if text.lower() not in _FLAGS:
+            raise ValueError(f"expected on or off, got {text!r}")
+        return _FLAGS[text.lower()]
+    if tp in (float, int):
+        try:
+            value = tp(text)
+            if tp is int or math.isfinite(value):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"expected {'an integer' if tp is int else 'a finite number'}, got {text!r}")
+    return parse_channel_kind(text) if tp is ChannelKind else tp(text)
+
+
+@functools.cache  # evaluating the type hints costs more than the rest of a parse
+def _keys(cls) -> dict:
+    """key -> (dataclass, field, type, required) per field of cls, under the
+    field's name; callers must not modify it."""
+    hints = get_type_hints(cls)
+    return {f.name: (cls, f.name, hints[f.name], f.default is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)}
+
+
+def _schema(section: str) -> dict:
+    """The keys a section takes (see :func:`_keys`); none for an unknown section."""
+    if section == "trajectory":
+        return _keys(TrajectorySpec)
+    if section.startswith("channel."):
+        return _keys(ChannelSpec)
+    run = _keys(ScenarioConfig)
+    if section == "imu":
+        return {"noise_power": run["imu_noise_power"]}
+    if section != "observer":
+        return {}
+    obs = _keys(ObserverConfig)
+    keys = {f"rho{i}": (ObserverConfig, f"rho{i}", float, True) for i in (1, 2, 3)}  # joined into rho
+    keys |= {"q_scale": obs["q"], "v_scale": obs["v"], "dt": obs["dt"]}
+    return keys | {key: run[key] for key in run
+                   if key not in ("trajectory", "channels", "observer", "imu_noise_power")}
 
 
 def parse_scenario(path) -> ScenarioConfig:
-    """Parse and validate a scenario file; every problem is reported."""
+    """Parse and validate a scenario file; every problem is reported.
+
+    Each key sets the dataclass field of its name (see :func:`_schema`),
+    converted by the field's type; a missing key takes the field's default,
+    and the dataclasses check their own domain rules. The observer's
+    gravity is the trajectory's.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
@@ -138,103 +216,40 @@ def parse_scenario(path) -> ScenarioConfig:
     except configparser.Error as err:
         raise ConfigError([str(err)]) from None
 
-    problems: list[str] = []
-
-    def grab(section, key, conv, default=None, required=False):
-        if not ini.has_option(section, key):
-            if required:
+    problems = [f"missing [{s}] section" for s in ("trajectory", "observer") if not ini.has_section(s)]
+    values: dict = {}  # (section, dataclass) -> {field: value}
+    for section in ini.sections():
+        schema = _schema(section)
+        problems += [f"[{section}] {key}: unknown key" for key in ini.options(section) if key not in schema]
+        for key, (cls, name, tp, required) in schema.items():
+            if ini.has_option(section, key):
+                try:
+                    values.setdefault((section, cls), {})[name] = _convert(tp, ini.get(section, key))
+                except ValueError as err:
+                    problems.append(f"[{section}] {key}: {err}")
+            elif required:
                 problems.append(f"[{section}] missing required key {key!r}")
-            return default
-        try:
-            return conv(ini.get(section, key))
-        except (ValueError, TypeError) as err:
-            problems.append(f"[{section}] {key}: {err}")
-            return default
-
-    if not ini.has_section("trajectory"):
-        problems.append("missing [trajectory] section")
-    if not ini.has_section("observer"):
-        problems.append("missing [observer] section")
     if problems:
         raise ConfigError(problems)
 
-    traj_kwargs = {}
-    traj_kwargs["kind"] = grab("trajectory", "kind", str, default="eight")
-    for key in ("amp", "freq", "p0", "v0", "omega_amp", "omega_freq", "omega_phase",
-                "r0_rotvec", "gravity"):
-        val = grab("trajectory", key, _floats)
-        if val is not None:
-            traj_kwargs[key] = val
-
-    channels: list[ChannelSpec] = []
-    for section in sorted(s for s in ini.sections() if s.startswith("channel.")):
-        kind = grab(section, "kind", parse_channel_kind, required=True)
-        if kind is None:
-            continue
-        kwargs = {"kind": kind}
-        for key, conv in (("xi", _floats), ("b", _floats), ("gamma", int),
-                          ("noise_power", float), ("rate", float)):
-            val = grab(section, key, conv)
-            if val is not None:
-                kwargs[key] = val
+    def build(section: str, cls, **extra):
         try:
-            channels.append(ChannelSpec(**kwargs))
+            return cls(**values.get((section, cls), {}), **extra)
         except ValueError as err:
-            problems.append(f"[{section}]: {err}")
+            problems.append(f"[{section}] {err}")
 
-    rho = tuple(
-        grab("observer", f"rho{i}", float, required=True) or 0.0 for i in (1, 2, 3)
-    )
-    q_scale = grab("observer", "q_scale", float, default=100.0)
-    v_scale = grab("observer", "v_scale", float, default=10.0)
-    dt = grab("observer", "dt", float, default=1e-3)
-    duration = grab("observer", "duration", float, required=True)
-    seed = grab("observer", "seed", int, default=0)
-    p0_scale = grab("observer", "p0_scale", float, default=1.0)
-    phat0 = grab("observer", "phat0", _floats, default=(1.0, 1.0, 1.0))
-    vhat0 = grab("observer", "vhat0", _floats, default=(1.0, 1.0, 1.0))
-    rhat0_rotvec = grab("observer", "rhat0_rotvec", _floats, default=(0.0, 0.0, 0.0))
-    noise = grab("observer", "noise", lambda s: s.strip().lower() in ("on", "true", "1", "yes"),
-                 default=True)
-    trace_stride = grab("observer", "trace_stride", int, default=10)
-    settle_window = grab("observer", "settle_window", float, default=20.0)
-    imu_noise_power = grab("imu", "noise_power", float, default=0.0) if ini.has_section("imu") else 0.0
-
-    if duration is not None and duration <= 0:
-        problems.append("[observer] duration must be positive")
-    if trace_stride is not None and trace_stride < 1:
-        problems.append("[observer] trace_stride must be >= 1")
-
+    trajectory = build("trajectory", TrajectorySpec)
+    channels = tuple(build(s, ChannelSpec) for s in sorted(ini.sections()) if s.startswith("channel."))
+    obs = values[("observer", ObserverConfig)]
+    rho = tuple(obs.pop(f"rho{i}") for i in (1, 2, 3))
+    observer = build("observer", ObserverConfig, rho=rho, gravity=trajectory.gravity) if trajectory else None
     if problems:
         raise ConfigError(problems)
-
+    run = {**values.get(("imu", ScenarioConfig), {}), **values.get(("observer", ScenarioConfig), {})}
     try:
-        trajectory = TrajectorySpec(**traj_kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError([f"[trajectory]: {err}"]) from None
-    try:
-        observer = ObserverConfig(
-            rho=rho, q=q_scale, v=v_scale, dt=dt,
-            gravity=traj_kwargs.get("gravity", tuple(trajectory.gravity)),
-        )
+        return ScenarioConfig(trajectory, channels, observer, **run)
     except ValueError as err:
-        raise ConfigError([f"[observer]: {err}"]) from None
-
-    return ScenarioConfig(
-        trajectory=trajectory,
-        channels=tuple(channels),
-        observer=observer,
-        duration=duration,
-        seed=seed,
-        imu_noise_power=imu_noise_power,
-        noise=noise,
-        p0_scale=p0_scale,
-        phat0=tuple(phat0),
-        vhat0=tuple(vhat0),
-        rhat0_rotvec=tuple(rhat0_rotvec),
-        trace_stride=trace_stride,
-        settle_window=settle_window,
-    )
+        raise ConfigError([str(err)]) from None
 
 
 # estimate construction helpers --------------------------------------------
@@ -759,7 +774,8 @@ def scenario_output_map(cfg: ScenarioConfig, horizon: float):
     return a_of_t, lambda t: c_const
 
 
-_OBSV_CHUNK_NODES = 1 << 16  # quadrature nodes batched per group in check_observability
+_OBSV_CHUNK_NODES = 1 << 16  # quadrature nodes evaluated at once in check_observability
+_OBSV_PIECE_NODES = 1 << 16  # nodes of one window evaluated at once; longer windows go in pieces
 
 
 def check_observability(
@@ -772,12 +788,13 @@ def check_observability(
 
     Closed form on 5 x 5 matrices (:func:`kron_gramians`): the reference
     vectors at every trapezoid node t + k dt of every window come from the
-    channel rules of :class:`UnifiedLayout` in one batch per group of
-    windows, each group at most ``_OBSV_CHUNK_NODES`` nodes (or one window).
-    Lever-arm position channels take the truth attitude at the nearest grid
-    sample, as :func:`scenario_output_map` does, from one truth attitude run
-    over all windows; other configs synthesize no truth. Window starts must
-    be nonnegative and `delta` at least the config's step dt (ValueError).
+    channel rules of :class:`UnifiedLayout`, whole windows at a time up to
+    ``_OBSV_CHUNK_NODES`` nodes, and a window longer than ``_OBSV_PIECE_NODES``
+    in pieces of that many nodes. Lever-arm position channels take the truth
+    attitude at the nearest grid sample, as :func:`scenario_output_map`
+    does, from one truth attitude run over all windows; other configs
+    synthesize no truth. Window starts must be nonnegative and `delta` at
+    least the config's step dt (ValueError).
     """
     spec, dt = cfg.trajectory, cfg.observer.dt
     if not delta >= dt:
@@ -785,19 +802,25 @@ def check_observability(
     starts = np.asarray(grid, dtype=float)
     if not np.all(starts >= 0):
         raise ValueError("window start times must be nonnegative")
-    offsets = np.arange(int(round(delta / dt)) + 1) * dt
-    attitude = _reference_attitude(cfg, (starts + offsets[-1]).max(initial=0.0))
+    n = int(round(delta / dt))
+    attitude = _reference_attitude(cfg, (starts + n * dt).max(initial=0.0))
     layout = UnifiedLayout(cfg.channels)
     abar = build_abar(spec.g)
-    per_group = max(1, _OBSV_CHUNK_NODES // offsets.size)
+    piece = min(n + 1, _OBSV_PIECE_NODES)
+
+    def node_pieces(group):  # R_s rows at the nodes of the group's windows, a piece at a time
+        for k0 in range(0, n + 1, piece):
+            offsets = np.arange(k0, min(k0 + piece, n + 1)) * dt
+            ts = (group[:, None] + offsets).ravel()
+            p, v, _ = eval_trajectory(spec, ts)
+            _, rs = layout.stacks(layout.raw_from_pose(attitude(ts), p, v))
+            yield rs.reshape(group.size, offsets.size, *rs.shape[1:])
+
+    per_group = max(1, _OBSV_CHUNK_NODES // piece)
     reports = []
     for g0 in range(0, starts.size, per_group):
         group = starts[g0:g0 + per_group]
-        ts = (group[:, None] + offsets).ravel()
-        p, v, _ = eval_trajectory(spec, ts)
-        _, rs = layout.stacks(layout.raw_from_pose(attitude(ts), p, v))
-        rs = rs.reshape(group.size, offsets.size, *rs.shape[1:])
-        reports += kron_gramians(abar, rs, group, delta, dt, threshold=threshold)
+        reports += kron_gramians(abar, node_pieces(group), group, delta, dt, threshold=threshold)
     return reports
 
 

@@ -66,9 +66,9 @@ class ChannelSpec:
     def __post_init__(self):
         if self.gamma not in (0, 1):
             raise ValueError("gamma must be 0 or 1")
-        if self.noise_power < 0:
+        if not self.noise_power >= 0:
             raise ValueError("noise_power must be nonnegative")
-        if self.rate is not None and self.rate <= 0:
+        if self.rate is not None and not self.rate > 0:
             raise ValueError("rate must be positive")
 
     @property

@@ -51,7 +51,7 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.kind not in ("eight", "constant-velocity", "hover"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if any(f < 0 for f in self.freq) or any(f < 0 for f in self.omega_freq):
+        if not all(f >= 0 for f in (*self.freq, *self.omega_freq)):
             raise ValueError("frequencies must be nonnegative")
 
     @property

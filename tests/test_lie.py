@@ -132,6 +132,11 @@ class TestRotationHelpers:
         assert rotation_angle(np.eye(3)) == 0.0
         assert abs(rotation_angle(so3_exp([0, np.pi / 2, 0])) - np.pi / 2) < 1e-12
 
+    @pytest.mark.parametrize("theta", [1e-10, 1e-8, 1e-6, 1e-3, 1.0, 3.0])
+    def test_rotation_angle_small_and_large(self, theta):
+        axis = np.array([1.0, -2.0, 0.5]) / np.sqrt(5.25)
+        assert rotation_angle(so3_exp(theta * axis)) == pytest.approx(theta, rel=1e-12)
+
 
 class TestSEn:
     def test_identity_compose(self):

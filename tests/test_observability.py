@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from se5nav.observability import gps_pe_condition, gramian, kron_gramians, transition_matrix
-from se5nav.observer import build_a
+from se5nav.observer import build_a, build_abar
 from se5nav.scenario import (
     bundled_config_path,
     check_gps_pe,
@@ -184,10 +184,33 @@ class TestClosedFormGramian:
         for rep, ref in zip(grouped, whole):
             assert np.array_equal(rep.W, ref.W) and rep.mu == ref.mu
 
+    @pytest.mark.parametrize("make_cfg", [stereo_cfg, gps_cfg], ids=["stereo", "gps"])
+    def test_long_window_summed_in_pieces(self, make_cfg, monkeypatch):
+        import se5nav.scenario as scenario
+
+        cfg = make_cfg()
+        grid = [0.0, 0.3, 2.5]
+        whole = check_observability(cfg, delta=0.5, grid=grid)
+        monkeypatch.setattr(scenario, "_OBSV_CHUNK_NODES", 150)
+        monkeypatch.setattr(scenario, "_OBSV_PIECE_NODES", 150)
+        pieced = check_observability(cfg, delta=0.5, grid=grid)
+        assert [rep.t for rep in pieced] == grid
+        for rep, ref in zip(pieced, whole):
+            # summing in another order moves W by rounding; by Weyl's
+            # inequality mu moves by no more than W's norm does
+            scale = np.linalg.norm(ref.W, 2)
+            assert np.max(np.abs(rep.W - ref.W)) <= 1e-12 * np.max(np.abs(ref.W))
+            assert abs(rep.mu - ref.mu) <= 1e-12 * scale
+
+    def test_node_count_checked(self):
+        abar = build_abar(np.array([0.0, 0.0, 9.81]))
+        with pytest.raises(ValueError, match="nodes"):
+            kron_gramians(abar, [np.ones((1, 5, 2, 5))], [0.0], 0.01, 1e-3)
+
     def test_rejects_drift_that_is_not_nilpotent(self):
         rs = np.ones((1, 11, 2, 5))
         with pytest.raises(ValueError, match="Abar"):
-            kron_gramians(np.eye(5), rs, [0.0], 0.01, 1e-3)
+            kron_gramians(np.eye(5), [rs], [0.0], 0.01, 1e-3)
 
     def test_no_truth_without_lever_arm(self, monkeypatch):
         import se5nav.scenario as scenario

@@ -6,6 +6,7 @@ import pytest
 from se5nav.cli import EXIT_CONFIG, EXIT_OBSERVABILITY, EXIT_OK, main
 from se5nav.scenario import (
     ConfigError,
+    ScenarioConfig,
     bundled_config_path,
     estimate_from_errors,
     parse_scenario,
@@ -15,9 +16,9 @@ from se5nav.scenario import (
     sweep_agas,
 )
 from se5nav.lie import so3_exp
-from se5nav.observer import ObserverState
+from se5nav.observer import ObserverConfig, ObserverState
 from se5nav.sensors import ChannelKind, ChannelSpec
-from se5nav.trajectory import simulate_truth
+from se5nav.trajectory import TrajectorySpec, simulate_truth
 
 STEREO = bundled_config_path("stereo")
 GPS = bundled_config_path("gps")
@@ -84,6 +85,75 @@ class TestConfigParsing:
         cfg = parse_scenario(STEREO)
         assert cfg.noise
         assert not cfg.noiseless().noise
+
+    def test_missing_keys_take_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "minimal.cfg"
+        path.write_text(
+            "[trajectory]\n[channel.1]\nkind = landmark\n"
+            "[observer]\nrho1 = 3\nrho2 = 2\nrho3 = 1\nduration = 1.5\n"
+        )
+        trajectory = TrajectorySpec()
+        assert parse_scenario(path) == ScenarioConfig(
+            trajectory=trajectory,
+            channels=(ChannelSpec(kind=ChannelKind.BODY_VECTOR),),
+            observer=ObserverConfig(rho=(3.0, 2.0, 1.0), gravity=trajectory.gravity),
+            duration=1.5,
+        )
+
+    @pytest.mark.parametrize("text,value", [("off", False), ("No", False), ("0", False),
+                                            ("yes", True), ("TRUE", True), ("1", True)])
+    def test_noise_flag(self, tmp_path, text, value):
+        path = tmp_path / "flag.cfg"
+        path.write_text(STEREO.read_text().replace("noise = on", f"noise = {text}"))
+        assert parse_scenario(path).noise is value
+
+    @pytest.mark.parametrize("field,value", [
+        ("duration", 1e-4), ("duration", np.nan), ("duration", np.inf), ("trace_stride", 0),
+        ("seed", -1), ("p0_scale", 0.0), ("p0_scale", np.nan), ("imu_noise_power", -1e-3),
+    ])
+    def test_domain_rules_hold_under_replace(self, field, value):
+        with pytest.raises(ValueError, match=field.removeprefix("imu_")):
+            dataclasses.replace(parse_scenario(STEREO), **{field: value})
+
+    @pytest.mark.parametrize("cls,kwargs", [
+        (ObserverConfig, {"dt": np.nan}), (ObserverConfig, {"q": np.nan}),
+        (ObserverConfig, {"rho": (np.nan, 6.0, 4.0)}),
+        (ChannelSpec, {"kind": ChannelKind.BODY_VECTOR, "noise_power": np.nan}),
+        (TrajectorySpec, {"freq": (np.nan, 10.0, 10.0)}),
+    ])
+    def test_nan_fails_domain_rules(self, cls, kwargs):
+        with pytest.raises(ValueError):
+            cls(**kwargs)
+
+    # each edit of stereo.cfg, and the section and key its message must name
+    BAD_EDITS = [
+        ("duration = 60.0", "duration = nan", "observer", "duration"),
+        ("dt = 1e-3", "dt = nan", "observer", "dt"),
+        ("amp = 1.0, 0.25, -0.4330127018922193", "amp = 1.0, 0.25", "trajectory", "amp"),
+        ("xi = 2.0, 0.0, 0.0", "xi = 2.0, 0.0", "channel.1", "xi"),
+        ("seed = 20260810", "seed = -1", "observer", "seed"),
+        ("noise_power = 5e-2", "noise_power = nan", "channel.1", "noise_power"),
+        ("q_scale = 100.0", "q_scale = inf", "observer", "q_scale"),
+        ("p0_scale = 1.0", "p0_scale = -1", "observer", "p0_scale"),
+        ("phat0 = 1.0, 1.0, 1.0", "phat0 = 1.0", "observer", "phat0"),
+        ("duration = 60.0", "duration = 1e-4", "observer", "duration"),
+        ("q_scale = 100.0", "q_scale = 100.0\nq_scal = 5", "observer", "q_scal"),
+        ("noise = on", "noise = maybe", "observer", "noise"),
+        ("gamma = 1", "gamma = 1.5", "channel.1", "gamma"),
+        ("noise_power = 1e-1", "noise_power = -1", "imu", "noise_power"),
+        ("[observer]", "[obsrever]\nx = 1\n[observer]", "obsrever", "x: unknown key"),
+    ]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("old,new,section,key", BAD_EDITS, ids=[e[1] for e in BAD_EDITS])
+    def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, command, old, new, section, key):
+        text = STEREO.read_text()
+        assert old in text
+        path = tmp_path / "bad.cfg"
+        path.write_text(text.replace(old, new, 1))
+        assert main(["--out", str(tmp_path / "out"), command, str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}" in err and "Traceback" not in err
 
 
 class TestRunObserver:
@@ -333,3 +403,4 @@ class TestCli:
         monkeypatch.setenv("SE5NAV_OUT", str(tmp_path / "envroot"))
         assert main(["run", str(cfg)]) == EXIT_OK
         assert (tmp_path / "envroot" / "tiny-run" / "summary.json").exists()
+
