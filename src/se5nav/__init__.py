@@ -5,33 +5,18 @@ body-frame / inertial-frame outputs, with Riccati-tuned gains, a truth and
 sensor simulator, and observability analysis tooling.
 """
 
-from .frontend import (
-    UnifiedLayout,
-    UnifiedOutput,
-    build_unified,
-    innovation_inputs,
-    output_matrix,
-    reference_vector,
-)
-from .lie import SEn, hat, kron, project_rotation, psi, rotation_angle, so3_exp, vec, vec_inv, vex
-from .observability import GramianReport, gps_pe_condition, gramian, transition_matrix
+from types import ModuleType as _ModuleType
+
+from .frontend import UnifiedLayout
+from .lie import SEn, hat, project_rotation, rotation_angle, so3_exp
+from .observability import ExcitationReport, GramianReport
 from .observer import (
     DivergenceError,
     ErrorReport,
     ObserverConfig,
     ObserverState,
-    build_a,
-    build_abar,
-    build_d,
-    build_u,
-    delta_r,
-    delta_r_decomposition,
-    error_report,
-    gain,
-    geometric_error,
-    kalman_reference_run,
+    error_arrays,
     observer_step,
-    riccati_step,
 )
 from .scenario import (
     ConfigError,
@@ -47,18 +32,18 @@ from .scenario import (
     run_scenario,
     sweep_agas,
 )
-from .sensors import ChannelKind, ChannelSpec, ImuNoiseSpec, MeasurementSample, corrupt_imu, measure
+from .sensors import ChannelKind, ChannelSampler, ChannelSpec, ImuNoiseSpec, corrupt_imu, value_from_pose
 from .trajectory import (
     TrajectorySpec,
     TruthRun,
     TruthState,
     eval_omega,
     eval_trajectory,
-    propagate_attitude,
     simulate_truth,
-    synthesize_imu,
+    truth_attitude,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))

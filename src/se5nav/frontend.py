@@ -26,68 +26,19 @@ at every measurement epoch (time-varying r), noisy as measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .lie import SEn
-from .sensors import ChannelKind, ChannelSpec, MeasurementSample, value_from_pose
+from .sensors import ChannelKind, ChannelSpec, value_from_pose
 
 _I3 = np.eye(3)
 
 
-@dataclass(frozen=True)
-class UnifiedOutput:
-    """One channel's processed output: y, r, and their stacked 8-vectors."""
-
-    y: np.ndarray
-    r: np.ndarray
-
-    @property
-    def y_bold(self) -> np.ndarray:
-        return np.concatenate([self.y, self.r])
-
-    @property
-    def r_bold(self) -> np.ndarray:
-        return np.concatenate([np.zeros(3), self.r])
-
-
-def reference_vector(channel: ChannelSpec, sample: MeasurementSample) -> UnifiedOutput:
-    """Build (y, r) for one channel from its latest raw sample."""
-    ys, rs = UnifiedLayout([channel]).stacks(np.asarray(sample.y, dtype=float)[None])
-    return UnifiedOutput(y=ys[0], r=rs[0])
-
-
-def output_matrix(unified: list[UnifiedOutput]) -> np.ndarray:
-    """C(t): stacked row blocks r_i^T kron I_3, shape (3m, 15)."""
-    if not unified:
+def output_matrix(rs: np.ndarray) -> np.ndarray:
+    """C(t) = R_s kron I_3, shape (3m, 15), of stacked reference vectors
+    R_s (m, 5); ValueError when there are none."""
+    if len(rs) == 0:
         raise ValueError("at least one output channel is required")
-    return fast_output_matrix(np.stack([u.r for u in unified]))
-
-
-def build_unified(
-    channels: list[ChannelSpec], samples: list[MeasurementSample]
-) -> tuple[list[UnifiedOutput], np.ndarray]:
-    """Unified outputs plus the stacked output matrix, in channel order."""
-    if len(channels) != len(samples):
-        raise ValueError("one sample per channel required")
-    unified = [reference_vector(c, s) for c, s in zip(channels, samples)]
-    return unified, output_matrix(unified)
-
-
-def innovation_inputs(
-    unified: list[UnifiedOutput], xhat: SEn
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Innovations dy_i = r_bold_i - Xhat y_bold_i and their stack.
-
-    Needs no truth access: y_bold is measured. Returns the list of
-    8-vectors and the 3m-vector stacking G dy_i.
-    """
-    if xhat.n != 5:
-        raise ValueError("innovations are defined on SE_5(3)")
-    dys = [u.r_bold - xhat.apply(u.y_bold) for u in unified]
-    dz = np.concatenate([dy[:3] for dy in dys])
-    return dys, dz
+    return fast_output_matrix(rs)
 
 
 def fast_output_matrix(rs: np.ndarray) -> np.ndarray:

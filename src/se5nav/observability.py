@@ -171,8 +171,6 @@ def gps_pe_condition(
     v_of_t,
     g: np.ndarray,
     xi_mag: np.ndarray | None,
-    use_mag: bool,
-    use_vel: bool,
     t: float,
     delta: float,
     dt: float = 1e-3,
@@ -180,9 +178,10 @@ def gps_pe_condition(
 ) -> ExcitationReport:
     """Persistency-of-excitation matrix for the GPS-aided configuration.
 
-    Evaluates (1/delta) int (vdot - g)(vdot - g)^T ds, plus xi xi^T when a
-    magnetometer channel is present, plus the windowed velocity outer
-    product when a velocity channel is present. Full rank of the sum (min
+    Evaluates (1/delta) int (vdot - g)(vdot - g)^T ds, plus xi xi^T for a
+    magnetometer direction ``xi_mag``, plus the windowed velocity outer
+    product for a velocity channel; ``xi_mag=None`` or ``v_of_t=None``
+    means the configuration has no such channel. Full rank of the sum (min
     eigenvalue at or above the threshold) is sufficient for uniform
     observability of the corresponding error pair. ``vdot_of_t`` and
     ``v_of_t`` are called once, on the array of quadrature nodes; a
@@ -202,12 +201,10 @@ def gps_pe_condition(
         return np.einsum("k,ki,kj->ij", weights, x, x) / delta
 
     m = outer_mean(on_nodes(vdot_of_t) - g)
-    if use_mag:
-        if xi_mag is None:
-            raise ValueError("magnetometer direction required when use_mag is set")
+    if xi_mag is not None:
         xi = np.asarray(xi_mag, dtype=float)
         m = m + np.outer(xi, xi)
-    if use_vel:
+    if v_of_t is not None:
         m = m + outer_mean(on_nodes(v_of_t))
     m = 0.5 * (m + m.T)
     min_eig = float(np.linalg.eigvalsh(m)[0])

@@ -16,7 +16,7 @@ keeps the form P = Pi kron I_3, with the 5 x 5 factor
 
 which does not depend on the estimate (Barrau & Bonnabel, "The Invariant
 Extended Kalman Filter as a Stable Observer", IEEE TAC 2017). The
-observer integrates (Rhat, zhat, Pi) and refuses any other P. One fixed
+observer's state is (Rhat, zhat, Pi), and P is derived from Pi. One fixed
 step is RK4 (IMU inputs sampled at the stage times when available), then
 the rotation block is re-projected onto SO(3), Pi is symmetrized and
 checked positive definite. The innovation Delta has rotation part
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import UnifiedOutput, fast_output_matrix
 from .lie import SEn, hat, kron, project_rotation, psi, rotation_angle, vec
 from .trajectory import TruthState
 
@@ -85,18 +84,25 @@ class ObserverConfig:
 
 @dataclass(frozen=True)
 class ObserverState:
+    """Estimate Xhat and the 5 x 5 factor Pi of its Riccati matrix P = Pi kron I_3."""
+
     xhat: SEn
-    P: np.ndarray
+    pi: np.ndarray
     t: float
 
     def __post_init__(self):
         if self.xhat.n != 5:
             raise ValueError("observer state lives on SE_5(3)")
-        p = np.asarray(self.P, dtype=float)
-        if p.shape != (15, 15):
-            raise ValueError("P must be 15 x 15")
-        if np.max(np.abs(p - p.T)) > 1e-9:
-            raise ValueError("P must be symmetric")
+        pi = np.asarray(self.pi, dtype=float)
+        if pi.shape != (5, 5):
+            raise ValueError("Pi must be 5 x 5")
+        if np.max(np.abs(pi - pi.T)) > 1e-9:
+            raise ValueError("Pi must be symmetric")
+
+    @property
+    def P(self) -> np.ndarray:
+        """The 15 x 15 Riccati matrix Pi kron I_3."""
+        return kron(self.pi, _I3)
 
     @property
     def rhat(self) -> np.ndarray:
@@ -194,25 +200,6 @@ def gain(P: np.ndarray, C: np.ndarray, Q, rhat: np.ndarray) -> tuple[np.ndarray,
 
 
 # integration core ----------------------------------------------------------
-
-def _kron_factor(P: np.ndarray) -> np.ndarray:
-    """The 5 x 5 factor Pi of P = Pi kron I_3.
-
-    Raises ValueError when P does not have that form (to 1e-12 relative):
-    the observer integrates Pi, and the 15 x 15 flow keeps the Kronecker
-    form only when it starts in it.
-    """
-    p = np.asarray(P, dtype=float)
-    if p.shape != (15, 15):
-        raise ValueError("P must be 15 x 15")
-    pi = p[::3, ::3].copy()
-    if np.max(np.abs(p - kron(pi, _I3))) > 1e-12 * max(1.0, float(np.max(np.abs(p)))):
-        raise ValueError(
-            "P must have the form Pi kron I_3 (p0 * I_15, for instance): the observer "
-            "propagates the 5 x 5 factor Pi, which needs Q = qI, V = vI and such a P(0)"
-        )
-    return pi
-
 
 @dataclass
 class StageInputs:
@@ -316,8 +303,8 @@ def _finalize_step(x, pi, t):
 
 
 def _state(x: np.ndarray, pi: np.ndarray, t) -> ObserverState:
-    """ObserverState of X = [Rhat, zhat] and P = Pi kron I_3."""
-    return ObserverState(xhat=SEn(x[:, :3], x[:, 3:], check=False), P=kron(pi, _I3), t=float(t))
+    """ObserverState of X = [Rhat, zhat] and Pi."""
+    return ObserverState(xhat=SEn(x[:, :3], x[:, 3:], check=False), pi=pi, t=float(t))
 
 
 def _step(x, pi, stages: StageInputs, t: float, cfg: ObserverConfig, abar, rho):
@@ -360,45 +347,24 @@ def riccati_step(P: np.ndarray, a: np.ndarray, c: np.ndarray, q, v, dt: float) -
 def observer_step(
     state: ObserverState,
     imu: tuple[np.ndarray, np.ndarray],
-    unified: list[UnifiedOutput],
+    ys: np.ndarray,
+    rs: np.ndarray,
     cfg: ObserverConfig,
-    C: np.ndarray | None = None,
 ) -> ObserverState:
     """Advance estimate and Riccati state by one fixed step.
 
-    Parameters
-    ----------
-    state : ObserverState
-        Its P must have the form Pi kron I_3 (p0 * I_15, for instance);
-        any other P raises ValueError.
-    imu : (omega, accel)
-        Either one (3,) sample per signal, held over the step, or (3, 3)
-        stacks giving the samples at the step start, midpoint, and end.
-    unified : list of UnifiedOutput
-        Latest processed outputs, zero-order held over the step.
-    cfg : ObserverConfig
-    C : optional output matrix of `unified`; ValueError unless it equals
-        R_s kron I_3 for the stacked reference vectors R_s.
+    ``imu`` is (omega, accel), either one (3,) sample per signal, held over
+    the step, or (3, 3) stacks giving the samples at the step start,
+    midpoint, and end. ``ys`` (m, 3) and ``rs`` (m, 5) are the latest
+    processed outputs and reference vectors (see
+    :meth:`UnifiedLayout.stacks`), zero-order held over the step; m = 0
+    is open-loop prediction.
     """
-    pi = _kron_factor(state.P)
-    omega = np.asarray(imu[0], dtype=float)
-    accel = np.asarray(imu[1], dtype=float)
-    if omega.ndim == 1:
-        omega = np.repeat(omega[None, :], 3, axis=0)
-        accel = np.repeat(accel[None, :], 3, axis=0)
-    if unified:
-        ys = np.stack([u.y for u in unified])
-        rs = np.stack([u.r for u in unified])
-    else:  # open loop: pure prediction
-        ys = np.zeros((0, 3))
-        rs = np.zeros((0, 5))
-    if C is not None and not np.array_equal(C, fast_output_matrix(rs)):
-        raise ValueError("C is not the output matrix of the given unified outputs")
-    st = make_stage_inputs(
-        omega, accel, np.broadcast_to(ys, (3,) + ys.shape), np.broadcast_to(rs, (3,) + rs.shape), cfg.g
-    )
+    omega, accel = (np.broadcast_to(np.asarray(a, dtype=float), (3, 3)) for a in imu)
+    ys, rs = (np.broadcast_to(np.asarray(a, dtype=float), (3,) + np.shape(a)) for a in (ys, rs))
+    st = make_stage_inputs(omega, accel, ys, rs, cfg.g)
     x = np.hstack([state.rhat, state.zhat])
-    x, pi = _step(x, pi, st.at([0, 1, 1, 2]), state.t, cfg, build_abar(cfg.g), np.asarray(cfg.rho))
+    x, pi = _step(x, state.pi, st.at([0, 1, 1, 2]), state.t, cfg, build_abar(cfg.g), np.asarray(cfg.rho))
     return _state(x, pi, state.t + cfg.dt)
 
 
@@ -426,10 +392,6 @@ def error_arrays(truth_r, truth_z, rhat, zhat) -> ErrorReport:
         x_body=x_body,
         column_norms=np.linalg.norm(ztilde, axis=0),
     )
-
-
-def error_report(state: ObserverState, truth: TruthState) -> ErrorReport:
-    return error_arrays(truth.R, truth.z, state.rhat, state.zhat)
 
 
 def geometric_error(state: ObserverState, truth: TruthState) -> SEn:

@@ -47,7 +47,6 @@ from .observer import (
     ESTIMATE_CSV_SCHEMA,
     ObserverConfig,
     ObserverState,
-    _kron_factor,
     _state,
     _step,
     build_a,
@@ -84,6 +83,13 @@ ATT_THRESHOLD_RAD = 1e-2
 POS_THRESHOLD_M = 1e-2
 CONVERGENCE_DWELL_S = 0.5
 
+# float64 values a run holds per step for its truth (grid, midpoint and
+# stage IMU arrays) and per recorded step for its trace; the step count of
+# a config is bounded so that they fit in _MAX_RUN_BYTES
+_TRUTH_FLOATS_PER_STEP = 58
+_TRACE_FLOATS_PER_RECORD = 48
+_MAX_RUN_BYTES = 4 << 30
+
 
 class ConfigError(ValueError):
     """Scenario file rejected; collects every problem found."""
@@ -116,6 +122,17 @@ class ScenarioConfig:
             raise ValueError(f"[observer] duration must be finite and at least dt, got {self.duration:g}")
         if self.trace_stride < 1:
             raise ValueError("[observer] trace_stride must be >= 1")
+        steps = self.duration / self.observer.dt
+        need = 8 * steps * (_TRUTH_FLOATS_PER_STEP + _TRACE_FLOATS_PER_RECORD / self.trace_stride)
+        if need > _MAX_RUN_BYTES:
+            raise ValueError(
+                f"[observer] duration / dt is {steps:.3g} steps, whose truth and trace would take "
+                f"about {need / 2**30:.3g} GiB; at most {_MAX_RUN_BYTES / 2**30:g} GiB are allowed")
+        for i, ch in enumerate(self.channels):
+            if ch.rate is not None and ch.rate * self.duration < 1:  # stride beyond the last step
+                raise ValueError(
+                    f"[channel.*] rate {ch.rate:g} Hz of channel {i + 1} samples less than once in "
+                    f"the run's {self.duration:g} s; the rate must be at least 1 / duration")
         if self.seed < 0:
             raise ValueError("[observer] seed must be nonnegative")
         if not self.p0_scale > 0:
@@ -126,7 +143,7 @@ class ScenarioConfig:
     def initial_state(self) -> ObserverState:
         rhat0 = so3_exp(np.asarray(self.rhat0_rotvec, dtype=float))
         z = z_block(self.phat0, self.vhat0)
-        return ObserverState(xhat=SEn(rhat0, z), P=self.p0_scale * np.eye(15), t=0.0)
+        return ObserverState(xhat=SEn(rhat0, z), pi=self.p0_scale * np.eye(5), t=0.0)
 
     def noiseless(self) -> "ScenarioConfig":
         return dataclasses.replace(self, noise=False)
@@ -344,7 +361,7 @@ def _run_loop(chunks, first, n: int, ts: np.ndarray, cfg: ObserverConfig, init: 
     recorded step. A failed step raises DivergenceError carrying the state
     at its start. Returns the trace and the step the run ended at.
     """
-    x, pi = np.hstack([init.rhat, init.zhat]), _kron_factor(init.P)
+    x, pi = np.hstack([init.rhat, init.zhat]), np.asarray(init.pi, dtype=float)
     abar, rho = build_abar(cfg.g), np.asarray(cfg.rho)
     rec_idx = _recorded_steps(n, trace_stride)
     out = RunTrace.allocate(len(rec_idx), init)
@@ -388,9 +405,7 @@ def run_observer(
     with zero-order hold in between; full-rate channels and the IMU are
     delivered at the integrator's stage times. ``stop_when(t, att_err,
     col_norms)`` may end the run early (used by convergence sweeps).
-    ``init.P`` must have the form Pi kron I_3 (p0 * I_15, for instance);
-    any other P raises ValueError. A DivergenceError carries the state at
-    the start of the failing step.
+    A DivergenceError carries the state at the start of the failing step.
 
     What depends only on truth and noise (stage samples, y/r stacks, the
     noisy IMU and its hat(omega)) is built ahead of the recursion, in
@@ -460,8 +475,6 @@ def run_observer_coupled(
     this mode the extracted translational error follows the closed-loop
     linear system to integration accuracy over its whole decay, which is
     what the equivalence and decoupling oracles compare against.
-    ``init.P`` must have the form Pi kron I_3 (p0 * I_15, for instance);
-    any other P raises ValueError.
 
     The truth flow does not depend on the estimate, so the truth's four RK4
     stages are taken first, a chunk of ``_CHUNK_STEPS`` steps at a time,
@@ -674,9 +687,7 @@ def sweep_agas(
         v_err *= translation_ball * rng.uniform() / max(np.linalg.norm(v_err), 1e-12)
 
         zhat = z_block(rtilde.T @ (truth0.p - p_err), rtilde.T @ (truth0.v - v_err))
-        init = ObserverState(
-            xhat=SEn(rtilde.T @ truth0.R, zhat), P=cfg.p0_scale * np.eye(15), t=0.0
-        )
+        init = ObserverState(xhat=SEn(rtilde.T @ truth0.R, zhat), pi=cfg.p0_scale * np.eye(5), t=0.0)
 
         streak = 0
         settle = {"t": None}
@@ -839,9 +850,8 @@ def check_gps_pe(
         return eval_trajectory(spec, s)[1]
 
     return gps_pe_condition(
-        vdot_of_t, v_of_t, spec.g,
+        vdot_of_t, v_of_t if has_vel else None, spec.g,
         xi_mag=mags[0].xi_vec if mags else None,
-        use_mag=bool(mags), use_vel=has_vel,
         t=t, delta=delta, dt=cfg.observer.dt, threshold=threshold,
     )
 

@@ -25,8 +25,6 @@ from enum import Enum
 
 import numpy as np
 
-from .trajectory import TruthState
-
 MEASUREMENT_CSV_SCHEMA = "se5nav-measurements-v1"
 
 
@@ -80,13 +78,6 @@ class ChannelSpec:
         return np.asarray(self.b, dtype=float)
 
 
-@dataclass(frozen=True)
-class MeasurementSample:
-    t: float
-    channel: int
-    y: np.ndarray
-
-
 def value_from_pose(channel: ChannelSpec, r: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The channel's defining identity evaluated at a pose (R, p, v).
 
@@ -100,32 +91,6 @@ def value_from_pose(channel: ChannelSpec, r: np.ndarray, p: np.ndarray, v: np.nd
     if channel.kind is ChannelKind.INERTIAL_VELOCITY:
         return np.array(v, dtype=float)
     return (v[..., None, :] @ r)[..., 0, :]
-
-
-def noiseless_value(channel: ChannelSpec, state: TruthState) -> np.ndarray:
-    """The defining identity of the channel, evaluated on truth."""
-    return value_from_pose(channel, state.R, state.p, state.v)
-
-
-def measure(
-    channel: ChannelSpec,
-    state: TruthState,
-    rng: np.random.Generator | None = None,
-    rate: float | None = None,
-    channel_index: int = 0,
-) -> MeasurementSample:
-    """One sample: noiseless value plus white Gaussian noise per axis.
-
-    `rate` overrides the channel rate for the noise scaling (used when the
-    channel samples at the simulation rate).
-    """
-    y = noiseless_value(channel, state)
-    if rng is not None and channel.noise_power > 0:
-        r = rate if rate is not None else channel.rate
-        if r is None:
-            raise ValueError("sampling rate required to scale noise power")
-        y = y + np.sqrt(channel.noise_power * r) * rng.standard_normal(3)
-    return MeasurementSample(t=state.t, channel=channel_index, y=y)
 
 
 @dataclass(frozen=True)
@@ -196,12 +161,11 @@ class ChannelSampler:
     def effective_rate(self) -> float:
         return 1.0 / (self._stride * self.sim_dt)
 
-    def noise(self, count: int | None = None) -> np.ndarray | None:
-        """One (3,) draw, or `count` consecutive draws as (count, 3)."""
+    def noise(self, count: int) -> np.ndarray | None:
+        """`count` consecutive draws as (count, 3), scaled to the effective rate."""
         if self.rng is None or self.spec.noise_power <= 0:
             return None
-        shape = 3 if count is None else (count, 3)
-        return np.sqrt(self.spec.noise_power * self.effective_rate) * self.rng.standard_normal(shape)
+        return np.sqrt(self.spec.noise_power * self.effective_rate) * self.rng.standard_normal((count, 3))
 
     def sample(self, k0: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Delivered values for the steps k0, k0 + 1, ... of a run.

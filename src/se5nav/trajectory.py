@@ -139,24 +139,6 @@ def eval_omega(spec: TrajectorySpec, t) -> np.ndarray:
     return amp[None, :] * np.sin(t[:, None] * frq[None, :] + phs[None, :])
 
 
-def propagate_attitude(r0: np.ndarray, spec: TrajectorySpec, t0: float, t1: float, dt: float) -> np.ndarray:
-    """Piecewise-exponential attitude update R <- R exp(dt hat(omega)).
-
-    The rate is sampled at the step midpoint, which is exact for constant
-    omega and second-order accurate otherwise; each factor is a true
-    rotation so the result stays on SO(3) to machine precision.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    r = np.array(r0, dtype=float)
-    n_steps = int(round((t1 - t0) / dt))
-    for k0 in range(0, n_steps, _EXP_CHUNK):
-        ks = np.arange(k0, min(k0 + _EXP_CHUNK, n_steps))
-        for step in so3_exp(dt * eval_omega(spec, t0 + (ks + 0.5) * dt)):
-            r = r @ step
-    return r
-
-
 def synthesize_imu(p_ddot: np.ndarray, r: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Accelerometer output a_B = R.T (vdot - g)."""
     return r.T @ (np.asarray(p_ddot, dtype=float) - np.asarray(g, dtype=float))

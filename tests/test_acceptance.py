@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from se5nav.frontend import reference_vector
+from se5nav.frontend import UnifiedLayout
 from se5nav.lie import SEn, hat, kron, psi, so3_exp, vec, vec_inv, vex
 from se5nav.observer import ObserverState, kalman_reference_run, riccati_step
 from se5nav.scenario import (
@@ -37,7 +37,7 @@ from se5nav.scenario import (
     summarize,
     sweep_agas,
 )
-from se5nav.sensors import ChannelKind, ChannelSpec, MeasurementSample, noiseless_value
+from se5nav.sensors import ChannelKind, ChannelSpec
 from se5nav.trajectory import TruthState, eval_trajectory, simulate_truth
 
 # artifact-derived regression anchors for the noisy runs (deterministic
@@ -124,9 +124,10 @@ def test_criterion_1_unified_output_identity():
         )
         x_inv = np.linalg.inv(SEn(truth.R, truth.z).as_matrix())
         for make in kinds:
-            ch = make(rng)
-            u = reference_vector(ch, MeasurementSample(0.0, 0, noiseless_value(ch, truth)))
-            worst = max(worst, np.max(np.abs(x_inv @ u.r_bold - u.y_bold)))
+            layout = UnifiedLayout([make(rng)])
+            (y,), (r,) = layout.stacks(layout.raw_from_pose(truth.R, truth.p, truth.v))
+            y_bold, r_bold = np.concatenate([y, r]), np.concatenate([np.zeros(3), r])
+            worst = max(worst, np.max(np.abs(x_inv @ r_bold - y_bold)))
             n_pairs += 1
     elapsed = time.perf_counter() - started
     _report(
@@ -190,7 +191,7 @@ def test_criterion_3_decoupling_twin(stereo_cfg):
     for angle_deg in (10.0, 170.0):
         rtilde = so3_exp(np.deg2rad(angle_deg) * axis)
         init = ObserverState(
-            xhat=estimate_from_errors(spec.r0, z0, rtilde, ztilde), P=np.eye(15), t=0.0
+            xhat=estimate_from_errors(spec.r0, z0, rtilde, ztilde), pi=np.eye(5), t=0.0
         )
         traces.append(run_observer_coupled(
             spec, list(cfg.channels), obs, init, 6.0,

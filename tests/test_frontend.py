@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from se5nav.frontend import (
-    UnifiedLayout,
-    build_unified,
-    fast_output_matrix,
-    innovation_inputs,
-    output_matrix,
-    reference_vector,
-)
+from se5nav.frontend import UnifiedLayout, fast_output_matrix, output_matrix
 from se5nav.lie import SEn, kron, so3_exp, vec
-from se5nav.sensors import ChannelKind, ChannelSpec, MeasurementSample, noiseless_value
+from se5nav.sensors import ChannelKind, ChannelSpec, value_from_pose
 from se5nav.trajectory import TruthState
 
 RNG = np.random.default_rng(2024)
@@ -38,44 +31,56 @@ def random_truth(rng):
     )
 
 
-def noiseless_sample(ch, truth, idx=0):
-    return MeasurementSample(t=truth.t, channel=idx, y=noiseless_value(ch, truth))
+def stacks(channels, raw):
+    """(ys, rs) of one raw sample (m, 3) per channel."""
+    return UnifiedLayout(channels).stacks(np.asarray(raw, dtype=float))
+
+
+def noiseless_stacks(channels, truth):
+    """(ys, rs) of the channels' noiseless samples at a truth pose."""
+    layout = UnifiedLayout(channels)
+    return layout.stacks(layout.raw_from_pose(truth.R, truth.p, truth.v))
+
+
+def bold(y, r):
+    """(y_bold, r_bold) = ([y; r], [0_3; r]) of one channel's (y, r)."""
+    return np.concatenate([y, r]), np.concatenate([np.zeros(3), r])
+
+
+def innovations(ys, rs, xhat):
+    """Rows dy_i = r_bold_i - Xhat y_bold_i, and dz stacking their first
+    three entries."""
+    dys = np.hstack([np.zeros_like(ys), rs]) - np.hstack([ys, rs]) @ xhat.as_matrix().T
+    return dys, dys[:, :3].reshape(-1)
 
 
 class TestReferenceVectors:
     def test_direction_channel_row(self):
-        ch = KINDS[1]
-        s = MeasurementSample(0.0, 0, np.zeros(3))
-        u = reference_vector(ch, s)
-        assert np.allclose(u.r, [0, 0, -C, 0, -C])
+        _, rs = stacks([KINDS[1]], np.zeros((1, 3)))
+        assert np.allclose(rs[0], [0, 0, -C, 0, -C])
 
     def test_body_velocity_row_ignores_sample(self):
-        ch = KINDS[4]
         for _ in range(5):
-            s = MeasurementSample(0.0, 0, RNG.standard_normal(3))
-            u = reference_vector(ch, s)
-            assert np.array_equal(u.r, [0, -1, 0, 0, 0])
-            assert np.array_equal(u.y, s.y)
+            y = RNG.standard_normal(3)
+            ys, rs = stacks([KINDS[4]], [y])
+            assert np.array_equal(rs[0], [0, -1, 0, 0, 0])
+            assert np.array_equal(ys[0], y)
 
     def test_position_channel_carries_sample_in_tail(self):
-        ch = KINDS[2]
-        s = MeasurementSample(0.0, 0, np.array([1.0, 2.0, 3.0]))
-        u = reference_vector(ch, s)
-        assert np.array_equal(u.r, [1, 0, -1, -2, -3])
-        assert np.array_equal(u.y, [0.1, 0.2, -0.3])  # lever arm
+        ys, rs = stacks([KINDS[2]], [[1.0, 2.0, 3.0]])
+        assert np.array_equal(rs[0], [1, 0, -1, -2, -3])
+        assert np.array_equal(ys[0], [0.1, 0.2, -0.3])  # lever arm
 
     def test_velocity_channel_has_zero_processed_output(self):
-        ch = KINDS[3]
-        s = MeasurementSample(0.0, 0, np.array([4.0, 5.0, 6.0]))
-        u = reference_vector(ch, s)
-        assert np.array_equal(u.r, [0, 1, -4, -5, -6])
-        assert np.array_equal(u.y, np.zeros(3))
+        ys, rs = stacks([KINDS[3]], [[4.0, 5.0, 6.0]])
+        assert np.array_equal(rs[0], [0, 1, -4, -5, -6])
+        assert np.array_equal(ys[0], np.zeros(3))
 
     def test_leading_components_in_unit_set(self):
         truth = random_truth(RNG)
-        for ch in KINDS:
-            u = reference_vector(ch, noiseless_sample(ch, truth))
-            assert set(np.round(u.r[:2], 12)).issubset({-1.0, 0.0, 1.0})
+        _, rs = noiseless_stacks(KINDS, truth)
+        for r in rs:
+            assert set(np.round(r[:2], 12)).issubset({-1.0, 0.0, 1.0})
 
     def test_unified_identity_all_kinds(self):
         """y_bold = X^{-1} r_bold for every output kind (four-case check)."""
@@ -84,9 +89,9 @@ class TestReferenceVectors:
             truth = random_truth(RNG)
             x = SEn(truth.R, truth.z)
             xinv = np.linalg.inv(x.as_matrix())
-            for ch in KINDS:
-                u = reference_vector(ch, noiseless_sample(ch, truth))
-                worst = max(worst, np.max(np.abs(xinv @ u.r_bold - u.y_bold)))
+            for y, r in zip(*noiseless_stacks(KINDS, truth)):
+                y_bold, r_bold = bold(y, r)
+                worst = max(worst, np.max(np.abs(xinv @ r_bold - y_bold)))
         assert worst < 1e-12
 
     def test_body_velocity_reference_is_forced(self):
@@ -96,7 +101,7 @@ class TestReferenceVectors:
         ch = KINDS[4]
         truth = random_truth(RNG)
         x_inv = np.linalg.inv(SEn(truth.R, truth.z).as_matrix())
-        y = noiseless_value(ch, truth)
+        y = value_from_pose(ch, truth.R, truth.p, truth.v)
         good = np.array([0.0, -1.0, 0.0, 0.0, 0.0])
         bad = np.concatenate([[0.0, 0.0], -y])
         for r, should_pass in ((good, True), (bad, False)):
@@ -108,8 +113,7 @@ class TestReferenceVectors:
 
 class TestOutputMatrix:
     def test_single_body_velocity_structure(self):
-        u = reference_vector(KINDS[4], MeasurementSample(0.0, 0, np.zeros(3)))
-        c = output_matrix([u])
+        c = output_matrix(stacks([KINDS[4]], np.zeros((1, 3)))[1])
         assert c.shape == (3, 15)
         expected = kron(np.array([[0.0, -1.0, 0.0, 0.0, 0.0]]), np.eye(3))
         assert np.array_equal(c, expected)
@@ -119,7 +123,7 @@ class TestOutputMatrix:
         landmarks = [(2, 0, 0), (0, 0.4, 0), (0, 0, 0.5), (1, 0, 0), (0, 1, 0)]
         chans = [ChannelSpec(kind=ChannelKind.BODY_VECTOR, xi=xi, gamma=1) for xi in landmarks]
         truth = random_truth(RNG)
-        unified, c = build_unified(chans, [noiseless_sample(ch, truth) for ch in chans])
+        c = output_matrix(noiseless_stacks(chans, truth)[1])
         assert c.shape == (15, 15)
         for i, xi in enumerate(landmarks):
             r = np.concatenate([[1.0, 0.0], -np.asarray(xi, dtype=float)])
@@ -127,7 +131,7 @@ class TestOutputMatrix:
 
     def test_empty_channel_list_rejected(self):
         with pytest.raises(ValueError):
-            output_matrix([])
+            output_matrix(np.zeros((0, 5)))
 
     def test_fast_output_matrix_matches(self):
         rs = RNG.standard_normal((4, 5))
@@ -136,10 +140,10 @@ class TestOutputMatrix:
 
     def test_omitting_channels_deletes_block_rows(self):
         truth = random_truth(RNG)
-        samples = [noiseless_sample(ch, truth) for ch in KINDS]
-        _, c_all = build_unified(KINDS, samples)
+        raw = UnifiedLayout(KINDS).raw_from_pose(truth.R, truth.p, truth.v)
+        c_all = output_matrix(stacks(KINDS, raw)[1])
         keep = [0, 2, 4]
-        _, c_sub = build_unified([KINDS[i] for i in keep], [samples[i] for i in keep])
+        c_sub = output_matrix(stacks([KINDS[i] for i in keep], raw[keep])[1])
         for j, i in enumerate(keep):
             assert np.array_equal(c_sub[3 * j: 3 * j + 3], c_all[3 * i: 3 * i + 3])
 
@@ -148,8 +152,7 @@ class TestInnovations:
     def test_zero_for_perfect_estimate(self):
         truth = random_truth(RNG)
         xhat = SEn(truth.R, truth.z)
-        unified, _ = build_unified(KINDS, [noiseless_sample(ch, truth) for ch in KINDS])
-        dys, dz = innovation_inputs(unified, xhat)
+        dys, dz = innovations(*noiseless_stacks(KINDS, truth), xhat)
         assert np.max(np.abs(dz)) < 1e-12
         for dy in dys:
             assert np.max(np.abs(dy)) < 1e-12
@@ -162,11 +165,11 @@ class TestInnovations:
             truth = random_truth(RNG)
             x = SEn(truth.R, truth.z)
             xhat = SEn(so3_exp(2 * RNG.standard_normal(3)), RNG.standard_normal((3, 5)))
-            unified, _ = build_unified(KINDS, [noiseless_sample(ch, truth) for ch in KINDS])
-            dys, _ = innovation_inputs(unified, xhat)
+            ys, rs = noiseless_stacks(KINDS, truth)
+            dys, _ = innovations(ys, rs, xhat)
             xt_inv = (xhat @ x.inverse()).as_matrix()
-            for u, dy in zip(unified, dys):
-                expect = (np.eye(8) - xt_inv) @ u.r_bold
+            for y, r, dy in zip(ys, rs, dys):
+                expect = (np.eye(8) - xt_inv) @ bold(y, r)[1]
                 worst = max(worst, np.max(np.abs(dy - expect)))
         assert worst < 1e-12
 
@@ -180,10 +183,10 @@ class TestInnovations:
         zhat = truth.z.copy()
         zhat[:, 0] = p + delta
         xhat = SEn(np.eye(3), zhat)
-        unified, _ = build_unified([ch], [noiseless_sample(ch, truth)])
-        dys, dz = innovation_inputs(unified, xhat)
+        ys, rs = noiseless_stacks([ch], truth)
+        dys, dz = innovations(ys, rs, xhat)
         x = SEn(truth.R, truth.z)
-        expect = ((np.eye(8) - (xhat @ x.inverse()).as_matrix()) @ unified[0].r_bold)[:3]
+        expect = ((np.eye(8) - (xhat @ x.inverse()).as_matrix()) @ bold(ys[0], rs[0])[1])[:3]
         assert np.allclose(dz, expect, atol=1e-13)
         assert np.allclose(dz, -delta, atol=1e-13)  # minus the position offset
 
@@ -196,8 +199,9 @@ class TestInnovations:
             rhat = so3_exp(2 * RNG.standard_normal(3))
             zhat = RNG.standard_normal((3, 5))
             xhat = SEn(rhat, zhat)
-            unified, c = build_unified(KINDS, [noiseless_sample(ch, truth) for ch in KINDS])
-            _, dz = innovation_inputs(unified, xhat)
+            ys, rs = noiseless_stacks(KINDS, truth)
+            c = output_matrix(rs)
+            _, dz = innovations(ys, rs, xhat)
             rtilde = truth.R @ rhat.T
             x_body = vec(truth.R.T @ (truth.z - rtilde @ zhat))
             rhs = kron(np.eye(m), rhat) @ c @ x_body
@@ -209,31 +213,26 @@ class TestInnovations:
         truth = random_truth(RNG)
         rhat = so3_exp(RNG.standard_normal(3))
         zhat = RNG.standard_normal((3, 5))
-        unified, c = build_unified(KINDS, [noiseless_sample(ch, truth) for ch in KINDS])
-        _, dz = innovation_inputs(unified, SEn(rhat, zhat))
+        ys, rs = noiseless_stacks(KINDS, truth)
+        c = output_matrix(rs)
+        _, dz = innovations(ys, rs, SEn(rhat, zhat))
         x_body = vec(truth.R.T @ (truth.z - truth.R @ rhat.T @ zhat))
         lhs = kron(np.eye(len(KINDS)), rhat).T @ dz
         assert np.max(np.abs(lhs - c @ x_body)) < 1e-12
-
-    def test_wrong_group_dimension_rejected(self):
-        truth = random_truth(RNG)
-        unified, _ = build_unified(KINDS, [noiseless_sample(ch, truth) for ch in KINDS])
-        with pytest.raises(ValueError):
-            innovation_inputs(unified, SEn.identity(2))
 
 
 class TestUnifiedLayout:
     def test_matches_reference_vector_per_channel(self):
         layout = UnifiedLayout(KINDS)
         truth = random_truth(RNG)
-        raw = np.stack([noiseless_value(ch, truth) for ch in KINDS])
+        raw = np.stack([value_from_pose(ch, truth.R, truth.p, truth.v) for ch in KINDS])
         ys, rs = layout.stacks(raw)
         for i, ch in enumerate(KINDS):
-            u = reference_vector(ch, MeasurementSample(0.0, i, raw[i]))
-            assert np.array_equal(ys[i], u.y)
-            assert np.array_equal(rs[i], u.r)
+            y, r = stacks([ch], raw[i:i + 1])
+            assert np.array_equal(ys[i], y[0])
+            assert np.array_equal(rs[i], r[0])
         assert np.array_equal(layout.c_matrix(rs), output_matrix(
-            [reference_vector(ch, MeasurementSample(0.0, i, raw[i])) for i, ch in enumerate(KINDS)]
+            np.concatenate([stacks([ch], raw[i:i + 1])[1] for i, ch in enumerate(KINDS)])
         ))
 
     def test_raw_from_pose_matches_noiseless_values(self):
@@ -241,7 +240,7 @@ class TestUnifiedLayout:
         truth = random_truth(RNG)
         raw = layout.raw_from_pose(truth.R, truth.p, truth.v)
         for i, ch in enumerate(KINDS):
-            assert np.allclose(raw[i], noiseless_value(ch, truth), atol=1e-14)
+            assert np.allclose(raw[i], value_from_pose(ch, truth.R, truth.p, truth.v), atol=1e-14)
 
     def test_constant_r_caching_for_body_channels(self):
         chans = [ChannelSpec(kind=ChannelKind.BODY_VECTOR, xi=(1, 2, 3), gamma=1),

@@ -249,8 +249,8 @@ class TestGpsPeCondition:
     def test_static_hover_without_aiding_fails(self):
         # vdot = 0 and no magnetometer/velocity terms: matrix = g g^T, rank 1
         rep = gps_pe_condition(
-            vdot_of_t=lambda t: np.zeros(3), v_of_t=lambda t: np.zeros(3),
-            g=G_NED, xi_mag=None, use_mag=False, use_vel=False,
+            vdot_of_t=lambda t: np.zeros(3), v_of_t=None,
+            g=G_NED, xi_mag=None,
             t=0.0, delta=1.0, dt=1e-3,
         )
         gg = np.outer(G_NED, G_NED)
@@ -264,7 +264,7 @@ class TestGpsPeCondition:
         v_const = np.array([0.0, 1.0, 0.0])  # off the span of g and xi
         rep = gps_pe_condition(
             vdot_of_t=lambda t: np.zeros(3), v_of_t=lambda t: v_const,
-            g=G_NED, xi_mag=xi, use_mag=True, use_vel=True,
+            g=G_NED, xi_mag=xi,
             t=0.0, delta=1.0, dt=1e-3,
         )
         assert rep.passed
@@ -274,8 +274,8 @@ class TestGpsPeCondition:
         # magnetic field parallel to gravity adds no new direction
         xi = np.array([0.0, 0.0, 1.0])
         rep = gps_pe_condition(
-            vdot_of_t=lambda t: np.zeros(3), v_of_t=lambda t: np.zeros(3),
-            g=G_NED, xi_mag=xi, use_mag=True, use_vel=False,
+            vdot_of_t=lambda t: np.zeros(3), v_of_t=None,
+            g=G_NED, xi_mag=xi,
             t=0.0, delta=1.0, dt=1e-3,
         )
         assert not rep.passed
@@ -286,18 +286,10 @@ class TestGpsPeCondition:
         rep = gps_pe_condition(
             vdot_of_t=lambda t: eval_trajectory(spec, t)[2],
             v_of_t=lambda t: eval_trajectory(spec, t)[1],
-            g=spec.g, xi_mag=xi, use_mag=True, use_vel=True,
+            g=spec.g, xi_mag=xi,
             t=0.0, delta=2.0, dt=1e-3,
         )
         assert rep.passed
-
-    def test_missing_field_direction_rejected(self):
-        with pytest.raises(ValueError):
-            gps_pe_condition(
-                vdot_of_t=lambda t: np.zeros(3), v_of_t=lambda t: np.zeros(3),
-                g=G_NED, xi_mag=None, use_mag=True, use_vel=False,
-                t=0.0, delta=1.0,
-            )
 
     def test_matches_per_node_quadrature(self):
         spec = TrajectorySpec()
@@ -310,7 +302,7 @@ class TestGpsPeCondition:
 
         rep = gps_pe_condition(
             vdot_of_t=vdot_of_t, v_of_t=lambda t: eval_trajectory(spec, t)[1],
-            g=spec.g, xi_mag=xi, use_mag=True, use_vel=True,
+            g=spec.g, xi_mag=xi,
             t=0.5, delta=1.0, dt=1e-3,
         )
         assert len(calls) == 1

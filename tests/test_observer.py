@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from se5nav.frontend import build_unified, output_matrix
+from se5nav.frontend import UnifiedLayout, output_matrix
 from se5nav.lie import SEn, hat, kron, project_rotation, psi, so3_exp, vec, vec_inv
 from se5nav.observer import (
     DivergenceError,
@@ -13,14 +13,14 @@ from se5nav.observer import (
     build_u,
     delta_r,
     delta_r_decomposition,
-    error_report,
+    error_arrays,
     gain,
     geometric_error,
     kalman_reference_run,
     observer_step,
     riccati_step,
 )
-from se5nav.sensors import ChannelKind, ChannelSpec, MeasurementSample, noiseless_value
+from se5nav.sensors import ChannelKind, ChannelSpec
 from se5nav.trajectory import TrajectorySpec, TruthState, eval_omega, simulate_truth
 
 RNG = np.random.default_rng(77)
@@ -229,11 +229,7 @@ class TestGain:
             truth = random_truth(RNG)
             rhat = random_rotation(RNG)
             zhat = RNG.standard_normal((3, 5))
-            samples = [
-                MeasurementSample(0.0, i, noiseless_value(ch, truth))
-                for i, ch in enumerate(channels)
-            ]
-            unified, c = build_unified(channels, samples)
+            c = output_matrix(unified_from_truth(channels, truth)[1])
             p = random_spd(RNG, 15, scale=0.1)
             kb, ki = gain(p, c, 1.0, rhat)
             rtilde = truth.R @ rhat.T
@@ -263,11 +259,9 @@ STEREO_CHANNELS = [
 
 
 def unified_from_truth(channels, truth):
-    samples = [
-        MeasurementSample(truth.t, i, noiseless_value(ch, truth))
-        for i, ch in enumerate(channels)
-    ]
-    return build_unified(channels, samples)
+    """(ys, rs) of the channels' noiseless samples at a truth sample."""
+    layout = UnifiedLayout(channels)
+    return layout.stacks(layout.raw_from_pose(truth.R, truth.p, truth.v))
 
 
 class TestObserverStep:
@@ -275,9 +269,9 @@ class TestObserverStep:
         spec = TrajectorySpec()
         run = simulate_truth(spec, 0.01, 1e-3)
         cfg = ObserverConfig()
-        state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), P=np.eye(15), t=0.0)
-        unified, c = unified_from_truth(STEREO_CHANNELS, run.state(0))
-        new = observer_step(state, (run.imu_omega[0], run.imu_accel[0]), unified, cfg, C=c)
+        state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
+        ys, rs = unified_from_truth(STEREO_CHANNELS, run.state(0))
+        new = observer_step(state, (run.imu_omega[0], run.imu_accel[0]), ys, rs, cfg)
         assert new.t == pytest.approx(1e-3)
         assert np.max(np.abs(new.P - new.P.T)) < 1e-12
         assert np.linalg.eigvalsh(new.P)[0] > 0
@@ -286,17 +280,18 @@ class TestObserverStep:
         spec = TrajectorySpec()
         run = simulate_truth(spec, 0.01, 1e-3)
         cfg = ObserverConfig()
-        state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), P=np.eye(15), t=0.0)
-        unified, _ = unified_from_truth(STEREO_CHANNELS, run.state(0))
-        new = observer_step(state, (run.omega[0], run.aB[0]), unified, cfg)
+        state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
+        ys, rs = unified_from_truth(STEREO_CHANNELS, run.state(0))
+        new = observer_step(state, (run.omega[0], run.aB[0]), ys, rs, cfg)
         assert np.isfinite(new.zhat).all()
 
     def test_open_loop_prediction_without_channels(self):
         spec = TrajectorySpec()
         run = simulate_truth(spec, 0.01, 1e-3)
         cfg = ObserverConfig()
-        state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), P=np.eye(15), t=0.0)
-        new = observer_step(state, (run.imu_omega[0], run.imu_accel[0]), [], cfg)
+        state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
+        open_loop = (np.zeros((0, 3)), np.zeros((0, 5)))
+        new = observer_step(state, (run.imu_omega[0], run.imu_accel[0]), *open_loop, cfg)
         # pure prediction tracks the truth over one step
         assert np.max(np.abs(new.zhat[:, 0] - run.p[1])) < 1e-9
         # P grows under V with no measurement information
@@ -307,11 +302,11 @@ class TestObserverStep:
         cfg = ObserverConfig()
         z = np.zeros((3, 5))
         z[0, 0] = np.inf
-        bad = ObserverState(xhat=SEn(np.eye(3), z, check=False), P=np.eye(15), t=0.0)
+        bad = ObserverState(xhat=SEn(np.eye(3), z, check=False), pi=np.eye(5), t=0.0)
         run = simulate_truth(TrajectorySpec(), 0.01, 1e-3)
-        unified, _ = unified_from_truth(STEREO_CHANNELS, run.state(0))
+        ys, rs = unified_from_truth(STEREO_CHANNELS, run.state(0))
         with pytest.raises(DivergenceError) as exc:
-            observer_step(bad, (run.imu_omega[0], run.imu_accel[0]), unified, cfg)
+            observer_step(bad, (run.imu_omega[0], run.imu_accel[0]), ys, rs, cfg)
         assert exc.value.state.t == bad.t
 
     def test_config_validation(self):
@@ -326,11 +321,11 @@ class TestObserverStep:
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
-            ObserverState(xhat=SEn.identity(2), P=np.eye(15), t=0.0)
-        p_bad = np.eye(15)
-        p_bad[0, 1] = 0.5
+            ObserverState(xhat=SEn.identity(2), pi=np.eye(5), t=0.0)
+        pi_bad = np.eye(5)
+        pi_bad[0, 1] = 0.5
         with pytest.raises(ValueError):
-            ObserverState(xhat=SEn.identity(5), P=p_bad, t=0.0)
+            ObserverState(xhat=SEn.identity(5), pi=pi_bad, t=0.0)
 
 
 class TestKroneckerReduction:
@@ -364,15 +359,13 @@ class TestKroneckerReduction:
         rng = np.random.default_rng(11)
         state = ObserverState(
             xhat=SEn(so3_exp([0.3, -0.2, 0.5]) @ truth.R, truth.z + 0.5 * rng.standard_normal((3, 5))),
-            P=0.8 * np.eye(15), t=truth.t,
+            pi=0.8 * np.eye(5), t=truth.t,
         )
-        unified, _ = unified_from_truth(list(cfg.channels), truth)
+        ys, rs = unified_from_truth(list(cfg.channels), truth)
         omega, accel = run.imu_omega[k], run.imu_accel[k]
-        new = observer_step(state, (omega, accel), unified, obs)
+        new = observer_step(state, (omega, accel), ys, rs, obs)
 
-        c = output_matrix(unified)
-        ys = np.stack([u.y for u in unified])
-        rs = np.stack([u.r for u in unified])
+        c = output_matrix(rs)
         y0 = (state.rhat, state.zhat, state.P)
 
         def f(y, stage):
@@ -392,33 +385,12 @@ class TestKroneckerReduction:
         assert np.max(np.abs(new.zhat - zhat1)) < 1e-13
         assert np.max(np.abs(new.P - 0.5 * (p1 + p1.T))) < 1e-13
 
-    def test_non_kronecker_p_rejected(self):
-        from se5nav.scenario import (
-            bundled_config_path,
-            parse_scenario,
-            run_observer,
-            run_observer_coupled,
-        )
-
-        cfg = parse_scenario(bundled_config_path("stereo")).noiseless()
-        run = simulate_truth(cfg.trajectory, 0.01, cfg.observer.dt)
-        state = ObserverState(
-            xhat=SEn(run.R[0], run.state(0).z), P=random_spd(np.random.default_rng(12), 15), t=0.0
-        )
-        unified, _ = unified_from_truth(STEREO_CHANNELS, run.state(0))
-        with pytest.raises(ValueError, match="Pi kron I_3"):
-            observer_step(state, (run.imu_omega[0], run.imu_accel[0]), unified, cfg.observer)
-        with pytest.raises(ValueError, match="Pi kron I_3"):
-            run_observer(run, list(cfg.channels), cfg.observer, state, noisy_channels=False)
-        with pytest.raises(ValueError, match="Pi kron I_3"):
-            run_observer_coupled(cfg.trajectory, list(cfg.channels), cfg.observer, state, 0.01)
-
 
 class TestErrorReport:
     def test_perfect_estimate(self):
         truth = random_truth(RNG)
-        state = ObserverState(xhat=SEn(truth.R, truth.z), P=np.eye(15), t=0.0)
-        rep = error_report(state, truth)
+        state = ObserverState(xhat=SEn(truth.R, truth.z), pi=np.eye(5), t=0.0)
+        rep = error_arrays(truth.R, truth.z, state.rhat, state.zhat)
         assert rep.angle == 0.0
         assert np.max(np.abs(rep.x_body)) < 1e-14
         assert np.max(rep.column_norms) < 1e-14
@@ -427,9 +399,9 @@ class TestErrorReport:
         truth = random_truth(RNG)
         off = so3_exp([0, np.pi / 2, 0])
         state = ObserverState(
-            xhat=SEn(off.T @ truth.R, off.T @ truth.z), P=np.eye(15), t=0.0
+            xhat=SEn(off.T @ truth.R, off.T @ truth.z), pi=np.eye(5), t=0.0
         )
-        rep = error_report(state, truth)
+        rep = error_arrays(truth.R, truth.z, state.rhat, state.zhat)
         assert abs(rep.angle - np.pi / 2) < 1e-12
         assert np.allclose(rep.rtilde, off, atol=1e-13)
 
@@ -438,9 +410,9 @@ class TestErrorReport:
             truth = random_truth(RNG)
             state = ObserverState(
                 xhat=SEn(random_rotation(RNG), RNG.standard_normal((3, 5))),
-                P=np.eye(15), t=0.0,
+                pi=np.eye(5), t=0.0,
             )
-            rep = error_report(state, truth)
+            rep = error_arrays(truth.R, truth.z, state.rhat, state.zhat)
             e = geometric_error(state, truth)
             assert np.max(np.abs(e.rotation - rep.rtilde)) < 1e-12
             assert np.max(np.abs(e.translation - rep.ztilde)) < 1e-12
@@ -449,16 +421,16 @@ class TestErrorReport:
         truth = random_truth(RNG)
         state = ObserverState(
             xhat=SEn(random_rotation(RNG), RNG.standard_normal((3, 5))),
-            P=np.eye(15), t=0.0,
+            pi=np.eye(5), t=0.0,
         )
-        rep = error_report(state, truth)
+        rep = error_arrays(truth.R, truth.z, state.rhat, state.zhat)
         assert np.allclose(rep.x_body, vec(truth.R.T @ rep.ztilde), atol=1e-14)
 
     def test_angle_clamped_for_near_pi(self):
         truth = random_truth(RNG)
         off = so3_exp(np.pi * np.array([0.0, 0.0, 1.0]))
-        state = ObserverState(xhat=SEn(off.T @ truth.R, truth.z), P=np.eye(15), t=0.0)
-        rep = error_report(state, truth)
+        state = ObserverState(xhat=SEn(off.T @ truth.R, truth.z), pi=np.eye(5), t=0.0)
+        rep = error_arrays(truth.R, truth.z, state.rhat, state.zhat)
         assert np.isfinite(rep.angle)
         assert abs(rep.angle - np.pi) < 1e-6
 
@@ -472,7 +444,7 @@ class TestFullRuns:
         cfg = parse_scenario(bundled_config_path("stereo")).noiseless()
         truth = simulate_truth(cfg.trajectory, 10.0, cfg.observer.dt)
         z0 = truth.state(0).z
-        init = ObserverState(xhat=SEn(truth.R[0], z0), P=np.eye(15), t=0.0)
+        init = ObserverState(xhat=SEn(truth.R[0], z0), pi=np.eye(5), t=0.0)
         trace = run_observer(
             truth, list(cfg.channels), cfg.observer, init,
             noisy_channels=False, trace_stride=100,

@@ -142,6 +142,10 @@ class TestConfigParsing:
         ("gamma = 1", "gamma = 1.5", "channel.1", "gamma"),
         ("noise_power = 1e-1", "noise_power = -1", "imu", "noise_power"),
         ("[observer]", "[obsrever]\nx = 1\n[observer]", "obsrever", "x: unknown key"),
+        ("duration = 60.0", "duration = 1e300", "observer", "duration"),
+        ("dt = 1e-3", "dt = 1e-300", "observer", "duration"),
+        # the run's config names a channel by position, not by its section
+        ("xi = 2.0, 0.0, 0.0", "xi = 2.0, 0.0, 0.0\nrate = 1e-300", "channel.*", "rate"),
     ]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -293,7 +297,7 @@ class TestAntipodalBoundary:
         rtilde = so3_exp(np.pi * np.array([0.0, 0.0, 1.0]))
         init = ObserverState(
             xhat=estimate_from_errors(truth0.R, truth0.z, rtilde, np.zeros((3, 5))),
-            P=np.eye(15), t=0.0,
+            pi=np.eye(5), t=0.0,
         )
         trace = run_observer(
             truth, list(cfg.channels), cfg.observer, init,

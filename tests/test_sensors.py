@@ -8,8 +8,6 @@ from se5nav.sensors import (
     ChannelSpec,
     ImuNoiseSpec,
     corrupt_imu,
-    measure,
-    noiseless_value,
     parse_channel_kind,
     spawn_channel_rngs,
     value_from_pose,
@@ -33,32 +31,32 @@ class TestNoiselessValues:
     def test_landmark_identity_attitude(self):
         ch = ChannelSpec(kind=ChannelKind.BODY_VECTOR, xi=(2, 0, 0), gamma=1)
         s = make_state(p=(1, 0, 0))
-        assert np.allclose(noiseless_value(ch, s), [1, 0, 0])
+        assert np.allclose(value_from_pose(ch, s.R, s.p, s.v), [1, 0, 0])
 
     def test_direction_channel_rotated(self):
         c = 1 / np.sqrt(2)
         ch = ChannelSpec(kind=ChannelKind.BODY_VECTOR, xi=(c, 0, c), gamma=0)
         s = make_state(R=so3_exp([0, np.pi / 2, 0]), p=(5, 5, 5))
-        assert np.allclose(noiseless_value(ch, s), [-c, 0, c], atol=1e-15)
+        assert np.allclose(value_from_pose(ch, s.R, s.p, s.v), [-c, 0, c], atol=1e-15)
 
     def test_position_zero_lever_arm(self):
         ch = ChannelSpec(kind=ChannelKind.INERTIAL_POSITION, b=(0, 0, 0))
         s = make_state(R=so3_exp([0.3, 0.2, -0.4]), p=(1, -2, 3))
-        assert np.allclose(noiseless_value(ch, s), [1, -2, 3])
+        assert np.allclose(value_from_pose(ch, s.R, s.p, s.v), [1, -2, 3])
 
     def test_position_lever_arm(self):
         ch = ChannelSpec(kind=ChannelKind.INERTIAL_POSITION, b=(1, 0, 0))
         r = so3_exp([0, 0, np.pi / 2])
         s = make_state(R=r, p=(0, 0, 0))
-        assert np.allclose(noiseless_value(ch, s), r @ [1, 0, 0])
+        assert np.allclose(value_from_pose(ch, s.R, s.p, s.v), r @ [1, 0, 0])
 
     def test_velocity_channels(self):
         r = so3_exp([0.1, -0.5, 0.8])
         s = make_state(R=r, v=(1.0, 2.0, -3.0))
         iv = ChannelSpec(kind=ChannelKind.INERTIAL_VELOCITY)
         bv = ChannelSpec(kind=ChannelKind.BODY_VELOCITY)
-        assert np.allclose(noiseless_value(iv, s), [1, 2, -3])
-        assert np.allclose(noiseless_value(bv, s), r.T @ [1, 2, -3])
+        assert np.allclose(value_from_pose(iv, s.R, s.p, s.v), [1, 2, -3])
+        assert np.allclose(value_from_pose(bv, s.R, s.p, s.v), r.T @ [1, 2, -3])
 
     def test_defining_identities_on_truth_run(self):
         run = simulate_truth(TrajectorySpec(), 0.5, 1e-3)
@@ -77,7 +75,7 @@ class TestNoiselessValues:
                 s.R.T @ s.v,
             ]
             for ch, expected in zip(chans, vals):
-                assert np.max(np.abs(noiseless_value(ch, s) - expected)) < 1e-12
+                assert np.max(np.abs(value_from_pose(ch, s.R, s.p, s.v) - expected)) < 1e-12
 
     def test_batched_poses_match_single_poses(self):
         rng = np.random.default_rng(5)
@@ -94,7 +92,7 @@ class TestNoiselessValues:
             batch = value_from_pose(ch, r, p, v)
             assert batch.shape == (4, 2, 3)
             for idx in np.ndindex(4, 2):
-                single = noiseless_value(ch, make_state(R=r[idx], p=p[idx], v=v[idx]))
+                single = value_from_pose(ch, r[idx], p[idx], v[idx])
                 assert np.allclose(batch[idx], single, rtol=0, atol=1e-14)
 
 
@@ -118,29 +116,48 @@ class TestChannelSpecValidation:
             parse_channel_kind("sonar")
 
 
+def delivered(ch, rng, values, sim_dt=1e-3, index=0):
+    """Samples a ChannelSampler delivers over consecutive steps whose
+    stage values are all `values` (K, 3): (K, 3) at the step starts and
+    the (K,) update mask."""
+    sampler = ChannelSampler(spec=ch, index=index, sim_dt=sim_dt, rng=rng)
+    out, updated = sampler.sample(0, np.repeat(np.asarray(values, dtype=float)[:, None], 3, axis=1))
+    return out[:, 0], updated, sampler
+
+
 class TestMeasureNoise:
+    """Noise as a run delivers it: ChannelSampler.sample, scaled by the
+    effective rate 1 / (stride * dt)."""
+
     def test_zero_power_is_noiseless(self):
         ch = ChannelSpec(kind=ChannelKind.INERTIAL_VELOCITY, noise_power=0.0, rate=100.0)
-        s = make_state(v=(1, 2, 3))
-        rng = np.random.default_rng(0)
-        sample = measure(ch, s, rng, channel_index=4)
-        assert np.array_equal(sample.y, [1, 2, 3])
-        assert sample.channel == 4
+        y, _, sampler = delivered(ch, np.random.default_rng(0), [[1.0, 2.0, 3.0]], index=4)
+        assert np.array_equal(y[0], [1, 2, 3])
+        assert sampler.index == 4
 
     def test_noise_std_scaling(self):
         # power 1e-1 at 1000 Hz: per-axis sample std = sqrt(100) = 10
         ch = ChannelSpec(kind=ChannelKind.INERTIAL_VELOCITY, noise_power=1e-1, rate=1000.0)
-        s = make_state()
-        rng = np.random.default_rng(7)
-        draws = np.array([measure(ch, s, rng).y for _ in range(20000)])
+        draws, _, _ = delivered(ch, np.random.default_rng(7), np.zeros((20000, 3)))
         std = draws.std(axis=0)
         assert np.all(np.abs(std - 10.0) < 0.2)  # within 2%
 
+    def test_noise_scales_with_effective_rate(self):
+        # rate 300 Hz at dt = 1e-3 samples every round(3.33) = 3 steps, an
+        # effective 333.3 Hz: per-axis std sqrt(0.3 * 333.3) = 10, where the
+        # configured rate would give sqrt(0.3 * 300) = 9.49
+        ch = ChannelSpec(kind=ChannelKind.INERTIAL_VELOCITY, noise_power=0.3, rate=300.0)
+        y, updated, sampler = delivered(ch, np.random.default_rng(8), np.zeros((60000, 3)))
+        assert sampler.stride == 3
+        assert sampler.effective_rate == pytest.approx(1000.0 / 3.0)
+        draws = y[updated]
+        assert len(draws) == 20000
+        assert np.all(np.abs(draws.std(axis=0) - 10.0) < 0.2)  # within 2%
+
     def test_seeded_determinism(self):
         ch = ChannelSpec(kind=ChannelKind.INERTIAL_VELOCITY, noise_power=1e-2, rate=50.0)
-        s = make_state(v=(1, 1, 1))
-        a = [measure(ch, s, np.random.default_rng(3)).y for _ in range(1)]
-        b = [measure(ch, s, np.random.default_rng(3)).y for _ in range(1)]
+        a = delivered(ch, np.random.default_rng(3), [[1.0, 1.0, 1.0]])[0]
+        b = delivered(ch, np.random.default_rng(3), [[1.0, 1.0, 1.0]])[0]
         assert np.array_equal(a, b)
 
 
