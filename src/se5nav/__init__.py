@@ -28,15 +28,15 @@ from .scenario import (
     estimate_from_errors,
     parse_scenario,
     run_observer,
-    run_observer_coupled,
     run_scenario,
     sweep_agas,
 )
-from .sensors import ChannelKind, ChannelSampler, ChannelSpec, ImuNoiseSpec, corrupt_imu, value_from_pose
+from .sensors import ChannelKind, ChannelSampler, ChannelSpec, corrupt_imu, value_from_pose
 from .trajectory import (
     TrajectorySpec,
     TruthRun,
     TruthState,
+    coupled_truth,
     eval_omega,
     eval_trajectory,
     simulate_truth,

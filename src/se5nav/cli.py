@@ -55,7 +55,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_scenario(args.config).noiseless()
+    cfg = parse_scenario(args.config)
     rows = sweep_agas(
         cfg, n_runs=args.runs, seed=args.seed,
         max_angle_rad=np.deg2rad(args.max_angle_deg),
@@ -124,6 +124,9 @@ def _checked(parse, ok, what: str):
     return convert
 
 
+_nonnegative = _checked(float, lambda x: 0 <= x < np.inf, "a finite nonnegative number")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="se5nav", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -138,9 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("config")
     p_sweep.add_argument("--runs", type=_checked(int, lambda n: n >= 1, "a positive integer"),
                          default=100)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--max-angle-deg", type=float, default=170.0)
-    p_sweep.add_argument("--ball", type=float, default=10.0)
+    p_sweep.add_argument("--seed", type=_checked(int, lambda n: n >= 0, "a nonnegative integer"),
+                         default=0)
+    p_sweep.add_argument("--max-angle-deg", type=_checked(float, lambda a: 0 <= a <= 180,
+                                                          "an angle in [0, 180] degrees"),
+                         default=170.0)
+    p_sweep.add_argument("--ball", type=_nonnegative, default=10.0)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_obsv = sub.add_parser("obsv", help="observability Gramian check")
@@ -151,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                 lambda ts: all(0 <= t < np.inf for t in ts),
                                                 "comma-separated nonnegative times"),
                         help="comma-separated window start times (default 0..50 step 5)")
-    p_obsv.add_argument("--mu", type=float, default=1e-6, help="pass threshold on min eigenvalue")
+    p_obsv.add_argument("--mu", type=_nonnegative, default=1e-6, help="pass threshold on min eigenvalue")
     p_obsv.set_defaults(func=_cmd_obsv)
 
     p_val = sub.add_parser("validate", help="check a scenario config")

@@ -6,14 +6,15 @@ channels, and the observer parameters; see the bundled ``stereo.cfg`` and
 given the seed: identical config and seed produce byte-identical trace
 files.
 
-Two run modes exist. :func:`run_observer` is the production pipeline:
-truth generated up front, sensors sampled at their rates with zero-order
-hold, IMU and full-rate channels delivered at the integrator stage times.
-:func:`run_observer_coupled` co-integrates truth and observer in a single
-RK4 flow with measurements evaluated on the truth stage values; it is the
-faithful discretization of the continuous-time error system and backs the
-linear-equivalence and decoupling oracles, where trajectories must track
-each other over many decades of error decay.
+Every run goes through :func:`run_observer`, which drives the observer
+over a truth generated up front, sensors sampled at their rates with
+zero-order hold and the IMU and full-rate channels delivered at the
+truth's stage rows. Two truths exist: :func:`simulate_truth` samples the
+trajectory at the step starts and midpoints, and :func:`coupled_truth`
+integrates it by RK4 and keeps its four stages, so truth and observer
+form one RK4 flow; that faithful discretization of the continuous-time
+error system backs the linear-equivalence and decoupling oracles, where
+trajectories must track each other over many decades of error decay.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .frontend import UnifiedLayout, fast_output_matrix
-from .lie import SEn, hat, project_rotation, so3_exp
+from .lie import SEn, so3_exp
 from .observability import (
     DEFAULT_MU_THRESHOLD,
     ExcitationReport,
@@ -59,14 +60,12 @@ from .sensors import (
     ChannelKind,
     ChannelSampler,
     ChannelSpec,
-    ImuNoiseSpec,
     corrupt_imu,
     parse_channel_kind,
     spawn_channel_rngs,
 )
 from .trajectory import (
     TrajectorySpec,
-    TruthRun,
     eval_omega,
     eval_trajectory,
     simulate_truth,
@@ -83,10 +82,10 @@ ATT_THRESHOLD_RAD = 1e-2
 POS_THRESHOLD_M = 1e-2
 CONVERGENCE_DWELL_S = 0.5
 
-# float64 values a run holds per step for its truth (grid, midpoint and
-# stage IMU arrays) and per recorded step for its trace; the step count of
-# a config is bounded so that they fit in _MAX_RUN_BYTES
-_TRUTH_FLOATS_PER_STEP = 58
+# float64 values a run holds per step for its truth (the grid and midpoint
+# arrays of simulate_truth) and per recorded step for its trace; the step
+# count of a config is bounded so that they fit in _MAX_RUN_BYTES
+_TRUTH_FLOATS_PER_STEP = 46
 _TRACE_FLOATS_PER_RECORD = 48
 _MAX_RUN_BYTES = 4 << 30
 
@@ -340,72 +339,21 @@ class RunTrace:
             setattr(self, name, getattr(self, name)[:n])
 
 
-def _recorded_steps(n: int, stride: int) -> list[int]:
-    """Every stride-th step of 0..n, and always the last one."""
-    steps = list(range(0, n + 1, stride))
-    if steps[-1] != n:
-        steps.append(n)
-    return steps
+def run_observer(cfg: ScenarioConfig, truth, init: ObserverState | None = None,
+                 stop_when=None, record_measurements: bool = False) -> RunTrace:
+    """Drive the observer over a truth run under the scenario's settings.
 
-
-def _run_loop(chunks, first, n: int, ts: np.ndarray, cfg: ObserverConfig, init: ObserverState,
-              trace_stride: int, stop_when=None) -> tuple[RunTrace, int]:
-    """The stepping loop of (Rhat, zhat, Pi) over steps 0 .. n - 1.
-
-    ``chunks(k0, k1)`` returns the truth (R, p, v) at steps k0 .. k1 and
-    the StageInputs of steps k0 .. k1 - 1 on the four RK4 stages, batched
-    as (step, stage); ``first`` is the truth at step 0, each array with a
-    leading axis of one. Steps are fetched ``_CHUNK_STEPS`` at a time.
-    Every ``trace_stride``-th step and the last are recorded against the
-    truth, and ``stop_when(t, att_err, col_norms)`` may end the run at a
-    recorded step. A failed step raises DivergenceError carrying the state
-    at its start. Returns the trace and the step the run ended at.
-    """
-    x, pi = np.hstack([init.rhat, init.zhat]), np.asarray(init.pi, dtype=float)
-    abar, rho = build_abar(cfg.g), np.asarray(cfg.rho)
-    rec_idx = _recorded_steps(n, trace_stride)
-    out = RunTrace.allocate(len(rec_idx), init)
-    nodes, stages = first, None
-    k0 = k1 = rec = 0
-    for k in range(n + 1):
-        if rec < len(rec_idx) and k == rec_idx[rec]:
-            r, p, v = (a[k - k0] for a in nodes)
-            rep = out.put(rec, ts[k], r, z_block(p, v), x, pi)
-            rec += 1
-            if stop_when is not None and stop_when(ts[k], rep.angle, rep.column_norms):
-                out.stopped_at = ts[k]
-                break
-        if k == n:
-            break
-        if k == k1:
-            k0, k1 = k, min(k + _CHUNK_STEPS, n)
-            nodes, stages = chunks(k0, k1)
-        j = k - k0
-        x, pi = _step(x, pi, stages.at(j), ts[k], cfg, abar, rho)
-    out.final_state = _state(x, pi, ts[k])
-    out._trim(rec)
-    return out, k
-
-
-def run_observer(
-    truth: TruthRun,
-    channels: list[ChannelSpec],
-    cfg: ObserverConfig,
-    init: ObserverState,
-    seed: int = 0,
-    imu_noise: ImuNoiseSpec | None = None,
-    noisy_channels: bool = True,
-    trace_stride: int = 10,
-    stop_when=None,
-    record_measurements: bool = False,
-) -> RunTrace:
-    """Drive the observer over a pre-generated truth run.
-
-    Measurements are produced step by step, each channel at its own rate
-    with zero-order hold in between; full-rate channels and the IMU are
-    delivered at the integrator's stage times. ``stop_when(t, att_err,
-    col_norms)`` may end the run early (used by convergence sweeps).
-    A DivergenceError carries the state at the start of the failing step.
+    The channels, observer weights, seed, noise switch, IMU noise power
+    and trace stride come from `cfg`; `init` defaults to its initial
+    state. `truth` has the grid arrays t, R, p, v, its step dt and
+    ``stages(k0, k1)``: a :class:`TruthRun` or a :func:`coupled_truth`.
+    Each channel is sampled at its own rate with zero-order hold in
+    between; full-rate channels and the IMU are delivered at the truth's
+    stage rows. Noise, the IMU's too, applies only when ``cfg.noise`` is
+    on. Every ``trace_stride``-th step and the last are recorded, and
+    ``stop_when(t, att_err, col_norms)`` may end the run at a recorded
+    step. A DivergenceError carries the state at the start of the failing
+    step.
 
     What depends only on truth and noise (stage samples, y/r stacks, the
     noisy IMU and its hat(omega)) is built ahead of the recursion, in
@@ -413,123 +361,63 @@ def run_observer(
     same per-channel streams in the same order as one draw per step, so a
     seeded run gives the same numbers.
     """
-    dt = truth.dt
-    if abs(cfg.dt - dt) > 1e-12:
+    obs, dt, stride, ts = cfg.observer, truth.dt, cfg.trace_stride, truth.t
+    if abs(obs.dt - dt) > 1e-12:
         raise ValueError("observer dt must match the truth sampling step")
-
-    imu_rng, ch_rngs = spawn_channel_rngs(seed, len(channels))
-    if not noisy_channels:
-        ch_rngs = [None] * len(channels)
-    samplers = [
-        ChannelSampler(spec=ch, index=i, sim_dt=dt, rng=ch_rngs[i])
-        for i, ch in enumerate(channels)
-    ]
+    init = cfg.initial_state() if init is None else init
+    m = len(cfg.channels)
+    if m == 0:
+        log.warning("no output channels configured; observer runs open loop")
+    imu_rng, ch_rngs = spawn_channel_rngs(cfg.seed, m)
+    imu_std = np.sqrt(cfg.imu_noise_power * (1.0 / dt)) if cfg.noise and cfg.imu_noise_power > 0 else None
+    samplers = [ChannelSampler(spec=ch, index=i, sim_dt=dt, rng=ch_rngs[i] if cfg.noise else None)
+                for i, ch in enumerate(cfg.channels)]
     full_rate = [s.index for s in samplers if s.stride == 1]
     # measurement rows of one step: full-rate channels first, then decimated
     row_order = full_rate + [s.index for s in samplers if s.stride > 1]
-    layout = UnifiedLayout(channels)
-    m = len(channels)
-    if m == 0:
-        log.warning("no output channels configured; observer runs open loop")
+    layout = UnifiedLayout(cfg.channels)
     pending_rows = []  # (step, measurement row)
 
     def chunk(k0: int, k1: int):
-        """Truth at steps k0 .. k1 and the stage inputs of steps k0 .. k1 - 1."""
-        w_st, a_st = truth.imu_omega[k0:k1], truth.imu_accel[k0:k1]
-        if imu_noise is not None:
-            w_st, a_st = corrupt_imu(w_st, a_st, imu_noise, imu_rng)
-        raw = layout.raw_from_pose(*truth.stage_poses(k0, k1))  # (step, stage, channel, axis)
+        """The stage inputs of steps k0 .. k1 - 1 on the four RK4 stages."""
+        r_st, p_st, v_st, w_st, a_st, stage_map = truth.stages(k0, k1)
+        if imu_std is not None:
+            w_st, a_st = corrupt_imu(w_st, a_st, imu_std, imu_rng)
+        raw = layout.raw_from_pose(r_st, p_st, v_st)  # (step, row, channel, axis)
         logged = np.empty((k1 - k0, m), dtype=bool)
         for sampler in samplers:
             i = sampler.index
             raw[:, :, i], logged[:, i] = sampler.sample(k0, raw[:, :, i])
         if record_measurements:
             # full-rate channels are logged at the trace stride
-            logged[:, full_rate] = (np.arange(k0, k1) % trace_stride == 0)[:, None]
+            logged[:, full_rate] = (np.arange(k0, k1) % stride == 0)[:, None]
             for j, c in zip(*np.nonzero(logged[:, row_order])):
                 i = row_order[c]
-                pending_rows.append((k0 + j, (truth.t[k0 + j], i, raw[j, 0, i].copy())))
-        # samples at the stage times: the midpoint serves RK4 stages 2 and 3
-        stages = make_stage_inputs(w_st, a_st, *layout.stacks(raw), cfg.g).at(slice(None), [0, 1, 1, 2])
-        return (truth.R[k0:k1 + 1], truth.p[k0:k1 + 1], truth.v[k0:k1 + 1]), stages
+                pending_rows.append((k0 + j, (ts[k0 + j], i, raw[j, 0, i].copy())))
+        return make_stage_inputs(w_st, a_st, *layout.stacks(raw), obs.g).at(slice(None), stage_map)
 
-    first = (truth.R[:1], truth.p[:1], truth.v[:1])
-    out, k = _run_loop(chunk, first, len(truth) - 1, truth.t, cfg, init, trace_stride, stop_when)
+    x, pi = np.hstack([init.rhat, init.zhat]), np.asarray(init.pi, dtype=float)
+    abar, rho = build_abar(obs.g), np.asarray(obs.rho)
+    n = len(truth) - 1
+    rec_idx = [*range(0, n, stride), n]  # every stride-th step and the last
+    out = RunTrace.allocate(len(rec_idx), init)
+    rec = 0
+    for k in range(n + 1):
+        if rec < len(rec_idx) and k == rec_idx[rec]:
+            rep = out.put(rec, ts[k], truth.R[k], z_block(truth.p[k], truth.v[k]), x, pi)
+            rec += 1
+            if stop_when is not None and stop_when(ts[k], rep.angle, rep.column_norms):
+                out.stopped_at = ts[k]
+                break
+        if k == n:
+            break
+        if k % _CHUNK_STEPS == 0:
+            k0, stages = k, chunk(k, min(k + _CHUNK_STEPS, n))
+        x, pi = _step(x, pi, stages.at(k - k0), ts[k], obs, abar, rho)
+    out.final_state = _state(x, pi, ts[k])
+    out._trim(rec)
     out.measurements = [row for step, row in pending_rows if step < k]
     return out
-
-
-def run_observer_coupled(
-    spec: TrajectorySpec,
-    channels: list[ChannelSpec],
-    cfg: ObserverConfig,
-    init: ObserverState,
-    duration: float,
-    trace_stride: int = 100,
-) -> RunTrace:
-    """Noiseless oracle mode: truth and observer in one RK4 flow.
-
-    Truth attitude, position, and velocity are advanced jointly with the
-    estimate, and measurements are evaluated on the truth's own stage
-    values, so the combined system is a single ODE discretized once. In
-    this mode the extracted translational error follows the closed-loop
-    linear system to integration accuracy over its whole decay, which is
-    what the equivalence and decoupling oracles compare against.
-
-    The truth flow does not depend on the estimate, so the truth's four RK4
-    stages are taken first, a chunk of ``_CHUNK_STEPS`` steps at a time,
-    and the measurements on them are handed to the observer's own stepper;
-    that is the joint RK4 step, operation for operation.
-    """
-    n = int(round(duration / cfg.dt))
-    dt = cfg.dt
-    h2, c6 = 0.5 * dt, dt / 6.0
-    g = spec.g
-    layout = UnifiedLayout(channels)
-
-    # body rates and accelerations at the step starts and midpoints, each
-    # evaluated once
-    ts = np.arange(n + 1) * dt
-    w, w_mid = eval_omega(spec, ts), eval_omega(spec, ts[:-1] + h2)
-    w_hat, w_hat_mid = hat(w), hat(w_mid)
-    vdot, vdot_mid = eval_trajectory(spec, ts)[2], eval_trajectory(spec, ts[:-1] + h2)[2]
-
-    def stages(grid, mid, k0, k1):
-        """(step, stage) table of a grid quantity over the four RK4 stages."""
-        return np.stack([grid[k0:k1], mid[k0:k1], mid[k0:k1], grid[k0 + 1:k1 + 1]], axis=1)
-
-    r_t = spec.r0.copy()
-    p_t, v_t, _ = eval_trajectory(spec, 0.0)
-
-    def truth_chunk(k0: int, k1: int):
-        """Advance the truth over steps k0 .. k1 - 1. Returns the truth
-        (R, p, v) at steps k0 .. k1 and the stage inputs of the steps."""
-        nonlocal r_t, p_t, v_t
-        count = k1 - k0
-        r_st, p_st, v_st = np.empty((count, 4, 3, 3)), np.empty((count, 4, 3)), np.empty((count, 4, 3))
-        w_st, a_st = stages(w_hat, w_hat_mid, k0, k1), stages(vdot, vdot_mid, k0, k1)
-        for j in range(count):
-            wk, ak = w_st[j], a_st[j]
-            r_st[j, 0], p_st[j, 0], v_st[j, 0] = r_t, p_t, v_t
-            dr = []
-            for s, h in enumerate((h2, h2, dt)):
-                dr.append(r_st[j, s] @ wk[s])
-                r_st[j, s + 1] = r_t + h * dr[s]
-                p_st[j, s + 1] = p_t + h * v_st[j, s]
-                v_st[j, s + 1] = v_t + h * ak[s]
-            dr.append(r_st[j, 3] @ wk[3])
-            vs = v_st[j]
-            r_t = project_rotation(r_t + c6 * (dr[0] + 2 * dr[1] + 2 * dr[2] + dr[3]))
-            p_t = p_t + c6 * (vs[0] + 2 * vs[1] + 2 * vs[2] + vs[3])
-            v_t = v_t + c6 * (ak[0] + 2 * ak[1] + 2 * ak[2] + ak[3])
-        nodes = tuple(np.concatenate([st[:, 0], end[None]])
-                      for st, end in ((r_st, r_t), (p_st, p_t), (v_st, v_t)))
-        ys, rs = layout.stacks(layout.raw_from_pose(r_st, p_st, v_st))
-        accel = (np.swapaxes(r_st, -1, -2) @ (a_st - g)[..., None])[..., 0]
-        return nodes, make_stage_inputs(stages(w, w_mid, k0, k1), accel, ys, rs, g)
-
-    first = (r_t[None], p_t[None], v_t[None])
-    return _run_loop(truth_chunk, first, n, ts, cfg, init, trace_stride)[0]
 
 
 # summary + file outputs ----------------------------------------------------
@@ -616,17 +504,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> RunS
     """
     started = time.perf_counter()
     truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-    imu_noise = None
-    if cfg.noise and cfg.imu_noise_power > 0:
-        imu_noise = ImuNoiseSpec(
-            gyro_power=cfg.imu_noise_power, accel_power=cfg.imu_noise_power,
-            rate=1.0 / cfg.observer.dt,
-        )
-    trace = run_observer(
-        truth, list(cfg.channels), cfg.observer, cfg.initial_state(),
-        seed=cfg.seed, imu_noise=imu_noise, noisy_channels=cfg.noise,
-        trace_stride=cfg.trace_stride, record_measurements=out_dir is not None,
-    )
+    trace = run_observer(cfg, truth, record_measurements=out_dir is not None)
     summary = summarize(trace, cfg.duration, cfg.settle_window, time.perf_counter() - started)
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -659,7 +537,7 @@ def sweep_agas(
     max_angle_rad: float = np.pi - np.deg2rad(10.0),
     translation_ball: float = 10.0,
 ) -> list[SweepRow]:
-    """Randomized-initial-condition convergence sweep, noiseless.
+    """Randomized-initial-condition convergence sweep, on `cfg` without noise.
 
     Attitude errors are uniform in angle up to `max_angle_rad` with a
     uniformly random axis; position and velocity errors are drawn in a
@@ -669,6 +547,7 @@ def sweep_agas(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
+    cfg = cfg.noiseless()
     truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
     truth0 = truth.state(0)
     rows: list[SweepRow] = []
@@ -703,11 +582,7 @@ def sweep_agas(
             settle["t"] = None
             return False
 
-        trace = run_observer(
-            truth, list(cfg.channels), cfg.observer, init,
-            seed=cfg.seed, imu_noise=None, noisy_channels=False,
-            trace_stride=cfg.trace_stride, stop_when=stop_when,
-        )
+        trace = run_observer(cfg, truth, init, stop_when)
         converged = trace.stopped_at is not None
         rows.append(
             SweepRow(

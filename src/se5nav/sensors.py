@@ -93,26 +93,14 @@ def value_from_pose(channel: ChannelSpec, r: np.ndarray, p: np.ndarray, v: np.nd
     return (v[..., None, :] @ r)[..., 0, :]
 
 
-@dataclass(frozen=True)
-class ImuNoiseSpec:
-    gyro_power: float = 0.0
-    accel_power: float = 0.0
-    rate: float = 1000.0
-
-    def __post_init__(self):
-        if self.gyro_power < 0 or self.accel_power < 0:
-            raise ValueError("noise powers must be nonnegative")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-
-
 def corrupt_imu(
     omega: np.ndarray,
     accel: np.ndarray,
-    spec: ImuNoiseSpec,
+    std: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Additive white Gaussian noise, std = sqrt(power * rate) per axis.
+    """Additive white Gaussian noise of standard deviation `std` per axis,
+    on the gyro and the accelerometer alike (sqrt(power * rate)).
 
     Accepts a single (3,) sample, a stack of stage samples (S, 3), or the
     stage samples of consecutive steps (..., S, 3). Each step takes one
@@ -123,12 +111,14 @@ def corrupt_imu(
     """
     omega = np.asarray(omega, dtype=float)
     accel = np.asarray(accel, dtype=float)
-    draws = rng.standard_normal(omega.shape[:-2] + (2, 3))
-    wn = np.sqrt(spec.gyro_power * spec.rate) * draws[..., 0, :]
-    an = np.sqrt(spec.accel_power * spec.rate) * draws[..., 1, :]
+    noise = std * rng.standard_normal(omega.shape[:-2] + (2, 3))
+    wn, an = noise[..., 0, :], noise[..., 1, :]
     if omega.ndim > 1:
         wn, an = wn[..., None, :], an[..., None, :]
     return omega + wn, accel + an
+
+
+_MAX_STRIDE = 1 << 62  # steps between a channel's samples, at most
 
 
 @dataclass
@@ -136,10 +126,11 @@ class ChannelSampler:
     """Drives one channel at its own rate with zero-order hold in between.
 
     A channel sampling at the simulation rate delivers its value at the
-    integrator's stage times (start, midpoint, end of each step) with one
-    noise draw per step; a decimated channel delivers one sample per epoch
-    (every step k with k % stride == 0, and the first step it is polled
-    at), taken at the epoch's start and held across steps and stages.
+    truth's stage rows with one noise draw per step; a decimated channel
+    delivers one sample per epoch (every step k with k % stride == 0, and
+    the first step it is polled at), taken at the epoch's start and held
+    across steps and stages. A stride is capped at ``_MAX_STRIDE``, beyond
+    any step index, so a rate that low updates at the first poll only.
     """
 
     spec: ChannelSpec
@@ -151,7 +142,8 @@ class ChannelSampler:
 
     def __post_init__(self):
         rate = self.spec.rate if self.spec.rate is not None else 1.0 / self.sim_dt
-        self._stride = max(1, int(round(1.0 / (rate * self.sim_dt))))
+        per_step = rate * self.sim_dt
+        self._stride = max(1, int(round(1.0 / per_step))) if per_step > 1.0 / _MAX_STRIDE else _MAX_STRIDE
 
     @property
     def stride(self) -> int:
@@ -171,8 +163,8 @@ class ChannelSampler:
         """Delivered values for the steps k0, k0 + 1, ... of a run.
 
         `values` holds the noiseless channel values at the stage times of
-        those steps, (K, 3, 3) as (step, stage, axis). Returns the
-        delivered (K, 3, 3) values and the (K,) mask of steps at which a
+        those steps, (K, S, 3) as (step, stage, axis). Returns the
+        delivered (K, S, 3) values and the (K,) mask of steps at which a
         new sample arrived. Steps must be passed in order, without gaps.
         """
         count = len(values)
@@ -190,11 +182,12 @@ class ChannelSampler:
         prior = fresh[:1] if self._held is None else self._held[None, :]
         held = np.concatenate([prior, fresh])[np.cumsum(updated)]
         self._held = held[-1]
-        return np.repeat(held[:, None, :], 3, axis=1), updated
+        return np.repeat(held[:, None, :], values.shape[1], axis=1), updated
 
     def poll_stages(self, k: int, truth) -> tuple[np.ndarray, bool]:
-        """Stage-resolved values (3, 3) for step k. Returns (values, updated)."""
-        out, updated = self.sample(k, value_from_pose(self.spec, *truth.stage_poses(k, k + 1)))
+        """Values at the stage rows of step k of a truth (see
+        :meth:`TruthRun.stages`), (S, 3). Returns (values, updated)."""
+        out, updated = self.sample(k, value_from_pose(self.spec, *truth.stages(k, k + 1)[:3]))
         return out[0], bool(updated[0])
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lie import so3_exp
+from .lie import hat, project_rotation, so3_exp
 
 GRAVITY_NED = np.array([0.0, 0.0, 9.81])
 
@@ -148,12 +148,10 @@ def synthesize_imu(p_ddot: np.ndarray, r: np.ndarray, g: np.ndarray) -> np.ndarr
 class TruthRun:
     """A truth trajectory sampled on the uniform grid t_k = k dt.
 
-    ``R[k]`` is the attitude at t_k; the ``*_mid`` arrays hold the state at
-    the step midpoints t_k + dt/2 (the attitude there is the exact midpoint
-    of the per-step rotation factor). ``imu_omega[k]`` / ``imu_accel[k]``
-    hold the IMU signal at the RK4 stage times of step k (rows: start,
-    midpoint, end), so the estimator can integrate with the same input
-    resolution as the truth.
+    ``R[k]`` is the attitude at t_k; the ``*_mid`` arrays hold the state
+    and the IMU pair at the step midpoints t_k + dt/2 (the attitude there
+    is the exact midpoint of the per-step rotation factor), so the
+    estimator can integrate with the same input resolution as the truth.
     """
 
     spec: TrajectorySpec
@@ -165,11 +163,11 @@ class TruthRun:
     R: np.ndarray
     omega: np.ndarray
     aB: np.ndarray
-    p_mid: np.ndarray = field(repr=False, default=None)
-    v_mid: np.ndarray = field(repr=False, default=None)
-    R_mid: np.ndarray = field(repr=False, default=None)
-    imu_omega: np.ndarray = field(repr=False, default=None)
-    imu_accel: np.ndarray = field(repr=False, default=None)
+    p_mid: np.ndarray = field(repr=False)
+    v_mid: np.ndarray = field(repr=False)
+    R_mid: np.ndarray = field(repr=False)
+    omega_mid: np.ndarray = field(repr=False)
+    aB_mid: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return self.t.size
@@ -180,13 +178,86 @@ class TruthRun:
             R=self.R[k], omega=self.omega[k], aB=self.aB[k],
         )
 
-    def stage_poses(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(R, p, v) at the three stage times of steps k0 .. k1 - 1, shaped
-        (K, 3, 3, 3), (K, 3, 3) and (K, 3, 3) as (step, stage, ...)."""
-        def stages(grid, mid):
+    def stages(self, k0: int, k1: int):
+        """(R, p, v, omega, aB) of steps k0 .. k1 - 1 as (step, row, ...)
+        tables, rows the step start, midpoint and end, and the map of the
+        four RK4 stages to those rows: the midpoint serves stages 2 and 3."""
+        def table(grid, mid):
             return np.stack([grid[k0:k1], mid[k0:k1], grid[k0 + 1:k1 + 1]], axis=1)
 
-        return stages(self.R, self.R_mid), stages(self.p, self.p_mid), stages(self.v, self.v_mid)
+        return (table(self.R, self.R_mid), table(self.p, self.p_mid), table(self.v, self.v_mid),
+                table(self.omega, self.omega_mid), table(self.aB, self.aB_mid), (0, 1, 1, 2))
+
+
+@dataclass
+class CoupledTruth:
+    """A truth advanced by its own RK4 flow on the grid t_k = k dt (see
+    :func:`coupled_truth`). ``R``, ``p``, ``v`` hold the grid values and
+    ``stage_tables`` the (R, p, v, omega, aB) values at the four RK4
+    stages of every step, as (step, stage, ...)."""
+
+    dt: float
+    t: np.ndarray
+    R: np.ndarray
+    p: np.ndarray
+    v: np.ndarray
+    stage_tables: tuple = field(repr=False)
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def stages(self, k0: int, k1: int):
+        """The stage tables of steps k0 .. k1 - 1 (as :meth:`TruthRun.stages`);
+        each RK4 stage has its own row."""
+        return (*(a[k0:k1] for a in self.stage_tables), (0, 1, 2, 3))
+
+
+def coupled_truth(spec: TrajectorySpec, duration: float, dt: float) -> CoupledTruth:
+    """Truth integrated by RK4 on its own kinematics over [0, duration],
+    keeping the four stage values of every step.
+
+    An observer run on it evaluates the measurements and the IMU on the
+    truth's own stage values, so truth and observer together are a single
+    ODE discretized once; the extracted translational error then follows
+    the closed-loop linear system to integration accuracy over its whole
+    decay, which the equivalence and decoupling oracles compare against.
+    The truth flow does not depend on the estimate, so it is taken first.
+    """
+    if duration <= 0 or dt <= 0:
+        raise ValueError("duration and dt must be positive")
+    n = int(round(duration / dt))
+    h2, c6 = 0.5 * dt, dt / 6.0
+
+    # body rates and accelerations at the step starts and midpoints, each
+    # evaluated once, in (step, stage) tables
+    ts = np.arange(n + 1) * dt
+    w, w_mid = eval_omega(spec, ts), eval_omega(spec, ts[:-1] + h2)
+    vdot, vdot_mid = eval_trajectory(spec, ts)[2], eval_trajectory(spec, ts[:-1] + h2)[2]
+
+    def table(grid, mid):
+        return np.stack([grid[:-1], mid, mid, grid[1:]], axis=1)
+
+    w_st, a_st = table(hat(w), hat(w_mid)), table(vdot, vdot_mid)
+    r_st, p_st, v_st = np.empty((n, 4, 3, 3)), np.empty((n, 4, 3)), np.empty((n, 4, 3))
+    r_t = spec.r0.copy()
+    p_t, v_t, _ = eval_trajectory(spec, 0.0)
+    for j in range(n):
+        wk, ak = w_st[j], a_st[j]
+        r_st[j, 0], p_st[j, 0], v_st[j, 0] = r_t, p_t, v_t
+        dr = []
+        for s, h in enumerate((h2, h2, dt)):
+            dr.append(r_st[j, s] @ wk[s])
+            r_st[j, s + 1] = r_t + h * dr[s]
+            p_st[j, s + 1] = p_t + h * v_st[j, s]
+            v_st[j, s + 1] = v_t + h * ak[s]
+        dr.append(r_st[j, 3] @ wk[3])
+        vs = v_st[j]
+        r_t = project_rotation(r_t + c6 * (dr[0] + 2 * dr[1] + 2 * dr[2] + dr[3]))
+        p_t = p_t + c6 * (vs[0] + 2 * vs[1] + 2 * vs[2] + vs[3])
+        v_t = v_t + c6 * (ak[0] + 2 * ak[1] + 2 * ak[2] + ak[3])
+    grid = (np.concatenate([st[:, 0], end[None]]) for st, end in ((r_st, r_t), (p_st, p_t), (v_st, v_t)))
+    a_b = (np.swapaxes(r_st, -1, -2) @ (a_st - spec.g)[..., None])[..., 0]
+    return CoupledTruth(dt, ts, *grid, stage_tables=(r_st, p_st, v_st, table(w, w_mid), a_b))
 
 
 _EXP_CHUNK = 4096  # half-step exponentials built per batch in truth_attitude
@@ -228,18 +299,14 @@ def simulate_truth(spec: TrajectorySpec, duration: float, dt: float = 1e-3) -> T
     rs, r_mid = truth_attitude(spec, n, dt)
     ab = np.einsum("kji,kj->ki", rs, a - g[None, :])
 
-    # Stage-time IMU signal for step k: samples at t_k, t_k + dt/2, t_k + dt.
+    # state and IMU pair at the step midpoints t_k + dt/2
     t_mid = ts[:-1] + 0.5 * dt
-    mid_omega = eval_omega(spec, t_mid)
     p_mid, v_mid, a_mid = eval_trajectory(spec, t_mid)
     ab_mid = np.einsum("kji,kj->ki", r_mid, a_mid - g[None, :])
-    imu_omega = np.stack([omega[:-1], mid_omega, omega[1:]], axis=1)
-    imu_accel = np.stack([ab[:-1], ab_mid, ab[1:]], axis=1)
 
     return TruthRun(
         spec=spec, dt=dt, t=ts, p=p, v=v, vdot=a, R=rs, omega=omega, aB=ab,
-        p_mid=p_mid, v_mid=v_mid, R_mid=r_mid,
-        imu_omega=imu_omega, imu_accel=imu_accel,
+        p_mid=p_mid, v_mid=v_mid, R_mid=r_mid, omega_mid=eval_omega(spec, t_mid), aB_mid=ab_mid,
     )
 
 

@@ -32,13 +32,12 @@ from se5nav.scenario import (
     estimate_from_errors,
     parse_scenario,
     run_observer,
-    run_observer_coupled,
     scenario_output_map,
     summarize,
     sweep_agas,
 )
 from se5nav.sensors import ChannelKind, ChannelSpec
-from se5nav.trajectory import TruthState, eval_trajectory, simulate_truth
+from se5nav.trajectory import TruthState, coupled_truth, eval_trajectory, simulate_truth
 
 # artifact-derived regression anchors for the noisy runs (deterministic
 # seeds pinned in the bundled configs); bounds allow 50% headroom
@@ -63,19 +62,10 @@ def gps_cfg():
 
 
 def _run(cfg, noiseless: bool, duration: float):
-    from se5nav.sensors import ImuNoiseSpec
-
     cfg = dataclasses.replace(cfg.noiseless() if noiseless else cfg, duration=duration)
     truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-    imu_noise = None
-    if cfg.noise and cfg.imu_noise_power > 0:
-        imu_noise = ImuNoiseSpec(cfg.imu_noise_power, cfg.imu_noise_power, 1.0 / cfg.observer.dt)
     started = time.perf_counter()
-    trace = run_observer(
-        truth, list(cfg.channels), cfg.observer, cfg.initial_state(),
-        seed=cfg.seed, imu_noise=imu_noise, noisy_channels=cfg.noise,
-        trace_stride=cfg.trace_stride,
-    )
+    trace = run_observer(cfg, truth)
     runtime = time.perf_counter() - started
     summary = summarize(trace, cfg.duration, cfg.settle_window, runtime)
     return trace, summary
@@ -145,10 +135,8 @@ def test_criterion_2_linear_equivalence(stereo_cfg):
     cfg = stereo_cfg.noiseless()
     obs = cfg.observer
     started = time.perf_counter()
-    trace = run_observer_coupled(
-        cfg.trajectory, list(cfg.channels), obs, cfg.initial_state(), 30.0,
-        trace_stride=int(round(0.1 / obs.dt)),
-    )
+    trace = run_observer(dataclasses.replace(cfg, duration=30.0, trace_stride=int(round(0.1 / obs.dt))),
+                         coupled_truth(cfg.trajectory, 30.0, obs.dt))
     a_of_t, c_of_t = scenario_output_map(cfg, horizon=30.0)
     _, xs = kalman_reference_run(
         a_of_t, c_of_t, obs.q, obs.v, np.eye(15), trace.x_body[0], 0.0, 30.0, obs.dt
@@ -187,16 +175,15 @@ def test_criterion_3_decoupling_twin(stereo_cfg):
     axis = np.array([1.0, -0.5, 2.0])
     axis /= np.linalg.norm(axis)
 
+    twin = dataclasses.replace(cfg, observer=obs, duration=6.0, trace_stride=int(round(0.05 / obs.dt)))
+    truth = coupled_truth(spec, 6.0, obs.dt)
     traces = []
     for angle_deg in (10.0, 170.0):
         rtilde = so3_exp(np.deg2rad(angle_deg) * axis)
         init = ObserverState(
             xhat=estimate_from_errors(spec.r0, z0, rtilde, ztilde), pi=np.eye(5), t=0.0
         )
-        traces.append(run_observer_coupled(
-            spec, list(cfg.channels), obs, init, 6.0,
-            trace_stride=int(round(0.05 / obs.dt)),
-        ))
+        traces.append(run_observer(twin, truth, init))
     assert np.max(np.abs(traces[0].x_body[0] - traces[1].x_body[0])) < 1e-14
     sup = float(np.max(np.abs(traces[0].x_body - traces[1].x_body)))
     _report(

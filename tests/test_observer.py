@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from se5nav.observer import (
     riccati_step,
 )
 from se5nav.sensors import ChannelKind, ChannelSpec
-from se5nav.trajectory import TrajectorySpec, TruthState, eval_omega, simulate_truth
+from se5nav.trajectory import TrajectorySpec, TruthState, coupled_truth, eval_omega, simulate_truth
 
 RNG = np.random.default_rng(77)
 
@@ -258,6 +260,11 @@ STEREO_CHANNELS = [
 ]
 
 
+def stage_imu(run, k):
+    """(omega, accel) of step k at its start, midpoint and end, (3, 3) each."""
+    return tuple(a[0] for a in run.stages(k, k + 1)[3:5])
+
+
 def unified_from_truth(channels, truth):
     """(ys, rs) of the channels' noiseless samples at a truth sample."""
     layout = UnifiedLayout(channels)
@@ -271,7 +278,7 @@ class TestObserverStep:
         cfg = ObserverConfig()
         state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
         ys, rs = unified_from_truth(STEREO_CHANNELS, run.state(0))
-        new = observer_step(state, (run.imu_omega[0], run.imu_accel[0]), ys, rs, cfg)
+        new = observer_step(state, stage_imu(run, 0), ys, rs, cfg)
         assert new.t == pytest.approx(1e-3)
         assert np.max(np.abs(new.P - new.P.T)) < 1e-12
         assert np.linalg.eigvalsh(new.P)[0] > 0
@@ -291,7 +298,7 @@ class TestObserverStep:
         cfg = ObserverConfig()
         state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
         open_loop = (np.zeros((0, 3)), np.zeros((0, 5)))
-        new = observer_step(state, (run.imu_omega[0], run.imu_accel[0]), *open_loop, cfg)
+        new = observer_step(state, stage_imu(run, 0), *open_loop, cfg)
         # pure prediction tracks the truth over one step
         assert np.max(np.abs(new.zhat[:, 0] - run.p[1])) < 1e-9
         # P grows under V with no measurement information
@@ -306,7 +313,7 @@ class TestObserverStep:
         run = simulate_truth(TrajectorySpec(), 0.01, 1e-3)
         ys, rs = unified_from_truth(STEREO_CHANNELS, run.state(0))
         with pytest.raises(DivergenceError) as exc:
-            observer_step(bad, (run.imu_omega[0], run.imu_accel[0]), ys, rs, cfg)
+            observer_step(bad, stage_imu(run, 0), ys, rs, cfg)
         assert exc.value.state.t == bad.t
 
     def test_config_validation(self):
@@ -362,7 +369,7 @@ class TestKroneckerReduction:
             pi=0.8 * np.eye(5), t=truth.t,
         )
         ys, rs = unified_from_truth(list(cfg.channels), truth)
-        omega, accel = run.imu_omega[k], run.imu_accel[k]
+        omega, accel = stage_imu(run, k)
         new = observer_step(state, (omega, accel), ys, rs, obs)
 
         c = output_matrix(rs)
@@ -445,10 +452,7 @@ class TestFullRuns:
         truth = simulate_truth(cfg.trajectory, 10.0, cfg.observer.dt)
         z0 = truth.state(0).z
         init = ObserverState(xhat=SEn(truth.R[0], z0), pi=np.eye(5), t=0.0)
-        trace = run_observer(
-            truth, list(cfg.channels), cfg.observer, init,
-            noisy_channels=False, trace_stride=100,
-        )
+        trace = run_observer(dataclasses.replace(cfg, trace_stride=100), truth, init)
         assert trace.att_err.max() < 1e-6
         assert trace.col_norms.max() < 1e-6
 
@@ -457,10 +461,7 @@ class TestFullRuns:
 
         cfg = parse_scenario(bundled_config_path("stereo")).noiseless()
         truth = simulate_truth(cfg.trajectory, 10.0, cfg.observer.dt)
-        trace = run_observer(
-            truth, list(cfg.channels), cfg.observer, cfg.initial_state(),
-            noisy_channels=False, trace_stride=100,
-        )
+        trace = run_observer(dataclasses.replace(cfg, trace_stride=100), truth)
         t_att = trace.t[np.nonzero(trace.att_err < 1e-3)[0][0]]
         t_pos = trace.t[np.nonzero(trace.col_norms[:, 0] < 1e-3)[0][0]]
         assert t_att <= 30.0 and t_pos <= 30.0
@@ -471,24 +472,14 @@ class TestFullRuns:
         """Extracted error matches the direct closed-loop integration to
         1e-6 relative at every recorded sample (dt = 5e-4; the transport
         difference between the two integrations scales as dt^4)."""
-        import dataclasses
-
-        from se5nav.scenario import (
-            bundled_config_path,
-            parse_scenario,
-            run_observer_coupled,
-            scenario_output_map,
-        )
+        from se5nav.scenario import bundled_config_path, parse_scenario, run_observer, scenario_output_map
 
         cfg = parse_scenario(bundled_config_path("stereo")).noiseless()
         obs = dataclasses.replace(cfg.observer, dt=5e-4)
         horizon = 6.0
-        trace = run_observer_coupled(
-            cfg.trajectory, list(cfg.channels), obs, cfg.initial_state(), horizon,
-            trace_stride=int(round(0.05 / obs.dt)),
-        )
-        a_of_t, c_of_t = scenario_output_map(dataclasses.replace(cfg, observer=obs),
-                                             horizon=horizon)
+        cfg = dataclasses.replace(cfg, observer=obs, duration=horizon, trace_stride=int(round(0.05 / obs.dt)))
+        trace = run_observer(cfg, coupled_truth(cfg.trajectory, horizon, obs.dt))
+        a_of_t, c_of_t = scenario_output_map(cfg, horizon=horizon)
         _, xs = kalman_reference_run(
             a_of_t, c_of_t, obs.q, obs.v, np.eye(15), trace.x_body[0],
             0.0, horizon, obs.dt,

@@ -11,14 +11,13 @@ from se5nav.scenario import (
     estimate_from_errors,
     parse_scenario,
     run_observer,
-    run_observer_coupled,
     run_scenario,
     sweep_agas,
 )
 from se5nav.lie import so3_exp
 from se5nav.observer import ObserverConfig, ObserverState
 from se5nav.sensors import ChannelKind, ChannelSpec
-from se5nav.trajectory import TrajectorySpec, simulate_truth
+from se5nav.trajectory import TrajectorySpec, coupled_truth, simulate_truth
 
 STEREO = bundled_config_path("stereo")
 GPS = bundled_config_path("gps")
@@ -165,46 +164,45 @@ class TestRunObserver:
         cfg = short_cfg()
         truth = simulate_truth(cfg.trajectory, 1.0, 5e-4)
         with pytest.raises(ValueError):
-            run_observer(truth, list(cfg.channels), cfg.observer, cfg.initial_state())
+            run_observer(cfg, truth)
 
     def test_early_stop_callback(self):
-        cfg = short_cfg()
+        cfg = short_cfg(trace_stride=10)
         truth = simulate_truth(cfg.trajectory, 2.0, cfg.observer.dt)
-        trace = run_observer(
-            truth, list(cfg.channels), cfg.observer, cfg.initial_state(),
-            noisy_channels=False, trace_stride=10,
-            stop_when=lambda t, att, norms: t >= 0.5,
-        )
+        trace = run_observer(cfg, truth, stop_when=lambda t, att, norms: t >= 0.5)
         assert trace.stopped_at == pytest.approx(0.5)
         assert trace.t[-1] == pytest.approx(0.5)
 
     def test_decimated_channel_updates_at_own_rate(self):
-        cfg = short_cfg()
+        cfg = short_cfg(trace_stride=1)
         slow = ChannelSpec(kind=ChannelKind.BODY_VELOCITY, rate=100.0)
-        channels = list(cfg.channels) + [slow]
+        cfg = dataclasses.replace(cfg, channels=cfg.channels + (slow,))
         truth = simulate_truth(cfg.trajectory, 0.1, cfg.observer.dt)
-        trace = run_observer(
-            truth, channels, cfg.observer, cfg.initial_state(),
-            noisy_channels=False, trace_stride=1, record_measurements=True,
-        )
+        trace = run_observer(cfg, truth, record_measurements=True)
         slow_rows = [r for r in trace.measurements if r[1] == 5]
         assert len(slow_rows) == 10  # 100 Hz over 0.1 s
         ts = [r[0] for r in slow_rows]
         assert np.allclose(np.diff(ts), 0.01)
+
+    def test_noise_off_silences_the_imu(self):
+        cfg = short_cfg(duration=0.2, trace_stride=1)
+        assert cfg.imu_noise_power > 0
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        quiet = run_observer(dataclasses.replace(cfg, imu_noise_power=0.0), truth)
+        trace = run_observer(cfg, truth)
+        for name in ("phat", "vhat", "rhat", "ehat", "mineig_p"):
+            assert np.array_equal(getattr(trace, name), getattr(quiet, name)), name
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_divergence_carries_state_at_failing_step(self, coupled, monkeypatch):
         import se5nav.observer as observer
 
         cfg = short_cfg(duration=0.02)
+        make_truth = coupled_truth if coupled else simulate_truth
+        truth = make_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
 
         def run(stride):
-            if coupled:
-                return run_observer_coupled(cfg.trajectory, list(cfg.channels), cfg.observer,
-                                            cfg.initial_state(), cfg.duration, trace_stride=stride)
-            truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-            return run_observer(truth, list(cfg.channels), cfg.observer, cfg.initial_state(),
-                                noisy_channels=False, trace_stride=stride)
+            return run_observer(dataclasses.replace(cfg, trace_stride=stride), truth)
 
         clean = run(1)
         finalize = observer._finalize_step
@@ -299,10 +297,7 @@ class TestAntipodalBoundary:
             xhat=estimate_from_errors(truth0.R, truth0.z, rtilde, np.zeros((3, 5))),
             pi=np.eye(5), t=0.0,
         )
-        trace = run_observer(
-            truth, list(cfg.channels), cfg.observer, init,
-            noisy_channels=False, trace_stride=100,
-        )
+        trace = run_observer(dataclasses.replace(cfg, trace_stride=100), truth, init)
         assert np.isfinite(trace.att_err).all()
         assert trace.mineig_p.min() > 0.0
         converged = trace.att_err[-1] < 1e-2 and trace.col_norms[-1, 0] < 1e-2
@@ -388,6 +383,12 @@ class TestCli:
         ["obsv", str(STEREO), "--grid=abc"],
         ["obsv", str(GPS), "--grid=-1"],
         ["sweep", str(STEREO), "--runs", "0"],
+        ["sweep", str(STEREO), "--seed", "-1"],
+        ["sweep", str(STEREO), "--max-angle-deg", "nan"],
+        ["sweep", str(STEREO), "--max-angle-deg", "1e400"],
+        ["sweep", str(STEREO), "--ball", "nan"],
+        ["sweep", str(STEREO), "--ball", "-5"],
+        ["obsv", str(STEREO), "--mu", "nan"],
     ])
     def test_bad_arguments_exit_2_with_message(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

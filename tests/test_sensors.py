@@ -6,7 +6,6 @@ from se5nav.sensors import (
     ChannelKind,
     ChannelSampler,
     ChannelSpec,
-    ImuNoiseSpec,
     corrupt_imu,
     parse_channel_kind,
     spawn_channel_rngs,
@@ -163,49 +162,35 @@ class TestMeasureNoise:
 
 class TestCorruptImu:
     def test_zero_power_identity(self):
-        spec = ImuNoiseSpec(0.0, 0.0, 1000.0)
         w = np.array([0.1, 0.2, 0.3])
         a = np.array([1.0, 2.0, 3.0])
-        wn, an = corrupt_imu(w, a, spec, np.random.default_rng(0))
+        wn, an = corrupt_imu(w, a, 0.0, np.random.default_rng(0))
         assert np.array_equal(wn, w)
         assert np.array_equal(an, a)
 
     def test_monte_carlo_std(self):
-        spec = ImuNoiseSpec(1e-1, 1e-1, 1000.0)
+        # power 1e-1 at 1000 Hz: per-axis std sqrt(100) = 10
+        std = np.sqrt(1e-1 * 1000.0)
         rng = np.random.default_rng(99)
-        n = 10 ** 6
-        gyro = np.sqrt(spec.gyro_power * spec.rate) * rng.standard_normal(n)
-        # direct scaling contract: std within 2% of 10
-        assert abs(gyro.std() - 10.0) < 0.2
-        # and through the API on a smaller batch
         draws = np.array([
-            corrupt_imu(np.zeros(3), np.zeros(3), spec, rng)[0] for _ in range(20000)
+            corrupt_imu(np.zeros(3), np.zeros(3), std, rng) for _ in range(20000)
         ])
         assert np.all(np.abs(draws.std(axis=0) - 10.0) < 0.3)
 
     def test_bit_identical_across_runs(self):
-        spec = ImuNoiseSpec(1e-2, 1e-3, 200.0)
         w = np.zeros(3)
         a = np.zeros(3)
-        seq1 = [corrupt_imu(w, a, spec, np.random.default_rng(5)) for _ in range(1)]
-        seq2 = [corrupt_imu(w, a, spec, np.random.default_rng(5)) for _ in range(1)]
-        for (w1, a1), (w2, a2) in zip(seq1, seq2):
-            assert np.array_equal(w1, w2) and np.array_equal(a1, a2)
+        w1, a1 = corrupt_imu(w, a, 0.5, np.random.default_rng(5))
+        w2, a2 = corrupt_imu(w, a, 0.5, np.random.default_rng(5))
+        assert np.array_equal(w1, w2) and np.array_equal(a1, a2)
 
     def test_stage_stack_shares_one_draw(self):
-        spec = ImuNoiseSpec(1e-2, 1e-2, 100.0)
         w = np.zeros((3, 3))
         a = np.zeros((3, 3))
-        wn, an = corrupt_imu(w, a, spec, np.random.default_rng(11))
+        wn, an = corrupt_imu(w, a, 1.0, np.random.default_rng(11))
         # same draw applied to every stage row
         assert np.array_equal(wn[0], wn[1]) and np.array_equal(wn[1], wn[2])
         assert np.array_equal(an[0], an[1])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ImuNoiseSpec(-1.0, 0.0, 100.0)
-        with pytest.raises(ValueError):
-            ImuNoiseSpec(0.0, 0.0, 0.0)
 
 
 class TestChannelSampler:
@@ -230,6 +215,14 @@ class TestChannelSampler:
         assert np.array_equal(v0, v5)  # held
         assert np.allclose(v10[0], run.v[10])
         assert sampler.effective_rate == pytest.approx(100.0)
+
+    def test_stride_beyond_any_step_updates_once(self):
+        ch = ChannelSpec(kind=ChannelKind.BODY_VELOCITY, rate=1e-300)
+        sampler = ChannelSampler(spec=ch, index=0, sim_dt=1e-3, rng=None)
+        values = np.arange(36.0).reshape(4, 3, 3)
+        out, updated = sampler.sample(0, values)
+        assert updated.tolist() == [True, False, False, False]
+        assert np.array_equal(out, np.broadcast_to(values[0, 0], (4, 3, 3)))
 
     def test_spawned_streams_are_independent_and_stable(self):
         imu1, chans1 = spawn_channel_rngs(42, 3)

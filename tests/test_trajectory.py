@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from se5nav.lie import is_rotation, so3_exp
+from se5nav.scenario import _TRUTH_FLOATS_PER_STEP
 from se5nav.trajectory import (
     TrajectorySpec,
+    coupled_truth,
     eval_omega,
     eval_trajectory,
     simulate_truth,
@@ -188,21 +190,35 @@ class TestSimulateTruth:
         half = run.R[k] @ np.linalg.inv(run.R_mid[k])
         assert np.allclose(half @ half, run.R[k] @ np.linalg.inv(run.R[k + 1]), atol=1e-12)
 
-    def test_imu_stage_samples_match_signal(self):
+    def test_stage_tables_match_signals(self):
         spec = reference_spec()
         run = simulate_truth(spec, 0.2, 1e-3)
         k = 37
-        assert np.allclose(run.imu_omega[k, 0], eval_omega(spec, run.t[k]))
-        assert np.allclose(run.imu_omega[k, 1], eval_omega(spec, run.t[k] + run.dt / 2))
-        assert np.allclose(run.imu_omega[k, 2], eval_omega(spec, run.t[k + 1]))
-        assert np.allclose(run.imu_accel[k, 0], run.aB[k])
-        assert np.allclose(run.imu_accel[k, 2], run.aB[k + 1])
+        r, p, v, w, a, stage_map = run.stages(k, k + 2)
+        assert stage_map == (0, 1, 1, 2)
+        for j in range(2):  # rows: grid k, midpoint k, grid k + 1
+            t = run.t[k + j] + np.array([0.0, 0.5, 1.0]) * run.dt
+            p_t, v_t, vdot_t = eval_trajectory(spec, t)
+            rows = [run.R[k + j], run.R_mid[k + j], run.R[k + j + 1]]
+            assert np.array_equal(r[j], rows)
+            assert np.allclose(p[j], p_t) and np.allclose(v[j], v_t)
+            assert np.allclose(w[j], eval_omega(spec, t))
+            for s in range(3):
+                assert np.allclose(a[j, s], synthesize_imu(vdot_t[s], rows[s], spec.g))
+
+    def test_memory_bound_counts_the_truth_arrays(self):
+        def floats(n):
+            run = simulate_truth(reference_spec(), n * 1e-3, 1e-3)
+            return sum(a.size for a in vars(run).values() if isinstance(a, np.ndarray))
+
+        assert floats(200) - floats(100) == 100 * _TRUTH_FLOATS_PER_STEP
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            simulate_truth(reference_spec(), -1.0, 1e-3)
-        with pytest.raises(ValueError):
-            simulate_truth(reference_spec(), 1.0, 0.0)
+        for make in (simulate_truth, coupled_truth):
+            with pytest.raises(ValueError):
+                make(reference_spec(), -1.0, 1e-3)
+            with pytest.raises(ValueError):
+                make(reference_spec(), 1.0, 0.0)
 
 
 class TestTruthCsv:
