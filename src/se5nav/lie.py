@@ -50,9 +50,9 @@ def vex(omega: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
 
 
 def psi(a: np.ndarray) -> np.ndarray:
-    """vex of the antisymmetric part: psi(A) = vex((A - A.T) / 2)."""
+    """vex of the antisymmetric part: psi(A) = vex((A - A.T) / 2), of each A of a stack (..., 3, 3)."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * np.array([a[2, 1] - a[1, 2], a[0, 2] - a[2, 0], a[1, 0] - a[0, 1]])
+    return 0.5 * (a - np.swapaxes(a, -1, -2))[..., [2, 0, 1], [1, 2, 0]]
 
 
 def so3_exp(v: np.ndarray) -> np.ndarray:
@@ -84,16 +84,20 @@ def is_rotation(r: np.ndarray, tol: float = ROTATION_TOL) -> bool:
 
 
 def project_rotation(r: np.ndarray) -> np.ndarray:
-    """Closest rotation in Frobenius norm (polar factor via SVD)."""
+    """Closest rotation in Frobenius norm (polar factor via SVD), of each
+    matrix of a stack (..., 3, 3)."""
     u, _, vt = np.linalg.svd(np.asarray(r, dtype=float))
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    # U diag(1, 1, d) V^T: flip U's last column where U V^T is a reflection
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
 
 
-def rotation_angle(r: np.ndarray) -> float:
+def rotation_angle(r: np.ndarray) -> float | np.ndarray:
     """Geodesic angle of a rotation from its sine |psi(R)| and cosine
-    (trace - 1)/2, accurate at every angle (arccos loses it near 0 and pi)."""
-    return float(np.arctan2(np.linalg.norm(psi(r)), 0.5 * (np.trace(r) - 1.0)))
+    (trace - 1)/2, accurate at every angle (arccos loses it near 0 and pi),
+    of each matrix of a stack (..., 3, 3)."""
+    s = psi(r)  # sqrt(s . s) rounds as the 1-D norm does; norm(axis=-1) does not
+    return np.arctan2(np.sqrt(np.vecdot(s, s)), 0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import SEn, hat, kron, project_rotation, psi, rotation_angle, vec
+from .lie import SEn, hat, kron, project_rotation, psi, rotation_angle
 from .trajectory import TruthState
 
 _I3 = np.eye(3)
@@ -52,11 +52,11 @@ ESTIMATE_CSV_SCHEMA = "se5nav-estimate-v1"
 
 
 class DivergenceError(RuntimeError):
-    """Numerical failure of a run; carries the last healthy state."""
+    """Numerical failure of a run; carries its last healthy state and its index in a batch."""
 
-    def __init__(self, message: str, state: "ObserverState | None" = None):
+    def __init__(self, message: str, state: "ObserverState | None" = None, run: int | None = None):
         super().__init__(message)
-        self.state = state
+        self.state, self.run = state, run
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,9 @@ def make_stage_inputs(omega, accel, ys, rs, g) -> StageInputs:
 
 
 def _observer_rhs(x, pi, flow, cross, info, q: float, v: float, rho, abar):
-    """Vector field of (X, Pi) at one stage, X = [Rhat, zhat] (3 x 8), for
-    that stage's StageInputs fields flow, cross and info.
+    """Vector field of (X, Pi) at one stage, for a batch of estimates
+    X = [Rhat, zhat] (B x 3 x 8) sharing Pi, which dPi does not depend on,
+    and that stage's StageInputs fields flow, cross and info.
 
     dX = X flow + hat(delta_r) X - q (Rhat Rhat^T) X cross Pi, the last
     term only in the zhat columns: it is the gain K_I applied to the
@@ -251,11 +252,11 @@ def _observer_rhs(x, pi, flow, cross, info, q: float, v: float, rho, abar):
     part is dPi = T Pi + Pi T^T + v I_5 with T = Abar - (q/2) Pi info,
     which is Abar Pi + Pi Abar^T - q Pi R_s^T R_s Pi + v I_5.
     """
-    rhat = x[:, :3]
-    m = x[:, 5:] * rho
-    hdr = 0.5 * (m.T - m)  # hat(delta_r(ehat, rho))
+    rhat = x[..., :3]
+    m = x[..., 5:] * rho
+    hdr = 0.5 * (m.mT - m)  # hat(delta_r(ehat, rho))
     dx = x @ flow + hdr @ x
-    dx[:, 3:] -= q * ((rhat @ rhat.T) @ (x @ cross @ pi))
+    dx[..., 3:] -= q * ((rhat @ rhat.mT) @ ((x @ cross) @ pi))
     tp = (abar - (0.5 * q) * (pi @ info)) @ pi
     return dx, tp + tp.T + v * _EYE5
 
@@ -295,27 +296,32 @@ def _check_pd(pi: np.ndarray, t: float | None = None) -> np.ndarray:
 
 
 def _finalize_step(x, pi, t):
-    """Checks after one step of (X, Pi); projects X's rotation block in place."""
+    """Checks after one step of a batch X (B x 3 x 8) and its shared Pi; projects
+    each rotation block in place. DivergenceError's ``run`` is a non-finite X's row."""
     if not (np.isfinite(x).all() and np.isfinite(pi).all()):
-        raise DivergenceError(f"non-finite estimate at t={t:.4f}")
-    x[:, :3] = project_rotation(x[:, :3])
+        run = int(np.argmin(np.isfinite(x).all(axis=(-2, -1))))  # the first non-finite X, else 0
+        raise DivergenceError(f"non-finite estimate at t={t:.4f}", run=run)
+    x[..., :3] = project_rotation(x[..., :3])
     return x, _check_pd(pi, t)
 
 
 def _state(x: np.ndarray, pi: np.ndarray, t) -> ObserverState:
-    """ObserverState of X = [Rhat, zhat] and Pi."""
+    """ObserverState of one X = [Rhat, zhat] (3 x 8) and Pi."""
     return ObserverState(xhat=SEn(x[:, :3], x[:, 3:], check=False), pi=pi, t=float(t))
 
 
-def _step(x, pi, stages: StageInputs, t: float, cfg: ObserverConfig, abar, rho):
-    """One checked RK4 step of (X, Pi) from time t over the four RK4 stages
-    of `stages` (see :func:`_rk4_observer`). A failed check raises
-    DivergenceError carrying the state at t, the start of the failing step."""
+def _step(x, pi, stages: StageInputs, t: float, cfg: ObserverConfig, abar, rho, runs):
+    """One checked RK4 step of a batch (X, Pi) from time t over the four
+    RK4 stages of `stages` (see :func:`_rk4_observer`). A failed check
+    raises DivergenceError naming the failing run, by its number in `runs`
+    (one per row of X), and carrying its state at t, the start of the
+    failing step; a failure of the shared Pi names the first run."""
     x1, pi1 = _rk4_observer(x, pi, stages, cfg.dt, cfg.q, cfg.v, rho, abar)
     try:
         return _finalize_step(x1, pi1, t)
     except DivergenceError as err:
-        raise DivergenceError(str(err), _state(x, pi, t)) from None
+        row = err.run or 0
+        raise DivergenceError(f"run {runs[row]}: {err}", _state(x[row], pi, t), int(runs[row])) from None
 
 
 # public operations ---------------------------------------------------------
@@ -363,9 +369,9 @@ def observer_step(
     omega, accel = (np.broadcast_to(np.asarray(a, dtype=float), (3, 3)) for a in imu)
     ys, rs = (np.broadcast_to(np.asarray(a, dtype=float), (3,) + np.shape(a)) for a in (ys, rs))
     st = make_stage_inputs(omega, accel, ys, rs, cfg.g)
-    x = np.hstack([state.rhat, state.zhat])
-    x, pi = _step(x, state.pi, st.at([0, 1, 1, 2]), state.t, cfg, build_abar(cfg.g), np.asarray(cfg.rho))
-    return _state(x, pi, state.t + cfg.dt)
+    x = np.hstack([state.rhat, state.zhat])[None]
+    x, pi = _step(x, state.pi, st.at([0, 1, 1, 2]), state.t, cfg, build_abar(cfg.g), np.asarray(cfg.rho), [0])
+    return _state(x[0], pi, state.t + cfg.dt)
 
 
 # diagnostics --------------------------------------------------------------
@@ -375,22 +381,24 @@ class ErrorReport:
     """Right-invariant errors of an estimate against a truth sample."""
 
     rtilde: np.ndarray
-    angle: float
+    angle: float | np.ndarray
     ztilde: np.ndarray
     x_body: np.ndarray
     column_norms: np.ndarray  # [p, v, e1, e2, e3] error norms
 
 
 def error_arrays(truth_r, truth_z, rhat, zhat) -> ErrorReport:
-    rtilde = truth_r @ rhat.T
+    """Errors against one truth of an estimate (rhat 3 x 3, zhat 3 x 5) or
+    of each of a stack of them, the report's fields stacked alike."""
+    rtilde = truth_r @ rhat.mT
     ztilde = truth_z - rtilde @ zhat
-    x_body = vec(truth_r.T @ ztilde)
+    x_body = (truth_r.T @ ztilde).mT.reshape(ztilde.shape[:-2] + (15,))  # vec
     return ErrorReport(
         rtilde=rtilde,
         angle=rotation_angle(rtilde),
         ztilde=ztilde,
         x_body=x_body,
-        column_norms=np.linalg.norm(ztilde, axis=0),
+        column_norms=np.linalg.norm(ztilde, axis=-2),
     )
 
 

@@ -284,6 +284,9 @@ def estimate_from_errors(truth_r: np.ndarray, truth_z: np.ndarray,
 _CHUNK_STEPS = 64
 
 _I3 = np.eye(3)
+# the shape of one row of each RunTrace array
+_ROW_SHAPES = {"t": (), "phat": (3,), "vhat": (3,), "rhat": (3, 3), "ehat": (3, 3), "att_err": (),
+               "col_norms": (5,), "x_body": (15,), "mineig_p": (), "rot_defect": ()}
 
 
 @dataclass
@@ -304,43 +307,29 @@ class RunTrace:
     final_state: ObserverState
     stopped_at: float | None = None
 
-    @classmethod
-    def allocate(cls, n_rec: int, init: ObserverState) -> "RunTrace":
-        return cls(
-            t=np.empty(n_rec), phat=np.empty((n_rec, 3)), vhat=np.empty((n_rec, 3)),
-            rhat=np.empty((n_rec, 3, 3)), ehat=np.empty((n_rec, 3, 3)),
-            att_err=np.empty(n_rec), col_norms=np.empty((n_rec, 5)),
-            x_body=np.empty((n_rec, 15)), mineig_p=np.empty(n_rec),
-            rot_defect=np.empty(n_rec), measurements=[], final_state=init,
-        )
-
-    def put(self, i: int, t: float, truth_r, truth_z, x, pi):
-        """Fill row i from the estimate X = [Rhat, zhat], Pi and its truth.
-
-        min-eig(P) is min-eig(Pi): P = Pi kron I_3 has Pi's eigenvalues.
-        """
-        rhat, zhat = x[:, :3], x[:, 3:]
-        rep = error_arrays(truth_r, truth_z, rhat, zhat)
+    def put(self, i: int, t: float, x, rep, j: int, mineig: float, defect: float):
+        """Fill row i from the estimate X = [Rhat, zhat] (3 x 8), row j of
+        the errors `rep` of its batch, the min-eig of Pi (P = Pi kron I_3
+        has Pi's eigenvalues) and the orthonormality defect of Rhat."""
         self.t[i] = t
-        self.phat[i] = zhat[:, 0]
-        self.vhat[i] = zhat[:, 1]
-        self.rhat[i] = rhat
-        self.ehat[i] = zhat[:, 2:5]
-        self.att_err[i] = rep.angle
-        self.col_norms[i] = rep.column_norms
-        self.x_body[i] = rep.x_body
-        self.mineig_p[i] = np.linalg.eigvalsh(pi)[0]
-        self.rot_defect[i] = np.linalg.norm(rhat.T @ rhat - _I3)
-        return rep
+        self.phat[i] = x[:, 3]
+        self.vhat[i] = x[:, 4]
+        self.rhat[i] = x[:, :3]
+        self.ehat[i] = x[:, 5:]
+        self.att_err[i] = rep.angle[j]
+        self.col_norms[i] = rep.column_norms[j]
+        self.x_body[i] = rep.x_body[j]
+        self.mineig_p[i] = mineig
+        self.rot_defect[i] = defect
 
-    def _trim(self, n: int) -> None:
-        for name in ("t", "phat", "vhat", "rhat", "ehat", "att_err",
-                     "col_norms", "x_body", "mineig_p", "rot_defect"):
-            setattr(self, name, getattr(self, name)[:n])
+    def resize(self, n: int) -> None:
+        """Hold n rows, the first min(n, rows) of them kept."""
+        for name, shape in _ROW_SHAPES.items():
+            setattr(self, name, np.resize(getattr(self, name), (n,) + shape))
 
 
-def run_observer(cfg: ScenarioConfig, truth, init: ObserverState | None = None,
-                 stop_when=None, record_measurements: bool = False) -> RunTrace:
+def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
+                 record_measurements: bool = False, keep_rows: bool = True):
     """Drive the observer over a truth run under the scenario's settings.
 
     The channels, observer weights, seed, noise switch, IMU noise power
@@ -352,19 +341,30 @@ def run_observer(cfg: ScenarioConfig, truth, init: ObserverState | None = None,
     stage rows. Noise, the IMU's too, applies only when ``cfg.noise`` is
     on. Every ``trace_stride``-th step and the last are recorded, and
     ``stop_when(t, att_err, col_norms)`` may end the run at a recorded
-    step. A DivergenceError carries the state at the start of the failing
-    step.
+    step; with ``keep_rows`` off, the trace keeps the last record only. A
+    DivergenceError carries the state at the start of the failing step.
+
+    `init` may also be a sequence of states sharing ``pi`` and ``t``, run
+    as one batch of estimates X (B x 3 x 8) against one Riccati factor Pi,
+    which does not depend on the estimate; the result is then a list of
+    traces, each bit for bit that of its state run alone. `stop_when` is
+    then None or one callable per run; a run that stops leaves the batch.
 
     What depends only on truth and noise (stage samples, y/r stacks, the
-    noisy IMU and its hat(omega)) is built ahead of the recursion, in
-    chunks of ``_CHUNK_STEPS`` steps. The noise is drawn in bulk from the
-    same per-channel streams in the same order as one draw per step, so a
-    seeded run gives the same numbers.
+    noisy IMU and its hat(omega)) is built ahead of the recursion, once
+    for the whole batch, in chunks of ``_CHUNK_STEPS`` steps. The noise is
+    drawn in bulk from the same per-channel streams in the same order as
+    one draw per step, so a seeded run gives the same numbers.
     """
     obs, dt, stride, ts = cfg.observer, truth.dt, cfg.trace_stride, truth.t
     if abs(obs.dt - dt) > 1e-12:
         raise ValueError("observer dt must match the truth sampling step")
-    init = cfg.initial_state() if init is None else init
+    single = init is None or isinstance(init, ObserverState)
+    inits = [cfg.initial_state() if init is None else init] if single else list(init)
+    stops = [stop_when] * len(inits) if single or stop_when is None else list(stop_when)
+    pi = np.asarray(inits[0].pi, dtype=float) if inits else None
+    if len(stops) != len(inits) or any(s.t != inits[0].t or not np.array_equal(s.pi, pi) for s in inits):
+        raise ValueError("a batch of initial states must share pi and t, with one stop_when per state")
     m = len(cfg.channels)
     if m == 0:
         log.warning("no output channels configured; observer runs open loop")
@@ -396,28 +396,47 @@ def run_observer(cfg: ScenarioConfig, truth, init: ObserverState | None = None,
                 pending_rows.append((k0 + j, (ts[k0 + j], i, raw[j, 0, i].copy())))
         return make_stage_inputs(w_st, a_st, *layout.stacks(raw), obs.g).at(slice(None), stage_map)
 
-    x, pi = np.hstack([init.rhat, init.zhat]), np.asarray(init.pi, dtype=float)
+    def finish(j: int, k: int, stopped: bool):  # close the trace of row j of the batch at step k
+        out = traces[live[j]]
+        out.final_state, out.stopped_at = _state(x[j], pi, ts[k]), ts[k] if stopped else None
+        out.resize(slot + 1)
+        out.measurements = [m for step, m in pending_rows if step < k]
+
+    x = np.stack([np.hstack([s.rhat, s.zhat]) for s in inits])
+    live = np.arange(len(inits))  # the run of each row of x
     abar, rho = build_abar(obs.g), np.asarray(obs.rho)
     n = len(truth) - 1
-    rec_idx = [*range(0, n, stride), n]  # every stride-th step and the last
-    out = RunTrace.allocate(len(rec_idx), init)
+    n_rec = -(-n // stride) + 1  # every stride-th step and the last
+    # rows grow with the records taken: a batch never holds the whole horizon up front
+    traces = [RunTrace(**{name: np.empty((0,) + shape) for name, shape in _ROW_SHAPES.items()},
+                       measurements=[], final_state=s) for s in inits]
     rec = 0
     for k in range(n + 1):
-        if rec < len(rec_idx) and k == rec_idx[rec]:
-            rep = out.put(rec, ts[k], truth.R[k], z_block(truth.p[k], truth.v[k]), x, pi)
+        if k % stride == 0 or k == n:
+            slot = rec if keep_rows else 0  # the trace row of this record
+            if slot == len(traces[live[0]].t):  # live traces hold equal rows
+                for run in live:
+                    traces[run].resize(min(max(2 * slot, 1), n_rec))
+            rep = error_arrays(truth.R[k], z_block(truth.p[k], truth.v[k]), x[..., :3], x[..., 3:])
+            mineig = np.linalg.eigvalsh(pi)[0]
+            gram = (x[..., :3].mT @ x[..., :3] - _I3).reshape(-1, 9)
+            defect = np.sqrt(np.vecdot(gram, gram))  # rounds as the 1-D norm does
+            stop = np.zeros(live.size, dtype=bool)
+            for j, run in enumerate(live):
+                traces[run].put(slot, ts[k], x[j], rep, j, mineig, defect[j])
+                stop[j] = stops[run] is not None and stops[run](ts[k], rep.angle[j], rep.column_norms[j])
             rec += 1
-            if stop_when is not None and stop_when(ts[k], rep.angle, rep.column_norms):
-                out.stopped_at = ts[k]
-                break
-        if k == n:
-            break
+            done = stop | (k == n)
+            if done.any():
+                for j in np.flatnonzero(done):
+                    finish(j, k, stop[j])
+                x, live = x[~done], live[~done]
+                if not live.size:
+                    break
         if k % _CHUNK_STEPS == 0:
             k0, stages = k, chunk(k, min(k + _CHUNK_STEPS, n))
-        x, pi = _step(x, pi, stages.at(k - k0), ts[k], obs, abar, rho)
-    out.final_state = _state(x, pi, ts[k])
-    out._trim(rec)
-    out.measurements = [row for step, row in pending_rows if step < k]
-    return out
+        x, pi = _step(x, pi, stages.at(k - k0), ts[k], obs, abar, rho, live)
+    return traces[0] if single else traces
 
 
 # summary + file outputs ----------------------------------------------------
@@ -530,6 +549,23 @@ class SweepRow:
     settle_time_s: float | None
 
 
+class _Dwell:
+    """Stop rule of one sweep run: `checks` records in a row below both thresholds, the first at `settle`."""
+
+    def __init__(self, checks: int):
+        self.checks, self.streak, self.settle = checks, 0, None
+
+    def __call__(self, t, att, norms) -> bool:
+        self.streak = self.streak + 1 if att < ATT_THRESHOLD_RAD and norms[0] < POS_THRESHOLD_M else 0
+        self.settle = t if self.streak == 1 else self.settle
+        return self.streak >= self.checks
+
+
+# most runs of a sweep stepped as one batch: larger batches save little time,
+# and a sweep of any size holds no more runs than this at once
+_SWEEP_BATCH = 64
+
+
 def sweep_agas(
     cfg: ScenarioConfig,
     n_runs: int,
@@ -543,57 +579,42 @@ def sweep_agas(
     uniformly random axis; position and velocity errors are drawn in a
     ball of radius `translation_ball`. A run converges when the attitude
     error and geometric position error stay below the convergence
-    thresholds for a short dwell.
+    thresholds for a short dwell, and its settle time is the first record
+    of that dwell. The runs share the truth, the measurements and the
+    Riccati factor, so they are stepped in equal batches of at most
+    ``_SWEEP_BATCH`` by one :func:`run_observer` call each.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     cfg = cfg.noiseless()
     truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
     truth0 = truth.state(0)
-    rows: list[SweepRow] = []
-    children = np.random.SeedSequence(seed).spawn(n_runs)
     dwell_checks = max(1, int(round(CONVERGENCE_DWELL_S / (cfg.observer.dt * cfg.trace_stride))))
 
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        angle = rng.uniform(0.0, max_angle_rad)
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        rtilde = so3_exp(angle * axis)
-        p_err = rng.uniform(-1.0, 1.0, 3)
-        p_err *= translation_ball * rng.uniform() / max(np.linalg.norm(p_err), 1e-12)
-        v_err = rng.uniform(-1.0, 1.0, 3)
-        v_err *= translation_ball * rng.uniform() / max(np.linalg.norm(v_err), 1e-12)
+    rows: list[SweepRow] = []
+    seeds = np.random.SeedSequence(seed)  # spawn() continues its children: as one spawn(n_runs)
+    size = -(-n_runs // -(-n_runs // _SWEEP_BATCH))
+    for b0 in range(0, n_runs, size):
+        inits = []
+        for i, child in enumerate(seeds.spawn(min(size, n_runs - b0)), start=b0):
+            rng = np.random.default_rng(child)
+            angle = rng.uniform(0.0, max_angle_rad)
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            rtilde = so3_exp(angle * axis)
+            p_err = rng.uniform(-1.0, 1.0, 3)
+            p_err *= translation_ball * rng.uniform() / max(np.linalg.norm(p_err), 1e-12)
+            v_err = rng.uniform(-1.0, 1.0, 3)
+            v_err *= translation_ball * rng.uniform() / max(np.linalg.norm(v_err), 1e-12)
 
-        zhat = z_block(rtilde.T @ (truth0.p - p_err), rtilde.T @ (truth0.v - v_err))
-        init = ObserverState(xhat=SEn(rtilde.T @ truth0.R, zhat), pi=cfg.p0_scale * np.eye(5), t=0.0)
-
-        streak = 0
-        settle = {"t": None}
-
-        def stop_when(t, att, norms):
-            nonlocal streak
-            if att < ATT_THRESHOLD_RAD and norms[0] < POS_THRESHOLD_M:
-                streak += 1
-                if streak == 1:
-                    settle["t"] = t
-                return streak >= dwell_checks
-            streak = 0
-            settle["t"] = None
-            return False
-
-        trace = run_observer(cfg, truth, init, stop_when)
-        converged = trace.stopped_at is not None
-        rows.append(
-            SweepRow(
-                run=i, seed=seed,
-                init_angle_rad=angle,
-                init_p_err=float(np.linalg.norm(p_err)),
-                init_v_err=float(np.linalg.norm(v_err)),
-                converged=converged,
-                settle_time_s=settle["t"] if converged else None,
-            )
-        )
+            zhat = z_block(rtilde.T @ (truth0.p - p_err), rtilde.T @ (truth0.v - v_err))
+            inits.append(ObserverState(xhat=SEn(rtilde.T @ truth0.R, zhat), pi=cfg.p0_scale * np.eye(5), t=0.0))
+            rows.append(SweepRow(run=i, seed=seed, init_angle_rad=angle, init_p_err=float(np.linalg.norm(p_err)),
+                                 init_v_err=float(np.linalg.norm(v_err)), converged=False, settle_time_s=None))
+        stops = [_Dwell(dwell_checks) for _ in inits]
+        for row, trace, stop in zip(rows[b0:], run_observer(cfg, truth, inits, stops, keep_rows=False), stops):
+            if trace.stopped_at is not None:
+                row.converged, row.settle_time_s = True, stop.settle
     return rows
 
 

@@ -137,6 +137,36 @@ class TestRotationHelpers:
         axis = np.array([1.0, -2.0, 0.5]) / np.sqrt(5.25)
         assert rotation_angle(so3_exp(theta * axis)) == pytest.approx(theta, rel=1e-12)
 
+    def test_batched_equals_reference_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        angles = np.resize([0.0, 1e-12, 1e-7, 1e-3, 1.0, np.pi - 1e-6, np.pi - 1e-12, np.pi], 24)
+        rots = so3_exp(angles[:, None] * np.stack([_unit(rng) for _ in angles]))
+        noisy = rots + 1e-6 * rng.standard_normal(rots.shape)
+        noisy[3] *= -1.0  # reflections, det < 0
+        noisy[6] = np.diag([1.0, 1.0, -1.0]) @ noisy[6]
+        assert np.linalg.det(noisy[3]) < 0 and np.linalg.det(noisy[6]) < 0
+
+        def polar(r):  # the closest rotation as U diag(1, 1, d) V^T
+            u, _, vt = np.linalg.svd(r)
+            return u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
+
+        def angle(r):  # the sine from the 1-D norm
+            return np.arctan2(np.linalg.norm(psi(r)), 0.5 * (np.trace(r) - 1.0))
+
+        def vex_of_antisymmetric_part(a):
+            return 0.5 * np.array([a[2, 1] - a[1, 2], a[0, 2] - a[2, 0], a[1, 0] - a[0, 1]])
+
+        cases = [(project_rotation, polar, noisy), (rotation_angle, angle, rots),
+                 (rotation_angle, angle, noisy), (psi, vex_of_antisymmetric_part, noisy)]
+        for f, reference, stack in cases:
+            batched = f(stack)
+            assert np.array_equal(batched, np.stack([reference(r) for r in stack])), f.__name__
+            assert np.array_equal(batched, np.stack([f(r) for r in stack])), f.__name__
+            nested = f(stack.reshape(4, 6, 3, 3))
+            assert np.array_equal(nested, batched.reshape((4, 6) + batched.shape[1:])), f.__name__
+        assert np.all(np.linalg.det(project_rotation(noisy)) > 0)
+        assert np.allclose(rotation_angle(rots), angles, rtol=0.0, atol=1e-12)
+
 
 class TestSEn:
     def test_identity_compose(self):

@@ -6,6 +6,7 @@ import pytest
 from se5nav.cli import EXIT_CONFIG, EXIT_OBSERVABILITY, EXIT_OK, main
 from se5nav.scenario import (
     ConfigError,
+    RunTrace,
     ScenarioConfig,
     bundled_config_path,
     estimate_from_errors,
@@ -17,7 +18,7 @@ from se5nav.scenario import (
 from se5nav.lie import so3_exp
 from se5nav.observer import ObserverConfig, ObserverState
 from se5nav.sensors import ChannelKind, ChannelSpec
-from se5nav.trajectory import TrajectorySpec, coupled_truth, simulate_truth
+from se5nav.trajectory import TrajectorySpec, coupled_truth, simulate_truth, z_block
 
 STEREO = bundled_config_path("stereo")
 GPS = bundled_config_path("gps")
@@ -27,6 +28,35 @@ def short_cfg(**overrides):
     cfg = parse_scenario(STEREO).noiseless()
     overrides.setdefault("duration", 2.0)
     return dataclasses.replace(cfg, **overrides)
+
+
+def perturbed_states(cfg, truth, n, seed=4):
+    """cfg's initial state and n - 1 states at random errors from the truth."""
+    rng = np.random.default_rng(seed)
+    z0 = z_block(truth.p[0], truth.v[0])
+    return [cfg.initial_state()] + [
+        ObserverState(xhat=estimate_from_errors(truth.R[0], z0, so3_exp(rng.uniform(-2.0, 2.0, 3)),
+                                                rng.uniform(-3.0, 3.0, (3, 5))),
+                      pi=cfg.p0_scale * np.eye(5), t=0.0)
+        for _ in range(n - 1)]
+
+
+def assert_traces_equal(trace, ref):
+    """Every array, measurement row, final state and stop of two RunTraces bit for bit."""
+    for field in dataclasses.fields(RunTrace):
+        a, b = getattr(trace, field.name), getattr(ref, field.name)
+        if field.name == "measurements":
+            assert len(a) == len(b)
+            for (ta, ca, ya), (tb, cb, yb) in zip(a, b):
+                assert ta == tb and ca == cb and np.array_equal(ya, yb)
+        elif field.name == "final_state":
+            assert a.t == b.t
+            assert np.array_equal(a.rhat, b.rhat) and np.array_equal(a.zhat, b.zhat)
+            assert np.array_equal(a.pi, b.pi)
+        elif field.name == "stopped_at":
+            assert a == b
+        else:
+            assert a.shape == b.shape and np.array_equal(a, b), field.name
 
 
 class TestConfigParsing:
@@ -184,6 +214,41 @@ class TestRunObserver:
         ts = [r[0] for r in slow_rows]
         assert np.allclose(np.diff(ts), 0.01)
 
+    @pytest.mark.parametrize("config,noise,duration,stop_run", [
+        ("stereo", True, 0.3, None),  # noisy measurements and IMU
+        ("gps", False, 0.1, None),    # R_s varies with time
+        ("stereo", False, 0.6, 1),    # run 1 stops early, the others run on
+    ])
+    def test_batch_equals_single_runs_bit_for_bit(self, config, noise, duration, stop_run):
+        cfg = dataclasses.replace(parse_scenario(bundled_config_path(config)), duration=duration,
+                                  noise=noise, trace_stride=3)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        inits = perturbed_states(cfg, truth, 3)
+        stops = [(lambda t, att, norms: t >= 0.3) if i == stop_run else None for i in range(3)]
+        batch = run_observer(cfg, truth, inits, stops, record_measurements=True)
+        assert len(batch) == 3
+        for init, stop_when, trace in zip(inits, stops, batch):
+            assert_traces_equal(trace, run_observer(cfg, truth, init, stop_when, record_measurements=True))
+        if stop_run is not None:
+            assert batch[stop_run].stopped_at == pytest.approx(0.3)
+            assert batch[stop_run].t.size < batch[0].t.size
+        # without its rows a trace keeps its last record, stop and final state
+        for short, trace in zip(run_observer(cfg, truth, inits, stops, record_measurements=True,
+                                             keep_rows=False), batch):
+            last = {f.name: getattr(trace, f.name)[-1:] for f in dataclasses.fields(RunTrace)
+                    if isinstance(getattr(trace, f.name), np.ndarray)}
+            assert_traces_equal(short, dataclasses.replace(trace, **last))
+
+    def test_batch_must_share_pi_and_t(self):
+        cfg = short_cfg(duration=0.01)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        init = cfg.initial_state()
+        for other in (dataclasses.replace(init, pi=2.0 * np.eye(5)), dataclasses.replace(init, t=1.0)):
+            with pytest.raises(ValueError, match="share pi and t"):
+                run_observer(cfg, truth, [init, other])
+        with pytest.raises(ValueError, match="one stop_when per state"):
+            run_observer(cfg, truth, [init, init], [None])
+
     def test_noise_off_silences_the_imu(self):
         cfg = short_cfg(duration=0.2, trace_stride=1)
         assert cfg.imu_noise_power > 0
@@ -218,6 +283,28 @@ class TestRunObserver:
         with pytest.raises(observer.DivergenceError, match="t=0.0070") as exc:
             run(5)  # step 7 is not a recorded step
         state = exc.value.state
+        assert state.t == clean.t[7]
+        assert np.array_equal(state.rhat, clean.rhat[7])
+        assert np.array_equal(state.phat, clean.phat[7])
+        assert np.array_equal(state.vhat, clean.vhat[7])
+
+        # in a batch of three, a NaN in run 1 alone names run 1 and carries its state
+        inits = perturbed_states(cfg, truth, 3)
+        monkeypatch.setattr(observer, "_finalize_step", finalize)
+        clean = run_observer(dataclasses.replace(cfg, trace_stride=1), truth, inits)[1]
+        calls.clear()
+
+        def nan_in_run_1_at_step_7(x, pi, t):
+            calls.append(t)
+            if len(calls) == 8:
+                x[1, 0, 3] = np.nan
+            return finalize(x, pi, t)
+
+        monkeypatch.setattr(observer, "_finalize_step", nan_in_run_1_at_step_7)
+        with pytest.raises(observer.DivergenceError, match="run 1: non-finite estimate at t=0.0070") as exc:
+            run_observer(dataclasses.replace(cfg, trace_stride=5), truth, inits)
+        state = exc.value.state
+        assert exc.value.run == 1
         assert state.t == clean.t[7]
         assert np.array_equal(state.rhat, clean.rhat[7])
         assert np.array_equal(state.phat, clean.phat[7])
@@ -319,6 +406,52 @@ class TestSweep:
         for ra, rb in zip(a, b):
             assert ra.init_angle_rad == rb.init_angle_rad
             assert ra.settle_time_s == rb.settle_time_s
+
+    def test_rows_equal_single_runs_under_the_dwell_rule(self, monkeypatch):
+        import se5nav.scenario as scenario
+
+        cfg = short_cfg(duration=2.5)  # too short for some runs to converge
+        batches = []
+
+        def spy(cfg, truth, inits, stops, **kwargs):
+            batches.append(inits)
+            return run_observer(cfg, truth, inits, stops, **kwargs)
+
+        monkeypatch.setattr(scenario, "run_observer", spy)
+        rows = sweep_agas(cfg, n_runs=5, seed=0)
+        assert [len(b) for b in batches] == [5]
+        assert 0 < sum(r.converged for r in rows) < 5
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        dwell = round(scenario.CONVERGENCE_DWELL_S / (cfg.observer.dt * cfg.trace_stride))
+        for row, init in zip(rows, batches[0]):
+            streak, settle = 0, None
+
+            def stop_when(t, att, norms):
+                nonlocal streak, settle
+                below = att < scenario.ATT_THRESHOLD_RAD and norms[0] < scenario.POS_THRESHOLD_M
+                streak = streak + 1 if below else 0
+                settle = (t if streak == 1 else settle) if below else None
+                return streak >= dwell
+
+            trace = run_observer(cfg, truth, init, stop_when)
+            assert row.converged == (trace.stopped_at is not None)
+            assert row.settle_time_s == (settle if row.converged else None)
+
+    def test_batch_cap_splits_runs_into_equal_rows(self, monkeypatch):
+        import se5nav.scenario as scenario
+
+        cfg = short_cfg(duration=2.5)
+        whole = sweep_agas(cfg, n_runs=5, seed=0)
+        calls = []
+
+        def counted(cfg, truth, inits, stops, **kwargs):
+            calls.append(len(inits))
+            return run_observer(cfg, truth, inits, stops, **kwargs)
+
+        monkeypatch.setattr(scenario, "run_observer", counted)
+        monkeypatch.setattr(scenario, "_SWEEP_BATCH", 2)
+        assert sweep_agas(cfg, n_runs=5, seed=0) == whole
+        assert calls == [2, 2, 1]
 
     def test_requires_at_least_one_run(self):
         with pytest.raises(ValueError):
