@@ -20,7 +20,6 @@ trajectories must track each other over many decades of error decay.
 from __future__ import annotations
 
 import configparser
-import csv
 import dataclasses
 import functools
 import json
@@ -39,6 +38,7 @@ from .frontend import UnifiedLayout, fast_output_matrix
 from .lie import SEn, so3_exp
 from .observability import (
     DEFAULT_MU_THRESHOLD,
+    OBSV_CSV_SCHEMA,
     ExcitationReport,
     GramianReport,
     gps_pe_condition,
@@ -70,6 +70,7 @@ from .trajectory import (
     eval_trajectory,
     simulate_truth,
     truth_attitude,
+    write_table,
     write_truth_csv,
     z_block,
 )
@@ -82,12 +83,24 @@ ATT_THRESHOLD_RAD = 1e-2
 POS_THRESHOLD_M = 1e-2
 CONVERGENCE_DWELL_S = 0.5
 
+# the shape of one row of each RunTrace array
+_ROW_SHAPES = {"t": (), "phat": (3,), "vhat": (3,), "rhat": (3, 3), "ehat": (3, 3), "att_err": (),
+               "col_norms": (5,), "x_body": (15,), "mineig_p": (), "rot_defect": ()}
+
 # float64 values a run holds per step for its truth (the grid and midpoint
-# arrays of simulate_truth) and per recorded step for its trace; the step
-# count of a config is bounded so that they fit in _MAX_RUN_BYTES
+# arrays of simulate_truth) and per recorded step for its trace; the steps
+# of a config and of an obsv horizon are bounded so that they fit in _MAX_RUN_BYTES
 _TRUTH_FLOATS_PER_STEP = 46
-_TRACE_FLOATS_PER_RECORD = 48
+_TRACE_FLOATS_PER_RECORD = sum(math.prod(shape) for shape in _ROW_SHAPES.values())
 _MAX_RUN_BYTES = 4 << 30
+
+
+def _check_steps(steps: float, stride: int, what: str) -> None:
+    """ValueError unless a run's truth and trace over `steps` steps fit in _MAX_RUN_BYTES."""
+    need = 8 * steps * (_TRUTH_FLOATS_PER_STEP + _TRACE_FLOATS_PER_RECORD / stride)
+    if need > _MAX_RUN_BYTES:
+        raise ValueError(f"{what} is {steps:.3g} steps, whose truth and trace would take about "
+                         f"{need / 2**30:.3g} GiB; at most {_MAX_RUN_BYTES / 2**30:g} GiB are allowed")
 
 
 class ConfigError(ValueError):
@@ -121,12 +134,7 @@ class ScenarioConfig:
             raise ValueError(f"[observer] duration must be finite and at least dt, got {self.duration:g}")
         if self.trace_stride < 1:
             raise ValueError("[observer] trace_stride must be >= 1")
-        steps = self.duration / self.observer.dt
-        need = 8 * steps * (_TRUTH_FLOATS_PER_STEP + _TRACE_FLOATS_PER_RECORD / self.trace_stride)
-        if need > _MAX_RUN_BYTES:
-            raise ValueError(
-                f"[observer] duration / dt is {steps:.3g} steps, whose truth and trace would take "
-                f"about {need / 2**30:.3g} GiB; at most {_MAX_RUN_BYTES / 2**30:g} GiB are allowed")
+        _check_steps(self.duration / self.observer.dt, self.trace_stride, "[observer] duration / dt")
         for i, ch in enumerate(self.channels):
             if ch.rate is not None and ch.rate * self.duration < 1:  # stride beyond the last step
                 raise ValueError(
@@ -284,9 +292,6 @@ def estimate_from_errors(truth_r: np.ndarray, truth_z: np.ndarray,
 _CHUNK_STEPS = 64
 
 _I3 = np.eye(3)
-# the shape of one row of each RunTrace array
-_ROW_SHAPES = {"t": (), "phat": (3,), "vhat": (3,), "rhat": (3, 3), "ehat": (3, 3), "att_err": (),
-               "col_norms": (5,), "x_body": (15,), "mineig_p": (), "rot_defect": ()}
 
 
 @dataclass
@@ -301,33 +306,14 @@ class RunTrace:
     att_err: np.ndarray
     col_norms: np.ndarray      # (N, 5): p, v, e1, e2, e3 error norms
     x_body: np.ndarray         # (N, 15)
-    mineig_p: np.ndarray
+    mineig_p: np.ndarray       # of P = Pi kron I_3, which has Pi's eigenvalues
     rot_defect: np.ndarray     # Frobenius orthonormality defect of Rhat
     measurements: list         # (t, channel, y) rows at update instants
     final_state: ObserverState
     stopped_at: float | None = None
 
-    def put(self, i: int, t: float, x, rep, j: int, mineig: float, defect: float):
-        """Fill row i from the estimate X = [Rhat, zhat] (3 x 8), row j of
-        the errors `rep` of its batch, the min-eig of Pi (P = Pi kron I_3
-        has Pi's eigenvalues) and the orthonormality defect of Rhat."""
-        self.t[i] = t
-        self.phat[i] = x[:, 3]
-        self.vhat[i] = x[:, 4]
-        self.rhat[i] = x[:, :3]
-        self.ehat[i] = x[:, 5:]
-        self.att_err[i] = rep.angle[j]
-        self.col_norms[i] = rep.column_norms[j]
-        self.x_body[i] = rep.x_body[j]
-        self.mineig_p[i] = mineig
-        self.rot_defect[i] = defect
 
-    def resize(self, n: int) -> None:
-        """Hold n rows, the first min(n, rows) of them kept."""
-        for name, shape in _ROW_SHAPES.items():
-            setattr(self, name, np.resize(getattr(self, name), (n,) + shape))
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
                  record_measurements: bool = False, keep_rows: bool = True):
     """Drive the observer over a truth run under the scenario's settings.
@@ -343,12 +329,15 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
     ``stop_when(t, att_err, col_norms)`` may end the run at a recorded
     step; with ``keep_rows`` off, the trace keeps the last record only. A
     DivergenceError carries the state at the start of the failing step.
+    Overflow and invalid warnings are off: the checks raise on a non-finite estimate.
 
     `init` may also be a sequence of states sharing ``pi`` and ``t``, run
     as one batch of estimates X (B x 3 x 8) against one Riccati factor Pi,
     which does not depend on the estimate; the result is then a list of
     traces, each bit for bit that of its state run alone. `stop_when` is
     then None or one callable per run; a run that stops leaves the batch.
+    The rows are allocated once per field for the whole batch, so a
+    ``keep_rows`` batch holds every record of the horizon for every run up front.
 
     What depends only on truth and noise (stage samples, y/r stacks, the
     noisy IMU and its hat(omega)) is built ahead of the recursion, once
@@ -396,40 +385,36 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
                 pending_rows.append((k0 + j, (ts[k0 + j], i, raw[j, 0, i].copy())))
         return make_stage_inputs(w_st, a_st, *layout.stacks(raw), obs.g).at(slice(None), stage_map)
 
-    def finish(j: int, k: int, stopped: bool):  # close the trace of row j of the batch at step k
-        out = traces[live[j]]
-        out.final_state, out.stopped_at = _state(x[j], pi, ts[k]), ts[k] if stopped else None
-        out.resize(slot + 1)
-        out.measurements = [m for step, m in pending_rows if step < k]
-
     x = np.stack([np.hstack([s.rhat, s.zhat]) for s in inits])
     live = np.arange(len(inits))  # the run of each row of x
     abar, rho = build_abar(obs.g), np.asarray(obs.rho)
     n = len(truth) - 1
-    n_rec = -(-n // stride) + 1  # every stride-th step and the last
-    # rows grow with the records taken: a batch never holds the whole horizon up front
-    traces = [RunTrace(**{name: np.empty((0,) + shape) for name, shape in _ROW_SHAPES.items()},
-                       measurements=[], final_state=s) for s in inits]
-    rec = 0
+    n_rows = -(-n // stride) + 1 if keep_rows else 1  # every stride-th step and the last
+    rows = {name: np.empty((n_rows, len(inits)) + shape) for name, shape in _ROW_SHAPES.items()}
+    traces = [None] * len(inits)
     for k in range(n + 1):
         if k % stride == 0 or k == n:
-            slot = rec if keep_rows else 0  # the trace row of this record
-            if slot == len(traces[live[0]].t):  # live traces hold equal rows
-                for run in live:
-                    traces[run].resize(min(max(2 * slot, 1), n_rec))
-            rep = error_arrays(truth.R[k], z_block(truth.p[k], truth.v[k]), x[..., :3], x[..., 3:])
-            mineig = np.linalg.eigvalsh(pi)[0]
-            gram = (x[..., :3].mT @ x[..., :3] - _I3).reshape(-1, 9)
-            defect = np.sqrt(np.vecdot(gram, gram))  # rounds as the 1-D norm does
+            slot = -(-k // stride) if keep_rows else 0  # the trace row of this record
+            rhat = x[..., :3]
+            rep = error_arrays(truth.R[k], z_block(truth.p[k], truth.v[k]), rhat, x[..., 3:])
+            gram = (rhat.mT @ rhat - _I3).reshape(-1, 9)
+            record = {"t": ts[k], "phat": x[..., 3], "vhat": x[..., 4], "rhat": rhat, "ehat": x[..., 5:],
+                      "att_err": rep.angle, "col_norms": rep.column_norms, "x_body": rep.x_body,
+                      "mineig_p": np.linalg.eigvalsh(pi)[0],
+                      "rot_defect": np.sqrt(np.vecdot(gram, gram))}  # rounds as the 1-D norm does
+            for name, value in record.items():
+                rows[name][slot, live] = value
             stop = np.zeros(live.size, dtype=bool)
             for j, run in enumerate(live):
-                traces[run].put(slot, ts[k], x[j], rep, j, mineig, defect[j])
                 stop[j] = stops[run] is not None and stops[run](ts[k], rep.angle[j], rep.column_norms[j])
-            rec += 1
             done = stop | (k == n)
             if done.any():
                 for j in np.flatnonzero(done):
-                    finish(j, k, stop[j])
+                    run = live[j]  # a copy: a view of its column would keep the whole batch's rows alive
+                    traces[run] = RunTrace(**{name: col[:slot + 1, run].copy() for name, col in rows.items()},
+                                           measurements=[m for step, m in pending_rows if step < k],
+                                           final_state=_state(x[j], pi, ts[k]),
+                                           stopped_at=ts[k] if stop[j] else None)
                 x, live = x[~done], live[~done]
                 if not live.size:
                     break
@@ -488,31 +473,19 @@ def summarize(trace: RunTrace, duration: float, settle_window: float, runtime_s:
 
 
 def write_measurement_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {MEASUREMENT_CSV_SCHEMA}\n")
-        w = csv.writer(fh)
-        w.writerow(["t", "channel", "yx", "yy", "yz"])
-        for t, ch, y in rows:
-            w.writerow([f"{t:.17g}", ch, f"{y[0]:.17g}", f"{y[1]:.17g}", f"{y[2]:.17g}"])
+    write_table(path, MEASUREMENT_CSV_SCHEMA, ["t", "channel", "yx", "yy", "yz"],
+                ([t, ch, *y] for t, ch, y in rows))
 
 
 def write_estimate_csv(trace: RunTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {ESTIMATE_CSV_SCHEMA}\n")
-        w = csv.writer(fh)
-        w.writerow(
-            ["t", "phx", "phy", "phz", "vhx", "vhy", "vhz"]
-            + [f"Rh{i}{j}" for i in range(3) for j in range(3)]
-            + [f"eh{i}{j}" for i in range(3) for j in range(3)]
-            + ["att_err_rad", "p_err", "v_err", "e1_err", "e2_err", "e3_err", "mineig_P"]
-        )
-        for i in range(trace.t.size):
-            row = (
-                [trace.t[i], *trace.phat[i], *trace.vhat[i],
-                 *trace.rhat[i].reshape(-1), *trace.ehat[i].reshape(-1),
-                 trace.att_err[i], *trace.col_norms[i], trace.mineig_p[i]]
-            )
-            w.writerow([f"{x:.17g}" for x in row])
+    write_table(
+        path, ESTIMATE_CSV_SCHEMA,
+        ["t", "phx", "phy", "phz", "vhx", "vhy", "vhz"]
+        + [f"Rh{i}{j}" for i in range(3) for j in range(3)]
+        + [f"eh{i}{j}" for i in range(3) for j in range(3)]
+        + ["att_err_rad", "p_err", "v_err", "e1_err", "e2_err", "e3_err", "mineig_P"],
+        ([trace.t[i], *trace.phat[i], *trace.vhat[i], *trace.rhat[i].reshape(-1), *trace.ehat[i].reshape(-1),
+          trace.att_err[i], *trace.col_norms[i], trace.mineig_p[i]] for i in range(trace.t.size)))
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> RunSummary:
@@ -619,16 +592,10 @@ def sweep_agas(
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {SWEEP_CSV_SCHEMA}\n")
-        w = csv.writer(fh)
-        w.writerow(["run", "init_angle_rad", "init_p_err", "init_v_err", "converged", "settle_time_s"])
-        for r in rows:
-            w.writerow([
-                r.run, f"{r.init_angle_rad:.17g}", f"{r.init_p_err:.17g}",
-                f"{r.init_v_err:.17g}", int(r.converged),
-                "" if r.settle_time_s is None else f"{r.settle_time_s:.17g}",
-            ])
+    write_table(path, SWEEP_CSV_SCHEMA,
+                ["run", "init_angle_rad", "init_p_err", "init_v_err", "converged", "settle_time_s"],
+                ([r.run, r.init_angle_rad, r.init_p_err, r.init_v_err, int(r.converged), r.settle_time_s]
+                 for r in rows))
 
 
 # observability checks ------------------------------------------------------
@@ -700,8 +667,9 @@ def check_observability(
     in pieces of that many nodes. Lever-arm position channels take the truth
     attitude at the nearest grid sample, as :func:`scenario_output_map`
     does, from one truth attitude run over all windows; other configs
-    synthesize no truth. Window starts must be nonnegative and `delta` at
-    least the config's step dt (ValueError).
+    synthesize no truth. Window starts must be nonnegative, `delta` at
+    least the config's step dt and the last window end within the step
+    bound of a run's duration (ValueError).
     """
     spec, dt = cfg.trajectory, cfg.observer.dt
     if not delta >= dt:
@@ -709,6 +677,7 @@ def check_observability(
     starts = np.asarray(grid, dtype=float)
     if not np.all(starts >= 0):
         raise ValueError("window start times must be nonnegative")
+    _check_steps((float(starts.max(initial=0.0)) + delta) / dt, cfg.trace_stride, "(max --grid + --delta) / dt")
     n = int(round(delta / dt))
     attitude = _reference_attitude(cfg, (starts + n * dt).max(initial=0.0))
     layout = UnifiedLayout(cfg.channels)
@@ -753,11 +722,5 @@ def check_gps_pe(
 
 
 def write_observability_csv(reports: list[GramianReport], path) -> None:
-    from .observability import OBSV_CSV_SCHEMA
-
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {OBSV_CSV_SCHEMA}\n")
-        w = csv.writer(fh)
-        w.writerow(["t", "delta", "mu", "pass"])
-        for r in reports:
-            w.writerow([f"{r.t:.17g}", f"{r.delta:.17g}", f"{r.mu:.17g}", int(r.passed)])
+    write_table(path, OBSV_CSV_SCHEMA, ["t", "delta", "mu", "pass"],
+                ([r.t, r.delta, r.mu, int(r.passed)] for r in reports))

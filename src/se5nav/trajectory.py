@@ -310,16 +310,22 @@ def simulate_truth(spec: TrajectorySpec, duration: float, dt: float = 1e-3) -> T
     )
 
 
+def write_table(path, schema: str, header, rows) -> None:
+    """Write a CSV table: a ``# schema`` line, the header, then the rows.
+    Floats are written as ``.17g``, which reads back bit for bit, ints as
+    they are and None as an empty field."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {schema}\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{v:.17g}" if isinstance(v, float) else "" if v is None else v for v in row]
+                    for row in rows)
+
+
 def write_truth_csv(run: TruthRun, path, stride: int = 1) -> None:
     """Truth trace export: t, p[3], v[3], R row-major[9], omega[3], aB[3]."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {TRUTH_CSV_SCHEMA}\n")
-        w = csv.writer(fh)
-        w.writerow(
-            ["t", "px", "py", "pz", "vx", "vy", "vz"]
-            + [f"R{i}{j}" for i in range(3) for j in range(3)]
-            + ["wx", "wy", "wz", "ax", "ay", "az"]
-        )
-        for k in range(0, len(run), stride):
-            row = [run.t[k], *run.p[k], *run.v[k], *run.R[k].reshape(-1), *run.omega[k], *run.aB[k]]
-            w.writerow([f"{x:.17g}" for x in row])
+    write_table(path, TRUTH_CSV_SCHEMA,
+                ["t", "px", "py", "pz", "vx", "vy", "vz"] + [f"R{i}{j}" for i in range(3) for j in range(3)]
+                + ["wx", "wy", "wz", "ax", "ay", "az"],
+                ([run.t[k], *run.p[k], *run.v[k], *run.R[k].reshape(-1), *run.omega[k], *run.aB[k]]
+                 for k in range(0, len(run), stride)))

@@ -1,24 +1,31 @@
+import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from se5nav.cli import EXIT_CONFIG, EXIT_OBSERVABILITY, EXIT_OK, main
 from se5nav.scenario import (
+    SWEEP_CSV_SCHEMA,
     ConfigError,
     RunTrace,
     ScenarioConfig,
     bundled_config_path,
+    check_observability,
     estimate_from_errors,
     parse_scenario,
     run_observer,
     run_scenario,
     sweep_agas,
+    write_observability_csv,
+    write_sweep_csv,
 )
 from se5nav.lie import so3_exp
-from se5nav.observer import ObserverConfig, ObserverState
-from se5nav.sensors import ChannelKind, ChannelSpec
-from se5nav.trajectory import TrajectorySpec, coupled_truth, simulate_truth, z_block
+from se5nav.observability import OBSV_CSV_SCHEMA
+from se5nav.observer import ESTIMATE_CSV_SCHEMA, ObserverConfig, ObserverState
+from se5nav.sensors import MEASUREMENT_CSV_SCHEMA, ChannelKind, ChannelSpec
+from se5nav.trajectory import TRUTH_CSV_SCHEMA, TrajectorySpec, coupled_truth, simulate_truth, z_block
 
 STEREO = bundled_config_path("stereo")
 GPS = bundled_config_path("gps")
@@ -349,6 +356,75 @@ class TestRunScenario:
         assert (d1 / "estimate.csv").read_bytes() != (d2 / "estimate.csv").read_bytes()
 
 
+def read_table(path, schema):
+    """(header, rows) of a CSV table written under `schema`, its cells as text."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# {schema}"
+    header, *rows = csv.reader(lines[1:])
+    return header, rows
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestTables:
+    """Every table reads back bit for bit what the program computed."""
+
+    def test_run_tables(self, tmp_path):
+        cfg = parse_scenario(GPS)  # noisy; its magnetometer decimated to 50 Hz
+        cfg = dataclasses.replace(cfg, duration=0.5,
+                                  channels=(dataclasses.replace(cfg.channels[0], rate=50.0), *cfg.channels[1:]))
+        run_scenario(cfg, tmp_path)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        trace = run_observer(cfg, truth, record_measurements=True)
+
+        header, rows = read_table(tmp_path / "truth.csv", TRUTH_CSV_SCHEMA)
+        assert len(header) == 22
+        want = np.column_stack([truth.t, truth.p, truth.v, truth.R.reshape(-1, 9), truth.omega, truth.aB])
+        assert bits([[float(c) for c in row] for row in rows]) == bits(want[::cfg.trace_stride])
+
+        header, rows = read_table(tmp_path / "estimate.csv", ESTIMATE_CSV_SCHEMA)
+        assert len(header) == 32 and len(rows) == trace.t.size
+        want = np.column_stack([trace.t, trace.phat, trace.vhat, trace.rhat.reshape(-1, 9),
+                                trace.ehat.reshape(-1, 9), trace.att_err, trace.col_norms, trace.mineig_p])
+        assert bits([[float(c) for c in row] for row in rows]) == bits(want)
+
+        header, rows = read_table(tmp_path / "measurements.csv", MEASUREMENT_CSV_SCHEMA)
+        assert header == ["t", "channel", "yx", "yy", "yz"]
+        assert len(rows) == len(trace.measurements)
+        assert len({ch for _, ch, _ in trace.measurements}) == len(cfg.channels)
+        for (t, ch, *y), (t_want, ch_want, y_want) in zip(rows, trace.measurements):
+            assert int(ch) == ch_want
+            assert bits([float(t), *map(float, y)]) == bits([t_want, *y_want])
+
+    def test_sweep_table(self, tmp_path):
+        rows = sweep_agas(short_cfg(duration=2.5), n_runs=5, seed=0)  # too short for some runs to converge
+        assert any(r.settle_time_s is None for r in rows)
+        write_sweep_csv(rows, tmp_path / "sweep.csv")
+        header, cells = read_table(tmp_path / "sweep.csv", SWEEP_CSV_SCHEMA)
+        assert header == ["run", "init_angle_rad", "init_p_err", "init_v_err", "converged", "settle_time_s"]
+        assert len(cells) == len(rows)
+        for (run, angle, p_err, v_err, converged, settle), r in zip(cells, rows):
+            assert int(run) == r.run and int(converged) == r.converged
+            assert bits([float(angle), float(p_err), float(v_err)]) == bits(
+                [r.init_angle_rad, r.init_p_err, r.init_v_err])
+            if r.settle_time_s is None:
+                assert settle == ""
+            else:
+                assert bits(float(settle)) == bits(r.settle_time_s)
+
+    def test_observability_table(self, tmp_path):
+        reports = check_observability(parse_scenario(GPS), delta=1.0, grid=[0.0, 2.5, 7.25])
+        write_observability_csv(reports, tmp_path / "observability.csv")
+        header, rows = read_table(tmp_path / "observability.csv", OBSV_CSV_SCHEMA)
+        assert header == ["t", "delta", "mu", "pass"]
+        assert len(rows) == len(reports)
+        for (t, delta, mu, passed), r in zip(rows, reports):
+            assert bits([float(t), float(delta), float(mu)]) == bits([r.t, r.delta, r.mu])
+            assert int(passed) == r.passed
+
+
 class TestEquilibriumVariant:
     def test_zero_noise_perfect_init_stays_at_truth(self):
         """Noiseless bundled scenario started exactly on the truth stays
@@ -534,6 +610,28 @@ class TestCli:
         assert main(["--out", str(tmp_path), "obsv", str(GPS),
                      "--delta", "1e-4", "--grid", "0"]) == EXIT_CONFIG
         assert "dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, flags", [
+        (STEREO, ["--delta", "1e9", "--grid", "0"]),
+        (GPS, ["--delta", "1e9", "--grid", "0"]),
+        (GPS, ["--grid", "1e300"]),
+        (STEREO, ["--delta", "1e308", "--grid", "0"]),
+    ])
+    def test_obsv_window_beyond_a_run(self, config, flags, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "obsv", str(config)] + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--grid" in err and "--delta" in err and "Traceback" not in err
+
+    def test_non_finite_estimate_exits_3_without_warnings(self, tmp_path, capsys):
+        from se5nav.cli import EXIT_DIVERGED
+
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(STEREO.read_text().replace("duration = 60.0", "duration = 1.0")
+                       .replace("phat0 = 1.0, 1.0, 1.0", "phat0 = 1e300, 0, 0"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == EXIT_DIVERGED
+        assert "non-finite" in capsys.readouterr().err
 
     def test_output_root_env_var(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "tiny.cfg"
