@@ -86,12 +86,10 @@ class UnifiedLayout:
         (..., m, 5), one pair per leading index (stage, step)."""
         ys = np.empty(raw.shape)
         ys[...] = self.y_base
-        if self._y_raw_idx.size:
-            ys[..., self._y_raw_idx, :] = raw[..., self._y_raw_idx, :]
+        ys[..., self._y_raw_idx, :] = raw[..., self._y_raw_idx, :]
         rs = np.empty(raw.shape[:-1] + (5,))
         rs[...] = self.r_base
-        if self._r_raw_idx.size:
-            rs[..., self._r_raw_idx, 2:] = -raw[..., self._r_raw_idx, :]
+        rs[..., self._r_raw_idx, 2:] = -raw[..., self._r_raw_idx, :]
         return ys, rs
 
     def c_matrix(self, rs: np.ndarray) -> np.ndarray:

@@ -23,9 +23,6 @@ def hat(v: np.ndarray) -> np.ndarray:
     A stack of vectors (..., 3) gives a stack of matrices (..., 3, 3).
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        x, y, z = v
-        return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     out = np.zeros(v.shape + (3,))
     out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
     out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]

@@ -26,11 +26,9 @@ _I3 = np.eye(3)
 
 
 def transition_matrix(a_of_t, t0: float, t1: float, dt: float) -> np.ndarray:
-    """RK4 integration of d(phi)/dt = A(t) phi from phi(t0, t0) = I."""
-    if t1 < t0:
-        raise ValueError("t1 must not precede t0")
-    n = int(round((t1 - t0) / dt))
-    for phi in _phi_nodes(a_of_t, t0 + np.arange(n + 1) * dt, dt):
+    """RK4 integration of d(phi)/dt = A(t) phi from phi(t0, t0) = I to t1 > t0,
+    on the nodes of :func:`window_nodes`."""
+    for phi in _phi_nodes(a_of_t, window_nodes(t0, t1 - t0, dt)[0], dt):
         pass
     return phi
 
@@ -58,11 +56,15 @@ def _phi_step(phi: np.ndarray, a0: np.ndarray, a_half: np.ndarray, a1: np.ndarra
     return phi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def trapezoid_weights(n: int, dt: float) -> np.ndarray:
-    """Composite-trapezoid weights on n + 1 nodes spaced dt apart."""
-    weights = np.full(n + 1, dt)
+def window_nodes(t: float, delta: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes t + k dt (k = 0 .. round(delta / dt)) of the window
+    [t, t + delta] and their composite-trapezoid weights."""
+    if not delta > 0:
+        raise ValueError(f"window length {delta:g} must be positive")
+    ts = t + np.arange(int(round(delta / dt)) + 1) * dt
+    weights = np.full(ts.size, dt)
     weights[0] = weights[-1] = 0.5 * dt
-    return weights
+    return ts, weights
 
 
 @dataclass(frozen=True)
@@ -91,12 +93,9 @@ def gramian(
     The transition matrix is advanced incrementally across the quadrature
     nodes, so the cost is one RK4 sweep of the window.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    n = int(round(delta / dt))
-    ts = t + np.arange(n + 1) * dt
+    ts, weights = window_nodes(t, delta, dt)
     w = 0.0
-    for s, wq, phi in zip(ts, trapezoid_weights(n, dt), _phi_nodes(a_of_t, ts, dt)):
+    for s, wq, phi in zip(ts, weights, _phi_nodes(a_of_t, ts, dt)):
         cs = c_of_t(s) @ phi
         w = w + wq * (cs.T @ cs)
     w /= delta
@@ -116,10 +115,10 @@ def kron_gramians(
     """Closed-form Gramians of A(t) = Abar kron I3 - I5 kron hat(omega(t))
     with C(t) = R_s(t) kron I3, one per window start.
 
-    ``pieces`` yields the rows of R_s at the trapezoid nodes t + k dt
-    (k = 0 .. round(delta / dt)) of every window, shaped (windows, K, m, 5),
-    K consecutive nodes at a time. The transition matrix factors as
-    Phibar kron Q with Q orthogonal, so the rotation cancels in
+    ``pieces`` yields the rows of R_s at the nodes of :func:`window_nodes`
+    of every window, shaped (windows, K, m, 5), K consecutive nodes at a
+    time. The transition matrix factors as Phibar kron Q with Q
+    orthogonal, so the rotation cancels in
     (C phi)^T (C phi) and W = Wbar kron I3 with
 
         Wbar = (1/delta) int Phibar^T R_s^T R_s Phibar ds,
@@ -128,22 +127,19 @@ def kron_gramians(
     Abar^3 = 0. The quadrature is the trapezoid rule of :func:`gramian` on
     the same nodes, so mu is the same number.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    offsets, weights = window_nodes(0.0, delta, dt)
     abar2 = abar @ abar
     if np.any(abar2 @ abar):
         raise ValueError("Abar^3 must vanish for the polynomial transition matrix")
-    n = int(round(delta / dt))
-    weights = trapezoid_weights(n, dt)
     wbar, k0 = None, 0
     for rs in pieces:
         k1 = k0 + rs.shape[1]
-        taus = (np.arange(k0, k1) * dt)[:, None, None]
+        taus = offsets[k0:k1, None, None]
         b = rs @ (np.eye(5) + abar * taus + abar2 * (0.5 * taus * taus))
         part = np.einsum("k,wkmi,wkmj->wij", weights[k0:k1], b, b)
         wbar, k0 = part if wbar is None else wbar + part, k1
-    if k0 != n + 1:
-        raise ValueError(f"expected {n + 1} nodes per window, got {k0}")
+    if k0 != offsets.size:
+        raise ValueError(f"expected {offsets.size} nodes per window, got {k0}")
     wbar = wbar / delta
     wbar = 0.5 * (wbar + np.swapaxes(wbar, -1, -2))
     mus = np.linalg.eigvalsh(wbar)[:, 0]
@@ -187,15 +183,11 @@ def gps_pe_condition(
     ``v_of_t`` are called once, on the array of quadrature nodes; a
     constant (3,) return stands for every node.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    ts, weights = window_nodes(t, delta, dt)
     g = np.asarray(g, dtype=float)
-    n = int(round(delta / dt))
-    ts = t + np.arange(n + 1) * dt
-    weights = trapezoid_weights(n, dt)
 
     def on_nodes(fn):
-        return np.broadcast_to(np.asarray(fn(ts), dtype=float), (n + 1, 3))
+        return np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape + (3,))
 
     def outer_mean(x):
         return np.einsum("k,ki,kj->ij", weights, x, x) / delta

@@ -186,14 +186,14 @@ def delta_r_decomposition(rho, rhat: np.ndarray, rtilde: np.ndarray) -> tuple[np
 
 # gains --------------------------------------------------------------------
 
-def gain(P: np.ndarray, C: np.ndarray, Q, rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Riccati gain pair: body-frame K_B = P C^T Q and its inertial-frame
-    conjugate K_I = (I_5 kron Rhat) K_B (I_m kron Rhat^T).
+def gain(P: np.ndarray, C: np.ndarray, Q: float, rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Riccati gain pair: body-frame K_B = P C^T Q for a scalar weight Q and
+    its inertial-frame conjugate K_I = (I_5 kron Rhat) K_B (I_m kron Rhat^T).
 
     The five 3 x 3m row blocks of K_I weight the innovation stack for the
     p, v, e1, e2, e3 columns of the estimate.
     """
-    kb = P @ C.T * Q if np.isscalar(Q) else P @ C.T @ Q
+    kb = P @ C.T * Q
     m = C.shape[0] // 3
     ki = kron(np.eye(5), rhat) @ kb @ kron(np.eye(m), rhat.T)
     return kb, ki
@@ -326,18 +326,16 @@ def _step(x, pi, stages: StageInputs, t: float, cfg: ObserverConfig, abar, rho, 
 
 # public operations ---------------------------------------------------------
 
-def _riccati_rhs(P: np.ndarray, a: np.ndarray, c: np.ndarray, q, v) -> np.ndarray:
+def _riccati_rhs(P: np.ndarray, a: np.ndarray, c: np.ndarray, q: float, v: float) -> np.ndarray:
     ap = a @ P
     pct = P @ c.T
-    kb = pct * q if np.isscalar(q) else pct @ q
+    kb = pct * q
     out = ap + ap.T - kb @ pct.T
-    if np.isscalar(v):
-        out[np.diag_indices_from(out)] += v
-        return out
-    return out + v
+    out[np.diag_indices_from(out)] += v
+    return out
 
 
-def riccati_step(P: np.ndarray, a: np.ndarray, c: np.ndarray, q, v, dt: float) -> np.ndarray:
+def riccati_step(P: np.ndarray, a: np.ndarray, c: np.ndarray, q: float, v: float, dt: float) -> np.ndarray:
     """One RK4 step of the Riccati flow with A, C held over the step.
 
     Symmetrizes the result and fails loudly if positive definiteness is
@@ -411,8 +409,8 @@ def geometric_error(state: ObserverState, truth: TruthState) -> SEn:
 def kalman_reference_run(
     a_of_t,
     c_of_t,
-    q,
-    v,
+    q: float,
+    v: float,
     p0: np.ndarray,
     x0: np.ndarray,
     t0: float,
@@ -435,7 +433,7 @@ def kalman_reference_run(
 
     def f(xx, pp, a, c):
         pct = pp @ c.T
-        kb = pct * q if np.isscalar(q) else pct @ q
+        kb = pct * q
         return a @ xx - kb @ (c @ xx), _riccati_rhs(pp, a, c, q, v)
 
     # A and C once per grid node and midpoint: a step's end is the next start

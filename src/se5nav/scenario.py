@@ -43,6 +43,7 @@ from .observability import (
     GramianReport,
     gps_pe_condition,
     kron_gramians,
+    window_nodes,
 )
 from .observer import (
     ESTIMATE_CSV_SCHEMA,
@@ -68,6 +69,7 @@ from .trajectory import (
     TrajectorySpec,
     eval_omega,
     eval_trajectory,
+    record_steps,
     simulate_truth,
     truth_attitude,
     write_table,
@@ -325,7 +327,7 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
     Each channel is sampled at its own rate with zero-order hold in
     between; full-rate channels and the IMU are delivered at the truth's
     stage rows. Noise, the IMU's too, applies only when ``cfg.noise`` is
-    on. Every ``trace_stride``-th step and the last are recorded, and
+    on. The steps of :func:`record_steps` are recorded, and
     ``stop_when(t, att_err, col_norms)`` may end the run at a recorded
     step; with ``keep_rows`` off, the trace keeps the last record only. A
     DivergenceError carries the state at the start of the failing step.
@@ -389,12 +391,13 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
     live = np.arange(len(inits))  # the run of each row of x
     abar, rho = build_abar(obs.g), np.asarray(obs.rho)
     n = len(truth) - 1
-    n_rows = -(-n // stride) + 1 if keep_rows else 1  # every stride-th step and the last
+    slots = {k: slot for slot, k in enumerate(record_steps(n, stride).tolist())}  # trace row of each record
+    n_rows = len(slots) if keep_rows else 1
     rows = {name: np.empty((n_rows, len(inits)) + shape) for name, shape in _ROW_SHAPES.items()}
     traces = [None] * len(inits)
     for k in range(n + 1):
-        if k % stride == 0 or k == n:
-            slot = -(-k // stride) if keep_rows else 0  # the trace row of this record
+        if k in slots:
+            slot = slots[k] if keep_rows else 0
             rhat = x[..., :3]
             rep = error_arrays(truth.R[k], z_block(truth.p[k], truth.v[k]), rhat, x[..., 3:])
             gram = (rhat.mT @ rhat - _I3).reshape(-1, 9)
@@ -539,6 +542,7 @@ class _Dwell:
 _SWEEP_BATCH = 64
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sweep_agas(
     cfg: ScenarioConfig,
     n_runs: int,
@@ -555,7 +559,8 @@ def sweep_agas(
     thresholds for a short dwell, and its settle time is the first record
     of that dwell. The runs share the truth, the measurements and the
     Riccati factor, so they are stepped in equal batches of at most
-    ``_SWEEP_BATCH`` by one :func:`run_observer` call each.
+    ``_SWEEP_BATCH`` by one :func:`run_observer` call each. Overflow warnings
+    are off: errors beyond float64 end in a non-finite estimate the run rejects.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
@@ -678,19 +683,18 @@ def check_observability(
     if not np.all(starts >= 0):
         raise ValueError("window start times must be nonnegative")
     _check_steps((float(starts.max(initial=0.0)) + delta) / dt, cfg.trace_stride, "(max --grid + --delta) / dt")
-    n = int(round(delta / dt))
-    attitude = _reference_attitude(cfg, (starts + n * dt).max(initial=0.0))
+    offsets, _ = window_nodes(0.0, delta, dt)
+    attitude = _reference_attitude(cfg, (starts + offsets[-1]).max(initial=0.0))
     layout = UnifiedLayout(cfg.channels)
     abar = build_abar(spec.g)
-    piece = min(n + 1, _OBSV_PIECE_NODES)
+    piece = min(offsets.size, _OBSV_PIECE_NODES)
 
     def node_pieces(group):  # R_s rows at the nodes of the group's windows, a piece at a time
-        for k0 in range(0, n + 1, piece):
-            offsets = np.arange(k0, min(k0 + piece, n + 1)) * dt
-            ts = (group[:, None] + offsets).ravel()
+        for k0 in range(0, offsets.size, piece):
+            ts = (group[:, None] + offsets[k0:k0 + piece]).ravel()
             p, v, _ = eval_trajectory(spec, ts)
             _, rs = layout.stacks(layout.raw_from_pose(attitude(ts), p, v))
-            yield rs.reshape(group.size, offsets.size, *rs.shape[1:])
+            yield rs.reshape(group.size, -1, *rs.shape[1:])
 
     per_group = max(1, _OBSV_CHUNK_NODES // piece)
     reports = []

@@ -94,54 +94,45 @@ def z_block(p, v) -> np.ndarray:
 def eval_trajectory(spec: TrajectorySpec, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Position, velocity, and acceleration at time(s) t, all analytic.
 
-    Accepts a scalar or an array of times; returns arrays shaped (3,) or
-    (len(t), 3) accordingly.
+    Times of any shape give arrays of that shape plus a trailing axis of
+    3: (3,) for a scalar, (len(t), 3) for a 1-D array of times.
     """
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    tt = np.atleast_1d(t)
-    n = tt.size
-    p = np.zeros((n, 3))
-    v = np.zeros((n, 3))
-    a = np.zeros((n, 3))
+    p = np.zeros(t.shape + (3,))
+    v = np.zeros(t.shape + (3,))
+    a = np.zeros(t.shape + (3,))
     if spec.kind == "eight":
         a1, a2, a3 = spec.amp
         w1, w2, w3 = spec.freq
-        p[:, 0] = a1 * np.cos(w1 * tt)
-        p[:, 1] = a2 * np.sin(w2 * tt)
-        p[:, 2] = a3 * np.sin(w3 * tt)
-        v[:, 0] = -a1 * w1 * np.sin(w1 * tt)
-        v[:, 1] = a2 * w2 * np.cos(w2 * tt)
-        v[:, 2] = a3 * w3 * np.cos(w3 * tt)
-        a[:, 0] = -a1 * w1 * w1 * np.cos(w1 * tt)
-        a[:, 1] = -a2 * w2 * w2 * np.sin(w2 * tt)
-        a[:, 2] = -a3 * w3 * w3 * np.sin(w3 * tt)
+        p[..., 0] = a1 * np.cos(w1 * t)
+        p[..., 1] = a2 * np.sin(w2 * t)
+        p[..., 2] = a3 * np.sin(w3 * t)
+        v[..., 0] = -a1 * w1 * np.sin(w1 * t)
+        v[..., 1] = a2 * w2 * np.cos(w2 * t)
+        v[..., 2] = a3 * w3 * np.cos(w3 * t)
+        a[..., 0] = -a1 * w1 * w1 * np.cos(w1 * t)
+        a[..., 1] = -a2 * w2 * w2 * np.sin(w2 * t)
+        a[..., 2] = -a3 * w3 * w3 * np.sin(w3 * t)
     elif spec.kind == "constant-velocity":
-        p0 = np.asarray(spec.p0, dtype=float)
-        v0 = np.asarray(spec.v0, dtype=float)
-        p[:] = p0[None, :] + tt[:, None] * v0[None, :]
-        v[:] = v0[None, :]
+        v[...] = spec.v0
+        p[...] = spec.p0 + t[..., None] * v
     else:  # hover
-        p[:] = np.asarray(spec.p0, dtype=float)[None, :]
-    if scalar:
-        return p[0], v[0], a[0]
+        p[...] = spec.p0
     return p, v, a
 
 
 def eval_omega(spec: TrajectorySpec, t) -> np.ndarray:
-    """Body angular velocity at time(s) t."""
+    """Body angular velocity at time(s) t, shaped as :func:`eval_trajectory`'s outputs."""
     t = np.asarray(t, dtype=float)
     amp = np.asarray(spec.omega_amp)
     frq = np.asarray(spec.omega_freq)
     phs = np.asarray(spec.omega_phase)
-    if t.ndim == 0:
-        return amp * np.sin(frq * float(t) + phs)
-    return amp[None, :] * np.sin(t[:, None] * frq[None, :] + phs[None, :])
+    return amp * np.sin(t[..., None] * frq + phs)
 
 
 def synthesize_imu(p_ddot: np.ndarray, r: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Accelerometer output a_B = R.T (vdot - g)."""
-    return r.T @ (np.asarray(p_ddot, dtype=float) - np.asarray(g, dtype=float))
+    """Accelerometer output a_B = R.T (vdot - g), of each of a stack r (..., 3, 3), p_ddot (..., 3)."""
+    return np.einsum("...ji,...j->...i", r, np.asarray(p_ddot, dtype=float) - np.asarray(g, dtype=float))
 
 
 @dataclass
@@ -228,21 +219,14 @@ def coupled_truth(spec: TrajectorySpec, duration: float, dt: float) -> CoupledTr
     n = int(round(duration / dt))
     h2, c6 = 0.5 * dt, dt / 6.0
 
-    # body rates and accelerations at the step starts and midpoints, each
-    # evaluated once, in (step, stage) tables
+    # body rates and accelerations at the stage times, as (step, stage) tables
     ts = np.arange(n + 1) * dt
-    w, w_mid = eval_omega(spec, ts), eval_omega(spec, ts[:-1] + h2)
-    vdot, vdot_mid = eval_trajectory(spec, ts)[2], eval_trajectory(spec, ts[:-1] + h2)[2]
-
-    def table(grid, mid):
-        return np.stack([grid[:-1], mid, mid, grid[1:]], axis=1)
-
-    w_st, a_st = table(hat(w), hat(w_mid)), table(vdot, vdot_mid)
+    stage_ts = np.stack([ts[:-1], ts[:-1] + h2, ts[:-1] + h2, ts[1:]], axis=1)
+    w_st, a_st = eval_omega(spec, stage_ts), eval_trajectory(spec, stage_ts)[2]
     r_st, p_st, v_st = np.empty((n, 4, 3, 3)), np.empty((n, 4, 3)), np.empty((n, 4, 3))
     r_t = spec.r0.copy()
     p_t, v_t, _ = eval_trajectory(spec, 0.0)
-    for j in range(n):
-        wk, ak = w_st[j], a_st[j]
+    for j, (wk, ak) in enumerate(zip(hat(w_st), a_st)):
         r_st[j, 0], p_st[j, 0], v_st[j, 0] = r_t, p_t, v_t
         dr = []
         for s, h in enumerate((h2, h2, dt)):
@@ -256,8 +240,8 @@ def coupled_truth(spec: TrajectorySpec, duration: float, dt: float) -> CoupledTr
         p_t = p_t + c6 * (vs[0] + 2 * vs[1] + 2 * vs[2] + vs[3])
         v_t = v_t + c6 * (ak[0] + 2 * ak[1] + 2 * ak[2] + ak[3])
     grid = (np.concatenate([st[:, 0], end[None]]) for st, end in ((r_st, r_t), (p_st, p_t), (v_st, v_t)))
-    a_b = (np.swapaxes(r_st, -1, -2) @ (a_st - spec.g)[..., None])[..., 0]
-    return CoupledTruth(dt, ts, *grid, stage_tables=(r_st, p_st, v_st, table(w, w_mid), a_b))
+    return CoupledTruth(dt, ts, *grid,
+                        stage_tables=(r_st, p_st, v_st, w_st, synthesize_imu(a_st, r_st, spec.g)))
 
 
 _EXP_CHUNK = 4096  # half-step exponentials built per batch in truth_attitude
@@ -293,20 +277,17 @@ def simulate_truth(spec: TrajectorySpec, duration: float, dt: float = 1e-3) -> T
     n = int(round(duration / dt))
     ts = np.arange(n + 1) * dt
     p, v, a = eval_trajectory(spec, ts)
-    omega = eval_omega(spec, ts)
-    g = spec.g
 
     rs, r_mid = truth_attitude(spec, n, dt)
-    ab = np.einsum("kji,kj->ki", rs, a - g[None, :])
 
     # state and IMU pair at the step midpoints t_k + dt/2
     t_mid = ts[:-1] + 0.5 * dt
     p_mid, v_mid, a_mid = eval_trajectory(spec, t_mid)
-    ab_mid = np.einsum("kji,kj->ki", r_mid, a_mid - g[None, :])
 
     return TruthRun(
-        spec=spec, dt=dt, t=ts, p=p, v=v, vdot=a, R=rs, omega=omega, aB=ab,
-        p_mid=p_mid, v_mid=v_mid, R_mid=r_mid, omega_mid=eval_omega(spec, t_mid), aB_mid=ab_mid,
+        spec=spec, dt=dt, t=ts, p=p, v=v, vdot=a, R=rs, omega=eval_omega(spec, ts),
+        aB=synthesize_imu(a, rs, spec.g), p_mid=p_mid, v_mid=v_mid, R_mid=r_mid,
+        omega_mid=eval_omega(spec, t_mid), aB_mid=synthesize_imu(a_mid, r_mid, spec.g),
     )
 
 
@@ -322,10 +303,15 @@ def write_table(path, schema: str, header, rows) -> None:
                     for row in rows)
 
 
+def record_steps(n: int, stride: int) -> np.ndarray:
+    """The steps of a run of n steps that its traces record: every stride-th and the last."""
+    return np.append(np.arange(0, n, stride), n)
+
+
 def write_truth_csv(run: TruthRun, path, stride: int = 1) -> None:
-    """Truth trace export: t, p[3], v[3], R row-major[9], omega[3], aB[3]."""
+    """Truth trace at :func:`record_steps`: t, p[3], v[3], R row-major[9], omega[3], aB[3]."""
     write_table(path, TRUTH_CSV_SCHEMA,
                 ["t", "px", "py", "pz", "vx", "vy", "vz"] + [f"R{i}{j}" for i in range(3) for j in range(3)]
                 + ["wx", "wy", "wz", "ax", "ay", "az"],
                 ([run.t[k], *run.p[k], *run.v[k], *run.R[k].reshape(-1), *run.omega[k], *run.aB[k]]
-                 for k in range(0, len(run), stride)))
+                 for k in record_steps(len(run) - 1, stride)))

@@ -347,6 +347,15 @@ class TestRunScenario:
         for name in ("truth.csv", "measurements.csv", "estimate.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
+    def test_truth_and_estimate_record_the_same_steps(self, tmp_path):
+        # 105 steps, not a multiple of the stride: both traces end at the last step
+        cfg = dataclasses.replace(parse_scenario(STEREO), duration=0.105, trace_stride=10)
+        run_scenario(cfg, out_dir=tmp_path)
+        truth_t = [row[0] for row in read_table(tmp_path / "truth.csv", TRUTH_CSV_SCHEMA)[1]]
+        estimate_t = [row[0] for row in read_table(tmp_path / "estimate.csv", ESTIMATE_CSV_SCHEMA)[1]]
+        assert truth_t == estimate_t
+        assert len(truth_t) == 12 and float(truth_t[-1]) == pytest.approx(0.105)
+
     def test_seed_changes_noisy_traces(self, tmp_path):
         base = dataclasses.replace(parse_scenario(STEREO), duration=0.5, trace_stride=100)
         other = dataclasses.replace(base, seed=base.seed + 1)
@@ -632,6 +641,16 @@ class TestCli:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == EXIT_DIVERGED
         assert "non-finite" in capsys.readouterr().err
+
+    def test_huge_translation_ball_exits_3_without_warnings(self, tmp_path, capsys):
+        from se5nav.cli import EXIT_DIVERGED
+
+        # the initial errors' norms overflow float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--out", str(tmp_path), "sweep", str(STEREO), "--runs", "1",
+                         "--ball", "1e308"]) == EXIT_DIVERGED
+        assert "run diverged" in capsys.readouterr().err
 
     def test_output_root_env_var(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "tiny.cfg"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from se5nav.lie import is_rotation, so3_exp
+from se5nav.lie import hat, is_rotation, so3_exp
 from se5nav.scenario import _TRUTH_FLOATS_PER_STEP
 from se5nav.trajectory import (
     TrajectorySpec,
@@ -88,6 +88,68 @@ class TestOmegaProfile:
         batch = eval_omega(spec, ts)
         for i, t in enumerate(ts):
             assert np.allclose(batch[i], eval_omega(spec, t))
+
+
+class TestOneFormulaForASampleOrAStack:
+    """A scalar and a stack give the same bits as the earlier per-case formulas."""
+
+    def test_hat(self):
+        def single(v):
+            x, y, z = v
+            return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+        vs = np.random.default_rng(3).standard_normal((40, 3)) * [1.0, 1e-12, 1e6]
+        vs[0] = [0.0, -0.0, 0.0]
+        ref = np.stack([single(v) for v in vs])
+        assert np.array_equal(hat(vs), ref)
+        assert all(np.array_equal(hat(v), r) for v, r in zip(vs, ref))
+        assert np.array_equal(hat(vs.reshape(8, 5, 3)), ref.reshape(8, 5, 3, 3))
+        assert np.array_equal(np.signbit(hat(vs[0])), np.signbit(single(vs[0])))
+
+    @pytest.mark.parametrize("kind", ["eight", "constant-velocity", "hover"])
+    def test_eval_trajectory_and_omega(self, kind):
+        spec = reference_spec(kind=kind, p0=(1.0, -2.0, 0.5), v0=(0.3, 0.0, -1.7))
+        amp, frq, phs = (np.asarray(x) for x in (spec.omega_amp, spec.omega_freq, spec.omega_phase))
+
+        def stacked(tt):  # the per-axis formulas on an array of times
+            p, v, a = np.zeros((tt.size, 3)), np.zeros((tt.size, 3)), np.zeros((tt.size, 3))
+            if kind == "eight":
+                (a1, a2, a3), (w1, w2, w3) = spec.amp, spec.freq
+                p[:, 0], p[:, 1], p[:, 2] = a1 * np.cos(w1 * tt), a2 * np.sin(w2 * tt), a3 * np.sin(w3 * tt)
+                v[:, 0] = -a1 * w1 * np.sin(w1 * tt)
+                v[:, 1], v[:, 2] = a2 * w2 * np.cos(w2 * tt), a3 * w3 * np.cos(w3 * tt)
+                a[:, 0] = -a1 * w1 * w1 * np.cos(w1 * tt)
+                a[:, 1], a[:, 2] = -a2 * w2 * w2 * np.sin(w2 * tt), -a3 * w3 * w3 * np.sin(w3 * tt)
+            elif kind == "constant-velocity":
+                p[:] = np.asarray(spec.p0)[None, :] + tt[:, None] * np.asarray(spec.v0)[None, :]
+                v[:] = np.asarray(spec.v0)[None, :]
+            else:
+                p[:] = np.asarray(spec.p0)[None, :]
+            return p, v, a, amp[None, :] * np.sin(tt[:, None] * frq[None, :] + phs[None, :])
+
+        ts = np.concatenate([[0.0, 1e-9, 0.5, 3.25], np.random.default_rng(5).uniform(0.0, 60.0, 96)])
+        ref = stacked(ts)
+        got = (*eval_trajectory(spec, ts), eval_omega(spec, ts))
+        for g, r in zip(got, ref):
+            assert g.shape == (ts.size, 3) and np.array_equal(g, r)
+        for i, t in enumerate(ts):
+            single = (*eval_trajectory(spec, t), eval_omega(spec, t))
+            assert all(g.shape == (3,) and np.array_equal(g, r[i]) for g, r in zip(single, ref))
+            assert np.array_equal(single[3], amp * np.sin(frq * float(t) + phs))
+        nested = (*eval_trajectory(spec, ts.reshape(10, 10)), eval_omega(spec, ts.reshape(10, 10)))
+        assert all(np.array_equal(g, r.reshape(10, 10, 3)) for g, r in zip(nested, ref))
+
+    def test_synthesize_imu(self):
+        # the einsum the grid truth has always used; a matmul r.T @ x rounds
+        # differently on some samples, so it is not the reference here
+        spec = reference_spec()
+        run = simulate_truth(spec, 0.5, 1e-3)
+        ref = np.einsum("kji,kj->ki", run.R, run.vdot - spec.g[None, :])
+        assert np.array_equal(run.aB, ref)
+        assert np.array_equal(synthesize_imu(run.vdot, run.R, spec.g), ref)
+        assert all(np.array_equal(synthesize_imu(a, r, spec.g), want) for a, r, want in zip(run.vdot, run.R, ref))
+        nested = synthesize_imu(run.vdot[:500].reshape(50, 10, 3), run.R[:500].reshape(50, 10, 3, 3), spec.g)
+        assert np.array_equal(nested, ref[:500].reshape(50, 10, 3))
 
 
 def final_attitude(spec, t1, dt):
