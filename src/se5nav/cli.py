@@ -7,7 +7,7 @@ Subcommands:
     validate <cfg>            parse and check a config, print the result
 
 Output root: --out, else $SE5NAV_OUT, else ./runs. Exit codes: 0 success,
-2 bad config, 3 numerical divergence, 4 observability failure.
+2 bad config or output directory, 3 numerical divergence, 4 observability failure.
 """
 
 from __future__ import annotations
@@ -39,9 +39,18 @@ EXIT_DIVERGED = 3
 EXIT_OBSERVABILITY = 4
 
 
+class _Unwritable(Exception):
+    """The output directory cannot be created or written to."""
+
+
 def _out_dir(args, cfg_path: Path, kind: str) -> Path:
-    root = args.out or os.environ.get("SE5NAV_OUT") or "runs"
-    return Path(root) / f"{cfg_path.stem}-{kind}"
+    """The command's output directory, created before the command runs."""
+    out = Path(args.out or os.environ.get("SE5NAV_OUT") or "runs") / f"{cfg_path.stem}-{kind}"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise _Unwritable(f"cannot write outputs to {out}: {err.strerror or err}") from None
+    return out
 
 
 def _cmd_run(args) -> int:
@@ -56,13 +65,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = parse_scenario(args.config)
+    out = _out_dir(args, Path(args.config), "sweep")
     rows = sweep_agas(
         cfg, n_runs=args.runs, seed=args.seed,
         max_angle_rad=np.deg2rad(args.max_angle_deg),
         translation_ball=args.ball,
     )
-    out = _out_dir(args, Path(args.config), "sweep")
-    out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(rows, out / "sweep.csv")
     n_conv = sum(r.converged for r in rows)
     worst = max((r.settle_time_s for r in rows if r.settle_time_s is not None), default=None)
@@ -76,14 +84,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_obsv(args) -> int:
     cfg = parse_scenario(args.config)
+    out = _out_dir(args, Path(args.config), "obsv")
     grid = args.grid or list(np.arange(0.0, 51.0, 5.0))
     try:
         reports = check_observability(cfg, delta=args.delta, grid=grid, threshold=args.mu)
     except ValueError as err:  # a window the config cannot resolve, such as delta < dt
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    out = _out_dir(args, Path(args.config), "obsv")
-    out.mkdir(parents=True, exist_ok=True)
     write_observability_csv(reports, out / "observability.csv")
     all_pass = all(r.passed for r in reports)
     for r in reports:
@@ -170,7 +177,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, _Unwritable) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as err:

@@ -13,6 +13,7 @@ import numpy as np
 
 ROTATION_TOL = 1e-9
 SMALL_ANGLE = 1e-8
+NEWTON_SCHULZ_TOL = 1e-7  # a run's step leaves a defect of about 6e-9 for project_rotation
 
 _I3 = np.eye(3)
 
@@ -81,12 +82,22 @@ def is_rotation(r: np.ndarray, tol: float = ROTATION_TOL) -> bool:
 
 
 def project_rotation(r: np.ndarray) -> np.ndarray:
-    """Closest rotation in Frobenius norm (polar factor via SVD), of each
-    matrix of a stack (..., 3, 3)."""
-    u, _, vt = np.linalg.svd(np.asarray(r, dtype=float))
+    """Closest rotation in Frobenius norm (the polar factor), of each matrix
+    of a stack (..., 3, 3): one Newton-Schulz step R - R (R^T R - I) / 2, of
+    error about that defect squared (Bjorck & Bowie, SIAM J. Numer. Anal.
+    8(2), 1971), where max|R^T R - I| < NEWTON_SCHULZ_TOL and det R > 0; else SVD."""
+    r = np.asarray(r, dtype=float)
+    e = r.mT @ r - _I3
+    out = r - 0.5 * (r @ e)
+    small, det_pos = np.abs(e) < NEWTON_SCHULZ_TOL, np.linalg.det(r) > 0
+    if small.all() and det_pos.all():
+        return out
+    slow = ~(small.all(axis=(-2, -1)) & det_pos)
+    u, _, vt = np.linalg.svd(r[slow])
     # U diag(1, 1, d) V^T: flip U's last column where U V^T is a reflection
     u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
-    return u @ vt
+    out[slow] = u @ vt
+    return out
 
 
 def rotation_angle(r: np.ndarray) -> float | np.ndarray:

@@ -16,10 +16,12 @@ keeps the form P = Pi kron I_3, with the 5 x 5 factor
 
 which does not depend on the estimate (Barrau & Bonnabel, "The Invariant
 Extended Kalman Filter as a Stable Observer", IEEE TAC 2017). The
-observer's state is (Rhat, zhat, Pi), and P is derived from Pi. One fixed
-step is RK4 (IMU inputs sampled at the stage times when available), then
-the rotation block is re-projected onto SO(3), Pi is symmetrized and
-checked positive definite. The innovation Delta has rotation part
+observer's state is (Rhat, zhat, Pi), and P is derived from Pi, which is
+integrated ahead of the estimate a chunk of RK4 steps at a time, checked
+positive definite and turned into gains (:func:`_riccati_pass`). The
+estimate then takes its RK4 step on those gains (IMU inputs sampled at the
+stage times when available), and its rotation block is re-projected onto
+SO(3). The innovation Delta has rotation part
 hat(delta_r) built from the auxiliary basis columns and translation part
 K_I dz folded back into a 3 x 5 block, q Rhat ((Pi R_s^T)(dz Rhat))^T for
 the innovation rows dz.
@@ -29,10 +31,10 @@ follows the linear time-varying closed loop
 
     dx_B/dt = (A(t) - K_B(t) C(t)) x_B,     K_B = P C^T Q,
 
-independently of the attitude error; :func:`kalman_reference_run`
-integrates that system directly, with the generic 15 x 15 Riccati flow,
-and serves as the oracle for the full observer, as :func:`riccati_step`,
-:func:`build_a` and :func:`gain` serve for its parts.
+independently of the attitude error. The tests integrate that system
+directly, with the generic 15 x 15 Riccati flow (``tests/oracles.py``), as
+the oracle for the full observer, as :func:`build_a` and :func:`gain` serve
+for its parts.
 """
 
 from __future__ import annotations
@@ -203,7 +205,8 @@ def gain(P: np.ndarray, C: np.ndarray, Q: float, rhat: np.ndarray) -> tuple[np.n
 
 @dataclass
 class StageInputs:
-    """What the observer's vector field needs at one RK4 stage.
+    """The inputs of one RK4 stage, from which :func:`_riccati_pass` forms the
+    estimate's flow and gain.
 
     The measured quantities enter already multiplied out. With the
     estimate's top block rows X = [Rhat, zhat] (3 x 8), the stacked
@@ -240,69 +243,104 @@ def make_stage_inputs(omega, accel, ys, rs, g) -> StageInputs:
     return StageInputs(flow=flow, cross=cross, info=rs_t @ rs)
 
 
-def _observer_rhs(x, pi, flow, cross, info, q: float, v: float, rho, abar):
-    """Vector field of (X, Pi) at one stage, for a batch of estimates
-    X = [Rhat, zhat] (B x 3 x 8) sharing Pi, which dPi does not depend on,
-    and that stage's StageInputs fields flow, cross and info.
+def _observer_rhs(x, fg, half_rho):
+    """Vector field of a batch of estimates X = [Rhat, zhat] (B x 3 x 8) at
+    one stage, with that stage's flow F and gain G = q cross Pi side by side
+    in fg = [F | G] (8 x 13), and rho / 2.
 
-    dX = X flow + hat(delta_r) X - q (Rhat Rhat^T) X cross Pi, the last
-    term only in the zhat columns: it is the gain K_I applied to the
-    innovations dz_i = -X y_bold_i, folded to 3 x 5, that is
-    q Rhat ((Pi R_s^T)(dz Rhat))^T with dz stacked as rows. The Riccati
-    part is dPi = T Pi + Pi T^T + v I_5 with T = Abar - (q/2) Pi info,
-    which is Abar Pi + Pi Abar^T - q Pi R_s^T R_s Pi + v I_5.
+    dX = X F + hat(delta_r) X - (Rhat Rhat^T) X G, the last term only in
+    the zhat columns: it is the gain K_I applied to the innovations
+    dz_i = -X y_bold_i, folded to 3 x 5, that is
+    q Rhat ((Pi R_s^T)(dz Rhat))^T with dz stacked as rows.
     """
     rhat = x[..., :3]
-    m = x[..., 5:] * rho
-    hdr = 0.5 * (m.mT - m)  # hat(delta_r(ehat, rho))
-    dx = x @ flow + hdr @ x
-    dx[..., 3:] -= q * ((rhat @ rhat.mT) @ ((x @ cross) @ pi))
-    tp = (abar - (0.5 * q) * (pi @ info)) @ pi
-    return dx, tp + tp.T + v * _EYE5
+    m = x[..., 5:] * half_rho
+    xfg = x @ fg
+    dx = xfg[..., :8] + (m.mT - m) @ x  # m^T - m = hat(delta_r(ehat, rho))
+    dx[..., 3:] -= (rhat @ rhat.mT) @ xfg[..., 8:]
+    return dx
 
 
-def _rk4_observer(x, pi, st: StageInputs, dt: float, q: float, v: float, rho, abar):
-    """One RK4 step over StageInputs whose fields carry a leading axis of
-    the four RK4 stages: the step start, the midpoint twice, and the end.
-    Inputs sampled at the stage times repeat the midpoint entry; the
-    coupled oracle passes the measurements on the truth's own four stages.
+def _rk4_observer(x, fg, dt: float, half_rho):
+    """One RK4 step of the estimate over the [F | G] of the four RK4
+    stages: the step start, the midpoint twice, and the end. Inputs sampled
+    at the stage times repeat the midpoint entry; the coupled oracle passes
+    the measurements on the truth's own four stages.
 
-    Returns the raw (X, Pi); the caller projects and checks.
+    Returns the raw X; the caller projects and checks.
     """
-    f, c, i = st.flow, st.cross, st.info
     h2 = 0.5 * dt
-    k1x, k1p = _observer_rhs(x, pi, f[0], c[0], i[0], q, v, rho, abar)
-    k2x, k2p = _observer_rhs(x + h2 * k1x, pi + h2 * k1p, f[1], c[1], i[1], q, v, rho, abar)
-    k3x, k3p = _observer_rhs(x + h2 * k2x, pi + h2 * k2p, f[2], c[2], i[2], q, v, rho, abar)
-    k4x, k4p = _observer_rhs(x + dt * k3x, pi + dt * k3p, f[3], c[3], i[3], q, v, rho, abar)
-    c6 = dt / 6.0
-    return (x + c6 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            pi + c6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+    k1 = _observer_rhs(x, fg[0], half_rho)
+    k2 = _observer_rhs(x + h2 * k1, fg[1], half_rho)
+    k3 = _observer_rhs(x + h2 * k2, fg[2], half_rho)
+    k4 = _observer_rhs(x + dt * k3, fg[3], half_rho)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_pd(pi: np.ndarray, t: float | None = None) -> np.ndarray:
-    """Symmetrized Riccati matrix; DivergenceError unless positive definite."""
-    pi = 0.5 * (pi + pi.T)
-    try:
-        np.linalg.cholesky(pi)
-    except np.linalg.LinAlgError:
-        mineig = float(np.linalg.eigvalsh(pi)[0])
-        where = "" if t is None else f" at t={t:.4f}"
-        raise DivergenceError(
-            f"Riccati matrix lost positive definiteness{where} "
-            f"(min eig {mineig:.3e}); reduce dt or check observability"
-        ) from None
-    return pi
+def _riccati_pass(pi, st: StageInputs, t, cfg: ObserverConfig, abar):
+    """RK4 steps of dPi = T Pi + Pi T^T + v I_5 with T = Abar - (q/2) Pi info,
+    that is Abar Pi + Pi Abar^T - q Pi R_s^T R_s Pi + v I_5, each symmetrized,
+    over StageInputs with leading axes (step, RK4 stage), the steps starting
+    at times `t`.
+
+    Returns (pis, fg, error): Pi at the start and end of each step, the
+    estimate's [F | G] with G = q cross Pi on each step's stages, and None
+    or, when one batched Cholesky finds a step's Pi non-finite or not
+    positive definite, that step's DivergenceError; the pass then ends there.
+    """
+    q, dt, veye = cfg.q, cfg.dt, cfg.v * _EYE5
+    h2, hq = 0.5 * dt, 0.5 * q
+    stage = np.empty(st.info.shape)  # Pi at the four RK4 stages of each step
+
+    def rhs(p, info):
+        tp = (abar - hq * (p @ info)) @ p
+        return tp + tp.T + veye
+
+    for s, info in zip(stage, st.info):
+        s[0] = pi
+        k1 = rhs(pi, info[0])
+        k2 = rhs(np.add(pi, h2 * k1, out=s[1]), info[1])
+        k3 = rhs(np.add(pi, h2 * k2, out=s[2]), info[2])
+        k4 = rhs(np.add(pi, dt * k3, out=s[3]), info[3])
+        pi = pi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        pi = 0.5 * (pi + pi.T)
+    pis = np.concatenate([stage[:, 0], pi[None]])
+    healthy, error = _check_pd(pis[1:], t)
+    n = min(healthy + 1, len(stage))  # the failing step runs, so that its own checks come first
+    return pis[:n + 1], np.concatenate([st.flow[:n], q * (st.cross[:n] @ stage[:n])], axis=-1), error
+
+
+def _check_pd(pi: np.ndarray, t) -> tuple[int, DivergenceError | None]:
+    """The number of leading finite, positive definite matrices of the stack
+    pi (n x 5 x 5), by one batched Cholesky, and the DivergenceError of the
+    next, if any, at its time in `t`."""
+    finite = np.isfinite(pi).all(axis=(-2, -1))
+    if finite.all():
+        try:
+            np.linalg.cholesky(pi)
+            return len(pi), None
+        except np.linalg.LinAlgError:
+            pass
+    for j, p in enumerate(pi):
+        try:
+            if not finite[j]:
+                return j, DivergenceError(f"non-finite estimate at t={t[j]:.4f}")
+            np.linalg.cholesky(p)
+        except np.linalg.LinAlgError:
+            return j, DivergenceError(f"Riccati matrix lost positive definiteness at t={t[j]:.4f} (min eig "
+                                      f"{np.linalg.eigvalsh(p)[0]:.3e}); reduce dt or check observability")
+    return len(pi), None
 
 
 def _finalize_step(x, pi, t):
-    """Checks after one step of a batch X (B x 3 x 8) and its shared Pi; projects
-    each rotation block in place. DivergenceError's ``run`` is a non-finite X's row."""
-    if not (np.isfinite(x).all() and np.isfinite(pi).all()):
-        run = int(np.argmin(np.isfinite(x).all(axis=(-2, -1))))  # the first non-finite X, else 0
+    """Checks after one step of a batch X (B x 3 x 8), whose shared step-end Pi
+    the Riccati pass has checked; projects each rotation block in place.
+    DivergenceError's ``run`` is the first non-finite X's row."""
+    if not np.isfinite(x).all():
+        run = int(np.argmin(np.isfinite(x).all(axis=(-2, -1))))
         raise DivergenceError(f"non-finite estimate at t={t:.4f}", run=run)
     x[..., :3] = project_rotation(x[..., :3])
-    return x, _check_pd(pi, t)
+    return x, pi
 
 
 def _state(x: np.ndarray, pi: np.ndarray, t) -> ObserverState:
@@ -310,43 +348,25 @@ def _state(x: np.ndarray, pi: np.ndarray, t) -> ObserverState:
     return ObserverState(xhat=SEn(x[:, :3], x[:, 3:], check=False), pi=pi, t=float(t))
 
 
-def _step(x, pi, stages: StageInputs, t: float, cfg: ObserverConfig, abar, rho, runs):
-    """One checked RK4 step of a batch (X, Pi) from time t over the four
-    RK4 stages of `stages` (see :func:`_rk4_observer`). A failed check
-    raises DivergenceError naming the failing run, by its number in `runs`
-    (one per row of X), and carrying its state at t, the start of the
-    failing step; a failure of the shared Pi names the first run."""
-    x1, pi1 = _rk4_observer(x, pi, stages, cfg.dt, cfg.q, cfg.v, rho, abar)
+def _step(x, ric, j: int, t: float, dt: float, half_rho, runs):
+    """One checked RK4 step of a batch X from time t: step j of the Riccati
+    pass `ric`. A failed check raises DivergenceError naming the failing
+    run, by its number in `runs` (one per row of X), and carrying its state
+    at t, the start of the failing step; a failure of the shared Pi names
+    the first run."""
+    pis, fg, error = ric
+    x1 = _rk4_observer(x, fg[j], dt, half_rho)
     try:
-        return _finalize_step(x1, pi1, t)
+        x1, pi1 = _finalize_step(x1, pis[j + 1], t)
+        if error is not None and j + 1 == len(fg):
+            raise error
+        return x1, pi1
     except DivergenceError as err:
         row = err.run or 0
-        raise DivergenceError(f"run {runs[row]}: {err}", _state(x[row], pi, t), int(runs[row])) from None
+        raise DivergenceError(f"run {runs[row]}: {err}", _state(x[row], pis[j], t), int(runs[row])) from None
 
 
 # public operations ---------------------------------------------------------
-
-def _riccati_rhs(P: np.ndarray, a: np.ndarray, c: np.ndarray, q: float, v: float) -> np.ndarray:
-    ap = a @ P
-    pct = P @ c.T
-    kb = pct * q
-    out = ap + ap.T - kb @ pct.T
-    out[np.diag_indices_from(out)] += v
-    return out
-
-
-def riccati_step(P: np.ndarray, a: np.ndarray, c: np.ndarray, q: float, v: float, dt: float) -> np.ndarray:
-    """One RK4 step of the Riccati flow with A, C held over the step.
-
-    Symmetrizes the result and fails loudly if positive definiteness is
-    lost (step too large, or the output map is not exciting enough).
-    """
-    k1 = _riccati_rhs(P, a, c, q, v)
-    k2 = _riccati_rhs(P + 0.5 * dt * k1, a, c, q, v)
-    k3 = _riccati_rhs(P + 0.5 * dt * k2, a, c, q, v)
-    k4 = _riccati_rhs(P + dt * k3, a, c, q, v)
-    return _check_pd(P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
 
 def observer_step(
     state: ObserverState,
@@ -366,9 +386,10 @@ def observer_step(
     """
     omega, accel = (np.broadcast_to(np.asarray(a, dtype=float), (3, 3)) for a in imu)
     ys, rs = (np.broadcast_to(np.asarray(a, dtype=float), (3,) + np.shape(a)) for a in (ys, rs))
-    st = make_stage_inputs(omega, accel, ys, rs, cfg.g)
+    st = make_stage_inputs(omega, accel, ys, rs, cfg.g).at(None, [0, 1, 1, 2])
+    ric = _riccati_pass(state.pi, st, [state.t], cfg, build_abar(cfg.g))
     x = np.hstack([state.rhat, state.zhat])[None]
-    x, pi = _step(x, state.pi, st.at([0, 1, 1, 2]), state.t, cfg, build_abar(cfg.g), np.asarray(cfg.rho), [0])
+    x, pi = _step(x, ric, 0, state.t, cfg.dt, 0.5 * np.asarray(cfg.rho), [0])
     return _state(x[0], pi, state.t + cfg.dt)
 
 
@@ -404,51 +425,3 @@ def geometric_error(state: ObserverState, truth: TruthState) -> SEn:
     """E = X Xhat^{-1} on SE_5(3), via group operations."""
     x = SEn(truth.R, truth.z, check=False)
     return x @ state.xhat.inverse()
-
-
-def kalman_reference_run(
-    a_of_t,
-    c_of_t,
-    q: float,
-    v: float,
-    p0: np.ndarray,
-    x0: np.ndarray,
-    t0: float,
-    t1: float,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Directly integrate the closed-loop translational error system.
-
-    dx/dt = (A(t) - K_B(t) C(t)) x with K_B = P C^T Q and P from the same
-    Riccati flow the full observer uses; RK4 with A and C evaluated at the
-    stage times, matching the observer's staging. Returns (times, x
-    trajectory) including the initial sample.
-    """
-    n = int(round((t1 - t0) / dt))
-    ts = t0 + np.arange(n + 1) * dt
-    xs = np.empty((n + 1, x0.size))
-    xs[0] = x0
-    x = np.array(x0, dtype=float)
-    P = np.array(p0, dtype=float)
-
-    def f(xx, pp, a, c):
-        pct = pp @ c.T
-        kb = pct * q
-        return a @ xx - kb @ (c @ xx), _riccati_rhs(pp, a, c, q, v)
-
-    # A and C once per grid node and midpoint: a step's end is the next start
-    a0, c0 = a_of_t(ts[0]), c_of_t(ts[0])
-    for k in range(n):
-        t_half = ts[k] + 0.5 * dt
-        a_half, c_half = a_of_t(t_half), c_of_t(t_half)
-        a1, c1 = a_of_t(ts[k + 1]), c_of_t(ts[k + 1])
-        k1 = f(x, P, a0, c0)
-        k2 = f(x + 0.5 * dt * k1[0], P + 0.5 * dt * k1[1], a_half, c_half)
-        k3 = f(x + 0.5 * dt * k2[0], P + 0.5 * dt * k2[1], a_half, c_half)
-        k4 = f(x + dt * k3[0], P + dt * k3[1], a1, c1)
-        x = x + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        P = P + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        P = 0.5 * (P + P.T)
-        xs[k + 1] = x
-        a0, c0 = a1, c1
-    return ts, xs

@@ -49,6 +49,7 @@ from .observer import (
     ESTIMATE_CSV_SCHEMA,
     ObserverConfig,
     ObserverState,
+    _riccati_pass,
     _state,
     _step,
     build_a,
@@ -343,9 +344,10 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
 
     What depends only on truth and noise (stage samples, y/r stacks, the
     noisy IMU and its hat(omega)) is built ahead of the recursion, once
-    for the whole batch, in chunks of ``_CHUNK_STEPS`` steps. The noise is
-    drawn in bulk from the same per-channel streams in the same order as
-    one draw per step, so a seeded run gives the same numbers.
+    for the whole batch, in chunks of ``_CHUNK_STEPS`` steps, and Pi is
+    integrated over each chunk before the estimate steps through it. The
+    noise is drawn in bulk from the same per-channel streams in the same
+    order as one draw per step, so a seeded run gives the same numbers.
     """
     obs, dt, stride, ts = cfg.observer, truth.dt, cfg.trace_stride, truth.t
     if abs(obs.dt - dt) > 1e-12:
@@ -389,7 +391,7 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
 
     x = np.stack([np.hstack([s.rhat, s.zhat]) for s in inits])
     live = np.arange(len(inits))  # the run of each row of x
-    abar, rho = build_abar(obs.g), np.asarray(obs.rho)
+    abar, half_rho = build_abar(obs.g), 0.5 * np.asarray(obs.rho)
     n = len(truth) - 1
     slots = {k: slot for slot, k in enumerate(record_steps(n, stride).tolist())}  # trace row of each record
     n_rows = len(slots) if keep_rows else 1
@@ -422,8 +424,9 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
                 if not live.size:
                     break
         if k % _CHUNK_STEPS == 0:
-            k0, stages = k, chunk(k, min(k + _CHUNK_STEPS, n))
-        x, pi = _step(x, pi, stages.at(k - k0), ts[k], obs, abar, rho, live)
+            k0, k1 = k, min(k + _CHUNK_STEPS, n)
+            ric = _riccati_pass(pi, chunk(k0, k1), ts[k0:k1], obs, abar)
+        x, pi = _step(x, ric, k - k0, ts[k], obs.dt, half_rho, live)
     return traces[0] if single else traces
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from se5nav.lie import (
+    NEWTON_SCHULZ_TOL,
     SMALL_ANGLE,
     SEn,
     hat,
@@ -26,6 +27,12 @@ def random_rotation(rng, scale=np.pi):
 def _unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def _svd_polar(r):
+    """The closest rotation to one matrix as U diag(1, 1, d) V^T."""
+    u, _, vt = np.linalg.svd(r)
+    return u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
 
 
 def _rodrigues(v):
@@ -166,6 +173,40 @@ class TestRotationHelpers:
             assert np.array_equal(nested, batched.reshape((4, 6) + batched.shape[1:])), f.__name__
         assert np.all(np.linalg.det(project_rotation(noisy)) > 0)
         assert np.allclose(rotation_angle(rots), angles, rtol=0.0, atol=1e-12)
+
+    def test_near_rotations_take_one_newton_schulz_step(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        defects = np.geomspace(1e-13, 5e-8, 40)
+        sym = rng.standard_normal((defects.size, 3, 3))
+        sym += sym.mT
+        sym *= (0.5 * defects / np.abs(sym).max(axis=(1, 2)))[:, None, None]
+        near = np.stack([random_rotation(rng) for _ in defects]) @ (np.eye(3) + sym)
+        measured = np.abs(near.mT @ near - np.eye(3)).max(axis=(1, 2))
+        assert np.all((measured > 0.5 * defects) & (measured < 1.5 * defects))
+        assert measured.max() < NEWTON_SCHULZ_TOL
+        reference = np.stack([_svd_polar(r) for r in near])
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a near-rotation took the SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert np.max(np.abs(project_rotation(near) - reference)) < 1e-14
+
+    def test_mixed_stack_rows_equal_single_matrices(self):
+        rng = np.random.default_rng(6)
+        stack = np.stack([random_rotation(rng) for _ in range(16)])
+        stack[:4] += 1e-11 * rng.standard_normal((4, 3, 3))   # near-rotations
+        stack[4:8] += 1e-6 * rng.standard_normal((4, 3, 3))   # too noisy for one step
+        stack[8:10] *= -1.0                                    # reflections, det < 0
+        stack[10:12] = -stack[:2]                              # near-reflections
+        stack[12] = np.diag([1.0, 1.0, -1.0])
+        order = rng.permutation(len(stack))
+        fixed = project_rotation(stack[order])
+        assert np.array_equal(fixed, np.stack([project_rotation(r) for r in stack[order]]))
+        assert np.array_equal(project_rotation(stack[order].reshape(4, 4, 3, 3)), fixed.reshape(4, 4, 3, 3))
+        assert np.all(np.linalg.det(fixed) > 0)
+        svd_rows = np.isin(order, np.arange(4, 13))
+        assert np.array_equal(fixed[svd_rows], np.stack([_svd_polar(r) for r in stack[order][svd_rows]]))
 
 
 class TestSEn:

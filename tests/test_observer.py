@@ -18,12 +18,12 @@ from se5nav.observer import (
     error_arrays,
     gain,
     geometric_error,
-    kalman_reference_run,
     observer_step,
-    riccati_step,
 )
 from se5nav.sensors import ChannelKind, ChannelSpec
 from se5nav.trajectory import TrajectorySpec, TruthState, coupled_truth, eval_omega, simulate_truth
+
+from oracles import kalman_reference_run, riccati_step
 
 RNG = np.random.default_rng(77)
 

@@ -317,6 +317,43 @@ class TestRunObserver:
         assert np.array_equal(state.phat, clean.phat[7])
         assert np.array_equal(state.vhat, clean.vhat[7])
 
+    def test_chunk_size_changes_nothing(self, monkeypatch):
+        import se5nav.observer as observer
+        import se5nav.scenario as scenario
+
+        noisy = dataclasses.replace(parse_scenario(STEREO), duration=0.3, trace_stride=1)
+        noisy_truth = simulate_truth(noisy.trajectory, noisy.duration, noisy.observer.dt)
+        cfg = short_cfg(duration=0.3, trace_stride=2)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        inits = perturbed_states(cfg, truth, 3)
+        check_pd = observer._check_pd
+
+        def fail_at_step_70(pi, t):  # Pi passes at every step but step 70 (t = 0.07)
+            healthy, error = check_pd(pi, t)
+            j = int(np.searchsorted(t, truth.t[70]))
+            if j < min(healthy, len(t)) and t[j] == truth.t[70]:
+                return j, observer.DivergenceError(f"injected at t={t[j]:.4f}")
+            return healthy, error
+
+        results = []
+        for size in (64, 7, 1):
+            monkeypatch.setattr(scenario, "_CHUNK_STEPS", size)
+            monkeypatch.setattr(observer, "_check_pd", check_pd)
+            runs = [run_observer(noisy, noisy_truth, record_measurements=True)] + run_observer(cfg, truth, inits)
+            monkeypatch.setattr(observer, "_check_pd", fail_at_step_70)
+            with pytest.raises(observer.DivergenceError) as exc:
+                run_observer(cfg, truth, inits)
+            results.append((runs, exc.value))
+        (runs, err), others = results[0], results[1:]
+        assert str(err) == "run 0: injected at t=0.0700" and err.run == 0
+        assert err.state.t == truth.t[70] and np.array_equal(err.state.rhat, runs[1].rhat[35])
+        for other_runs, other_err in others:
+            for trace, other in zip(runs, other_runs):
+                assert_traces_equal(other, trace)
+            assert (str(other_err), other_err.run, other_err.state.t) == (str(err), err.run, err.state.t)
+            for name in ("rhat", "zhat", "pi"):
+                assert np.array_equal(getattr(other_err.state, name), getattr(err.state, name)), name
+
     def test_estimate_from_errors_inverts_error_map(self):
         rng = np.random.default_rng(3)
         truth_r = so3_exp(rng.standard_normal(3))
@@ -651,6 +688,22 @@ class TestCli:
             assert main(["--out", str(tmp_path), "sweep", str(STEREO), "--runs", "1",
                          "--ball", "1e308"]) == EXIT_DIVERGED
         assert "run diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", [("run", STEREO), ("sweep", STEREO), ("obsv", GPS)])
+    def test_unwritable_output_exits_2_before_running(self, command, config, tmp_path, capsys, monkeypatch):
+        import se5nav.cli as cli
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("run_scenario", "sweep_agas", "check_observability"):
+            monkeypatch.setattr(cli, name, not_reached)
+        root = tmp_path / "a-file"
+        root.write_text("")
+        assert main(["--out", str(root), command, str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs to {root / f'{config.stem}-{command}'}: ")
+        assert "Traceback" not in err
 
     def test_output_root_env_var(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "tiny.cfg"
