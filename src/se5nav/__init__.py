@@ -16,7 +16,6 @@ from .observer import (
     ObserverConfig,
     ObserverState,
     error_arrays,
-    observer_step,
 )
 from .scenario import (
     ConfigError,

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trajectory import time_grid
+
 OBSV_CSV_SCHEMA = "se5nav-observability-v1"
 
 DEFAULT_MU_THRESHOLD = 1e-6
@@ -59,9 +61,7 @@ def _phi_step(phi: np.ndarray, a0: np.ndarray, a_half: np.ndarray, a1: np.ndarra
 def window_nodes(t: float, delta: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes t + k dt (k = 0 .. round(delta / dt)) of the window
     [t, t + delta] and their composite-trapezoid weights."""
-    if not delta > 0:
-        raise ValueError(f"window length {delta:g} must be positive")
-    ts = t + np.arange(int(round(delta / dt)) + 1) * dt
+    ts = t + time_grid(delta, dt)
     weights = np.full(ts.size, dt)
     weights[0] = weights[-1] = 0.5 * dt
     return ts, weights

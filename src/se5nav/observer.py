@@ -16,12 +16,13 @@ keeps the form P = Pi kron I_3, with the 5 x 5 factor
 
 which does not depend on the estimate (Barrau & Bonnabel, "The Invariant
 Extended Kalman Filter as a Stable Observer", IEEE TAC 2017). The
-observer's state is (Rhat, zhat, Pi), and P is derived from Pi, which is
-integrated ahead of the estimate a chunk of RK4 steps at a time, checked
-positive definite and turned into gains (:func:`_riccati_pass`). The
-estimate then takes its RK4 step on those gains (IMU inputs sampled at the
-stage times when available), and its rotation block is re-projected onto
-SO(3). The innovation Delta has rotation part
+observer's state is (Rhat, zhat, Pi), and P is derived from Pi. One
+driver, ``scenario.run_observer``, steps the observer: for a chunk of
+steps it hands the raw stage samples (IMU, processed outputs, reference
+vectors) to :func:`_riccati_pass`, which integrates Pi over the chunk,
+checks it positive definite and turns it into gains; the estimate then
+takes its RK4 steps on those gains (:func:`_step`), and its rotation
+block is re-projected onto SO(3). The innovation Delta has rotation part
 hat(delta_r) built from the auxiliary basis columns and translation part
 K_I dz folded back into a 3 x 5 block, q Rhat ((Pi R_s^T)(dz Rhat))^T for
 the innovation rows dz.
@@ -33,8 +34,8 @@ follows the linear time-varying closed loop
 
 independently of the attitude error. The tests integrate that system
 directly, with the generic 15 x 15 Riccati flow (``tests/oracles.py``), as
-the oracle for the full observer, as :func:`build_a` and :func:`gain` serve
-for its parts.
+the oracle for the full observer, as :func:`build_a` and the oracles'
+``gain`` serve for its parts.
 """
 
 from __future__ import annotations
@@ -43,11 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import SEn, hat, kron, project_rotation, psi, rotation_angle
-from .trajectory import TruthState
+from .lie import SEn, hat, kron, project_rotation, rotation_angle
 
 _I3 = np.eye(3)
-_E3 = np.eye(3)
 _EYE5 = np.eye(5)
 
 ESTIMATE_CSV_SCHEMA = "se5nav-estimate-v1"
@@ -69,7 +68,6 @@ class ObserverConfig:
     q: float = 100.0
     v: float = 10.0
     dt: float = 1e-3
-    gravity: tuple[float, float, float] = (0.0, 0.0, 9.81)
 
     def __post_init__(self):
         if not all(r > 0 for r in self.rho) or len(set(self.rho)) != 3:
@@ -78,10 +76,6 @@ class ObserverConfig:
             raise ValueError("q and v weights must be positive")
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be finite and positive")
-
-    @property
-    def g(self) -> np.ndarray:
-        return np.asarray(self.gravity, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -137,111 +131,13 @@ def build_abar(g: np.ndarray) -> np.ndarray:
     return abar
 
 
-def build_d(g: np.ndarray) -> np.ndarray:
-    """Constant 8 x 8 commutator matrix (bottom-right Abar^T)."""
-    d = np.zeros((8, 8))
-    d[3:, 3:] = build_abar(g).T
-    return d
-
-
-def build_u(omega: np.ndarray, accel: np.ndarray) -> np.ndarray:
-    """8 x 8 input matrix: hat(omega) block plus accel in column 4."""
-    u = np.zeros((8, 8))
-    u[:3, :3] = hat(omega)
-    u[:3, 4] = np.asarray(accel, dtype=float)
-    return u
-
-
 def build_a(omega: np.ndarray, g: np.ndarray) -> np.ndarray:
     """15 x 15 error-dynamics matrix Abar kron I_3 - I_5 kron hat(omega)."""
     a = build_abar(g)[:, None, :, None] * _I3[:, None] - _EYE5[:, None, :, None] * hat(omega)[:, None]
     return a.reshape(15, 15)
 
 
-# innovation ---------------------------------------------------------------
-
-def delta_r(ehat: np.ndarray, rho) -> np.ndarray:
-    """Rotation innovation 0.5 sum_i rho_i (ehat_i x e_i)."""
-    e1, e2, e3 = ehat[:, 0], ehat[:, 1], ehat[:, 2]
-    r1, r2, r3 = rho
-    return 0.5 * np.array([
-        -r2 * e2[2] + r3 * e3[1],
-        r1 * e1[2] - r3 * e3[0],
-        -r1 * e1[1] + r2 * e2[0],
-    ])
-
-
-def delta_r_decomposition(rho, rhat: np.ndarray, rtilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split of delta_r into an attitude term and a translational-error term.
-
-    Returns (psi(M Rtilde), Gamma) with M = diag(rho) and
-    Gamma = 0.5 [0_{3x6}, rho_1 hat(e1) Rhat, rho_2 hat(e2) Rhat,
-    rho_3 hat(e3) Rhat], so that delta_r = psi(M Rtilde) + Gamma x_B.
-    """
-    m = np.diag(rho)
-    psi_term = psi(m @ rtilde)
-    gamma = np.zeros((3, 15))
-    for i in range(3):
-        gamma[:, 6 + 3 * i: 9 + 3 * i] = 0.5 * rho[i] * (hat(_E3[:, i]) @ rhat)
-    return psi_term, gamma
-
-
-# gains --------------------------------------------------------------------
-
-def gain(P: np.ndarray, C: np.ndarray, Q: float, rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Riccati gain pair: body-frame K_B = P C^T Q for a scalar weight Q and
-    its inertial-frame conjugate K_I = (I_5 kron Rhat) K_B (I_m kron Rhat^T).
-
-    The five 3 x 3m row blocks of K_I weight the innovation stack for the
-    p, v, e1, e2, e3 columns of the estimate.
-    """
-    kb = P @ C.T * Q
-    m = C.shape[0] // 3
-    ki = kron(np.eye(5), rhat) @ kb @ kron(np.eye(m), rhat.T)
-    return kb, ki
-
-
 # integration core ----------------------------------------------------------
-
-@dataclass
-class StageInputs:
-    """The inputs of one RK4 stage, from which :func:`_riccati_pass` forms the
-    estimate's flow and gain.
-
-    The measured quantities enter already multiplied out. With the
-    estimate's top block rows X = [Rhat, zhat] (3 x 8), the stacked
-    y_bold rows Y = [ys, rs] (m x 8) and the stacked reference vectors
-    R_s = rs (m x 5):
-
-        flow  = build_u(omega, accel) + build_d(g)    (8 x 8)
-        cross = Y^T R_s                                (8 x 5)
-        info  = R_s^T R_s                              (5 x 5)
-
-    Fields may carry leading batch dimensions (step, stage); index them
-    with :meth:`at`.
-    """
-
-    flow: np.ndarray
-    cross: np.ndarray
-    info: np.ndarray
-
-    def at(self, *index) -> "StageInputs":
-        return StageInputs(self.flow[index], self.cross[index], self.info[index])
-
-
-def make_stage_inputs(omega, accel, ys, rs, g) -> StageInputs:
-    """Stage inputs from IMU samples omega, accel (..., 3) and the
-    processed outputs ys (..., m, 3) with reference vectors rs (..., m, 5),
-    all with the same leading batch dimensions."""
-    omega = np.asarray(omega, dtype=float)
-    flow = np.zeros(omega.shape[:-1] + (8, 8))
-    flow[..., :3, :3] = hat(omega)
-    flow[..., :3, 4] = accel
-    flow[..., 3:, 3:] = build_abar(g).T
-    rs_t = np.swapaxes(rs, -1, -2)
-    cross = np.swapaxes(np.concatenate([ys, rs], axis=-1), -1, -2) @ rs
-    return StageInputs(flow=flow, cross=cross, info=rs_t @ rs)
-
 
 def _observer_rhs(x, fg, half_rho):
     """Vector field of a batch of estimates X = [Rhat, zhat] (B x 3 x 8) at
@@ -277,37 +173,54 @@ def _rk4_observer(x, fg, dt: float, half_rho):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _riccati_pass(pi, st: StageInputs, t, cfg: ObserverConfig, abar):
+def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
     """RK4 steps of dPi = T Pi + Pi T^T + v I_5 with T = Abar - (q/2) Pi info,
     that is Abar Pi + Pi Abar^T - q Pi R_s^T R_s Pi + v I_5, each symmetrized,
-    over StageInputs with leading axes (step, RK4 stage), the steps starting
-    at times `t`.
+    the steps starting at times `t`.
+
+    `stages` is (omega, accel, ys, rs, stage_map): the IMU samples
+    (step, row, 3), the processed outputs ys (step, row, m, 3) and their
+    reference vectors rs (step, row, m, 5) on each step's rows, and the map
+    of the four RK4 stages to those rows. With the estimate's top block
+    rows X = [Rhat, zhat] (3 x 8) and the stacked y_bold rows
+    Y = [ys, rs] (m x 8), a stage has
+
+        F     = hat(omega) and accel in column 4, Abar^T below   (8 x 8)
+        cross = Y^T rs,     info = rs^T rs                       (8 x 5, 5 x 5)
 
     Returns (pis, fg, error): Pi at the start and end of each step, the
     estimate's [F | G] with G = q cross Pi on each step's stages, and None
     or, when one batched Cholesky finds a step's Pi non-finite or not
     positive definite, that step's DivergenceError; the pass then ends there.
     """
+    omega, accel, ys, rs, stage_map = stages
     q, dt, veye = cfg.q, cfg.dt, cfg.v * _EYE5
     h2, hq = 0.5 * dt, 0.5 * q
-    stage = np.empty(st.info.shape)  # Pi at the four RK4 stages of each step
+    flow = np.zeros(omega.shape[:-1] + (8, 8))
+    flow[..., :3, :3] = hat(omega)
+    flow[..., :3, 4] = accel
+    flow[..., 3:, 3:] = abar.T
+    cross = np.concatenate([ys, rs], axis=-1).mT @ rs
+    info = (rs.mT @ rs)[:, stage_map]
+    stage = np.empty(info.shape)  # Pi at the four RK4 stages of each step
 
     def rhs(p, info):
         tp = (abar - hq * (p @ info)) @ p
         return tp + tp.T + veye
 
-    for s, info in zip(stage, st.info):
+    for s, inf in zip(stage, info):
         s[0] = pi
-        k1 = rhs(pi, info[0])
-        k2 = rhs(np.add(pi, h2 * k1, out=s[1]), info[1])
-        k3 = rhs(np.add(pi, h2 * k2, out=s[2]), info[2])
-        k4 = rhs(np.add(pi, dt * k3, out=s[3]), info[3])
+        k1 = rhs(pi, inf[0])
+        k2 = rhs(np.add(pi, h2 * k1, out=s[1]), inf[1])
+        k3 = rhs(np.add(pi, h2 * k2, out=s[2]), inf[2])
+        k4 = rhs(np.add(pi, dt * k3, out=s[3]), inf[3])
         pi = pi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         pi = 0.5 * (pi + pi.T)
     pis = np.concatenate([stage[:, 0], pi[None]])
     healthy, error = _check_pd(pis[1:], t)
     n = min(healthy + 1, len(stage))  # the failing step runs, so that its own checks come first
-    return pis[:n + 1], np.concatenate([st.flow[:n], q * (st.cross[:n] @ stage[:n])], axis=-1), error
+    fg = np.concatenate([flow[:n, stage_map], q * (cross[:n, stage_map] @ stage[:n])], axis=-1)
+    return pis[:n + 1], fg, error
 
 
 def _check_pd(pi: np.ndarray, t) -> tuple[int, DivergenceError | None]:
@@ -332,7 +245,7 @@ def _check_pd(pi: np.ndarray, t) -> tuple[int, DivergenceError | None]:
     return len(pi), None
 
 
-def _finalize_step(x, pi, t):
+def _finalize_step(x, t):
     """Checks after one step of a batch X (B x 3 x 8), whose shared step-end Pi
     the Riccati pass has checked; projects each rotation block in place.
     DivergenceError's ``run`` is the first non-finite X's row."""
@@ -340,7 +253,7 @@ def _finalize_step(x, pi, t):
         run = int(np.argmin(np.isfinite(x).all(axis=(-2, -1))))
         raise DivergenceError(f"non-finite estimate at t={t:.4f}", run=run)
     x[..., :3] = project_rotation(x[..., :3])
-    return x, pi
+    return x
 
 
 def _state(x: np.ndarray, pi: np.ndarray, t) -> ObserverState:
@@ -357,40 +270,13 @@ def _step(x, ric, j: int, t: float, dt: float, half_rho, runs):
     pis, fg, error = ric
     x1 = _rk4_observer(x, fg[j], dt, half_rho)
     try:
-        x1, pi1 = _finalize_step(x1, pis[j + 1], t)
+        x1 = _finalize_step(x1, t)
         if error is not None and j + 1 == len(fg):
             raise error
-        return x1, pi1
+        return x1, pis[j + 1]
     except DivergenceError as err:
         row = err.run or 0
         raise DivergenceError(f"run {runs[row]}: {err}", _state(x[row], pis[j], t), int(runs[row])) from None
-
-
-# public operations ---------------------------------------------------------
-
-def observer_step(
-    state: ObserverState,
-    imu: tuple[np.ndarray, np.ndarray],
-    ys: np.ndarray,
-    rs: np.ndarray,
-    cfg: ObserverConfig,
-) -> ObserverState:
-    """Advance estimate and Riccati state by one fixed step.
-
-    ``imu`` is (omega, accel), either one (3,) sample per signal, held over
-    the step, or (3, 3) stacks giving the samples at the step start,
-    midpoint, and end. ``ys`` (m, 3) and ``rs`` (m, 5) are the latest
-    processed outputs and reference vectors (see
-    :meth:`UnifiedLayout.stacks`), zero-order held over the step; m = 0
-    is open-loop prediction.
-    """
-    omega, accel = (np.broadcast_to(np.asarray(a, dtype=float), (3, 3)) for a in imu)
-    ys, rs = (np.broadcast_to(np.asarray(a, dtype=float), (3,) + np.shape(a)) for a in (ys, rs))
-    st = make_stage_inputs(omega, accel, ys, rs, cfg.g).at(None, [0, 1, 1, 2])
-    ric = _riccati_pass(state.pi, st, [state.t], cfg, build_abar(cfg.g))
-    x = np.hstack([state.rhat, state.zhat])[None]
-    x, pi = _step(x, ric, 0, state.t, cfg.dt, 0.5 * np.asarray(cfg.rho), [0])
-    return _state(x[0], pi, state.t + cfg.dt)
 
 
 # diagnostics --------------------------------------------------------------
@@ -419,9 +305,3 @@ def error_arrays(truth_r, truth_z, rhat, zhat) -> ErrorReport:
         x_body=x_body,
         column_norms=np.linalg.norm(ztilde, axis=-2),
     )
-
-
-def geometric_error(state: ObserverState, truth: TruthState) -> SEn:
-    """E = X Xhat^{-1} on SE_5(3), via group operations."""
-    x = SEn(truth.R, truth.z, check=False)
-    return x @ state.xhat.inverse()

@@ -55,7 +55,6 @@ from .observer import (
     build_a,
     build_abar,
     error_arrays,
-    make_stage_inputs,
 )
 from .sensors import (
     MEASUREMENT_CSV_SCHEMA,
@@ -232,7 +231,7 @@ def parse_scenario(path) -> ScenarioConfig:
     Each key sets the dataclass field of its name (see :func:`_schema`),
     converted by the field's type; a missing key takes the field's default,
     and the dataclasses check their own domain rules. The observer's
-    gravity is the trajectory's.
+    gravity is the trajectory's: a run takes ``trajectory.g``.
     """
     path = Path(path)
     if not path.exists():
@@ -269,7 +268,7 @@ def parse_scenario(path) -> ScenarioConfig:
     channels = tuple(build(s, ChannelSpec) for s in sorted(ini.sections()) if s.startswith("channel."))
     obs = values[("observer", ObserverConfig)]
     rho = tuple(obs.pop(f"rho{i}") for i in (1, 2, 3))
-    observer = build("observer", ObserverConfig, rho=rho, gravity=trajectory.gravity) if trajectory else None
+    observer = build("observer", ObserverConfig, rho=rho)
     if problems:
         raise ConfigError(problems)
     run = {**values.get(("imu", ScenarioConfig), {}), **values.get(("observer", ScenarioConfig), {})}
@@ -349,7 +348,8 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
     noise is drawn in bulk from the same per-channel streams in the same
     order as one draw per step, so a seeded run gives the same numbers.
     """
-    obs, dt, stride, ts = cfg.observer, truth.dt, cfg.trace_stride, truth.t
+    obs, dt, ts, n = cfg.observer, truth.dt, truth.t, len(truth) - 1
+    stride = min(cfg.trace_stride, max(n, 1))  # a longer stride records the same steps: the first and the last
     if abs(obs.dt - dt) > 1e-12:
         raise ValueError("observer dt must match the truth sampling step")
     single = init is None or isinstance(init, ObserverState)
@@ -372,7 +372,7 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
     pending_rows = []  # (step, measurement row)
 
     def chunk(k0: int, k1: int):
-        """The stage inputs of steps k0 .. k1 - 1 on the four RK4 stages."""
+        """The stage samples of steps k0 .. k1 - 1 that :func:`_riccati_pass` takes."""
         r_st, p_st, v_st, w_st, a_st, stage_map = truth.stages(k0, k1)
         if imu_std is not None:
             w_st, a_st = corrupt_imu(w_st, a_st, imu_std, imu_rng)
@@ -387,12 +387,11 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
             for j, c in zip(*np.nonzero(logged[:, row_order])):
                 i = row_order[c]
                 pending_rows.append((k0 + j, (ts[k0 + j], i, raw[j, 0, i].copy())))
-        return make_stage_inputs(w_st, a_st, *layout.stacks(raw), obs.g).at(slice(None), stage_map)
+        return (w_st, a_st, *layout.stacks(raw), stage_map)
 
     x = np.stack([np.hstack([s.rhat, s.zhat]) for s in inits])
     live = np.arange(len(inits))  # the run of each row of x
-    abar, half_rho = build_abar(obs.g), 0.5 * np.asarray(obs.rho)
-    n = len(truth) - 1
+    abar, half_rho = build_abar(cfg.trajectory.g), 0.5 * np.asarray(obs.rho)
     slots = {k: slot for slot, k in enumerate(record_steps(n, stride).tolist())}  # trace row of each record
     n_rows = len(slots) if keep_rows else 1
     rows = {name: np.empty((n_rows, len(inits)) + shape) for name, shape in _ROW_SHAPES.items()}

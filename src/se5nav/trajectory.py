@@ -135,6 +135,13 @@ def synthesize_imu(p_ddot: np.ndarray, r: np.ndarray, g: np.ndarray) -> np.ndarr
     return np.einsum("...ji,...j->...i", r, np.asarray(p_ddot, dtype=float) - np.asarray(g, dtype=float))
 
 
+def time_grid(duration: float, dt: float) -> np.ndarray:
+    """The nodes k dt, k = 0 .. round(duration / dt), of a run or a window."""
+    if not (duration > 0 and dt > 0):
+        raise ValueError(f"duration {duration:g} and step dt {dt:g} must be positive")
+    return np.arange(int(round(duration / dt)) + 1) * dt
+
+
 @dataclass
 class TruthRun:
     """A truth trajectory sampled on the uniform grid t_k = k dt.
@@ -214,13 +221,10 @@ def coupled_truth(spec: TrajectorySpec, duration: float, dt: float) -> CoupledTr
     decay, which the equivalence and decoupling oracles compare against.
     The truth flow does not depend on the estimate, so it is taken first.
     """
-    if duration <= 0 or dt <= 0:
-        raise ValueError("duration and dt must be positive")
-    n = int(round(duration / dt))
-    h2, c6 = 0.5 * dt, dt / 6.0
+    ts = time_grid(duration, dt)
+    n, h2, c6 = ts.size - 1, 0.5 * dt, dt / 6.0
 
     # body rates and accelerations at the stage times, as (step, stage) tables
-    ts = np.arange(n + 1) * dt
     stage_ts = np.stack([ts[:-1], ts[:-1] + h2, ts[:-1] + h2, ts[1:]], axis=1)
     w_st, a_st = eval_omega(spec, stage_ts), eval_trajectory(spec, stage_ts)[2]
     r_st, p_st, v_st = np.empty((n, 4, 3, 3)), np.empty((n, 4, 3)), np.empty((n, 4, 3))
@@ -272,13 +276,10 @@ def truth_attitude(spec: TrajectorySpec, n: int, dt: float) -> tuple[np.ndarray,
 
 def simulate_truth(spec: TrajectorySpec, duration: float, dt: float = 1e-3) -> TruthRun:
     """Generate truth samples over [0, duration] at fixed step dt."""
-    if duration <= 0 or dt <= 0:
-        raise ValueError("duration and dt must be positive")
-    n = int(round(duration / dt))
-    ts = np.arange(n + 1) * dt
+    ts = time_grid(duration, dt)
     p, v, a = eval_trajectory(spec, ts)
 
-    rs, r_mid = truth_attitude(spec, n, dt)
+    rs, r_mid = truth_attitude(spec, ts.size - 1, dt)
 
     # state and IMU pair at the step midpoints t_k + dt/2
     t_mid = ts[:-1] + 0.5 * dt

@@ -7,12 +7,73 @@ integrates the closed-loop translational error system
     dx_B/dt = (A(t) - K_B(t) C(t)) x_B,     K_B = P C^T Q,
 
 directly, with that Riccati flow beside it. The observer itself integrates
-only the 5 x 5 factor Pi of P = Pi kron I_3.
+only the 5 x 5 factor Pi of P = Pi kron I_3. The generic observer's parts
+(its input and commutator matrices, the rotation innovation and the gain
+pair) are written out here as the paper states them.
 """
 
 import numpy as np
 
-from se5nav.observer import DivergenceError
+from se5nav.lie import SEn, hat, kron, psi
+from se5nav.observer import DivergenceError, build_abar
+from se5nav.trajectory import time_grid
+
+
+def build_d(g: np.ndarray) -> np.ndarray:
+    """Constant 8 x 8 commutator matrix (bottom-right Abar^T)."""
+    d = np.zeros((8, 8))
+    d[3:, 3:] = build_abar(g).T
+    return d
+
+
+def build_u(omega: np.ndarray, accel: np.ndarray) -> np.ndarray:
+    """8 x 8 input matrix: hat(omega) block plus accel in column 4."""
+    u = np.zeros((8, 8))
+    u[:3, :3] = hat(omega)
+    u[:3, 4] = np.asarray(accel, dtype=float)
+    return u
+
+
+def delta_r(ehat: np.ndarray, rho) -> np.ndarray:
+    """Rotation innovation 0.5 sum_i rho_i (ehat_i x e_i)."""
+    e1, e2, e3 = ehat[:, 0], ehat[:, 1], ehat[:, 2]
+    r1, r2, r3 = rho
+    return 0.5 * np.array([
+        -r2 * e2[2] + r3 * e3[1],
+        r1 * e1[2] - r3 * e3[0],
+        -r1 * e1[1] + r2 * e2[0],
+    ])
+
+
+def delta_r_decomposition(rho, rhat: np.ndarray, rtilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split of delta_r into an attitude term and a translational-error term.
+
+    Returns (psi(M Rtilde), Gamma) with M = diag(rho) and
+    Gamma = 0.5 [0_{3x6}, rho_1 hat(e1) Rhat, rho_2 hat(e2) Rhat,
+    rho_3 hat(e3) Rhat], so that delta_r = psi(M Rtilde) + Gamma x_B.
+    """
+    gamma = np.zeros((3, 15))
+    for i in range(3):
+        gamma[:, 6 + 3 * i: 9 + 3 * i] = 0.5 * rho[i] * (hat(np.eye(3)[:, i]) @ rhat)
+    return psi(np.diag(rho) @ rtilde), gamma
+
+
+def gain(P: np.ndarray, C: np.ndarray, Q: float, rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Riccati gain pair: body-frame K_B = P C^T Q for a scalar weight Q and
+    its inertial-frame conjugate K_I = (I_5 kron Rhat) K_B (I_m kron Rhat^T).
+
+    The five 3 x 3m row blocks of K_I weight the innovation stack for the
+    p, v, e1, e2, e3 columns of the estimate.
+    """
+    kb = P @ C.T * Q
+    m = C.shape[0] // 3
+    ki = kron(np.eye(5), rhat) @ kb @ kron(np.eye(m), rhat.T)
+    return kb, ki
+
+
+def geometric_error(state, truth) -> SEn:
+    """E = X Xhat^{-1} on SE_5(3) of an observer state against a truth sample, via group operations."""
+    return SEn(truth.R, truth.z, check=False) @ state.xhat.inverse()
 
 
 def _riccati_rhs(P: np.ndarray, a: np.ndarray, c: np.ndarray, q: float, v: float) -> np.ndarray:
@@ -61,8 +122,8 @@ def kalman_reference_run(
     stage times, matching the observer's staging. Returns (times, x
     trajectory) including the initial sample.
     """
-    n = int(round((t1 - t0) / dt))
-    ts = t0 + np.arange(n + 1) * dt
+    ts = t0 + time_grid(t1 - t0, dt)
+    n = ts.size - 1
     xs = np.empty((n + 1, x0.size))
     xs[0] = x0
     x = np.array(x0, dtype=float)

@@ -5,25 +5,21 @@ import pytest
 
 from se5nav.frontend import UnifiedLayout, output_matrix
 from se5nav.lie import SEn, hat, kron, project_rotation, psi, so3_exp, vec, vec_inv
-from se5nav.observer import (
-    DivergenceError,
-    ObserverConfig,
-    ObserverState,
-    build_a,
-    build_abar,
+from se5nav.observer import DivergenceError, ObserverConfig, ObserverState, build_a, build_abar, error_arrays
+from se5nav.scenario import ScenarioConfig, bundled_config_path, parse_scenario, run_observer, scenario_output_map
+from se5nav.sensors import ChannelKind, ChannelSpec
+from se5nav.trajectory import TrajectorySpec, TruthState, coupled_truth, eval_omega, simulate_truth
+
+from oracles import (
     build_d,
     build_u,
     delta_r,
     delta_r_decomposition,
-    error_arrays,
     gain,
     geometric_error,
-    observer_step,
+    kalman_reference_run,
+    riccati_step,
 )
-from se5nav.sensors import ChannelKind, ChannelSpec
-from se5nav.trajectory import TrajectorySpec, TruthState, coupled_truth, eval_omega, simulate_truth
-
-from oracles import kalman_reference_run, riccati_step
 
 RNG = np.random.default_rng(77)
 
@@ -260,9 +256,13 @@ STEREO_CHANNELS = [
 ]
 
 
-def stage_imu(run, k):
-    """(omega, accel) of step k at its start, midpoint and end, (3, 3) each."""
-    return tuple(a[0] for a in run.stages(k, k + 1)[3:5])
+# a noiseless landmark scenario of one step
+ONE_STEP = ScenarioConfig(TrajectorySpec(), tuple(STEREO_CHANNELS), ObserverConfig(), duration=1e-3, noise=False)
+
+
+def one_step_truth(cfg):
+    """The truth of cfg's trajectory over its first step."""
+    return simulate_truth(cfg.trajectory, cfg.observer.dt, cfg.observer.dt)
 
 
 def unified_from_truth(channels, truth):
@@ -273,32 +273,17 @@ def unified_from_truth(channels, truth):
 
 class TestObserverStep:
     def test_single_step_advances_time_and_stays_healthy(self):
-        spec = TrajectorySpec()
-        run = simulate_truth(spec, 0.01, 1e-3)
-        cfg = ObserverConfig()
+        run = one_step_truth(ONE_STEP)
         state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
-        ys, rs = unified_from_truth(STEREO_CHANNELS, run.state(0))
-        new = observer_step(state, stage_imu(run, 0), ys, rs, cfg)
+        new = run_observer(ONE_STEP, run, state).final_state
         assert new.t == pytest.approx(1e-3)
         assert np.max(np.abs(new.P - new.P.T)) < 1e-12
         assert np.linalg.eigvalsh(new.P)[0] > 0
 
-    def test_held_imu_pair_accepted(self):
-        spec = TrajectorySpec()
-        run = simulate_truth(spec, 0.01, 1e-3)
-        cfg = ObserverConfig()
-        state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
-        ys, rs = unified_from_truth(STEREO_CHANNELS, run.state(0))
-        new = observer_step(state, (run.omega[0], run.aB[0]), ys, rs, cfg)
-        assert np.isfinite(new.zhat).all()
-
     def test_open_loop_prediction_without_channels(self):
-        spec = TrajectorySpec()
-        run = simulate_truth(spec, 0.01, 1e-3)
-        cfg = ObserverConfig()
+        run = one_step_truth(ONE_STEP)
         state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
-        open_loop = (np.zeros((0, 3)), np.zeros((0, 5)))
-        new = observer_step(state, stage_imu(run, 0), *open_loop, cfg)
+        new = run_observer(dataclasses.replace(ONE_STEP, channels=()), run, state).final_state
         # pure prediction tracks the truth over one step
         assert np.max(np.abs(new.zhat[:, 0] - run.p[1])) < 1e-9
         # P grows under V with no measurement information
@@ -306,14 +291,11 @@ class TestObserverStep:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_estimate_raises(self):
-        cfg = ObserverConfig()
         z = np.zeros((3, 5))
         z[0, 0] = np.inf
         bad = ObserverState(xhat=SEn(np.eye(3), z, check=False), pi=np.eye(5), t=0.0)
-        run = simulate_truth(TrajectorySpec(), 0.01, 1e-3)
-        ys, rs = unified_from_truth(STEREO_CHANNELS, run.state(0))
         with pytest.raises(DivergenceError) as exc:
-            observer_step(bad, stage_imu(run, 0), ys, rs, cfg)
+            run_observer(ONE_STEP, one_step_truth(ONE_STEP), bad)
         assert exc.value.state.t == bad.t
 
     def test_config_validation(self):
@@ -342,41 +324,41 @@ class TestKroneckerReduction:
     the gain pair."""
 
     @staticmethod
-    def _rhs_15(rhat, zhat, p, omega, accel, c, ys, rs, cfg):
-        a = build_a(omega, cfg.g)
+    def _rhs_15(rhat, zhat, p, omega, accel, c, ys, rs, cfg, g):
+        a = build_a(omega, g)
         dz = -(ys @ rhat.T + rs @ zhat.T).reshape(-1)
         kb, ki = gain(p, c, cfg.q, rhat)
         hdr = hat(delta_r(zhat[:, 2:5], cfg.rho))
         drhat = rhat @ hat(omega) + hdr @ rhat
         dzhat = hdr @ zhat + vec_inv(ki @ dz, 3, 5)
         dzhat[:, 0] += zhat[:, 1]
-        dzhat[:, 1] += zhat[:, 2:5] @ cfg.g + rhat @ accel
+        dzhat[:, 1] += zhat[:, 2:5] @ g + rhat @ accel
         dp = a @ p + p @ a.T - kb @ c @ p + cfg.v * np.eye(15)
         return drhat, dzhat, dp
 
     @pytest.mark.parametrize("name", ["stereo", "gps"])
     def test_step_matches_15x15_flow(self, name):
-        from se5nav.scenario import bundled_config_path, parse_scenario
-
-        cfg = parse_scenario(bundled_config_path(name))
+        cfg = parse_scenario(bundled_config_path(name)).noiseless()
         obs = cfg.observer
-        run = simulate_truth(cfg.trajectory, 10 * obs.dt, obs.dt)
-        k = 3
-        truth = run.state(k)
+        run = one_step_truth(cfg)
+        truth = run.state(0)
         rng = np.random.default_rng(11)
         state = ObserverState(
             xhat=SEn(so3_exp([0.3, -0.2, 0.5]) @ truth.R, truth.z + 0.5 * rng.standard_normal((3, 5))),
             pi=0.8 * np.eye(5), t=truth.t,
         )
-        ys, rs = unified_from_truth(list(cfg.channels), truth)
-        omega, accel = stage_imu(run, k)
-        new = observer_step(state, (omega, accel), ys, rs, obs)
+        new = run_observer(cfg, run, state).final_state
 
-        c = output_matrix(rs)
+        # ys, rs and C at the step's start, midpoint and end rows
+        stages = run.stages(0, 1)
+        omega, accel = stages[3][0], stages[4][0]
+        layout = UnifiedLayout(cfg.channels)
+        ys, rs = (a[0] for a in layout.stacks(layout.raw_from_pose(*stages[:3])))
         y0 = (state.rhat, state.zhat, state.P)
 
-        def f(y, stage):
-            return self._rhs_15(*y, omega[stage], accel[stage], c, ys, rs, obs)
+        def f(y, row):
+            return self._rhs_15(*y, omega[row], accel[row], output_matrix(rs[row]), ys[row], rs[row], obs,
+                                cfg.trajectory.g)
 
         def shift(y, h, dy):
             return tuple(a + h * b for a, b in zip(y, dy))
@@ -446,8 +428,6 @@ class TestFullRuns:
     """Pipeline-level behavior of the stepping loop on the landmark scenario."""
 
     def test_perfect_init_holds_equilibrium(self):
-        from se5nav.scenario import bundled_config_path, parse_scenario, run_observer
-
         cfg = parse_scenario(bundled_config_path("stereo")).noiseless()
         truth = simulate_truth(cfg.trajectory, 10.0, cfg.observer.dt)
         z0 = truth.state(0).z
@@ -457,8 +437,6 @@ class TestFullRuns:
         assert trace.col_norms.max() < 1e-6
 
     def test_reference_init_converges_below_1e3(self):
-        from se5nav.scenario import bundled_config_path, parse_scenario, run_observer
-
         cfg = parse_scenario(bundled_config_path("stereo")).noiseless()
         truth = simulate_truth(cfg.trajectory, 10.0, cfg.observer.dt)
         trace = run_observer(dataclasses.replace(cfg, trace_stride=100), truth)
@@ -472,8 +450,6 @@ class TestFullRuns:
         """Extracted error matches the direct closed-loop integration to
         1e-6 relative at every recorded sample (dt = 5e-4; the transport
         difference between the two integrations scales as dt^4)."""
-        from se5nav.scenario import bundled_config_path, parse_scenario, run_observer, scenario_output_map
-
         cfg = parse_scenario(bundled_config_path("stereo")).noiseless()
         obs = dataclasses.replace(cfg.observer, dt=5e-4)
         horizon = 6.0

@@ -21,7 +21,7 @@ from se5nav.scenario import (
     write_observability_csv,
     write_sweep_csv,
 )
-from se5nav.lie import so3_exp
+from se5nav.lie import SEn, so3_exp
 from se5nav.observability import OBSV_CSV_SCHEMA
 from se5nav.observer import ESTIMATE_CSV_SCHEMA, ObserverConfig, ObserverState
 from se5nav.sensors import MEASUREMENT_CSV_SCHEMA, ChannelKind, ChannelSpec
@@ -128,11 +128,10 @@ class TestConfigParsing:
             "[trajectory]\n[channel.1]\nkind = landmark\n"
             "[observer]\nrho1 = 3\nrho2 = 2\nrho3 = 1\nduration = 1.5\n"
         )
-        trajectory = TrajectorySpec()
         assert parse_scenario(path) == ScenarioConfig(
-            trajectory=trajectory,
+            trajectory=TrajectorySpec(),
             channels=(ChannelSpec(kind=ChannelKind.BODY_VECTOR),),
-            observer=ObserverConfig(rho=(3.0, 2.0, 1.0), gravity=trajectory.gravity),
+            observer=ObserverConfig(rho=(3.0, 2.0, 1.0)),
             duration=1.5,
         )
 
@@ -256,6 +255,15 @@ class TestRunObserver:
         with pytest.raises(ValueError, match="one stop_when per state"):
             run_observer(cfg, truth, [init, init], [None])
 
+    def test_observer_takes_gravity_from_the_trajectory(self, tmp_path):
+        path = tmp_path / "east.cfg"
+        path.write_text(STEREO.read_text().replace("gravity = 0.0, 0.0, 9.81", "gravity = 0, 9.81, 0"))
+        cfg = dataclasses.replace(parse_scenario(path).noiseless(), duration=0.5)
+        assert cfg.trajectory.gravity == (0.0, 9.81, 0.0)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        start = ObserverState(xhat=SEn(truth.R[0], z_block(truth.p[0], truth.v[0])), pi=np.eye(5), t=0.0)
+        assert run_observer(cfg, truth, start).col_norms[:, 0].max() < 1e-6
+
     def test_noise_off_silences_the_imu(self):
         cfg = short_cfg(duration=0.2, trace_stride=1)
         assert cfg.imu_noise_power > 0
@@ -280,11 +288,11 @@ class TestRunObserver:
         finalize = observer._finalize_step
         calls = []
 
-        def fail_at_step_7(x, pi, t):
+        def fail_at_step_7(x, t):
             calls.append(t)
             if len(calls) == 8:
                 raise observer.DivergenceError(f"injected at t={t:.4f}")
-            return finalize(x, pi, t)
+            return finalize(x, t)
 
         monkeypatch.setattr(observer, "_finalize_step", fail_at_step_7)
         with pytest.raises(observer.DivergenceError, match="t=0.0070") as exc:
@@ -301,11 +309,11 @@ class TestRunObserver:
         clean = run_observer(dataclasses.replace(cfg, trace_stride=1), truth, inits)[1]
         calls.clear()
 
-        def nan_in_run_1_at_step_7(x, pi, t):
+        def nan_in_run_1_at_step_7(x, t):
             calls.append(t)
             if len(calls) == 8:
                 x[1, 0, 3] = np.nan
-            return finalize(x, pi, t)
+            return finalize(x, t)
 
         monkeypatch.setattr(observer, "_finalize_step", nan_in_run_1_at_step_7)
         with pytest.raises(observer.DivergenceError, match="run 1: non-finite estimate at t=0.0070") as exc:
@@ -596,6 +604,14 @@ class TestCli:
         cfg.write_text(STEREO.read_text().replace("duration = 60.0", "duration = 0.5"))
         assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == EXIT_OK
         assert (tmp_path / "out" / "tiny-run" / "estimate.csv").exists()
+
+    def test_run_with_a_stride_beyond_every_step(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(STEREO.read_text().replace("duration = 60.0", "duration = 0.05")
+                       .replace("trace_stride = 10", "trace_stride = 100000000000000000000"))  # >= 2**63
+        assert main(["--out", str(tmp_path), "run", str(cfg)]) == EXIT_OK
+        for name in ("truth.csv", "estimate.csv"):  # the first and the last step
+            assert len((tmp_path / "tiny-run" / name).read_text().splitlines()) == 2 + 2
 
     def test_obsv_subcommand_pass_and_fail(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "obsv", str(STEREO),
