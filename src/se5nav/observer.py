@@ -159,9 +159,8 @@ def _observer_rhs(x, fg, half_rho):
 
 def _rk4_observer(x, fg, dt: float, half_rho):
     """One RK4 step of the estimate over the [F | G] of the four RK4
-    stages: the step start, the midpoint twice, and the end. Inputs sampled
-    at the stage times repeat the midpoint entry; the coupled oracle passes
-    the measurements on the truth's own four stages.
+    stages: the step start, the midpoint twice, and the end. A sampled
+    truth repeats its midpoint; the coupled oracle has its own four stages.
 
     Returns the raw X; the caller projects and checks.
     """
@@ -178,11 +177,10 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
     that is Abar Pi + Pi Abar^T - q Pi R_s^T R_s Pi + v I_5, each symmetrized,
     the steps starting at times `t`.
 
-    `stages` is (omega, accel, ys, rs, stage_map): the IMU samples
-    (step, row, 3), the processed outputs ys (step, row, m, 3) and their
-    reference vectors rs (step, row, m, 5) on each step's rows, and the map
-    of the four RK4 stages to those rows. With the estimate's top block
-    rows X = [Rhat, zhat] (3 x 8) and the stacked y_bold rows
+    `stages` is (omega, accel, ys, rs): the IMU samples (step, stage, 3),
+    the processed outputs ys (step, stage, m, 3) and their reference vectors
+    rs (step, stage, m, 5) at the four RK4 stages of each step. With the
+    estimate's top block rows X = [Rhat, zhat] (3 x 8) and the stacked y_bold rows
     Y = [ys, rs] (m x 8), a stage has
 
         F     = hat(omega) and accel in column 4, Abar^T below   (8 x 8)
@@ -193,7 +191,7 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
     or, when one batched Cholesky finds a step's Pi non-finite or not
     positive definite, that step's DivergenceError; the pass then ends there.
     """
-    omega, accel, ys, rs, stage_map = stages
+    omega, accel, ys, rs = stages
     q, dt, veye = cfg.q, cfg.dt, cfg.v * _EYE5
     h2, hq = 0.5 * dt, 0.5 * q
     flow = np.zeros(omega.shape[:-1] + (8, 8))
@@ -201,7 +199,7 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
     flow[..., :3, 4] = accel
     flow[..., 3:, 3:] = abar.T
     cross = np.concatenate([ys, rs], axis=-1).mT @ rs
-    info = (rs.mT @ rs)[:, stage_map]
+    info = rs.mT @ rs
     stage = np.empty(info.shape)  # Pi at the four RK4 stages of each step
 
     def rhs(p, info):
@@ -219,7 +217,7 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
     pis = np.concatenate([stage[:, 0], pi[None]])
     healthy, error = _check_pd(pis[1:], t)
     n = min(healthy + 1, len(stage))  # the failing step runs, so that its own checks come first
-    fg = np.concatenate([flow[:n, stage_map], q * (cross[:n, stage_map] @ stage[:n])], axis=-1)
+    fg = np.concatenate([flow[:n], q * (cross[:n] @ stage[:n])], axis=-1)
     return pis[:n + 1], fg, error
 
 

@@ -89,10 +89,10 @@ CONVERGENCE_DWELL_S = 0.5
 _ROW_SHAPES = {"t": (), "phat": (3,), "vhat": (3,), "rhat": (3, 3), "ehat": (3, 3), "att_err": (),
                "col_norms": (5,), "x_body": (15,), "mineig_p": (), "rot_defect": ()}
 
-# float64 values a run holds per step for its truth (the grid and midpoint
-# arrays of simulate_truth) and per recorded step for its trace; the steps
-# of a config and of an obsv horizon are bounded so that they fit in _MAX_RUN_BYTES
-_TRUTH_FLOATS_PER_STEP = 46
+# float64 values a run holds per step for its truth (t, p, v, R and R_mid of
+# a TruthRun) and per recorded step for its trace; the steps of a config and
+# of an obsv horizon are bounded so that they fit in _MAX_RUN_BYTES
+_TRUTH_FLOATS_PER_STEP = 25
 _TRACE_FLOATS_PER_RECORD = sum(math.prod(shape) for shape in _ROW_SHAPES.values())
 _MAX_RUN_BYTES = 4 << 30
 
@@ -148,6 +148,8 @@ class ScenarioConfig:
             raise ValueError("[observer] p0_scale must be positive")
         if not self.imu_noise_power >= 0:
             raise ValueError("[imu] noise_power must be nonnegative")
+        if not self.settle_window >= 0:
+            raise ValueError("[observer] settle_window must be nonnegative")
 
     def initial_state(self) -> ObserverState:
         rhat0 = so3_exp(np.asarray(self.rhat0_rotvec, dtype=float))
@@ -326,7 +328,7 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
     ``stages(k0, k1)``: a :class:`TruthRun` or a :func:`coupled_truth`.
     Each channel is sampled at its own rate with zero-order hold in
     between; full-rate channels and the IMU are delivered at the truth's
-    stage rows. Noise, the IMU's too, applies only when ``cfg.noise`` is
+    four RK4 stages. Noise, the IMU's too, applies only when ``cfg.noise`` is
     on. The steps of :func:`record_steps` are recorded, and
     ``stop_when(t, att_err, col_norms)`` may end the run at a recorded
     step; with ``keep_rows`` off, the trace keeps the last record only. A
@@ -349,7 +351,6 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
     order as one draw per step, so a seeded run gives the same numbers.
     """
     obs, dt, ts, n = cfg.observer, truth.dt, truth.t, len(truth) - 1
-    stride = min(cfg.trace_stride, max(n, 1))  # a longer stride records the same steps: the first and the last
     if abs(obs.dt - dt) > 1e-12:
         raise ValueError("observer dt must match the truth sampling step")
     single = init is None or isinstance(init, ObserverState)
@@ -370,29 +371,29 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
     row_order = full_rate + [s.index for s in samplers if s.stride > 1]
     layout = UnifiedLayout(cfg.channels)
     pending_rows = []  # (step, measurement row)
+    slots = {k: slot for slot, k in enumerate(record_steps(n, cfg.trace_stride).tolist())}  # trace row of each record
 
     def chunk(k0: int, k1: int):
         """The stage samples of steps k0 .. k1 - 1 that :func:`_riccati_pass` takes."""
-        r_st, p_st, v_st, w_st, a_st, stage_map = truth.stages(k0, k1)
+        r_st, p_st, v_st, w_st, a_st = truth.stages(k0, k1)
         if imu_std is not None:
             w_st, a_st = corrupt_imu(w_st, a_st, imu_std, imu_rng)
-        raw = layout.raw_from_pose(r_st, p_st, v_st)  # (step, row, channel, axis)
+        raw = layout.raw_from_pose(r_st, p_st, v_st)  # (step, stage, channel, axis)
         logged = np.empty((k1 - k0, m), dtype=bool)
         for sampler in samplers:
             i = sampler.index
             raw[:, :, i], logged[:, i] = sampler.sample(k0, raw[:, :, i])
         if record_measurements:
-            # full-rate channels are logged at the trace stride
-            logged[:, full_rate] = (np.arange(k0, k1) % stride == 0)[:, None]
+            # full-rate channels are logged at the recorded steps
+            logged[:, full_rate] = np.array([k in slots for k in range(k0, k1)])[:, None]
             for j, c in zip(*np.nonzero(logged[:, row_order])):
                 i = row_order[c]
                 pending_rows.append((k0 + j, (ts[k0 + j], i, raw[j, 0, i].copy())))
-        return (w_st, a_st, *layout.stacks(raw), stage_map)
+        return (w_st, a_st, *layout.stacks(raw))
 
     x = np.stack([np.hstack([s.rhat, s.zhat]) for s in inits])
     live = np.arange(len(inits))  # the run of each row of x
     abar, half_rho = build_abar(cfg.trajectory.g), 0.5 * np.asarray(obs.rho)
-    slots = {k: slot for slot, k in enumerate(record_steps(n, stride).tolist())}  # trace row of each record
     n_rows = len(slots) if keep_rows else 1
     rows = {name: np.empty((n_rows, len(inits)) + shape) for name, shape in _ROW_SHAPES.items()}
     traces = [None] * len(inits)

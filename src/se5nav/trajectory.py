@@ -142,14 +142,21 @@ def time_grid(duration: float, dt: float) -> np.ndarray:
     return np.arange(int(round(duration / dt)) + 1) * dt
 
 
+def signals(spec: TrajectorySpec, t, r) -> tuple[np.ndarray, ...]:
+    """The closed-form signals (p, v, vdot, omega, aB) at times t, of any
+    shape, and the attitudes r there, t.shape + (3, 3)."""
+    p, v, a = eval_trajectory(spec, t)
+    return p, v, a, eval_omega(spec, t), synthesize_imu(a, r, spec.g)
+
+
 @dataclass
 class TruthRun:
     """A truth trajectory sampled on the uniform grid t_k = k dt.
 
-    ``R[k]`` is the attitude at t_k; the ``*_mid`` arrays hold the state
-    and the IMU pair at the step midpoints t_k + dt/2 (the attitude there
-    is the exact midpoint of the per-step rotation factor), so the
-    estimator can integrate with the same input resolution as the truth.
+    It stores only what :func:`signals` cannot give: ``p``, ``v`` and the
+    integrated attitude ``R`` on the grid, and ``R_mid`` at the step
+    midpoints t_k + dt/2 (the exact midpoint of the per-step rotation
+    factor). The other signals are evaluated where they are read.
     """
 
     spec: TrajectorySpec
@@ -157,34 +164,24 @@ class TruthRun:
     t: np.ndarray
     p: np.ndarray
     v: np.ndarray
-    vdot: np.ndarray
     R: np.ndarray
-    omega: np.ndarray
-    aB: np.ndarray
-    p_mid: np.ndarray = field(repr=False)
-    v_mid: np.ndarray = field(repr=False)
     R_mid: np.ndarray = field(repr=False)
-    omega_mid: np.ndarray = field(repr=False)
-    aB_mid: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return self.t.size
 
     def state(self, k: int) -> TruthState:
-        return TruthState(
-            t=float(self.t[k]), p=self.p[k], v=self.v[k], vdot=self.vdot[k],
-            R=self.R[k], omega=self.omega[k], aB=self.aB[k],
-        )
+        p, v, vdot, omega, ab = signals(self.spec, self.t[k], self.R[k])
+        return TruthState(t=float(self.t[k]), p=p, v=v, vdot=vdot, R=self.R[k], omega=omega, aB=ab)
 
     def stages(self, k0: int, k1: int):
-        """(R, p, v, omega, aB) of steps k0 .. k1 - 1 as (step, row, ...)
-        tables, rows the step start, midpoint and end, and the map of the
-        four RK4 stages to those rows: the midpoint serves stages 2 and 3."""
-        def table(grid, mid):
-            return np.stack([grid[k0:k1], mid[k0:k1], grid[k0 + 1:k1 + 1]], axis=1)
-
-        return (table(self.R, self.R_mid), table(self.p, self.p_mid), table(self.v, self.v_mid),
-                table(self.omega, self.omega_mid), table(self.aB, self.aB_mid), (0, 1, 1, 2))
+        """(R, p, v, omega, aB) at the four RK4 stages of steps k0 .. k1 - 1
+        as (step, stage, ...) tables: the step start, the midpoint twice,
+        and the end t_{k+1}. The three distinct times are evaluated once."""
+        ts = np.stack([self.t[k0:k1], self.t[k0:k1] + 0.5 * self.dt, self.t[k0 + 1:k1 + 1]], axis=1)
+        rs = np.stack([self.R[k0:k1], self.R_mid[k0:k1], self.R[k0 + 1:k1 + 1]], axis=1)
+        p, v, _, omega, ab = signals(self.spec, ts, rs)
+        return tuple(a.take([0, 1, 1, 2], axis=1) for a in (rs, p, v, omega, ab))
 
 
 @dataclass
@@ -205,9 +202,8 @@ class CoupledTruth:
         return self.t.size
 
     def stages(self, k0: int, k1: int):
-        """The stage tables of steps k0 .. k1 - 1 (as :meth:`TruthRun.stages`);
-        each RK4 stage has its own row."""
-        return (*(a[k0:k1] for a in self.stage_tables), (0, 1, 2, 3))
+        """The stage tables of steps k0 .. k1 - 1 (as :meth:`TruthRun.stages`)."""
+        return tuple(a[k0:k1] for a in self.stage_tables)
 
 
 def coupled_truth(spec: TrajectorySpec, duration: float, dt: float) -> CoupledTruth:
@@ -277,19 +273,8 @@ def truth_attitude(spec: TrajectorySpec, n: int, dt: float) -> tuple[np.ndarray,
 def simulate_truth(spec: TrajectorySpec, duration: float, dt: float = 1e-3) -> TruthRun:
     """Generate truth samples over [0, duration] at fixed step dt."""
     ts = time_grid(duration, dt)
-    p, v, a = eval_trajectory(spec, ts)
-
-    rs, r_mid = truth_attitude(spec, ts.size - 1, dt)
-
-    # state and IMU pair at the step midpoints t_k + dt/2
-    t_mid = ts[:-1] + 0.5 * dt
-    p_mid, v_mid, a_mid = eval_trajectory(spec, t_mid)
-
-    return TruthRun(
-        spec=spec, dt=dt, t=ts, p=p, v=v, vdot=a, R=rs, omega=eval_omega(spec, ts),
-        aB=synthesize_imu(a, rs, spec.g), p_mid=p_mid, v_mid=v_mid, R_mid=r_mid,
-        omega_mid=eval_omega(spec, t_mid), aB_mid=synthesize_imu(a_mid, r_mid, spec.g),
-    )
+    p, v, _ = eval_trajectory(spec, ts)
+    return TruthRun(spec, dt, ts, p, v, *truth_attitude(spec, ts.size - 1, dt))
 
 
 def write_table(path, schema: str, header, rows) -> None:
@@ -305,14 +290,17 @@ def write_table(path, schema: str, header, rows) -> None:
 
 
 def record_steps(n: int, stride: int) -> np.ndarray:
-    """The steps of a run of n steps that its traces record: every stride-th and the last."""
-    return np.append(np.arange(0, n, stride), n)
+    """The steps of a run of n steps that its traces record, as int64:
+    every stride-th and the last. A stride beyond n records the same steps
+    as n does, the first and the last."""
+    return np.append(np.arange(0, n, min(stride, max(n, 1))), n)
 
 
 def write_truth_csv(run: TruthRun, path, stride: int = 1) -> None:
     """Truth trace at :func:`record_steps`: t, p[3], v[3], R row-major[9], omega[3], aB[3]."""
+    ks = record_steps(len(run) - 1, stride)
+    p, v, _, omega, ab = signals(run.spec, run.t[ks], run.R[ks])
     write_table(path, TRUTH_CSV_SCHEMA,
                 ["t", "px", "py", "pz", "vx", "vy", "vz"] + [f"R{i}{j}" for i in range(3) for j in range(3)]
                 + ["wx", "wy", "wz", "ax", "ay", "az"],
-                ([run.t[k], *run.p[k], *run.v[k], *run.R[k].reshape(-1), *run.omega[k], *run.aB[k]]
-                 for k in record_steps(len(run) - 1, stride)))
+                np.column_stack([run.t[ks], p, v, run.R[ks].reshape(-1, 9), omega, ab]).tolist())

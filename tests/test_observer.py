@@ -349,7 +349,7 @@ class TestKroneckerReduction:
         )
         new = run_observer(cfg, run, state).final_state
 
-        # ys, rs and C at the step's start, midpoint and end rows
+        # ys, rs and C at the step's four RK4 stages
         stages = run.stages(0, 1)
         omega, accel = stages[3][0], stages[4][0]
         layout = UnifiedLayout(cfg.channels)
@@ -366,8 +366,8 @@ class TestKroneckerReduction:
         h = obs.dt
         k1 = f(y0, 0)
         k2 = f(shift(y0, h / 2, k1), 1)
-        k3 = f(shift(y0, h / 2, k2), 1)
-        k4 = f(shift(y0, h, k3), 2)
+        k3 = f(shift(y0, h / 2, k2), 2)
+        k4 = f(shift(y0, h, k3), 3)
         rhat1, zhat1, p1 = (a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
                             for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4))
         assert np.max(np.abs(new.rhat - project_rotation(rhat1))) < 1e-13

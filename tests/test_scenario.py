@@ -25,7 +25,7 @@ from se5nav.lie import SEn, so3_exp
 from se5nav.observability import OBSV_CSV_SCHEMA
 from se5nav.observer import ESTIMATE_CSV_SCHEMA, ObserverConfig, ObserverState
 from se5nav.sensors import MEASUREMENT_CSV_SCHEMA, ChannelKind, ChannelSpec
-from se5nav.trajectory import TRUTH_CSV_SCHEMA, TrajectorySpec, coupled_truth, simulate_truth, z_block
+from se5nav.trajectory import TRUTH_CSV_SCHEMA, TrajectorySpec, coupled_truth, signals, simulate_truth, z_block
 
 STEREO = bundled_config_path("stereo")
 GPS = bundled_config_path("gps")
@@ -179,6 +179,7 @@ class TestConfigParsing:
         ("[observer]", "[obsrever]\nx = 1\n[observer]", "obsrever", "x: unknown key"),
         ("duration = 60.0", "duration = 1e300", "observer", "duration"),
         ("dt = 1e-3", "dt = 1e-300", "observer", "duration"),
+        ("settle_window = 20.0", "settle_window = -5", "observer", "settle_window"),
         # the run's config names a channel by position, not by its section
         ("xi = 2.0, 0.0, 0.0", "xi = 2.0, 0.0, 0.0\nrate = 1e-300", "channel.*", "rate"),
     ]
@@ -435,7 +436,8 @@ class TestTables:
 
         header, rows = read_table(tmp_path / "truth.csv", TRUTH_CSV_SCHEMA)
         assert len(header) == 22
-        want = np.column_stack([truth.t, truth.p, truth.v, truth.R.reshape(-1, 9), truth.omega, truth.aB])
+        _, _, _, omega, ab = signals(truth.spec, truth.t, truth.R)
+        want = np.column_stack([truth.t, truth.p, truth.v, truth.R.reshape(-1, 9), omega, ab])
         assert bits([[float(c) for c in row] for row in rows]) == bits(want[::cfg.trace_stride])
 
         header, rows = read_table(tmp_path / "estimate.csv", ESTIMATE_CSV_SCHEMA)

@@ -11,7 +11,7 @@ from se5nav.sensors import (
     spawn_channel_rngs,
     value_from_pose,
 )
-from se5nav.trajectory import TrajectorySpec, TruthState, simulate_truth
+from se5nav.trajectory import TrajectorySpec, TruthState, eval_trajectory, simulate_truth
 
 
 def make_state(R=None, p=(0, 0, 0), v=(0, 0, 0)):
@@ -199,10 +199,11 @@ class TestChannelSampler:
         ch = ChannelSpec(kind=ChannelKind.INERTIAL_VELOCITY)
         sampler = ChannelSampler(spec=ch, index=0, sim_dt=1e-3, rng=None)
         vals, updated = sampler.poll_stages(10, run)
+        v_mid = eval_trajectory(run.spec, run.t[10] + 0.5 * run.dt)[1]
         assert updated
         assert np.allclose(vals[0], run.v[10])
-        assert np.allclose(vals[1], run.v_mid[10])
-        assert np.allclose(vals[2], run.v[11])
+        assert np.allclose(vals[1], v_mid) and np.array_equal(vals[2], vals[1])
+        assert np.allclose(vals[3], run.v[11])
 
     def test_decimated_zero_order_hold(self):
         run = simulate_truth(TrajectorySpec(), 0.1, 1e-3)

@@ -8,6 +8,8 @@ from se5nav.trajectory import (
     coupled_truth,
     eval_omega,
     eval_trajectory,
+    record_steps,
+    signals,
     simulate_truth,
     synthesize_imu,
     truth_attitude,
@@ -144,11 +146,12 @@ class TestOneFormulaForASampleOrAStack:
         # differently on some samples, so it is not the reference here
         spec = reference_spec()
         run = simulate_truth(spec, 0.5, 1e-3)
-        ref = np.einsum("kji,kj->ki", run.R, run.vdot - spec.g[None, :])
-        assert np.array_equal(run.aB, ref)
-        assert np.array_equal(synthesize_imu(run.vdot, run.R, spec.g), ref)
-        assert all(np.array_equal(synthesize_imu(a, r, spec.g), want) for a, r, want in zip(run.vdot, run.R, ref))
-        nested = synthesize_imu(run.vdot[:500].reshape(50, 10, 3), run.R[:500].reshape(50, 10, 3, 3), spec.g)
+        vdot = eval_trajectory(spec, run.t)[2]
+        ref = np.einsum("kji,kj->ki", run.R, vdot - spec.g[None, :])
+        assert np.array_equal(signals(spec, run.t, run.R)[4], ref)
+        assert np.array_equal(synthesize_imu(vdot, run.R, spec.g), ref)
+        assert all(np.array_equal(synthesize_imu(a, r, spec.g), want) for a, r, want in zip(vdot, run.R, ref))
+        nested = synthesize_imu(vdot[:500].reshape(50, 10, 3), run.R[:500].reshape(50, 10, 3, 3), spec.g)
         assert np.array_equal(nested, ref[:500].reshape(50, 10, 3))
 
 
@@ -201,9 +204,9 @@ class TestImuSynthesis:
     def test_substitution_closes_velocity_equation(self):
         spec = reference_spec()
         run = simulate_truth(spec, 1.0, 1e-3)
-        k = 500  # t = 0.5
+        s = run.state(500)  # t = 0.5
         g = spec.g
-        residual = run.vdot[k] - g - run.R[k] @ run.aB[k]
+        residual = s.vdot - g - s.R @ s.aB
         assert np.max(np.abs(residual)) < 1e-12
 
 
@@ -211,7 +214,8 @@ class TestSimulateTruth:
     def test_velocity_equation_closure_everywhere(self):
         spec = reference_spec()
         run = simulate_truth(spec, 2.0, 1e-3)
-        res = run.vdot - spec.g[None, :] - np.einsum("kij,kj->ki", run.R, run.aB)
+        _, _, vdot, _, ab = signals(spec, run.t, run.R)
+        res = vdot - spec.g[None, :] - np.einsum("kij,kj->ki", run.R, ab)
         assert np.max(np.linalg.norm(res, axis=1)) < 1e-12
 
     def test_finite_difference_velocity(self):
@@ -245,8 +249,9 @@ class TestSimulateTruth:
         spec = reference_spec()
         run = simulate_truth(spec, 0.5, 1e-3)
         p_mid, v_mid, _ = eval_trajectory(spec, run.t[:-1] + 0.5 * run.dt)
-        assert np.allclose(run.p_mid, p_mid)
-        assert np.allclose(run.v_mid, v_mid)
+        _, p, v, _, _ = run.stages(0, len(run) - 1)
+        assert np.allclose(p[:, 1], p_mid)
+        assert np.allclose(v[:, 1], v_mid)
         # R_mid is the half-step point of each attitude factor
         k = 100
         half = run.R[k] @ np.linalg.inv(run.R_mid[k])
@@ -256,17 +261,17 @@ class TestSimulateTruth:
         spec = reference_spec()
         run = simulate_truth(spec, 0.2, 1e-3)
         k = 37
-        r, p, v, w, a, stage_map = run.stages(k, k + 2)
-        assert stage_map == (0, 1, 1, 2)
-        for j in range(2):  # rows: grid k, midpoint k, grid k + 1
-            t = run.t[k + j] + np.array([0.0, 0.5, 1.0]) * run.dt
+        r, p, v, w, a = run.stages(k, len(run) - 1)
+        for j in range(len(r)):  # stages: grid k, midpoint k twice, grid k + 1
+            mid = run.t[k + j] + 0.5 * run.dt
+            t = np.array([run.t[k + j], mid, mid, run.t[k + j + 1]])
             p_t, v_t, vdot_t = eval_trajectory(spec, t)
-            rows = [run.R[k + j], run.R_mid[k + j], run.R[k + j + 1]]
+            rows = [run.R[k + j], run.R_mid[k + j], run.R_mid[k + j], run.R[k + j + 1]]
             assert np.array_equal(r[j], rows)
-            assert np.allclose(p[j], p_t) and np.allclose(v[j], v_t)
-            assert np.allclose(w[j], eval_omega(spec, t))
-            for s in range(3):
-                assert np.allclose(a[j, s], synthesize_imu(vdot_t[s], rows[s], spec.g))
+            assert np.array_equal(p[j], p_t) and np.array_equal(v[j], v_t)
+            assert np.array_equal(w[j], eval_omega(spec, t))
+            for s in range(4):
+                assert np.array_equal(a[j, s], synthesize_imu(vdot_t[s], rows[s], spec.g))
 
     def test_memory_bound_counts_the_truth_arrays(self):
         def floats(n):
@@ -284,6 +289,10 @@ class TestSimulateTruth:
 
 
 class TestTruthCsv:
+    def test_record_steps_of_a_stride_beyond_every_step(self):
+        steps = record_steps(50, 10**20)
+        assert steps.dtype == np.int64 and steps.tolist() == [0, 50]
+
     def test_schema_and_determinism(self, tmp_path):
         run = simulate_truth(reference_spec(), 0.1, 1e-3)
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
