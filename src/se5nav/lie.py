@@ -1,8 +1,8 @@
 """Matrix Lie-group and linear-algebra substrate.
 
 SO(3) maps (hat / vex / psi / exponential), the extended special Euclidean
-group SE_n(3) with one rotation block and n translation-like columns, and
-the Kronecker / vectorization helpers used by the observer algebra.
+group SE_n(3) with one rotation block and n translation-like columns, the
+Kronecker / vectorization helpers of the observer algebra, and :func:`rk4`.
 
 All functions are pure; group elements are immutable after construction.
 """
@@ -98,6 +98,21 @@ def project_rotation(r: np.ndarray) -> np.ndarray:
     u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
     out[slow] = u @ vt
     return out
+
+
+def rk4(f, y, dt: float):
+    """One classical RK4 step of dy = f(y, s), s = 0 .. 3 the stage: the
+    step start, the midpoint twice, and the end. Returns the step's end and
+    the four arguments f took, (y1, y2, y3, y4)."""
+    h2 = 0.5 * dt
+    k1 = f(y, 0)
+    y2 = y + h2 * k1
+    k2 = f(y2, 1)
+    y3 = y + h2 * k2
+    k3 = f(y3, 2)
+    y4 = y + dt * k3
+    k4 = f(y4, 3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (y, y2, y3, y4)
 
 
 def rotation_angle(r: np.ndarray) -> float | np.ndarray:

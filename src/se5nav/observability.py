@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lie import rk4
 from .trajectory import time_grid
 
 OBSV_CSV_SCHEMA = "se5nav-observability-v1"
@@ -48,14 +49,9 @@ def _phi_nodes(a_of_t, ts: np.ndarray, dt: float):
         a0 = a1
 
 
-def _phi_step(phi: np.ndarray, a0: np.ndarray, a_half: np.ndarray, a1: np.ndarray,
-              dt: float) -> np.ndarray:
-    """One RK4 step of d(phi)/dt = A phi from A at the step's start, midpoint and end."""
-    k1 = a0 @ phi
-    k2 = a_half @ (phi + 0.5 * dt * k1)
-    k3 = a_half @ (phi + 0.5 * dt * k2)
-    k4 = a1 @ (phi + dt * k3)
-    return phi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _phi_step(phi, a0, a_half, a1, dt: float) -> np.ndarray:
+    """One :func:`~se5nav.lie.rk4` step of d(phi)/dt = A phi from A at the step's start, midpoint and end."""
+    return rk4(lambda y, s: (a0, a_half, a_half, a1)[s] @ y, phi, dt)[0]
 
 
 def window_nodes(t: float, delta: float, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import SEn, hat, kron, project_rotation, rotation_angle
+from .lie import SEn, hat, kron, project_rotation, rk4, rotation_angle
 
 _I3 = np.eye(3)
 _EYE5 = np.eye(5)
@@ -158,24 +158,17 @@ def _observer_rhs(x, fg, half_rho):
 
 
 def _rk4_observer(x, fg, dt: float, half_rho):
-    """One RK4 step of the estimate over the [F | G] of the four RK4
-    stages: the step start, the midpoint twice, and the end. A sampled
-    truth repeats its midpoint; the coupled oracle has its own four stages.
-
-    Returns the raw X; the caller projects and checks.
-    """
-    h2 = 0.5 * dt
-    k1 = _observer_rhs(x, fg[0], half_rho)
-    k2 = _observer_rhs(x + h2 * k1, fg[1], half_rho)
-    k3 = _observer_rhs(x + h2 * k2, fg[2], half_rho)
-    k4 = _observer_rhs(x + dt * k3, fg[3], half_rho)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One :func:`~se5nav.lie.rk4` step of the estimate over the [F | G] of
+    the four RK4 stages: the step start, the midpoint twice, and the end. A
+    sampled truth repeats its midpoint; the coupled oracle has its own four
+    stages. Returns the raw X; the caller projects and checks."""
+    return rk4(lambda y, s: _observer_rhs(y, fg[s], half_rho), x, dt)[0]
 
 
 def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
-    """RK4 steps of dPi = T Pi + Pi T^T + v I_5 with T = Abar - (q/2) Pi info,
-    that is Abar Pi + Pi Abar^T - q Pi R_s^T R_s Pi + v I_5, each symmetrized,
-    the steps starting at times `t`.
+    """:func:`~se5nav.lie.rk4` steps of dPi = T Pi + Pi T^T + v I_5 with
+    T = Abar - (q/2) Pi info, that is Abar Pi + Pi Abar^T - q Pi R_s^T R_s Pi + v I_5,
+    each symmetrized, the steps starting at times `t`.
 
     `stages` is (omega, accel, ys, rs): the IMU samples (step, stage, 3),
     the processed outputs ys (step, stage, m, 3) and their reference vectors
@@ -192,8 +185,7 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
     positive definite, that step's DivergenceError; the pass then ends there.
     """
     omega, accel, ys, rs = stages
-    q, dt, veye = cfg.q, cfg.dt, cfg.v * _EYE5
-    h2, hq = 0.5 * dt, 0.5 * q
+    q, hq, dt, veye = cfg.q, 0.5 * cfg.q, cfg.dt, cfg.v * _EYE5
     flow = np.zeros(omega.shape[:-1] + (8, 8))
     flow[..., :3, :3] = hat(omega)
     flow[..., :3, 4] = accel
@@ -206,13 +198,8 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
         tp = (abar - hq * (p @ info)) @ p
         return tp + tp.T + veye
 
-    for s, inf in zip(stage, info):
-        s[0] = pi
-        k1 = rhs(pi, inf[0])
-        k2 = rhs(np.add(pi, h2 * k1, out=s[1]), inf[1])
-        k3 = rhs(np.add(pi, h2 * k2, out=s[2]), inf[2])
-        k4 = rhs(np.add(pi, dt * k3, out=s[3]), inf[3])
-        pi = pi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for st, inf in zip(stage, info):
+        pi, st[:] = rk4(lambda p, s: rhs(p, inf[s]), pi, dt)
         pi = 0.5 * (pi + pi.T)
     pis = np.concatenate([stage[:, 0], pi[None]])
     healthy, error = _check_pd(pis[1:], t)

@@ -236,13 +236,15 @@ def parse_scenario(path) -> ScenarioConfig:
     gravity is the trajectory's: a run takes ``trajectory.g``.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError([f"config file not found: {path}"])
     ini = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        ini.read(path)
+        ini.read(path, encoding="utf-8")
     except configparser.Error as err:
         raise ConfigError([str(err)]) from None
+    except UnicodeDecodeError as err:
+        raise ConfigError([f"config file {path} is not UTF-8 text: {err}"]) from None
 
     problems = [f"missing [{s}] section" for s in ("trajectory", "observer") if not ini.has_section(s)]
     values: dict = {}  # (section, dataclass) -> {field: value}
@@ -323,9 +325,9 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
     """Drive the observer over a truth run under the scenario's settings.
 
     The channels, observer weights, seed, noise switch, IMU noise power
-    and trace stride come from `cfg`; `init` defaults to its initial
-    state. `truth` has the grid arrays t, R, p, v, its step dt and
-    ``stages(k0, k1)``: a :class:`TruthRun` or a :func:`coupled_truth`.
+    and trace stride come from `cfg`; `init`, at the time t[0], defaults to
+    its initial state. `truth` has the grid arrays t, R, p, v, its step dt
+    and ``stages(k0, k1)``: a :class:`TruthRun` or a :func:`coupled_truth`.
     Each channel is sampled at its own rate with zero-order hold in
     between; full-rate channels and the IMU are delivered at the truth's
     four RK4 stages. Noise, the IMU's too, applies only when ``cfg.noise`` is
@@ -359,6 +361,10 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
     pi = np.asarray(inits[0].pi, dtype=float) if inits else None
     if len(stops) != len(inits) or any(s.t != inits[0].t or not np.array_equal(s.pi, pi) for s in inits):
         raise ValueError("a batch of initial states must share pi and t, with one stop_when per state")
+    if not inits:
+        raise ValueError("a batch needs at least one initial state")
+    if inits[0].t != ts[0]:
+        raise ValueError(f"the initial state's t={inits[0].t:g} is not the truth's start t={ts[0]:g}")
     m = len(cfg.channels)
     if m == 0:
         log.warning("no output channels configured; observer runs open loop")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lie import hat, project_rotation, so3_exp
+from .lie import hat, project_rotation, rk4, so3_exp
 
 GRAVITY_NED = np.array([0.0, 0.0, 9.81])
 
@@ -207,8 +207,11 @@ class CoupledTruth:
 
 
 def coupled_truth(spec: TrajectorySpec, duration: float, dt: float) -> CoupledTruth:
-    """Truth integrated by RK4 on its own kinematics over [0, duration],
-    keeping the four stage values of every step.
+    """Truth integrated by :func:`~se5nav.lie.rk4` on its own kinematics
+    over [0, duration], keeping the four stage values of every step.
+
+    The state is [R | p | v] (3 x 5), of field [R hat(omega) | v | a], its rotation block projected
+    after each step; R, p, v and their stage tables view the grid (n + 1, 3, 5) and stages (n, 4, 3, 5).
 
     An observer run on it evaluates the measurements and the IMU on the
     truth's own stage values, so truth and observer together are a single
@@ -218,30 +221,19 @@ def coupled_truth(spec: TrajectorySpec, duration: float, dt: float) -> CoupledTr
     The truth flow does not depend on the estimate, so it is taken first.
     """
     ts = time_grid(duration, dt)
-    n, h2, c6 = ts.size - 1, 0.5 * dt, dt / 6.0
+    n, h2 = ts.size - 1, 0.5 * dt
 
     # body rates and accelerations at the stage times, as (step, stage) tables
     stage_ts = np.stack([ts[:-1], ts[:-1] + h2, ts[:-1] + h2, ts[1:]], axis=1)
     w_st, a_st = eval_omega(spec, stage_ts), eval_trajectory(spec, stage_ts)[2]
-    r_st, p_st, v_st = np.empty((n, 4, 3, 3)), np.empty((n, 4, 3)), np.empty((n, 4, 3))
-    r_t = spec.r0.copy()
-    p_t, v_t, _ = eval_trajectory(spec, 0.0)
-    for j, (wk, ak) in enumerate(zip(hat(w_st), a_st)):
-        r_st[j, 0], p_st[j, 0], v_st[j, 0] = r_t, p_t, v_t
-        dr = []
-        for s, h in enumerate((h2, h2, dt)):
-            dr.append(r_st[j, s] @ wk[s])
-            r_st[j, s + 1] = r_t + h * dr[s]
-            p_st[j, s + 1] = p_t + h * v_st[j, s]
-            v_st[j, s + 1] = v_t + h * ak[s]
-        dr.append(r_st[j, 3] @ wk[3])
-        vs = v_st[j]
-        r_t = project_rotation(r_t + c6 * (dr[0] + 2 * dr[1] + 2 * dr[2] + dr[3]))
-        p_t = p_t + c6 * (vs[0] + 2 * vs[1] + 2 * vs[2] + vs[3])
-        v_t = v_t + c6 * (ak[0] + 2 * ak[1] + 2 * ak[2] + ak[3])
-    grid = (np.concatenate([st[:, 0], end[None]]) for st, end in ((r_st, r_t), (p_st, p_t), (v_st, v_t)))
-    return CoupledTruth(dt, ts, *grid,
-                        stage_tables=(r_st, p_st, v_st, w_st, synthesize_imu(a_st, r_st, spec.g)))
+    grid, st = np.empty((n + 1, 3, 5)), np.empty((n, 4, 3, 5))
+    grid[0, :, :3], grid[0, :, 3], grid[0, :, 4] = spec.r0, *eval_trajectory(spec, 0.0)[:2]
+    for y, y1, y_st, wk, ak in zip(grid, grid[1:], st, hat(w_st), a_st[..., None]):
+        y1[:], y_st[:] = rk4(lambda x, s: np.concatenate([x[:, :3] @ wk[s], x[:, 4:], ak[s]], axis=1), y, dt)
+        y1[:, :3] = project_rotation(y1[:, :3])
+    return CoupledTruth(dt, ts, grid[..., :3], grid[..., 3], grid[..., 4],
+                        stage_tables=(st[..., :3], st[..., 3], st[..., 4], w_st,
+                                      synthesize_imu(a_st, st[..., :3], spec.g)))
 
 
 _EXP_CHUNK = 4096  # half-step exponentials built per batch in truth_attitude

@@ -255,6 +255,10 @@ class TestRunObserver:
                 run_observer(cfg, truth, [init, other])
         with pytest.raises(ValueError, match="one stop_when per state"):
             run_observer(cfg, truth, [init, init], [None])
+        with pytest.raises(ValueError, match="at least one initial state"):
+            run_observer(cfg, truth, [])
+        with pytest.raises(ValueError, match="not the truth's start"):
+            run_observer(cfg, truth, dataclasses.replace(init, t=7.0))
 
     def test_observer_takes_gravity_from_the_trajectory(self, tmp_path):
         path = tmp_path / "east.cfg"
@@ -669,6 +673,18 @@ class TestCli:
         assert exc.value.code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_unreadable_config_exits_2_with_message(self, kind, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"[trajectory]\nkind = eight\xff\xfe\n")
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        message = "not found" if kind == "directory" else "is not UTF-8"
+        assert message in err and str(path) in err and "Traceback" not in err
 
     def test_obsv_window_shorter_than_step(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "obsv", str(GPS),

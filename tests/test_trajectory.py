@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from se5nav.lie import hat, is_rotation, so3_exp
-from se5nav.scenario import _TRUTH_FLOATS_PER_STEP
+from se5nav.scenario import _TRUTH_FLOATS_PER_STEP, bundled_config_path, parse_scenario
 from se5nav.trajectory import (
     TrajectorySpec,
     coupled_truth,
@@ -279,6 +279,18 @@ class TestSimulateTruth:
             return sum(a.size for a in vars(run).values() if isinstance(a, np.ndarray))
 
         assert floats(200) - floats(100) == 100 * _TRUTH_FLOATS_PER_STEP
+
+    def test_coupled_truth_is_fourth_order(self):
+        spec = parse_scenario(bundled_config_path("stereo")).trajectory
+
+        def error(dt):
+            truth = coupled_truth(spec, 2.0, dt)
+            p, v, _ = eval_trajectory(spec, truth.t)
+            return max(np.abs(truth.p - p).max(), np.abs(truth.v - v).max())
+
+        coarse, fine = error(2e-3), error(1e-3)
+        assert 14.0 < coarse / fine < 18.0
+        assert fine < 1e-10
 
     def test_rejects_bad_arguments(self):
         for make in (simulate_truth, coupled_truth):
