@@ -47,6 +47,7 @@ from .observability import (
 )
 from .observer import (
     ESTIMATE_CSV_SCHEMA,
+    DivergenceError,
     ObserverConfig,
     ObserverState,
     _riccati_pass,
@@ -168,8 +169,9 @@ def bundled_config_path(name: str) -> Path:
 
 
 # config parsing -----------------------------------------------------------
-# [trajectory] sets TrajectorySpec, each [channel.N] a ChannelSpec, [observer]
-# ObserverConfig and ScenarioConfig, and [imu] noise_power imu_noise_power.
+# [trajectory] sets TrajectorySpec, each [channel.N] a ChannelSpec (in the
+# order of the positive integers N), [observer] ObserverConfig and
+# ScenarioConfig, and [imu] noise_power imu_noise_power.
 # The observer weights are renamed: rho1..rho3 -> rho, q_scale -> q, v_scale -> v.
 
 _FLAGS = {"on": True, "true": True, "yes": True, "1": True,
@@ -232,13 +234,16 @@ def parse_scenario(path) -> ScenarioConfig:
 
     Each key sets the dataclass field of its name (see :func:`_schema`),
     converted by the field's type; a missing key takes the field's default,
-    and the dataclasses check their own domain rules. The observer's
+    and the dataclasses check their own domain rules. A section the format
+    does not have, even an empty one, and a ``[channel.N]`` whose N is not a
+    positive integer or repeats another's are problems too. The observer's
     gravity is the trajectory's: a run takes ``trajectory.g``.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError([f"config file not found: {path}"])
-    ini = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header can name "", so [DEFAULT] is a section like any other, not one that every section inherits
+    ini = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         ini.read(path, encoding="utf-8")
     except configparser.Error as err:
@@ -248,8 +253,17 @@ def parse_scenario(path) -> ScenarioConfig:
 
     problems = [f"missing [{s}] section" for s in ("trajectory", "observer") if not ini.has_section(s)]
     values: dict = {}  # (section, dataclass) -> {field: value}
+    numbered: dict = {}  # channel number N -> its [channel.N] section
     for section in ini.sections():
         schema = _schema(section)
+        n = section.removeprefix("channel.")
+        if n != section:
+            if not (n.isascii() and n.isdigit() and int(n) > 0):
+                problems.append(f"[{section}] channel number: expected a positive integer, got {n!r}")
+            elif numbered.setdefault(int(n), section) != section:
+                problems.append(f"[{section}] channel number: {int(n)} repeats [{numbered[int(n)]}]")
+        elif not schema:
+            problems.append(f"[{section}] unknown section")
         problems += [f"[{section}] {key}: unknown key" for key in ini.options(section) if key not in schema]
         for key, (cls, name, tp, required) in schema.items():
             if ini.has_option(section, key):
@@ -269,7 +283,7 @@ def parse_scenario(path) -> ScenarioConfig:
             problems.append(f"[{section}] {err}")
 
     trajectory = build("trajectory", TrajectorySpec)
-    channels = tuple(build(s, ChannelSpec) for s in sorted(ini.sections()) if s.startswith("channel."))
+    channels = tuple(build(numbered[n], ChannelSpec) for n in sorted(numbered))
     obs = values[("observer", ObserverConfig)]
     rho = tuple(obs.pop(f"rho{i}") for i in (1, 2, 3))
     observer = build("observer", ObserverConfig, rho=rho)
@@ -320,31 +334,31 @@ class RunTrace:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
-                 record_measurements: bool = False, keep_rows: bool = True):
-    """Drive the observer over a truth run under the scenario's settings.
+def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
+                 keep_rows: bool = True) -> list[RunTrace]:
+    """Drive a batch of observer runs over a truth run; one RunTrace per state.
 
-    The channels, observer weights, seed, noise switch, IMU noise power
-    and trace stride come from `cfg`; `init`, at the time t[0], defaults to
-    its initial state. `truth` has the grid arrays t, R, p, v, its step dt
-    and ``stages(k0, k1)``: a :class:`TruthRun` or a :func:`coupled_truth`.
-    Each channel is sampled at its own rate with zero-order hold in
-    between; full-rate channels and the IMU are delivered at the truth's
-    four RK4 stages. Noise, the IMU's too, applies only when ``cfg.noise`` is
-    on. The steps of :func:`record_steps` are recorded, and
-    ``stop_when(t, att_err, col_norms)`` may end the run at a recorded
-    step; with ``keep_rows`` off, the trace keeps the last record only. A
-    DivergenceError carries the state at the start of the failing step.
-    Overflow and invalid warnings are off: the checks raise on a non-finite estimate.
+    `inits` is a sequence of initial states at the truth's t[0] that share
+    ``pi`` and ``t``; None runs the config's initial state alone. Their
+    estimates X (B x 3 x 8) step as one batch against one Riccati factor Pi,
+    which does not depend on the estimate, and each trace equals bit for bit
+    that of its state run alone. The channels, observer weights, seed, noise
+    switch, IMU noise power and trace stride come from `cfg`. `truth` has
+    the grid arrays t, R, p, v, its step dt and ``stages(k0, k1)``: a
+    :class:`TruthRun` or a :func:`coupled_truth`. Each channel is sampled at
+    its own rate with zero-order hold in between; full-rate channels and the
+    IMU are delivered at the truth's four RK4 stages. Noise, the IMU's too,
+    applies only when ``cfg.noise`` is on. The steps of :func:`record_steps`
+    are recorded; at each, ``stop_when(t, runs, att_err, col_norms)`` gets
+    the live runs' positions in the batch and their errors and returns which
+    of them stop (one bool for all or one per live run), and those leave the
+    batch. ``keep_rows`` off keeps only each trace's last record and no
+    measurement log. A DivergenceError carries the state at the start of the
+    failing step. Overflow and invalid warnings are off: the checks raise on
+    a non-finite estimate.
 
-    `init` may also be a sequence of states sharing ``pi`` and ``t``, run
-    as one batch of estimates X (B x 3 x 8) against one Riccati factor Pi,
-    which does not depend on the estimate; the result is then a list of
-    traces, each bit for bit that of its state run alone. `stop_when` is
-    then None or one callable per run; a run that stops leaves the batch.
     The rows are allocated once per field for the whole batch, so a
     ``keep_rows`` batch holds every record of the horizon for every run up front.
-
     What depends only on truth and noise (stage samples, y/r stacks, the
     noisy IMU and its hat(omega)) is built ahead of the recursion, once
     for the whole batch, in chunks of ``_CHUNK_STEPS`` steps, and Pi is
@@ -355,14 +369,12 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
     obs, dt, ts, n = cfg.observer, truth.dt, truth.t, len(truth) - 1
     if abs(obs.dt - dt) > 1e-12:
         raise ValueError("observer dt must match the truth sampling step")
-    single = init is None or isinstance(init, ObserverState)
-    inits = [cfg.initial_state() if init is None else init] if single else list(init)
-    stops = [stop_when] * len(inits) if single or stop_when is None else list(stop_when)
-    pi = np.asarray(inits[0].pi, dtype=float) if inits else None
-    if len(stops) != len(inits) or any(s.t != inits[0].t or not np.array_equal(s.pi, pi) for s in inits):
-        raise ValueError("a batch of initial states must share pi and t, with one stop_when per state")
+    inits = [cfg.initial_state()] if inits is None else list(inits)
     if not inits:
         raise ValueError("a batch needs at least one initial state")
+    pi = np.asarray(inits[0].pi, dtype=float)
+    if any(s.t != inits[0].t or not np.array_equal(s.pi, pi) for s in inits):
+        raise ValueError("a batch of initial states must share pi and t")
     if inits[0].t != ts[0]:
         raise ValueError(f"the initial state's t={inits[0].t:g} is not the truth's start t={ts[0]:g}")
     m = len(cfg.channels)
@@ -389,7 +401,7 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
         for sampler in samplers:
             i = sampler.index
             raw[:, :, i], logged[:, i] = sampler.sample(k0, raw[:, :, i])
-        if record_measurements:
+        if keep_rows:
             # full-rate channels are logged at the recorded steps
             logged[:, full_rate] = np.array([k in slots for k in range(k0, k1)])[:, None]
             for j, c in zip(*np.nonzero(logged[:, row_order])):
@@ -416,8 +428,8 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
             for name, value in record.items():
                 rows[name][slot, live] = value
             stop = np.zeros(live.size, dtype=bool)
-            for j, run in enumerate(live):
-                stop[j] = stops[run] is not None and stops[run](ts[k], rep.angle[j], rep.column_norms[j])
+            if stop_when is not None:
+                stop[:] = stop_when(ts[k], live, rep.angle, rep.column_norms)
             done = stop | (k == n)
             if done.any():
                 for j in np.flatnonzero(done):
@@ -433,7 +445,7 @@ def run_observer(cfg: ScenarioConfig, truth, init=None, stop_when=None,
             k0, k1 = k, min(k + _CHUNK_STEPS, n)
             ric = _riccati_pass(pi, chunk(k0, k1), ts[k0:k1], obs, abar)
         x, pi = _step(x, ric, k - k0, ts[k], obs.dt, half_rho, live)
-    return traces[0] if single else traces
+    return traces
 
 
 # summary + file outputs ----------------------------------------------------
@@ -490,14 +502,12 @@ def write_measurement_csv(rows, path) -> None:
 
 
 def write_estimate_csv(trace: RunTrace, path) -> None:
-    write_table(
-        path, ESTIMATE_CSV_SCHEMA,
-        ["t", "phx", "phy", "phz", "vhx", "vhy", "vhz"]
-        + [f"Rh{i}{j}" for i in range(3) for j in range(3)]
-        + [f"eh{i}{j}" for i in range(3) for j in range(3)]
-        + ["att_err_rad", "p_err", "v_err", "e1_err", "e2_err", "e3_err", "mineig_P"],
-        ([trace.t[i], *trace.phat[i], *trace.vhat[i], *trace.rhat[i].reshape(-1), *trace.ehat[i].reshape(-1),
-          trace.att_err[i], *trace.col_norms[i], trace.mineig_p[i]] for i in range(trace.t.size)))
+    header = (["t", "phx", "phy", "phz", "vhx", "vhy", "vhz"]
+              + [f"{m}{i}{j}" for m in ("Rh", "eh") for i in range(3) for j in range(3)]
+              + ["att_err_rad", "p_err", "v_err", "e1_err", "e2_err", "e3_err", "mineig_P"])
+    columns = [trace.t, trace.phat, trace.vhat, trace.rhat.reshape(-1, 9), trace.ehat.reshape(-1, 9),
+               trace.att_err, trace.col_norms, trace.mineig_p]
+    write_table(path, ESTIMATE_CSV_SCHEMA, header, np.column_stack(columns).tolist())
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> RunSummary:
@@ -508,7 +518,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> RunS
     """
     started = time.perf_counter()
     truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-    trace = run_observer(cfg, truth, record_measurements=out_dir is not None)
+    [trace] = run_observer(cfg, truth)
     summary = summarize(trace, cfg.duration, cfg.settle_window, time.perf_counter() - started)
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -535,15 +545,16 @@ class SweepRow:
 
 
 class _Dwell:
-    """Stop rule of one sweep run: `checks` records in a row below both thresholds, the first at `settle`."""
+    """Stop rule of a sweep batch: `checks` records in a row below both thresholds, the first at `settle[run]`."""
 
-    def __init__(self, checks: int):
-        self.checks, self.streak, self.settle = checks, 0, None
+    def __init__(self, checks: int, size: int):
+        self.checks, self.streak, self.settle = checks, np.zeros(size, dtype=int), np.full(size, np.nan)
 
-    def __call__(self, t, att, norms) -> bool:
-        self.streak = self.streak + 1 if att < ATT_THRESHOLD_RAD and norms[0] < POS_THRESHOLD_M else 0
-        self.settle = t if self.streak == 1 else self.settle
-        return self.streak >= self.checks
+    def __call__(self, t, runs, att, norms) -> np.ndarray:
+        below = (att < ATT_THRESHOLD_RAD) & (norms[:, 0] < POS_THRESHOLD_M)
+        self.streak[runs] = np.where(below, self.streak[runs] + 1, 0)
+        self.settle[runs[self.streak[runs] == 1]] = t
+        return self.streak[runs] >= self.checks
 
 
 # most runs of a sweep stepped as one batch: larger batches save little time,
@@ -598,10 +609,15 @@ def sweep_agas(
             inits.append(ObserverState(xhat=SEn(rtilde.T @ truth0.R, zhat), pi=cfg.p0_scale * np.eye(5), t=0.0))
             rows.append(SweepRow(run=i, seed=seed, init_angle_rad=angle, init_p_err=float(np.linalg.norm(p_err)),
                                  init_v_err=float(np.linalg.norm(v_err)), converged=False, settle_time_s=None))
-        stops = [_Dwell(dwell_checks) for _ in inits]
-        for row, trace, stop in zip(rows[b0:], run_observer(cfg, truth, inits, stops, keep_rows=False), stops):
+        dwell = _Dwell(dwell_checks, len(inits))
+        try:
+            traces = run_observer(cfg, truth, inits, dwell, keep_rows=False)
+        except DivergenceError as err:  # name the run by its number in the sweep, not in the batch
+            message = str(err).removeprefix(f"run {err.run}: ")
+            raise DivergenceError(f"run {b0 + err.run}: {message}", err.state, b0 + err.run) from None
+        for row, trace, settle in zip(rows[b0:], traces, dwell.settle):
             if trace.stopped_at is not None:
-                row.converged, row.settle_time_s = True, stop.settle
+                row.converged, row.settle_time_s = True, settle
     return rows
 
 
@@ -614,51 +630,51 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
 
 # observability checks ------------------------------------------------------
 
-def _reference_attitude(cfg: ScenarioConfig, t_max: float):
-    """The attitude at which the channels' reference vectors are evaluated,
-    as a function of times t in [0, t_max] (scalar or array).
+def _reference_rows(cfg: ScenarioConfig, t_max: float):
+    """R_s, the reference vectors of the channel rules of :class:`UnifiedLayout`
+    at the noiseless truth pose, as a function of times ts in [0, t_max] of
+    any shape; its values are shaped ts.shape + (m, 5).
 
-    Only a position channel with a lever arm b has an r that depends on it,
-    r = [1, 0, -(p + R b)]; then R is the truth attitude at the nearest grid
-    sample k = round(t / dt), from one truth attitude run up to t_max.
-    Otherwise the identity stands in and no truth is synthesized.
+    Only a position channel with a lever arm b has an r that depends on the
+    attitude, r = [1, 0, -(p + R b)]; then R is the truth attitude at the
+    nearest grid sample k = round(t / dt), from one truth attitude run up to
+    t_max. Otherwise the identity stands in and no truth is synthesized.
     """
-    if not any(ch.kind is ChannelKind.INERTIAL_POSITION and np.any(ch.b_vec) for ch in cfg.channels):
-        return lambda t: _I3
-    dt = cfg.observer.dt
-    attitude = truth_attitude(cfg.trajectory, int(np.rint(t_max / dt)), dt)[0]
+    spec, dt, layout = cfg.trajectory, cfg.observer.dt, UnifiedLayout(cfg.channels)
+    lever = any(ch.kind is ChannelKind.INERTIAL_POSITION and np.any(ch.b_vec) for ch in cfg.channels)
+    attitude = truth_attitude(spec, int(np.rint(t_max / dt)), dt)[0] if lever else None
 
-    def at(t):
-        k = np.rint(np.asarray(t) / dt).astype(int)
+    def at(ts):
+        if attitude is None:
+            return _I3
+        k = np.rint(ts / dt).astype(int)
         if np.any(k < 0) or np.any(k >= len(attitude)):
             raise ValueError(f"truth attitude is computed for times in [0, {t_max:g}] only")
         return attitude[k]
 
-    return at
+    def rows(ts):
+        ts = np.asarray(ts, dtype=float)
+        p, v, _ = eval_trajectory(spec, ts)
+        return layout.stacks(layout.raw_from_pose(at(ts), p, v))[1]  # no attitudes held while stacks allocates
+
+    return rows
 
 
 def scenario_output_map(cfg: ScenarioConfig, horizon: float):
     """(A(t), C(t)) callables for the scenario on noiseless truth.
 
-    C(t) = R_s(t) kron I_3 with R_s from the channel rules of
-    :class:`UnifiedLayout` at the truth pose. Lever-arm position channels
-    take the truth attitude at the nearest grid sample, precomputed out to
-    `horizon` (see :func:`_reference_attitude`).
+    C(t) = R_s(t) kron I_3 with R_s from :func:`_reference_rows`, whose
+    lever-arm attitudes are precomputed out to `horizon`.
     """
     spec = cfg.trajectory
-    layout = UnifiedLayout(cfg.channels)
-    attitude = _reference_attitude(cfg, horizon + cfg.observer.dt)
+    rows = _reference_rows(cfg, horizon + cfg.observer.dt)
 
     def a_of_t(t: float) -> np.ndarray:
         return build_a(eval_omega(spec, t), spec.g)
 
-    def build_c(t: float) -> np.ndarray:
-        p, v, _ = eval_trajectory(spec, t)
-        return fast_output_matrix(layout.stacks(layout.raw_from_pose(attitude(t), p, v))[1])
-
-    if not layout.constant_r:
-        return a_of_t, build_c
-    c_const = build_c(0.0)
+    if not UnifiedLayout(cfg.channels).constant_r:
+        return a_of_t, lambda t: fast_output_matrix(rows(t))
+    c_const = fast_output_matrix(rows(0.0))
     return a_of_t, lambda t: c_const
 
 
@@ -685,7 +701,7 @@ def check_observability(
     least the config's step dt and the last window end within the step
     bound of a run's duration (ValueError).
     """
-    spec, dt = cfg.trajectory, cfg.observer.dt
+    dt = cfg.observer.dt
     if not delta >= dt:
         raise ValueError(f"delta must be at least the step dt = {dt:g}, got {delta:g}")
     starts = np.asarray(grid, dtype=float)
@@ -693,17 +709,13 @@ def check_observability(
         raise ValueError("window start times must be nonnegative")
     _check_steps((float(starts.max(initial=0.0)) + delta) / dt, cfg.trace_stride, "(max --grid + --delta) / dt")
     offsets, _ = window_nodes(0.0, delta, dt)
-    attitude = _reference_attitude(cfg, (starts + offsets[-1]).max(initial=0.0))
-    layout = UnifiedLayout(cfg.channels)
-    abar = build_abar(spec.g)
+    rows = _reference_rows(cfg, (starts + offsets[-1]).max(initial=0.0))
+    abar = build_abar(cfg.trajectory.g)
     piece = min(offsets.size, _OBSV_PIECE_NODES)
 
-    def node_pieces(group):  # R_s rows at the nodes of the group's windows, a piece at a time
+    def node_pieces(group):  # R_s at the nodes of the group's windows, a piece at a time
         for k0 in range(0, offsets.size, piece):
-            ts = (group[:, None] + offsets[k0:k0 + piece]).ravel()
-            p, v, _ = eval_trajectory(spec, ts)
-            _, rs = layout.stacks(layout.raw_from_pose(attitude(ts), p, v))
-            yield rs.reshape(group.size, -1, *rs.shape[1:])
+            yield rows(group[:, None] + offsets[k0:k0 + piece])
 
     per_group = max(1, _OBSV_CHUNK_NODES // piece)
     reports = []

@@ -67,7 +67,7 @@ def _run(cfg, noiseless: bool, duration: float):
     cfg = dataclasses.replace(cfg.noiseless() if noiseless else cfg, duration=duration)
     truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
     started = time.perf_counter()
-    trace = run_observer(cfg, truth)
+    [trace] = run_observer(cfg, truth)
     runtime = time.perf_counter() - started
     summary = summarize(trace, cfg.duration, cfg.settle_window, runtime)
     return trace, summary
@@ -137,8 +137,8 @@ def test_criterion_2_linear_equivalence(stereo_cfg):
     cfg = stereo_cfg.noiseless()
     obs = cfg.observer
     started = time.perf_counter()
-    trace = run_observer(dataclasses.replace(cfg, duration=30.0, trace_stride=int(round(0.1 / obs.dt))),
-                         coupled_truth(cfg.trajectory, 30.0, obs.dt))
+    [trace] = run_observer(dataclasses.replace(cfg, duration=30.0, trace_stride=int(round(0.1 / obs.dt))),
+                           coupled_truth(cfg.trajectory, 30.0, obs.dt))
     a_of_t, c_of_t = scenario_output_map(cfg, horizon=30.0)
     _, xs = kalman_reference_run(
         a_of_t, c_of_t, obs.q, obs.v, np.eye(15), trace.x_body[0], 0.0, 30.0, obs.dt

@@ -275,7 +275,7 @@ class TestObserverStep:
     def test_single_step_advances_time_and_stays_healthy(self):
         run = one_step_truth(ONE_STEP)
         state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
-        new = run_observer(ONE_STEP, run, state).final_state
+        new = run_observer(ONE_STEP, run, [state])[0].final_state
         assert new.t == pytest.approx(1e-3)
         assert np.max(np.abs(new.P - new.P.T)) < 1e-12
         assert np.linalg.eigvalsh(new.P)[0] > 0
@@ -283,7 +283,7 @@ class TestObserverStep:
     def test_open_loop_prediction_without_channels(self):
         run = one_step_truth(ONE_STEP)
         state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
-        new = run_observer(dataclasses.replace(ONE_STEP, channels=()), run, state).final_state
+        new = run_observer(dataclasses.replace(ONE_STEP, channels=()), run, [state])[0].final_state
         # pure prediction tracks the truth over one step
         assert np.max(np.abs(new.zhat[:, 0] - run.p[1])) < 1e-9
         # P grows under V with no measurement information
@@ -295,7 +295,7 @@ class TestObserverStep:
         z[0, 0] = np.inf
         bad = ObserverState(xhat=SEn(np.eye(3), z, check=False), pi=np.eye(5), t=0.0)
         with pytest.raises(DivergenceError) as exc:
-            run_observer(ONE_STEP, one_step_truth(ONE_STEP), bad)
+            run_observer(ONE_STEP, one_step_truth(ONE_STEP), [bad])
         assert exc.value.state.t == bad.t
 
     def test_config_validation(self):
@@ -347,7 +347,7 @@ class TestKroneckerReduction:
             xhat=SEn(so3_exp([0.3, -0.2, 0.5]) @ truth.R, truth.z + 0.5 * rng.standard_normal((3, 5))),
             pi=0.8 * np.eye(5), t=truth.t,
         )
-        new = run_observer(cfg, run, state).final_state
+        new = run_observer(cfg, run, [state])[0].final_state
 
         # ys, rs and C at the step's four RK4 stages
         stages = run.stages(0, 1)
@@ -432,14 +432,14 @@ class TestFullRuns:
         truth = simulate_truth(cfg.trajectory, 10.0, cfg.observer.dt)
         z0 = truth.state(0).z
         init = ObserverState(xhat=SEn(truth.R[0], z0), pi=np.eye(5), t=0.0)
-        trace = run_observer(dataclasses.replace(cfg, trace_stride=100), truth, init)
+        [trace] = run_observer(dataclasses.replace(cfg, trace_stride=100), truth, [init])
         assert trace.att_err.max() < 1e-6
         assert trace.col_norms.max() < 1e-6
 
     def test_reference_init_converges_below_1e3(self):
         cfg = parse_scenario(bundled_config_path("stereo")).noiseless()
         truth = simulate_truth(cfg.trajectory, 10.0, cfg.observer.dt)
-        trace = run_observer(dataclasses.replace(cfg, trace_stride=100), truth)
+        [trace] = run_observer(dataclasses.replace(cfg, trace_stride=100), truth)
         t_att = trace.t[np.nonzero(trace.att_err < 1e-3)[0][0]]
         t_pos = trace.t[np.nonzero(trace.col_norms[:, 0] < 1e-3)[0][0]]
         assert t_att <= 30.0 and t_pos <= 30.0
@@ -454,7 +454,7 @@ class TestFullRuns:
         obs = dataclasses.replace(cfg.observer, dt=5e-4)
         horizon = 6.0
         cfg = dataclasses.replace(cfg, observer=obs, duration=horizon, trace_stride=int(round(0.05 / obs.dt)))
-        trace = run_observer(cfg, coupled_truth(cfg.trajectory, horizon, obs.dt))
+        [trace] = run_observer(cfg, coupled_truth(cfg.trajectory, horizon, obs.dt))
         a_of_t, c_of_t = scenario_output_map(cfg, horizon=horizon)
         _, xs = kalman_reference_run(
             a_of_t, c_of_t, obs.q, obs.v, np.eye(15), trace.x_body[0],

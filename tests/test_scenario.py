@@ -23,7 +23,7 @@ from se5nav.scenario import (
 )
 from se5nav.lie import SEn, so3_exp
 from se5nav.observability import OBSV_CSV_SCHEMA
-from se5nav.observer import ESTIMATE_CSV_SCHEMA, ObserverConfig, ObserverState
+from se5nav.observer import ESTIMATE_CSV_SCHEMA, DivergenceError, ObserverConfig, ObserverState
 from se5nav.sensors import MEASUREMENT_CSV_SCHEMA, ChannelKind, ChannelSpec
 from se5nav.trajectory import TRUTH_CSV_SCHEMA, TrajectorySpec, coupled_truth, signals, simulate_truth, z_block
 
@@ -135,6 +135,13 @@ class TestConfigParsing:
             duration=1.5,
         )
 
+    def test_channels_take_the_order_of_their_numbers(self, tmp_path):
+        path = tmp_path / "eleven.cfg"
+        path.write_text("[trajectory]\n" + "".join(f"[channel.{n}]\nkind = landmark\nxi = {n}, 0, 0\n"
+                                                    for n in range(1, 12))
+                        + "[observer]\nrho1 = 3\nrho2 = 2\nrho3 = 1\nduration = 1.5\n")
+        assert [ch.xi[0] for ch in parse_scenario(path).channels] == list(range(1, 12))
+
     @pytest.mark.parametrize("text,value", [("off", False), ("No", False), ("0", False),
                                             ("yes", True), ("TRUE", True), ("1", True)])
     def test_noise_flag(self, tmp_path, text, value):
@@ -182,6 +189,11 @@ class TestConfigParsing:
         ("settle_window = 20.0", "settle_window = -5", "observer", "settle_window"),
         # the run's config names a channel by position, not by its section
         ("xi = 2.0, 0.0, 0.0", "xi = 2.0, 0.0, 0.0\nrate = 1e-300", "channel.*", "rate"),
+        ("[channel.1]", "[channel.x]", "channel.x", "channel number"),
+        ("[channel.1]", "[channel.0]", "channel.0", "channel number"),
+        ("[channel.2]", "[channel.01]", "channel.01", "channel number"),
+        ("[observer]", "[observr]\n[observer]", "observr", "unknown section"),
+        ("[observer]", "[DEFAULT]\nseed = 4\n[observer]", "DEFAULT", "unknown section"),
     ]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -206,7 +218,7 @@ class TestRunObserver:
     def test_early_stop_callback(self):
         cfg = short_cfg(trace_stride=10)
         truth = simulate_truth(cfg.trajectory, 2.0, cfg.observer.dt)
-        trace = run_observer(cfg, truth, stop_when=lambda t, att, norms: t >= 0.5)
+        [trace] = run_observer(cfg, truth, stop_when=lambda t, runs, att, norms: t >= 0.5)
         assert trace.stopped_at == pytest.approx(0.5)
         assert trace.t[-1] == pytest.approx(0.5)
 
@@ -215,7 +227,7 @@ class TestRunObserver:
         slow = ChannelSpec(kind=ChannelKind.BODY_VELOCITY, rate=100.0)
         cfg = dataclasses.replace(cfg, channels=cfg.channels + (slow,))
         truth = simulate_truth(cfg.trajectory, 0.1, cfg.observer.dt)
-        trace = run_observer(cfg, truth, record_measurements=True)
+        [trace] = run_observer(cfg, truth)
         slow_rows = [r for r in trace.measurements if r[1] == 5]
         assert len(slow_rows) == 10  # 100 Hz over 0.1 s
         ts = [r[0] for r in slow_rows]
@@ -231,20 +243,25 @@ class TestRunObserver:
                                   noise=noise, trace_stride=3)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
         inits = perturbed_states(cfg, truth, 3)
-        stops = [(lambda t, att, norms: t >= 0.3) if i == stop_run else None for i in range(3)]
-        batch = run_observer(cfg, truth, inits, stops, record_measurements=True)
-        assert len(batch) == 3
-        for init, stop_when, trace in zip(inits, stops, batch):
-            assert_traces_equal(trace, run_observer(cfg, truth, init, stop_when, record_measurements=True))
+        calls = []
+
+        def stop_when(t, runs, att, norms):  # runs: the batch positions of the live runs
+            calls.append(t)
+            return (runs == stop_run) & (t >= 0.3)
+
+        batch = run_observer(cfg, truth, inits, stop_when)
+        assert len(batch) == 3 and len(calls) == batch[0].t.size  # once per record for the whole batch
+        for i, (init, trace) in enumerate(zip(inits, batch)):
+            [alone] = run_observer(cfg, truth, [init], lambda t, runs, att, norms: i == stop_run and t >= 0.3)
+            assert_traces_equal(trace, alone)
         if stop_run is not None:
             assert batch[stop_run].stopped_at == pytest.approx(0.3)
             assert batch[stop_run].t.size < batch[0].t.size
-        # without its rows a trace keeps its last record, stop and final state
-        for short, trace in zip(run_observer(cfg, truth, inits, stops, record_measurements=True,
-                                             keep_rows=False), batch):
+        # without its rows a trace keeps its last record, stop and final state, and no measurements
+        for short, trace in zip(run_observer(cfg, truth, inits, stop_when, keep_rows=False), batch):
             last = {f.name: getattr(trace, f.name)[-1:] for f in dataclasses.fields(RunTrace)
                     if isinstance(getattr(trace, f.name), np.ndarray)}
-            assert_traces_equal(short, dataclasses.replace(trace, **last))
+            assert_traces_equal(short, dataclasses.replace(trace, measurements=[], **last))
 
     def test_batch_must_share_pi_and_t(self):
         cfg = short_cfg(duration=0.01)
@@ -253,12 +270,10 @@ class TestRunObserver:
         for other in (dataclasses.replace(init, pi=2.0 * np.eye(5)), dataclasses.replace(init, t=1.0)):
             with pytest.raises(ValueError, match="share pi and t"):
                 run_observer(cfg, truth, [init, other])
-        with pytest.raises(ValueError, match="one stop_when per state"):
-            run_observer(cfg, truth, [init, init], [None])
         with pytest.raises(ValueError, match="at least one initial state"):
             run_observer(cfg, truth, [])
         with pytest.raises(ValueError, match="not the truth's start"):
-            run_observer(cfg, truth, dataclasses.replace(init, t=7.0))
+            run_observer(cfg, truth, [dataclasses.replace(init, t=7.0)])
 
     def test_observer_takes_gravity_from_the_trajectory(self, tmp_path):
         path = tmp_path / "east.cfg"
@@ -267,14 +282,14 @@ class TestRunObserver:
         assert cfg.trajectory.gravity == (0.0, 9.81, 0.0)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
         start = ObserverState(xhat=SEn(truth.R[0], z_block(truth.p[0], truth.v[0])), pi=np.eye(5), t=0.0)
-        assert run_observer(cfg, truth, start).col_norms[:, 0].max() < 1e-6
+        assert run_observer(cfg, truth, [start])[0].col_norms[:, 0].max() < 1e-6
 
     def test_noise_off_silences_the_imu(self):
         cfg = short_cfg(duration=0.2, trace_stride=1)
         assert cfg.imu_noise_power > 0
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-        quiet = run_observer(dataclasses.replace(cfg, imu_noise_power=0.0), truth)
-        trace = run_observer(cfg, truth)
+        [quiet] = run_observer(dataclasses.replace(cfg, imu_noise_power=0.0), truth)
+        [trace] = run_observer(cfg, truth)
         for name in ("phat", "vhat", "rhat", "ehat", "mineig_p"):
             assert np.array_equal(getattr(trace, name), getattr(quiet, name)), name
 
@@ -287,7 +302,7 @@ class TestRunObserver:
         truth = make_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
 
         def run(stride):
-            return run_observer(dataclasses.replace(cfg, trace_stride=stride), truth)
+            return run_observer(dataclasses.replace(cfg, trace_stride=stride), truth)[0]
 
         clean = run(1)
         finalize = observer._finalize_step
@@ -352,7 +367,7 @@ class TestRunObserver:
         for size in (64, 7, 1):
             monkeypatch.setattr(scenario, "_CHUNK_STEPS", size)
             monkeypatch.setattr(observer, "_check_pd", check_pd)
-            runs = [run_observer(noisy, noisy_truth, record_measurements=True)] + run_observer(cfg, truth, inits)
+            runs = run_observer(noisy, noisy_truth) + run_observer(cfg, truth, inits)
             monkeypatch.setattr(observer, "_check_pd", fail_at_step_70)
             with pytest.raises(observer.DivergenceError) as exc:
                 run_observer(cfg, truth, inits)
@@ -436,7 +451,7 @@ class TestTables:
                                   channels=(dataclasses.replace(cfg.channels[0], rate=50.0), *cfg.channels[1:]))
         run_scenario(cfg, tmp_path)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-        trace = run_observer(cfg, truth, record_measurements=True)
+        [trace] = run_observer(cfg, truth)
 
         header, rows = read_table(tmp_path / "truth.csv", TRUTH_CSV_SCHEMA)
         assert len(header) == 22
@@ -520,7 +535,7 @@ class TestAntipodalBoundary:
             xhat=estimate_from_errors(truth0.R, truth0.z, rtilde, np.zeros((3, 5))),
             pi=np.eye(5), t=0.0,
         )
-        trace = run_observer(dataclasses.replace(cfg, trace_stride=100), truth, init)
+        [trace] = run_observer(dataclasses.replace(cfg, trace_stride=100), truth, [init])
         assert np.isfinite(trace.att_err).all()
         assert trace.mineig_p.min() > 0.0
         converged = trace.att_err[-1] < 1e-2 and trace.col_norms[-1, 0] < 1e-2
@@ -549,9 +564,9 @@ class TestSweep:
         cfg = short_cfg(duration=2.5)  # too short for some runs to converge
         batches = []
 
-        def spy(cfg, truth, inits, stops, **kwargs):
+        def spy(cfg, truth, inits, stop_when, **kwargs):
             batches.append(inits)
-            return run_observer(cfg, truth, inits, stops, **kwargs)
+            return run_observer(cfg, truth, inits, stop_when, **kwargs)
 
         monkeypatch.setattr(scenario, "run_observer", spy)
         rows = sweep_agas(cfg, n_runs=5, seed=0)
@@ -562,14 +577,14 @@ class TestSweep:
         for row, init in zip(rows, batches[0]):
             streak, settle = 0, None
 
-            def stop_when(t, att, norms):
+            def stop_when(t, runs, att, norms):
                 nonlocal streak, settle
-                below = att < scenario.ATT_THRESHOLD_RAD and norms[0] < scenario.POS_THRESHOLD_M
+                below = att[0] < scenario.ATT_THRESHOLD_RAD and norms[0, 0] < scenario.POS_THRESHOLD_M
                 streak = streak + 1 if below else 0
                 settle = (t if streak == 1 else settle) if below else None
                 return streak >= dwell
 
-            trace = run_observer(cfg, truth, init, stop_when)
+            [trace] = run_observer(cfg, truth, [init], stop_when)
             assert row.converged == (trace.stopped_at is not None)
             assert row.settle_time_s == (settle if row.converged else None)
 
@@ -580,14 +595,24 @@ class TestSweep:
         whole = sweep_agas(cfg, n_runs=5, seed=0)
         calls = []
 
-        def counted(cfg, truth, inits, stops, **kwargs):
+        def counted(cfg, truth, inits, stop_when, **kwargs):
             calls.append(len(inits))
-            return run_observer(cfg, truth, inits, stops, **kwargs)
+            return run_observer(cfg, truth, inits, stop_when, **kwargs)
 
         monkeypatch.setattr(scenario, "run_observer", counted)
         monkeypatch.setattr(scenario, "_SWEEP_BATCH", 2)
         assert sweep_agas(cfg, n_runs=5, seed=0) == whole
         assert calls == [2, 2, 1]
+
+    def test_a_diverging_run_is_named_by_its_number_in_the_sweep(self, monkeypatch):
+        import se5nav.scenario as scenario
+
+        # of 8 runs in batches of 2, run 2 (the first of the second batch) diverges
+        monkeypatch.setattr(scenario, "_SWEEP_BATCH", 2)
+        cfg = dataclasses.replace(parse_scenario(STEREO), duration=0.02)
+        with pytest.raises(DivergenceError, match="^run 2: non-finite estimate") as exc:
+            sweep_agas(cfg, n_runs=8, seed=3, translation_ball=3000.0)
+        assert exc.value.run == 2
 
     def test_requires_at_least_one_run(self):
         with pytest.raises(ValueError):
