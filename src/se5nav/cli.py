@@ -79,6 +79,8 @@ def _cmd_sweep(args) -> int:
     for r in rows:
         if not r.converged:
             print(f"  run {r.run} did not converge (init angle {np.rad2deg(r.init_angle_rad):.1f} deg)")
+        if r.failure is not None:
+            print(f"error: run diverged: run {r.run}: {r.failure}", file=sys.stderr)
     return EXIT_OK if n_conv == len(rows) else EXIT_DIVERGED
 
 

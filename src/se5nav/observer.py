@@ -21,11 +21,12 @@ driver, ``scenario.run_observer``, steps the observer: for a chunk of
 steps it hands the raw stage samples (IMU, processed outputs, reference
 vectors) to :func:`_riccati_pass`, which integrates Pi over the chunk,
 checks it positive definite and turns it into gains; the estimate then
-takes its RK4 steps on those gains (:func:`_step`), and its rotation
-block is re-projected onto SO(3). The innovation Delta has rotation part
-hat(delta_r) built from the auxiliary basis columns and translation part
-K_I dz folded back into a 3 x 5 block, q Rhat ((Pi R_s^T)(dz Rhat))^T for
-the innovation rows dz.
+takes its RK4 steps on those gains (:func:`_rk4_observer`), and
+:func:`_finalize_step` re-projects the rotation block of each finite run
+onto SO(3). The innovation Delta has rotation part hat(delta_r) built
+from the auxiliary basis columns and translation part K_I dz folded back
+into a 3 x 5 block, q Rhat ((Pi R_s^T)(dz Rhat))^T for the innovation
+rows dz.
 
 The translational error x_B = vec(R^T (z - Rtilde zhat)) of this observer
 follows the linear time-varying closed loop
@@ -53,11 +54,11 @@ ESTIMATE_CSV_SCHEMA = "se5nav-estimate-v1"
 
 
 class DivergenceError(RuntimeError):
-    """Numerical failure of a run; carries its last healthy state and its index in a batch."""
+    """Numerical failure of a run; carries its last healthy state."""
 
-    def __init__(self, message: str, state: "ObserverState | None" = None, run: int | None = None):
+    def __init__(self, message: str, state: "ObserverState | None" = None):
         super().__init__(message)
-        self.state, self.run = state, run
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,10 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
         F     = hat(omega) and accel in column 4, Abar^T below   (8 x 8)
         cross = Y^T rs,     info = rs^T rs                       (8 x 5, 5 x 5)
 
-    Returns (pis, fg, error): Pi at the start and end of each step, the
+    Returns (pis, fg, failure): Pi at the start and end of each step, the
     estimate's [F | G] with G = q cross Pi on each step's stages, and None
     or, when one batched Cholesky finds a step's Pi non-finite or not
-    positive definite, that step's DivergenceError; the pass then ends there.
+    positive definite, the reason that step fails; the pass then ends there.
     """
     omega, accel, ys, rs = stages
     q, hq, dt, veye = cfg.q, 0.5 * cfg.q, cfg.dt, cfg.v * _EYE5
@@ -202,16 +203,16 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
         pi, st[:] = rk4(lambda p, s: rhs(p, inf[s]), pi, dt)
         pi = 0.5 * (pi + pi.T)
     pis = np.concatenate([stage[:, 0], pi[None]])
-    healthy, error = _check_pd(pis[1:], t)
-    n = min(healthy + 1, len(stage))  # the failing step runs, so that its own checks come first
+    healthy, failure = _check_pd(pis[1:], t)
+    n = min(healthy + 1, len(stage))  # the failing step runs, so that the estimate's own check comes first
     fg = np.concatenate([flow[:n], q * (cross[:n] @ stage[:n])], axis=-1)
-    return pis[:n + 1], fg, error
+    return pis[:n + 1], fg, failure
 
 
-def _check_pd(pi: np.ndarray, t) -> tuple[int, DivergenceError | None]:
+def _check_pd(pi: np.ndarray, t) -> tuple[int, str | None]:
     """The number of leading finite, positive definite matrices of the stack
-    pi (n x 5 x 5), by one batched Cholesky, and the DivergenceError of the
-    next, if any, at its time in `t`."""
+    pi (n x 5 x 5), by one batched Cholesky, and the reason the next one
+    fails, if any, at its time in `t`."""
     finite = np.isfinite(pi).all(axis=(-2, -1))
     if finite.all():
         try:
@@ -222,46 +223,29 @@ def _check_pd(pi: np.ndarray, t) -> tuple[int, DivergenceError | None]:
     for j, p in enumerate(pi):
         try:
             if not finite[j]:
-                return j, DivergenceError(f"non-finite estimate at t={t[j]:.4f}")
+                return j, f"non-finite estimate at t={t[j]:.4f}"
             np.linalg.cholesky(p)
         except np.linalg.LinAlgError:
-            return j, DivergenceError(f"Riccati matrix lost positive definiteness at t={t[j]:.4f} (min eig "
-                                      f"{np.linalg.eigvalsh(p)[0]:.3e}); reduce dt or check observability")
+            return j, (f"Riccati matrix lost positive definiteness at t={t[j]:.4f} (min eig "
+                       f"{np.linalg.eigvalsh(p)[0]:.3e}); reduce dt or check observability")
     return len(pi), None
 
 
-def _finalize_step(x, t):
-    """Checks after one step of a batch X (B x 3 x 8), whose shared step-end Pi
-    the Riccati pass has checked; projects each rotation block in place.
-    DivergenceError's ``run`` is the first non-finite X's row."""
-    if not np.isfinite(x).all():
-        run = int(np.argmin(np.isfinite(x).all(axis=(-2, -1))))
-        raise DivergenceError(f"non-finite estimate at t={t:.4f}", run=run)
-    x[..., :3] = project_rotation(x[..., :3])
-    return x
+def _finalize_step(x):
+    """Projects the rotation block of each finite row of a batch X (B x 3 x 8)
+    in place, whose shared step-end Pi the Riccati pass has checked; returns
+    which rows are finite."""
+    if np.isfinite(x).all():
+        x[..., :3] = project_rotation(x[..., :3])
+        return np.ones(len(x), dtype=bool)
+    finite = np.isfinite(x).all(axis=(-2, -1))
+    x[finite, :, :3] = project_rotation(x[finite, :, :3])
+    return finite
 
 
 def _state(x: np.ndarray, pi: np.ndarray, t) -> ObserverState:
     """ObserverState of one X = [Rhat, zhat] (3 x 8) and Pi."""
     return ObserverState(xhat=SEn(x[:, :3], x[:, 3:], check=False), pi=pi, t=float(t))
-
-
-def _step(x, ric, j: int, t: float, dt: float, half_rho, runs):
-    """One checked RK4 step of a batch X from time t: step j of the Riccati
-    pass `ric`. A failed check raises DivergenceError naming the failing
-    run, by its number in `runs` (one per row of X), and carrying its state
-    at t, the start of the failing step; a failure of the shared Pi names
-    the first run."""
-    pis, fg, error = ric
-    x1 = _rk4_observer(x, fg[j], dt, half_rho)
-    try:
-        x1 = _finalize_step(x1, t)
-        if error is not None and j + 1 == len(fg):
-            raise error
-        return x1, pis[j + 1]
-    except DivergenceError as err:
-        row = err.run or 0
-        raise DivergenceError(f"run {runs[row]}: {err}", _state(x[row], pis[j], t), int(runs[row])) from None
 
 
 # diagnostics --------------------------------------------------------------

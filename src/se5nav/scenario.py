@@ -50,9 +50,10 @@ from .observer import (
     DivergenceError,
     ObserverConfig,
     ObserverState,
+    _finalize_step,
     _riccati_pass,
+    _rk4_observer,
     _state,
-    _step,
     build_a,
     build_abar,
     error_arrays,
@@ -331,6 +332,7 @@ class RunTrace:
     measurements: list         # (t, channel, y) rows at update instants
     final_state: ObserverState
     stopped_at: float | None = None
+    failure: str | None = None  # why and when the run failed, at its final state
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -352,10 +354,11 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
     are recorded; at each, ``stop_when(t, runs, att_err, col_norms)`` gets
     the live runs' positions in the batch and their errors and returns which
     of them stop (one bool for all or one per live run), and those leave the
-    batch. ``keep_rows`` off keeps only each trace's last record and no
-    measurement log. A DivergenceError carries the state at the start of the
-    failing step. Overflow and invalid warnings are off: the checks raise on
-    a non-finite estimate.
+    batch. A run whose estimate turns non-finite, and every run at a step
+    whose Pi fails, leaves as a trace whose ``failure`` gives the reason and
+    whose final state is the failing step's start. ``keep_rows`` off keeps
+    only each trace's last record and no measurement log. Overflow and
+    invalid warnings are off: the checks catch a non-finite estimate.
 
     The rows are allocated once per field for the whole batch, so a
     ``keep_rows`` batch holds every record of the horizon for every run up front.
@@ -415,6 +418,13 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
     n_rows = len(slots) if keep_rows else 1
     rows = {name: np.empty((n_rows, len(inits)) + shape) for name, shape in _ROW_SHAPES.items()}
     traces = [None] * len(inits)
+
+    def finish(run, state, stopped_at=None, failure=None):
+        """End `run` in `state` with a copy of its rows up to the last record (a view keeps the batch's)."""
+        traces[run] = RunTrace(**{name: col[:slot + 1, run].copy() for name, col in rows.items()},
+                               measurements=[m for step, m in pending_rows if step < k],
+                               final_state=state, stopped_at=stopped_at, failure=failure)
+
     for k in range(n + 1):
         if k in slots:
             slot = slots[k] if keep_rows else 0
@@ -433,18 +443,24 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
             done = stop | (k == n)
             if done.any():
                 for j in np.flatnonzero(done):
-                    run = live[j]  # a copy: a view of its column would keep the whole batch's rows alive
-                    traces[run] = RunTrace(**{name: col[:slot + 1, run].copy() for name, col in rows.items()},
-                                           measurements=[m for step, m in pending_rows if step < k],
-                                           final_state=_state(x[j], pi, ts[k]),
-                                           stopped_at=ts[k] if stop[j] else None)
+                    finish(live[j], _state(x[j], pi, ts[k]), stopped_at=ts[k] if stop[j] else None)
                 x, live = x[~done], live[~done]
                 if not live.size:
                     break
         if k % _CHUNK_STEPS == 0:
             k0, k1 = k, min(k + _CHUNK_STEPS, n)
-            ric = _riccati_pass(pi, chunk(k0, k1), ts[k0:k1], obs, abar)
-        x, pi = _step(x, ric, k - k0, ts[k], obs.dt, half_rho, live)
+            pis, fg, pi_failure = _riccati_pass(pi, chunk(k0, k1), ts[k0:k1], obs, abar)
+        x1 = _rk4_observer(x, fg[k - k0], obs.dt, half_rho)
+        finite = _finalize_step(x1)
+        keep = finite & (pi_failure is None or k - k0 + 1 < len(fg))  # a failing Pi ends every live run
+        if not keep.all():
+            for j in np.flatnonzero(~keep):
+                reason = pi_failure if finite[j] else f"non-finite estimate at t={ts[k]:.4f}"
+                finish(live[j], _state(x[j], pi, ts[k]), failure=reason)
+            x1, live = x1[keep], live[keep]
+            if not live.size:
+                break
+        x, pi = x1, pis[k - k0 + 1]
     return traces
 
 
@@ -519,6 +535,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> RunS
     started = time.perf_counter()
     truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
     [trace] = run_observer(cfg, truth)
+    if trace.failure is not None:
+        raise DivergenceError(f"run 0: {trace.failure}", trace.final_state)
     summary = summarize(trace, cfg.duration, cfg.settle_window, time.perf_counter() - started)
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -542,6 +560,7 @@ class SweepRow:
     init_v_err: float
     converged: bool
     settle_time_s: float | None
+    failure: str | None = None  # the reason a diverged run gives; not written to the CSV
 
 
 class _Dwell:
@@ -580,13 +599,12 @@ def sweep_agas(
     of that dwell. The runs share the truth, the measurements and the
     Riccati factor, so they are stepped in equal batches of at most
     ``_SWEEP_BATCH`` by one :func:`run_observer` call each. Overflow warnings
-    are off: errors beyond float64 end in a non-finite estimate the run rejects.
+    are off: errors beyond float64 end in a non-finite estimate, whose reason the row keeps in ``failure``.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     cfg = cfg.noiseless()
     truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-    truth0 = truth.state(0)
     dwell_checks = max(1, int(round(CONVERGENCE_DWELL_S / (cfg.observer.dt * cfg.trace_stride))))
 
     rows: list[SweepRow] = []
@@ -605,19 +623,15 @@ def sweep_agas(
             v_err = rng.uniform(-1.0, 1.0, 3)
             v_err *= translation_ball * rng.uniform() / max(np.linalg.norm(v_err), 1e-12)
 
-            zhat = z_block(rtilde.T @ (truth0.p - p_err), rtilde.T @ (truth0.v - v_err))
-            inits.append(ObserverState(xhat=SEn(rtilde.T @ truth0.R, zhat), pi=cfg.p0_scale * np.eye(5), t=0.0))
+            zhat = z_block(rtilde.T @ (truth.p[0] - p_err), rtilde.T @ (truth.v[0] - v_err))
+            inits.append(ObserverState(xhat=SEn(rtilde.T @ truth.R[0], zhat), pi=cfg.p0_scale * np.eye(5), t=0.0))
             rows.append(SweepRow(run=i, seed=seed, init_angle_rad=angle, init_p_err=float(np.linalg.norm(p_err)),
                                  init_v_err=float(np.linalg.norm(v_err)), converged=False, settle_time_s=None))
         dwell = _Dwell(dwell_checks, len(inits))
-        try:
-            traces = run_observer(cfg, truth, inits, dwell, keep_rows=False)
-        except DivergenceError as err:  # name the run by its number in the sweep, not in the batch
-            message = str(err).removeprefix(f"run {err.run}: ")
-            raise DivergenceError(f"run {b0 + err.run}: {message}", err.state, b0 + err.run) from None
+        traces = run_observer(cfg, truth, inits, dwell, keep_rows=False)
         for row, trace, settle in zip(rows[b0:], traces, dwell.settle):
-            if trace.stopped_at is not None:
-                row.converged, row.settle_time_s = True, settle
+            row.converged, row.failure = trace.stopped_at is not None, trace.failure
+            row.settle_time_s = settle if row.converged else None
     return rows
 
 

@@ -290,13 +290,13 @@ class TestObserverStep:
         assert np.trace(new.P) > np.trace(state.P)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_estimate_raises(self):
+    def test_non_finite_estimate_fails_the_run(self):
         z = np.zeros((3, 5))
         z[0, 0] = np.inf
         bad = ObserverState(xhat=SEn(np.eye(3), z, check=False), pi=np.eye(5), t=0.0)
-        with pytest.raises(DivergenceError) as exc:
-            run_observer(ONE_STEP, one_step_truth(ONE_STEP), [bad])
-        assert exc.value.state.t == bad.t
+        [trace] = run_observer(ONE_STEP, one_step_truth(ONE_STEP), [bad])
+        assert trace.failure == "non-finite estimate at t=0.0000"
+        assert trace.final_state.t == bad.t
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from se5nav.scenario import (
 )
 from se5nav.lie import SEn, so3_exp
 from se5nav.observability import OBSV_CSV_SCHEMA
-from se5nav.observer import ESTIMATE_CSV_SCHEMA, DivergenceError, ObserverConfig, ObserverState
+from se5nav.observer import ESTIMATE_CSV_SCHEMA, ObserverConfig, ObserverState
 from se5nav.sensors import MEASUREMENT_CSV_SCHEMA, ChannelKind, ChannelSpec
 from se5nav.trajectory import TRUTH_CSV_SCHEMA, TrajectorySpec, coupled_truth, signals, simulate_truth, z_block
 
@@ -49,7 +49,7 @@ def perturbed_states(cfg, truth, n, seed=4):
 
 
 def assert_traces_equal(trace, ref):
-    """Every array, measurement row, final state and stop of two RunTraces bit for bit."""
+    """Every array, measurement row, final state, stop and failure of two RunTraces bit for bit."""
     for field in dataclasses.fields(RunTrace):
         a, b = getattr(trace, field.name), getattr(ref, field.name)
         if field.name == "measurements":
@@ -60,8 +60,8 @@ def assert_traces_equal(trace, ref):
             assert a.t == b.t
             assert np.array_equal(a.rhat, b.rhat) and np.array_equal(a.zhat, b.zhat)
             assert np.array_equal(a.pi, b.pi)
-        elif field.name == "stopped_at":
-            assert a == b
+        elif field.name in ("stopped_at", "failure"):
+            assert a == b, field.name
         else:
             assert a.shape == b.shape and np.array_equal(a, b), field.name
 
@@ -242,7 +242,10 @@ class TestRunObserver:
         cfg = dataclasses.replace(parse_scenario(bundled_config_path(config)), duration=duration,
                                   noise=noise, trace_stride=3)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-        inits = perturbed_states(cfg, truth, 3)
+        # and a fourth state whose position error is too large: its estimate turns non-finite early
+        start = cfg.initial_state()
+        huge = dataclasses.replace(start, xhat=SEn(start.rhat, z_block((1e4, 0.0, 0.0), start.vhat)))
+        inits = perturbed_states(cfg, truth, 3) + [huge]
         calls = []
 
         def stop_when(t, runs, att, norms):  # runs: the batch positions of the live runs
@@ -250,7 +253,9 @@ class TestRunObserver:
             return (runs == stop_run) & (t >= 0.3)
 
         batch = run_observer(cfg, truth, inits, stop_when)
-        assert len(batch) == 3 and len(calls) == batch[0].t.size  # once per record for the whole batch
+        assert len(batch) == 4 and len(calls) == batch[0].t.size  # once per record for the whole batch
+        assert [trace.failure is not None for trace in batch] == [False, False, False, True]
+        assert batch[3].t.size < batch[0].t.size and batch[3].stopped_at is None
         for i, (init, trace) in enumerate(zip(inits, batch)):
             [alone] = run_observer(cfg, truth, [init], lambda t, runs, att, norms: i == stop_run and t >= 0.3)
             assert_traces_equal(trace, alone)
@@ -295,55 +300,83 @@ class TestRunObserver:
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_divergence_carries_state_at_failing_step(self, coupled, monkeypatch):
-        import se5nav.observer as observer
+        import se5nav.scenario as scenario
 
         cfg = short_cfg(duration=0.02)
         make_truth = coupled_truth if coupled else simulate_truth
         truth = make_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
 
-        def run(stride):
-            return run_observer(dataclasses.replace(cfg, trace_stride=stride), truth)[0]
+        def run(stride, inits=None):
+            return run_observer(dataclasses.replace(cfg, trace_stride=stride), truth, inits)
 
-        clean = run(1)
-        finalize = observer._finalize_step
+        [clean] = run(1)
+        finalize = scenario._finalize_step
         calls = []
 
-        def fail_at_step_7(x, t):
-            calls.append(t)
-            if len(calls) == 8:
-                raise observer.DivergenceError(f"injected at t={t:.4f}")
-            return finalize(x, t)
+        def nan_in_row_at_step_7(row):
+            def finalize_step(x):
+                calls.append(x.shape)
+                if len(calls) == 8:
+                    x[row, 0, 3] = np.nan
+                return finalize(x)
+            return finalize_step
 
-        monkeypatch.setattr(observer, "_finalize_step", fail_at_step_7)
-        with pytest.raises(observer.DivergenceError, match="t=0.0070") as exc:
-            run(5)  # step 7 is not a recorded step
-        state = exc.value.state
+        monkeypatch.setattr(scenario, "_finalize_step", nan_in_row_at_step_7(0))
+        [failed] = run(5)  # step 7 is not a recorded step
+        assert failed.failure == "non-finite estimate at t=0.0070" and failed.stopped_at is None
+        assert failed.t[-1] == clean.t[5]  # the rows end at the last record before the failing step
+        state = failed.final_state
         assert state.t == clean.t[7]
         assert np.array_equal(state.rhat, clean.rhat[7])
         assert np.array_equal(state.phat, clean.phat[7])
         assert np.array_equal(state.vhat, clean.vhat[7])
 
-        # in a batch of three, a NaN in run 1 alone names run 1 and carries its state
+        # in a batch of three, a NaN in run 1 alone fails run 1 with its state; the others run on
         inits = perturbed_states(cfg, truth, 3)
-        monkeypatch.setattr(observer, "_finalize_step", finalize)
-        clean = run_observer(dataclasses.replace(cfg, trace_stride=1), truth, inits)[1]
+        monkeypatch.setattr(scenario, "_finalize_step", finalize)
+        clean, untouched = run(1, inits)[1], run(5, inits)
         calls.clear()
+        monkeypatch.setattr(scenario, "_finalize_step", nan_in_row_at_step_7(1))
+        batch = run(5, inits)
+        assert [trace.failure for trace in batch] == [None, "non-finite estimate at t=0.0070", None]
+        state = batch[1].final_state
+        assert state.t == clean.t[7]
+        assert np.array_equal(state.rhat, clean.rhat[7])
+        assert np.array_equal(state.phat, clean.phat[7])
+        assert np.array_equal(state.vhat, clean.vhat[7])
+        for i in (0, 2):
+            assert_traces_equal(batch[i], untouched[i])
 
-        def nan_in_run_1_at_step_7(x, t):
-            calls.append(t)
+    def test_a_failing_pi_ends_every_run_each_with_its_own_reason(self, monkeypatch):
+        import se5nav.observer as observer
+        import se5nav.scenario as scenario
+
+        cfg = short_cfg(duration=0.02, trace_stride=5)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        inits = perturbed_states(cfg, truth, 3)
+        clean = run_observer(dataclasses.replace(cfg, trace_stride=1), truth, inits)
+        check_pd, finalize = observer._check_pd, scenario._finalize_step
+        calls = []
+
+        def pi_fails_at_step_7(pi, t):  # Pi at the end of step 7 fails
+            healthy, failure = check_pd(pi, t)
+            return (7, f"injected at t={t[7]:.4f}") if len(t) > 7 else (healthy, failure)
+
+        def nan_in_run_1_at_step_7(x):  # and in the same step run 1's estimate turns non-finite
+            calls.append(x.shape)
             if len(calls) == 8:
                 x[1, 0, 3] = np.nan
-            return finalize(x, t)
+            return finalize(x)
 
-        monkeypatch.setattr(observer, "_finalize_step", nan_in_run_1_at_step_7)
-        with pytest.raises(observer.DivergenceError, match="run 1: non-finite estimate at t=0.0070") as exc:
-            run_observer(dataclasses.replace(cfg, trace_stride=5), truth, inits)
-        state = exc.value.state
-        assert exc.value.run == 1
-        assert state.t == clean.t[7]
-        assert np.array_equal(state.rhat, clean.rhat[7])
-        assert np.array_equal(state.phat, clean.phat[7])
-        assert np.array_equal(state.vhat, clean.vhat[7])
+        monkeypatch.setattr(observer, "_check_pd", pi_fails_at_step_7)
+        monkeypatch.setattr(scenario, "_finalize_step", nan_in_run_1_at_step_7)
+        batch = run_observer(cfg, truth, inits)
+        assert len(calls) == 8
+        assert [trace.failure for trace in batch] == [
+            "injected at t=0.0070", "non-finite estimate at t=0.0070", "injected at t=0.0070"]
+        for trace, alone in zip(batch, clean):
+            assert trace.final_state.t == truth.t[7] and trace.t[-1] == truth.t[5]
+            assert np.array_equal(trace.final_state.rhat, alone.rhat[7])
 
     def test_chunk_size_changes_nothing(self, monkeypatch):
         import se5nav.observer as observer
@@ -357,11 +390,11 @@ class TestRunObserver:
         check_pd = observer._check_pd
 
         def fail_at_step_70(pi, t):  # Pi passes at every step but step 70 (t = 0.07)
-            healthy, error = check_pd(pi, t)
+            healthy, failure = check_pd(pi, t)
             j = int(np.searchsorted(t, truth.t[70]))
             if j < min(healthy, len(t)) and t[j] == truth.t[70]:
-                return j, observer.DivergenceError(f"injected at t={t[j]:.4f}")
-            return healthy, error
+                return j, f"injected at t={t[j]:.4f}"
+            return healthy, failure
 
         results = []
         for size in (64, 7, 1):
@@ -369,18 +402,15 @@ class TestRunObserver:
             monkeypatch.setattr(observer, "_check_pd", check_pd)
             runs = run_observer(noisy, noisy_truth) + run_observer(cfg, truth, inits)
             monkeypatch.setattr(observer, "_check_pd", fail_at_step_70)
-            with pytest.raises(observer.DivergenceError) as exc:
-                run_observer(cfg, truth, inits)
-            results.append((runs, exc.value))
-        (runs, err), others = results[0], results[1:]
-        assert str(err) == "run 0: injected at t=0.0700" and err.run == 0
-        assert err.state.t == truth.t[70] and np.array_equal(err.state.rhat, runs[1].rhat[35])
-        for other_runs, other_err in others:
-            for trace, other in zip(runs, other_runs):
+            results.append((runs, run_observer(cfg, truth, inits)))
+        (runs, failed), others = results[0], results[1:]
+        for trace, clean in zip(failed, runs[1:]):  # a failing Pi ends every run at its step
+            assert trace.failure == "injected at t=0.0700"
+            assert trace.final_state.t == truth.t[70]
+            assert np.array_equal(trace.final_state.rhat, clean.rhat[35])
+        for other_runs, other_failed in others:
+            for trace, other in zip(runs + failed, other_runs + other_failed):
                 assert_traces_equal(other, trace)
-            assert (str(other_err), other_err.run, other_err.state.t) == (str(err), err.run, err.state.t)
-            for name in ("rhat", "zhat", "pi"):
-                assert np.array_equal(getattr(other_err.state, name), getattr(err.state, name)), name
 
     def test_estimate_from_errors_inverts_error_map(self):
         rng = np.random.default_rng(3)
@@ -604,15 +634,22 @@ class TestSweep:
         assert sweep_agas(cfg, n_runs=5, seed=0) == whole
         assert calls == [2, 2, 1]
 
-    def test_a_diverging_run_is_named_by_its_number_in_the_sweep(self, monkeypatch):
+    def test_diverging_runs_fail_alone_under_any_batch_cap(self, monkeypatch):
         import se5nav.scenario as scenario
 
-        # of 8 runs in batches of 2, run 2 (the first of the second batch) diverges
-        monkeypatch.setattr(scenario, "_SWEEP_BATCH", 2)
+        # of 8 runs, four diverge within the first steps; the others and the rows do not depend on the cap
         cfg = dataclasses.replace(parse_scenario(STEREO), duration=0.02)
-        with pytest.raises(DivergenceError, match="^run 2: non-finite estimate") as exc:
-            sweep_agas(cfg, n_runs=8, seed=3, translation_ball=3000.0)
-        assert exc.value.run == 2
+        results = []
+        for cap in (1, 2, 8, 64):
+            monkeypatch.setattr(scenario, "_SWEEP_BATCH", cap)
+            results.append(sweep_agas(cfg, n_runs=8, seed=3, translation_ball=3000.0))
+        expected = results[0]
+        assert {row.run: row.failure for row in expected if row.failure} == {
+            2: "non-finite estimate at t=0.0050", 5: "non-finite estimate at t=0.0060",
+            6: "non-finite estimate at t=0.0050", 7: "non-finite estimate at t=0.0030"}
+        assert not any(row.converged for row in expected)
+        for rows in results[1:]:
+            assert rows == expected
 
     def test_requires_at_least_one_run(self):
         with pytest.raises(ValueError):
@@ -746,7 +783,10 @@ class TestCli:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["--out", str(tmp_path), "sweep", str(STEREO), "--runs", "1",
                          "--ball", "1e308"]) == EXIT_DIVERGED
-        assert "run diverged" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "run diverged" in err and "Traceback" not in err
+        header, [row] = read_table(tmp_path / "stereo-sweep" / "sweep.csv", SWEEP_CSV_SCHEMA)
+        assert row[header.index("run")] == "0" and row[header.index("converged")] == "0"
 
     @pytest.mark.parametrize("command, config", [("run", STEREO), ("sweep", STEREO), ("obsv", GPS)])
     def test_unwritable_output_exits_2_before_running(self, command, config, tmp_path, capsys, monkeypatch):

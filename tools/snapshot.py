@@ -6,6 +6,9 @@ directory per command:
 - ``run`` on copies of the bundled configs cut to the benchmark horizons
   (stereo 5 s, GPS 2 s) for seeds 1 and 7919;
 - ``sweep --runs 24`` on ``stereo.cfg`` for seeds 0, 1 and 7919;
+- a sweep in which four of eight runs diverge: ``sweep --runs 8 --seed 3
+  --ball 3000`` on ``stereo.cfg`` cut to 0.02 s, so that the divergence
+  output (stderr, exit code and ``sweep.csv``) is compared too;
 - ``obsv`` on both bundled configs.
 
 Each directory holds the files the command wrote and ``stdout.txt``: its
@@ -36,6 +39,9 @@ RUN_HORIZONS = {"stereo": 5.0, "gps": 2.0}
 RUN_SEEDS = (1, 7919)
 SWEEP_SEEDS = (0, 1, 7919)
 SWEEP_RUNS = 24
+# a sweep runs without noise, so the seed its config is given does not matter
+DIVERGING_SWEEP_S = 0.02
+DIVERGING_SWEEP_FLAGS = ("--runs", "8", "--seed", "3", "--ball", "3000")
 
 
 def shortened_config(bundled: Path, dest: Path, seed: int, duration: float) -> Path:
@@ -61,6 +67,8 @@ def commands(configs: Path, tmp: Path) -> dict[str, list[str]]:
     for seed in SWEEP_SEEDS:
         jobs[f"sweep-stereo-seed{seed}"] = ["sweep", str(configs / "stereo.cfg"),
                                             "--runs", str(SWEEP_RUNS), "--seed", str(seed)]
+    cfg = shortened_config(configs / "stereo.cfg", tmp / "stereo-diverging", 0, DIVERGING_SWEEP_S)
+    jobs["sweep-stereo-diverging"] = ["sweep", str(cfg), *DIVERGING_SWEEP_FLAGS]
     for name in RUN_HORIZONS:
         jobs[f"obsv-{name}"] = ["obsv", str(configs / f"{name}.cfg")]
     return jobs
