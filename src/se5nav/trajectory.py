@@ -156,7 +156,9 @@ class TruthRun:
     It stores only what :func:`signals` cannot give: ``p``, ``v`` and the
     integrated attitude ``R`` on the grid, and ``R_mid`` at the step
     midpoints t_k + dt/2 (the exact midpoint of the per-step rotation
-    factor). The other signals are evaluated where they are read.
+    factor), both from :func:`truth_attitude`, so a longer run of the same
+    spec and dt has the same rows. The other signals are evaluated where
+    they are read.
     """
 
     spec: TrajectorySpec
@@ -237,28 +239,43 @@ def coupled_truth(spec: TrajectorySpec, duration: float, dt: float) -> CoupledTr
 
 
 _EXP_CHUNK = 4096  # half-step exponentials built per batch in truth_attitude
+_SCAN_BLOCK = 256  # steps per block of the truth_attitude scan; fixed, so R[k] does not depend on n
 
 
 def truth_attitude(spec: TrajectorySpec, n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Truth attitude on the grid t_k = k dt (k = 0 .. n) and at the step
     midpoints, shaped (n + 1, 3, 3) and (n, 3, 3).
 
-    Each step applies the half-step factor exp(dt/2 hat(omega(t_k + dt/2)))
-    twice, R_mid[k] = R[k] E_k and R[k + 1] = R_mid[k] E_k; the factors are
-    built in batches of ``_EXP_CHUNK`` steps.
+    Each step applies the half-step factor E_k = exp(dt/2 hat(omega(t_k + dt/2)))
+    twice, in a blocked scan over blocks of L = ``_SCAN_BLOCK`` steps: the
+    product T_b of each full block, (T E_j) E_j from T = I, chains the block
+    starts R[bL] = R[(b - 1)L] T_{b-1}, then each block runs from its start.
+    Bit for bit, R_mid[k] = R[k] E_k, R[k + 1] = R_mid[k] E_k where L does
+    not divide k + 1, and R[k] does not depend on n; R differs from the
+    step-by-step product at rounding level. The factors are built in batches
+    of ``_EXP_CHUNK`` steps into R_mid, which the scan overwrites.
     """
     rs = np.empty((n + 1, 3, 3))
     rs[0] = spec.r0
     r_mid = np.empty((n, 3, 3))
     for k0 in range(0, n, _EXP_CHUNK):
         k1 = min(k0 + _EXP_CHUNK, n)
-        mid_omega = eval_omega(spec, np.arange(k0, k1) * dt + 0.5 * dt)
-        half_steps = so3_exp(0.5 * dt * mid_omega)
-        r = rs[k0]
-        for half, r_m, r_next in zip(half_steps, r_mid[k0:k1], rs[k0 + 1:k1 + 1]):
-            np.matmul(r, half, out=r_m)
-            np.matmul(r_m, half, out=r_next)
-            r = r_next
+        r_mid[k0:k1] = so3_exp(0.5 * dt * eval_omega(spec, np.arange(k0, k1) * dt + 0.5 * dt))
+    size = _SCAN_BLOCK
+    blocks = np.eye(3)
+    for j in range(size):
+        half = r_mid[j:n // size * size:size]
+        blocks = blocks @ half @ half
+    for b, block in enumerate(blocks):
+        np.matmul(rs[b * size], block, out=rs[(b + 1) * size])
+    r = rs[:n:size].copy()
+    for j in range(min(size, n)):
+        half = r_mid[j::size]  # step j of every block that has one: a leading run of blocks
+        mid = r[:len(half)] @ half
+        r = mid @ half
+        r_mid[j::size] = mid
+        if j < size - 1:  # a block's end keeps its chained start
+            rs[j + 1::size] = r
     return rs, r_mid
 
 

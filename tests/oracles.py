@@ -10,6 +10,9 @@ directly, with that Riccati flow beside it. The observer itself integrates
 only the 5 x 5 factor Pi of P = Pi kron I_3. The generic observer's parts
 (its input and commutator matrices, the rotation innovation and the gain
 pair) are written out here as the paper states them.
+:func:`sequential_attitude` is the truth attitude as a step-by-step
+product, which :func:`se5nav.trajectory.truth_attitude` matches to
+rounding.
 """
 
 import numpy as np
@@ -150,3 +153,17 @@ def kalman_reference_run(
         xs[k + 1] = x
         a0, c0 = a1, c1
     return ts, xs
+
+
+def sequential_attitude(r0: np.ndarray, half_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Attitude by the step-by-step product from r0, one step per half-step
+    factor E_k: R_mid[k] = R[k] E_k and R[k + 1] = R_mid[k] E_k, shaped
+    (n + 1, 3, 3) and (n, 3, 3) for n factors."""
+    rs = np.empty((len(half_steps) + 1, 3, 3))
+    r_mid = np.empty((len(half_steps), 3, 3))
+    rs[0] = r = r0
+    for half, r_m, r_next in zip(half_steps, r_mid, rs[1:]):
+        np.matmul(r, half, out=r_m)
+        np.matmul(r_m, half, out=r_next)
+        r = r_next
+    return rs, r_mid

@@ -4,6 +4,7 @@ import pytest
 from se5nav.lie import hat, is_rotation, so3_exp
 from se5nav.scenario import _TRUTH_FLOATS_PER_STEP, bundled_config_path, parse_scenario
 from se5nav.trajectory import (
+    _SCAN_BLOCK,
     TrajectorySpec,
     coupled_truth,
     eval_omega,
@@ -16,9 +17,21 @@ from se5nav.trajectory import (
     write_truth_csv,
 )
 
+from oracles import sequential_attitude
+
 
 def reference_spec(**overrides):
     return TrajectorySpec(**overrides)
+
+
+def half_steps(spec, n, dt):
+    """The half-step factors E_k = exp(dt/2 hat(omega(t_k + dt/2))) of n steps."""
+    return so3_exp(0.5 * dt * eval_omega(spec, np.arange(n) * dt + 0.5 * dt))
+
+
+@pytest.fixture(scope="module")
+def long_attitude():
+    return truth_attitude(TrajectorySpec(), 30_000, 1e-3)
 
 
 class TestEvalTrajectory:
@@ -231,19 +244,36 @@ class TestSimulateTruth:
         )
         assert worst < 1e-9
 
-    def test_attitude_matches_scalar_recursion_across_chunks(self):
-        from se5nav.trajectory import _EXP_CHUNK, truth_attitude
-
-        spec = TrajectorySpec()
-        dt, n = 1e-3, _EXP_CHUNK + 300
+    @pytest.mark.parametrize("n", [1, _SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 2 * _SCAN_BLOCK + 3, 10_000])
+    def test_attitude_scan_contract(self, n, long_attitude):
+        spec, dt, size = TrajectorySpec(), 1e-3, _SCAN_BLOCK
         rs, r_mid = truth_attitude(spec, n, dt)
-        r = spec.r0
-        assert np.array_equal(rs[0], r)
-        for k in (0, 1, _EXP_CHUNK - 1, _EXP_CHUNK, n - 1):
-            half = so3_exp(0.5 * dt * eval_omega(spec, k * dt + 0.5 * dt))
-            assert np.array_equal(r_mid[k], rs[k] @ half)
-            assert np.array_equal(rs[k + 1], r_mid[k] @ half)
+        halves = half_steps(spec, n, dt)
+        assert np.array_equal(rs[0], spec.r0)
+        assert np.array_equal(r_mid, rs[:-1] @ halves)
+        inner = np.arange(1, n + 1) % size != 0
+        assert np.array_equal(rs[1:][inner], (r_mid @ halves)[inner])
+        for b in range(1, n // size + 1):  # block starts chain the block products
+            block = sequential_attitude(np.eye(3), halves[(b - 1) * size:b * size])[0][-1]
+            assert np.array_equal(rs[b * size], rs[(b - 1) * size] @ block)
+        long_rs, long_mid = long_attitude
+        assert np.array_equal(rs, long_rs[:n + 1]) and np.array_equal(r_mid, long_mid[:n])
         assert np.array_equal(simulate_truth(spec, n * dt, dt).R, rs)
+
+    def test_attitude_of_no_steps(self):
+        rs, r_mid = truth_attitude(TrajectorySpec(), 0, 1e-3)
+        assert rs.shape == (1, 3, 3) and r_mid.shape == (0, 3, 3)
+        assert np.array_equal(rs[0], TrajectorySpec().r0)
+
+    def test_attitude_scan_matches_sequential_product(self):
+        cfg = parse_scenario(bundled_config_path("gps"))
+        spec, dt = cfg.trajectory, cfg.observer.dt
+        n = int(round(60.0 / dt))
+        assert n == 240_000
+        rs, r_mid = truth_attitude(spec, n, dt)
+        want, want_mid = sequential_attitude(spec.r0, half_steps(spec, n, dt))
+        assert max(np.abs(rs - want).max(), np.abs(r_mid - want_mid).max()) <= 1e-12
+        assert np.abs(rs.mT @ rs - np.eye(3)).max() <= 1e-12
 
     def test_midpoint_states_consistent(self):
         spec = reference_spec()
