@@ -121,7 +121,8 @@ def kron_gramians(
 
     where Phibar(tau) = I + Abar tau + Abar^2 tau^2 / 2 is exact because
     Abar^3 = 0. The quadrature is the trapezoid rule of :func:`gramian` on
-    the same nodes, so mu is the same number.
+    the same nodes, so mu is the same number. A piece adds (D B)^T B to each
+    window, B (K m x 5) the rows R_s Phibar at its K nodes, D their weights.
     """
     offsets, weights = window_nodes(0.0, delta, dt)
     abar2 = abar @ abar
@@ -132,7 +133,7 @@ def kron_gramians(
         k1 = k0 + rs.shape[1]
         taus = offsets[k0:k1, None, None]
         b = rs @ (np.eye(5) + abar * taus + abar2 * (0.5 * taus * taus))
-        part = np.einsum("k,wkmi,wkmj->wij", weights[k0:k1], b, b)
+        part = (b * weights[k0:k1, None, None]).reshape(len(b), -1, 5).mT @ b.reshape(len(b), -1, 5)
         wbar, k0 = part if wbar is None else wbar + part, k1
     if k0 != offsets.size:
         raise ValueError(f"expected {offsets.size} nodes per window, got {k0}")

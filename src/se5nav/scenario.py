@@ -69,11 +69,11 @@ from .sensors import (
 )
 from .trajectory import (
     TrajectorySpec,
+    attitude_at,
     eval_omega,
     eval_trajectory,
     record_steps,
     simulate_truth,
-    truth_attitude,
     write_table,
     write_truth_csv,
     z_block,
@@ -346,8 +346,9 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
     which does not depend on the estimate, and each trace equals bit for bit
     that of its state run alone. The channels, observer weights, seed, noise
     switch, IMU noise power and trace stride come from `cfg`. `truth` has
-    the grid arrays t, R, p, v, its step dt and ``stages(k0, k1)``: a
-    :class:`TruthRun` or a :func:`coupled_truth`. Each channel is sampled at
+    times t, its step dt and the only two reads of it the run makes,
+    ``pose(k)`` and ``stages(k0, k1)``: a :class:`TruthRun` or a
+    :func:`coupled_truth`. Each channel is sampled at
     its own rate with zero-order hold in between; full-rate channels and the
     IMU are delivered at the truth's four RK4 stages. Noise, the IMU's too,
     applies only when ``cfg.noise`` is on. The steps of :func:`record_steps`
@@ -429,7 +430,8 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
         if k in slots:
             slot = slots[k] if keep_rows else 0
             rhat = x[..., :3]
-            rep = error_arrays(truth.R[k], z_block(truth.p[k], truth.v[k]), rhat, x[..., 3:])
+            r_k, p_k, v_k = truth.pose(k)
+            rep = error_arrays(r_k, z_block(p_k, v_k), rhat, x[..., 3:])
             gram = (rhat.mT @ rhat - _I3).reshape(-1, 9)
             record = {"t": ts[k], "phat": x[..., 3], "vhat": x[..., 4], "rhat": rhat, "ehat": x[..., 5:],
                       "att_err": rep.angle, "col_norms": rep.column_norms, "x_body": rep.x_body,
@@ -605,6 +607,7 @@ def sweep_agas(
         raise ValueError("n_runs must be at least 1")
     cfg = cfg.noiseless()
     truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+    r0, p0, v0 = truth.pose(0)
     dwell_checks = max(1, int(round(CONVERGENCE_DWELL_S / (cfg.observer.dt * cfg.trace_stride))))
 
     rows: list[SweepRow] = []
@@ -623,8 +626,8 @@ def sweep_agas(
             v_err = rng.uniform(-1.0, 1.0, 3)
             v_err *= translation_ball * rng.uniform() / max(np.linalg.norm(v_err), 1e-12)
 
-            zhat = z_block(rtilde.T @ (truth.p[0] - p_err), rtilde.T @ (truth.v[0] - v_err))
-            inits.append(ObserverState(xhat=SEn(rtilde.T @ truth.R[0], zhat), pi=cfg.p0_scale * np.eye(5), t=0.0))
+            zhat = z_block(rtilde.T @ (p0 - p_err), rtilde.T @ (v0 - v_err))
+            inits.append(ObserverState(xhat=SEn(rtilde.T @ r0, zhat), pi=cfg.p0_scale * np.eye(5), t=0.0))
             rows.append(SweepRow(run=i, seed=seed, init_angle_rad=angle, init_p_err=float(np.linalg.norm(p_err)),
                                  init_v_err=float(np.linalg.norm(v_err)), converged=False, settle_time_s=None))
         dwell = _Dwell(dwell_checks, len(inits))
@@ -651,24 +654,25 @@ def _reference_rows(cfg: ScenarioConfig, t_max: float):
 
     Only a position channel with a lever arm b has an r that depends on the
     attitude, r = [1, 0, -(p + R b)]; then R is the truth attitude at the
-    nearest grid sample k = round(t / dt), from one truth attitude run up to
+    nearest grid sample k = round(t / dt), from one :func:`attitude_at` up to
     t_max. Otherwise the identity stands in and no truth is synthesized.
     """
     spec, dt, layout = cfg.trajectory, cfg.observer.dt, UnifiedLayout(cfg.channels)
     lever = any(ch.kind is ChannelKind.INERTIAL_POSITION and np.any(ch.b_vec) for ch in cfg.channels)
-    attitude = truth_attitude(spec, int(np.rint(t_max / dt)), dt)[0] if lever else None
+    n = int(np.rint(t_max / dt))
+    attitude = attitude_at(spec, n, dt) if lever else None
 
     def at(ts):
         if attitude is None:
             return _I3
         k = np.rint(ts / dt).astype(int)
-        if np.any(k < 0) or np.any(k >= len(attitude)):
+        if np.any(k < 0) or np.any(k > n):
             raise ValueError(f"truth attitude is computed for times in [0, {t_max:g}] only")
-        return attitude[k]
+        return attitude(k)
 
     def rows(ts):
         ts = np.asarray(ts, dtype=float)
-        p, v, _ = eval_trajectory(spec, ts)
+        p, v = eval_trajectory(spec, ts)[:2]
         return layout.stacks(layout.raw_from_pose(at(ts), p, v))[1]  # no attitudes held while stacks allocates
 
     return rows
@@ -678,7 +682,7 @@ def scenario_output_map(cfg: ScenarioConfig, horizon: float):
     """(A(t), C(t)) callables for the scenario on noiseless truth.
 
     C(t) = R_s(t) kron I_3 with R_s from :func:`_reference_rows`, whose
-    lever-arm attitudes are precomputed out to `horizon`.
+    lever-arm attitudes are available out to `horizon`.
     """
     spec = cfg.trajectory
     rows = _reference_rows(cfg, horizon + cfg.observer.dt)
@@ -710,7 +714,7 @@ def check_observability(
     ``_OBSV_CHUNK_NODES`` nodes, and a window longer than ``_OBSV_PIECE_NODES``
     in pieces of that many nodes. Lever-arm position channels take the truth
     attitude at the nearest grid sample, as :func:`scenario_output_map`
-    does, from one truth attitude run over all windows; other configs
+    does, from one :func:`attitude_at` for all windows; other configs
     synthesize no truth. Window starts must be nonnegative, `delta` at
     least the config's step dt and the last window end within the step
     bound of a run's duration (ValueError).

@@ -156,9 +156,11 @@ class TruthRun:
     It stores only what :func:`signals` cannot give: ``p``, ``v`` and the
     integrated attitude ``R`` on the grid, and ``R_mid`` at the step
     midpoints t_k + dt/2 (the exact midpoint of the per-step rotation
-    factor), both from :func:`truth_attitude`, so a longer run of the same
-    spec and dt has the same rows. The other signals are evaluated where
-    they are read.
+    factor), the rows of :func:`truth_attitude`, built on demand in segments
+    of whole scan blocks (each at least ``_EXP_CHUNK`` steps and all earlier
+    ones long): :meth:`pose` and :meth:`stages` build as far as they read,
+    ``R`` and ``R_mid`` the whole horizon, with the same bits in any order.
+    The other signals are evaluated where they are read.
     """
 
     spec: TrajectorySpec
@@ -166,11 +168,34 @@ class TruthRun:
     t: np.ndarray
     p: np.ndarray
     v: np.ndarray
-    R: np.ndarray
-    R_mid: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self._r, self._r_mid, self._built = np.empty((self.t.size, 3, 3)), np.empty((self.t.size - 1, 3, 3)), 0
+        self._r[0] = self.spec.r0
+
+    def _build(self, k: int) -> "TruthRun":
+        """Build the attitude up to grid row k, if not built yet."""
+        if k > (k0 := self._built):
+            k1 = min(max(-(-k // _SCAN_BLOCK) * _SCAN_BLOCK, 2 * k0, _EXP_CHUNK), len(self._r_mid))
+            r_mid = self._r_mid[k0:k1]
+            walk_blocks(block_starts(self.spec, self.dt, k0, self._r[k0], r_mid), r_mid, self._r[k0:k1 + 1])
+            self._built = k1
+        return self
+
+    @property
+    def R(self) -> np.ndarray:
+        return self._build(len(self._r_mid))._r
+
+    @property
+    def R_mid(self) -> np.ndarray:
+        return self._build(len(self._r_mid))._r_mid
 
     def __len__(self) -> int:
         return self.t.size
+
+    def pose(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(R, p, v) at grid step k."""
+        return self._build(k)._r[k], self.p[k], self.v[k]
 
     def state(self, k: int) -> TruthState:
         p, v, vdot, omega, ab = signals(self.spec, self.t[k], self.R[k])
@@ -180,8 +205,9 @@ class TruthRun:
         """(R, p, v, omega, aB) at the four RK4 stages of steps k0 .. k1 - 1
         as (step, stage, ...) tables: the step start, the midpoint twice,
         and the end t_{k+1}. The three distinct times are evaluated once."""
+        self._build(k1)
         ts = np.stack([self.t[k0:k1], self.t[k0:k1] + 0.5 * self.dt, self.t[k0 + 1:k1 + 1]], axis=1)
-        rs = np.stack([self.R[k0:k1], self.R_mid[k0:k1], self.R[k0 + 1:k1 + 1]], axis=1)
+        rs = np.stack([self._r[k0:k1], self._r_mid[k0:k1], self._r[k0 + 1:k1 + 1]], axis=1)
         p, v, _, omega, ab = signals(self.spec, ts, rs)
         return tuple(a.take([0, 1, 1, 2], axis=1) for a in (rs, p, v, omega, ab))
 
@@ -202,6 +228,9 @@ class CoupledTruth:
 
     def __len__(self) -> int:
         return self.t.size
+
+    def pose(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.R[k], self.p[k], self.v[k]
 
     def stages(self, k0: int, k1: int):
         """The stage tables of steps k0 .. k1 - 1 (as :meth:`TruthRun.stages`)."""
@@ -238,8 +267,42 @@ def coupled_truth(spec: TrajectorySpec, duration: float, dt: float) -> CoupledTr
                                       synthesize_imu(a_st, st[..., :3], spec.g)))
 
 
-_EXP_CHUNK = 4096  # half-step exponentials built per batch in truth_attitude
-_SCAN_BLOCK = 256  # steps per block of the truth_attitude scan; fixed, so R[k] does not depend on n
+_EXP_CHUNK = 4096  # half-step exponentials built per batch in block_starts
+_SCAN_BLOCK = 256  # steps per block of the truth attitude scan; fixed, so R[k] does not depend on n
+
+
+def block_starts(spec: TrajectorySpec, dt: float, k0: int, start: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """The block starts R[k0 + bL], b = 0 .. m // L, of the :func:`truth_attitude`
+    scan over the m steps from k0 (a multiple of L), chained from R[k0] = start;
+    fills halves (m, 3, 3) with the factors E_k, ``_EXP_CHUNK`` at a time."""
+    m, size = len(halves), _SCAN_BLOCK
+    for c0 in range(0, m, _EXP_CHUNK):
+        c1 = min(c0 + _EXP_CHUNK, m)
+        halves[c0:c1] = so3_exp(0.5 * dt * eval_omega(spec, np.arange(k0 + c0, k0 + c1) * dt + 0.5 * dt))
+    blocks = np.eye(3)
+    for j in range(size):
+        half = halves[j:m // size * size:size]
+        blocks = blocks @ half @ half
+    starts = np.empty((len(blocks) + 1, 3, 3))
+    starts[0] = start
+    for b, block in enumerate(blocks):
+        np.matmul(starts[b], block, out=starts[b + 1])
+    return starts
+
+
+def walk_blocks(starts: np.ndarray, halves: np.ndarray, rs: np.ndarray) -> None:
+    """Walk scan blocks from their starts, batched over blocks: halves (m, 3, 3)
+    holds their factors back to back, all blocks whole but the last, and gets
+    R_mid; rs (m + 1 rows, or m) gets the starts at rows bL and R elsewhere."""
+    size = _SCAN_BLOCK
+    rs[::size] = r = starts
+    for j in range(min(size, len(halves))):
+        half = halves[j::size]  # step j of every block that has one: a leading run of blocks
+        mid = r[:len(half)] @ half
+        r = mid @ half
+        halves[j::size] = mid
+        if j < size - 1:  # a block's end keeps its chained start
+            rs[j + 1::size] = r
 
 
 def truth_attitude(spec: TrajectorySpec, n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -247,43 +310,45 @@ def truth_attitude(spec: TrajectorySpec, n: int, dt: float) -> tuple[np.ndarray,
     midpoints, shaped (n + 1, 3, 3) and (n, 3, 3).
 
     Each step applies the half-step factor E_k = exp(dt/2 hat(omega(t_k + dt/2)))
-    twice, in a blocked scan over blocks of L = ``_SCAN_BLOCK`` steps: the
-    product T_b of each full block, (T E_j) E_j from T = I, chains the block
-    starts R[bL] = R[(b - 1)L] T_{b-1}, then each block runs from its start.
-    Bit for bit, R_mid[k] = R[k] E_k, R[k + 1] = R_mid[k] E_k where L does
-    not divide k + 1, and R[k] does not depend on n; R differs from the
-    step-by-step product at rounding level. The factors are built in batches
-    of ``_EXP_CHUNK`` steps into R_mid, which the scan overwrites.
+    twice, in a blocked scan over blocks of L = ``_SCAN_BLOCK`` steps:
+    :func:`block_starts` forms the product T_b of each full block, (T E_j) E_j
+    from T = I, and chains the starts R[bL] = R[(b - 1)L] T_{b-1}, then
+    :func:`walk_blocks` runs every block from its start. Bit for bit,
+    R_mid[k] = R[k] E_k, R[k + 1] = R_mid[k] E_k where L does not divide k + 1,
+    and R[k] depends neither on n nor on which other blocks are walked; R
+    differs from the step-by-step product at rounding level.
     """
-    rs = np.empty((n + 1, 3, 3))
-    rs[0] = spec.r0
-    r_mid = np.empty((n, 3, 3))
-    for k0 in range(0, n, _EXP_CHUNK):
-        k1 = min(k0 + _EXP_CHUNK, n)
-        r_mid[k0:k1] = so3_exp(0.5 * dt * eval_omega(spec, np.arange(k0, k1) * dt + 0.5 * dt))
-    size = _SCAN_BLOCK
-    blocks = np.eye(3)
-    for j in range(size):
-        half = r_mid[j:n // size * size:size]
-        blocks = blocks @ half @ half
-    for b, block in enumerate(blocks):
-        np.matmul(rs[b * size], block, out=rs[(b + 1) * size])
-    r = rs[:n:size].copy()
-    for j in range(min(size, n)):
-        half = r_mid[j::size]  # step j of every block that has one: a leading run of blocks
-        mid = r[:len(half)] @ half
-        r = mid @ half
-        r_mid[j::size] = mid
-        if j < size - 1:  # a block's end keeps its chained start
-            rs[j + 1::size] = r
+    rs, r_mid = np.empty((n + 1, 3, 3)), np.empty((n, 3, 3))
+    walk_blocks(block_starts(spec, dt, 0, spec.r0, r_mid), r_mid, rs)
     return rs, r_mid
+
+
+def attitude_at(spec: TrajectorySpec, n: int, dt: float):
+    """R[k] of :func:`truth_attitude` bit for bit, as a function of steps k in
+    0 .. n of any shape: the block starts are chained once, and a call walks
+    only the blocks that hold its steps and that no call walked before."""
+    size = _SCAN_BLOCK
+    rows = np.empty((n // size + 1, size, 3, 3))  # whole blocks out past step n: E_k, then R once walked
+    starts = block_starts(spec, dt, 0, spec.r0, rows.reshape(-1, 3, 3))
+    walked = np.zeros(len(rows), dtype=bool)
+
+    def at(k):
+        new = np.unique(k // size)
+        new = new[~walked[new]]
+        if new.size:
+            rs = np.empty((new.size, size, 3, 3))
+            walk_blocks(starts[new], rows[new].reshape(-1, 3, 3), rs.reshape(-1, 3, 3))
+            rows[new], walked[new] = rs, True
+        return rows[k // size, k % size]
+
+    return at
 
 
 def simulate_truth(spec: TrajectorySpec, duration: float, dt: float = 1e-3) -> TruthRun:
     """Generate truth samples over [0, duration] at fixed step dt."""
     ts = time_grid(duration, dt)
     p, v, _ = eval_trajectory(spec, ts)
-    return TruthRun(spec, dt, ts, p, v, *truth_attitude(spec, ts.size - 1, dt))
+    return TruthRun(spec, dt, ts, p, v)
 
 
 def write_table(path, schema: str, header, rows) -> None:

@@ -12,12 +12,14 @@ only the 5 x 5 factor Pi of P = Pi kron I_3. The generic observer's parts
 pair) are written out here as the paper states them.
 :func:`sequential_attitude` is the truth attitude as a step-by-step
 product, which :func:`se5nav.trajectory.truth_attitude` matches to
-rounding.
+rounding. :func:`kron_gramians_einsum` is the closed-form Gramian with each
+window's node sum as one einsum.
 """
 
 import numpy as np
 
 from se5nav.lie import SEn, hat, kron, psi
+from se5nav.observability import DEFAULT_MU_THRESHOLD, GramianReport, window_nodes
 from se5nav.observer import DivergenceError, build_abar
 from se5nav.trajectory import time_grid
 
@@ -167,3 +169,20 @@ def sequential_attitude(r0: np.ndarray, half_steps: np.ndarray) -> tuple[np.ndar
         np.matmul(r_m, half, out=r_next)
         r = r_next
     return rs, r_mid
+
+
+def kron_gramians_einsum(abar, pieces, starts, delta, dt, threshold=DEFAULT_MU_THRESHOLD):
+    """The Gramians of :func:`se5nav.observability.kron_gramians`, taking the
+    same arguments, with the trapezoid sum over each piece's nodes written
+    as one einsum over nodes and rows."""
+    offsets, weights = window_nodes(0.0, delta, dt)
+    abar2, wbar, k0 = abar @ abar, 0.0, 0
+    for rs in pieces:
+        k1 = k0 + rs.shape[1]
+        taus = offsets[k0:k1, None, None]
+        b = rs @ (np.eye(5) + abar * taus + abar2 * (0.5 * taus * taus))
+        wbar, k0 = wbar + np.einsum("k,wkmi,wkmj->wij", weights[k0:k1], b, b), k1
+    wbar = wbar / delta
+    wbar = 0.5 * (wbar + np.swapaxes(wbar, -1, -2))
+    return [GramianReport(t=float(t), delta=delta, W=np.kron(w, np.eye(3)), mu=float(np.linalg.eigvalsh(w)[0]),
+                          threshold=threshold) for t, w in zip(starts, wbar)]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from se5nav.observability import gps_pe_condition, gramian, kron_gramians, transition_matrix
+from se5nav.frontend import UnifiedLayout
+from se5nav.observability import gps_pe_condition, gramian, kron_gramians, transition_matrix, window_nodes
 from se5nav.observer import build_a, build_abar
 from se5nav.scenario import (
     bundled_config_path,
@@ -12,7 +13,9 @@ from se5nav.scenario import (
     scenario_output_map,
 )
 from se5nav.sensors import ChannelKind, ChannelSpec
-from se5nav.trajectory import TrajectorySpec, eval_omega, eval_trajectory
+from se5nav.trajectory import _SCAN_BLOCK, TrajectorySpec, eval_omega, eval_trajectory, truth_attitude
+
+from oracles import kron_gramians_einsum
 
 RNG = np.random.default_rng(31)
 
@@ -170,13 +173,13 @@ class TestClosedFormGramian:
         grid = [0.0, 0.3, 2.5, 7.0, 7.1]
         whole = check_observability(cfg, delta=0.5, grid=grid)
         calls = []
-        truth_attitude = scenario.truth_attitude
+        attitude_at = scenario.attitude_at
 
         def counted(*args):
             calls.append(args)
-            return truth_attitude(*args)
+            return attitude_at(*args)
 
-        monkeypatch.setattr(scenario, "truth_attitude", counted)
+        monkeypatch.setattr(scenario, "attitude_at", counted)
         monkeypatch.setattr(scenario, "_OBSV_CHUNK_NODES", 3)
         grouped = check_observability(cfg, delta=0.5, grid=grid)
         assert len(calls) == 1
@@ -202,6 +205,19 @@ class TestClosedFormGramian:
             assert np.max(np.abs(rep.W - ref.W)) <= 1e-12 * np.max(np.abs(ref.W))
             assert abs(rep.mu - ref.mu) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("make_cfg", [stereo_cfg, gps_cfg], ids=["stereo", "gps"])
+    def test_one_product_per_window_matches_einsum(self, make_cfg, monkeypatch):
+        import se5nav.scenario as scenario
+
+        cfg, grid = make_cfg(), list(np.arange(0.0, 51.0, 5.0))  # the default grid of se5nav obsv
+        reports = check_observability(cfg, delta=1.0, grid=grid)
+        monkeypatch.setattr(scenario, "kron_gramians", kron_gramians_einsum)
+        oracle = check_observability(cfg, delta=1.0, grid=grid)
+        for rep, ref in zip(reports, oracle, strict=True):
+            assert rep.t == ref.t
+            assert np.max(np.abs(rep.W - ref.W)) <= 1e-12 * np.max(np.abs(ref.W))
+            assert abs(rep.mu - ref.mu) <= 1e-12 * np.linalg.norm(ref.W, 2)
+
     def test_node_count_checked(self):
         abar = build_abar(np.array([0.0, 0.0, 9.81]))
         with pytest.raises(ValueError, match="nodes"):
@@ -219,7 +235,7 @@ class TestClosedFormGramian:
             raise AssertionError("truth synthesized for a config without lever arm")
 
         monkeypatch.setattr(scenario, "simulate_truth", refuse)
-        monkeypatch.setattr(scenario, "truth_attitude", refuse)
+        monkeypatch.setattr(scenario, "attitude_at", refuse)
         reports = check_observability(stereo_cfg(), delta=1.0, grid=[0.0, 5.0])
         assert all(rep.passed for rep in reports)
         with pytest.raises(AssertionError, match="lever arm"):
@@ -243,6 +259,63 @@ class TestClosedFormGramian:
         for t in (-0.5, 2.0):
             with pytest.raises(ValueError, match="attitude"):
                 c_of_t(t)
+
+
+class TestLeverArmAttitudeAtNodes:
+    """check_observability walks only the truth attitude scan blocks that
+    hold window nodes; the attitude at every node is the row of the eager
+    truth_attitude bit for bit."""
+
+    @pytest.mark.parametrize("grid, delta, piece", [
+        ([0.05], 0.05, None),  # steps 200 .. 400 straddle the block end at step 256
+        ([0.2], 0.056, None),  # ends at step 1024 = 4 L, the horizon's last step and a block start
+        ([0.0, 1.0], 0.5, None),  # the last window ends at the horizon's last step, mid-block
+        ([0.0, 0.3], 0.5, None),  # overlapping windows
+        ([2.5, 0.0, 1.2], 0.5, None),  # an unsorted grid
+        ([0.7], 2.5e-4, None),  # a one-step window: delta = dt
+        ([0.0, 0.3, 2.5], 0.5, 150),  # windows in pieces of 150 nodes
+    ], ids=["block-end", "ends-at-block-start", "ends-at-horizon", "overlapping", "unsorted", "one-step",
+            "pieced"])
+    def test_node_attitudes_equal_eager_rows(self, grid, delta, piece, monkeypatch):
+        import se5nav.scenario as scenario
+        import se5nav.trajectory as trajectory
+
+        cfg = gps_cfg()
+        dt = cfg.observer.dt
+        offsets = window_nodes(0.0, delta, dt)[0]
+        if piece is not None:
+            monkeypatch.setattr(scenario, "_OBSV_CHUNK_NODES", piece)
+            monkeypatch.setattr(scenario, "_OBSV_PIECE_NODES", piece)
+        attitudes, nodes, walked = [], [], []
+        raw_from_pose, kron, walk = UnifiedLayout.raw_from_pose, scenario.kron_gramians, trajectory.walk_blocks
+
+        def raw_spy(layout, r, p, v):
+            attitudes.append(r)
+            return raw_from_pose(layout, r, p, v)
+
+        def kron_spy(abar, pieces, starts, *args, **kwargs):
+            pieces, k0 = list(pieces), 0  # the spied rows are taken in the order of the pieces
+            for rs in pieces:
+                nodes.append(np.asarray(starts)[:, None] + offsets[k0:k0 + rs.shape[1]])
+                k0 += rs.shape[1]
+            return kron(abar, pieces, starts, *args, **kwargs)
+
+        def walk_spy(starts, halves, rs):
+            walked.append(len(halves))
+            walk(starts, halves, rs)
+
+        monkeypatch.setattr(UnifiedLayout, "raw_from_pose", raw_spy)
+        monkeypatch.setattr(scenario, "kron_gramians", kron_spy)
+        monkeypatch.setattr(trajectory, "walk_blocks", walk_spy)
+        reports = check_observability(cfg, delta=delta, grid=grid)
+        walked_steps = sum(walked)
+        assert [rep.t for rep in reports] == grid and len(attitudes) == len(nodes)
+        steps = [np.rint(ts / dt).astype(int) for ts in nodes]
+        # no call walks a block that holds none of its nodes
+        assert 0 < walked_steps <= _SCAN_BLOCK * sum(np.unique(k // _SCAN_BLOCK).size for k in steps)
+        eager = truth_attitude(cfg.trajectory, max(k.max() for k in steps), dt)[0]
+        for r, k in zip(attitudes, steps):
+            assert np.array_equal(r, eager[k])
 
 
 class TestGpsPeCondition:

@@ -655,6 +655,35 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_agas(short_cfg(), n_runs=0)
 
+    def test_truth_is_built_only_as_far_as_the_runs_read(self, monkeypatch):
+        import se5nav.trajectory as trajectory
+
+        built, read = [], []
+        block_starts, stages, pose = trajectory.block_starts, trajectory.TruthRun.stages, trajectory.TruthRun.pose
+
+        def build_spy(spec, dt, k0, start, halves):
+            built.append((k0, k0 + len(halves)))
+            return block_starts(spec, dt, k0, start, halves)
+
+        def stages_spy(truth, k0, k1):
+            read.append(k1)  # steps k0 .. k1 - 1 and the grid row k1
+            return stages(truth, k0, k1)
+
+        def pose_spy(truth, k):
+            read.append(k)
+            return pose(truth, k)
+
+        monkeypatch.setattr(trajectory, "block_starts", build_spy)
+        monkeypatch.setattr(trajectory.TruthRun, "stages", stages_spy)
+        monkeypatch.setattr(trajectory.TruthRun, "pose", pose_spy)
+        cfg = parse_scenario(STEREO)
+        rows = sweep_agas(cfg, n_runs=24, seed=1)
+        assert all(row.converged for row in rows)
+        steps = int(round(cfg.duration / cfg.observer.dt))
+        # every segment built holds a step read, and the runs read a small part of the horizon
+        assert built and all(k0 < max(read) for k0, _ in built)
+        assert max(k1 for _, k1 in built) < steps // 10
+
 
 class TestCli:
     def test_validate_ok(self, capsys):

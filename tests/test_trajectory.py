@@ -4,6 +4,7 @@ import pytest
 from se5nav.lie import hat, is_rotation, so3_exp
 from se5nav.scenario import _TRUTH_FLOATS_PER_STEP, bundled_config_path, parse_scenario
 from se5nav.trajectory import (
+    _EXP_CHUNK,
     _SCAN_BLOCK,
     TrajectorySpec,
     coupled_truth,
@@ -328,6 +329,82 @@ class TestSimulateTruth:
                 make(reference_spec(), -1.0, 1e-3)
             with pytest.raises(ValueError):
                 make(reference_spec(), 1.0, 0.0)
+
+
+class TestTruthOnDemand:
+    """A TruthRun builds its attitude as it is read, segments of whole scan
+    blocks at a time; whatever the order of the reads, every read equals the
+    eagerly built truth bit for bit."""
+
+    STEPS = 20_000  # segments of 4096, 4096 and 8192 steps, and the rest
+
+    @pytest.fixture(scope="class")
+    def eager(self):
+        """R read first: one segment, the whole horizon."""
+        run = simulate_truth(reference_spec(), self.STEPS * 1e-3, 1e-3)
+        rs, r_mid = truth_attitude(run.spec, self.STEPS, run.dt)
+        assert np.array_equal(run.R, rs) and np.array_equal(run.R_mid, r_mid)
+        return run
+
+    def fresh(self):
+        return simulate_truth(reference_spec(), self.STEPS * 1e-3, 1e-3)
+
+    @staticmethod
+    def assert_equal(run, eager, k0, k1):
+        assert all(np.array_equal(a, b) for a, b in zip(run.stages(k0, k1), eager.stages(k0, k1), strict=True))
+
+    def assert_whole(self, run, eager):
+        assert all(np.array_equal(getattr(run, name), getattr(eager, name)) for name in ("R", "R_mid", "p", "v"))
+        for k0 in range(0, self.STEPS, 997):
+            self.assert_equal(run, eager, k0, min(k0 + 997, self.STEPS))
+
+    def test_chunks_in_order(self, eager):
+        run = self.fresh()
+        for k0 in range(0, self.STEPS, 64):
+            self.assert_equal(run, eager, k0, min(k0 + 64, self.STEPS))
+        self.assert_whole(run, eager)
+
+    def test_stages_far_ahead_first(self, eager):
+        run = self.fresh()
+        self.assert_equal(run, eager, self.STEPS - 64, self.STEPS)
+        self.assert_equal(run, eager, 0, 64)
+        self.assert_equal(run, eager, 9000, 9064)
+        self.assert_whole(run, eager)
+
+    def test_whole_arrays_after_a_partial_build(self, eager):
+        run = self.fresh()
+        for k in (0, 4095, 4096, 12_345):
+            assert all(np.array_equal(a, b) for a, b in zip(run.pose(k), eager.pose(k)))
+        self.assert_equal(run, eager, 5000, 5064)
+        self.assert_whole(run, eager)
+
+    def test_truth_csv_after_a_partial_build(self, eager, tmp_path):
+        run = self.fresh()
+        self.assert_equal(run, eager, 0, 100)
+        write_truth_csv(run, tmp_path / "lazy.csv", stride=7)
+        write_truth_csv(eager, tmp_path / "eager.csv", stride=7)
+        assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
+
+    def test_reads_build_whole_segments_only_as_far_as_they_go(self, monkeypatch):
+        import se5nav.trajectory as trajectory
+
+        built = []
+        block_starts = trajectory.block_starts
+
+        def spy(spec, dt, k0, start, halves):
+            built.append((k0, k0 + len(halves)))
+            return block_starts(spec, dt, k0, start, halves)
+
+        monkeypatch.setattr(trajectory, "block_starts", spy)
+        run = self.fresh()
+        run.stages(0, 64)
+        run.pose(_EXP_CHUNK)  # the end of the first segment, a chained block start
+        assert built == [(0, _EXP_CHUNK)]
+        run.stages(_EXP_CHUNK, _EXP_CHUNK + 64)
+        run.stages(9000, 9064)  # past the second segment: each segment at least doubles what is built
+        assert built == [(0, _EXP_CHUNK), (_EXP_CHUNK, 2 * _EXP_CHUNK), (2 * _EXP_CHUNK, 4 * _EXP_CHUNK)]
+        assert len(run.R) == self.STEPS + 1
+        assert built[-1] == (4 * _EXP_CHUNK, self.STEPS)
 
 
 class TestTruthCsv:

@@ -12,10 +12,11 @@ directory per command:
 - ``obsv`` on both bundled configs.
 
 Each directory holds the files the command wrote and ``stdout.txt``: its
-exit code, stdout and stderr. Lines that hold ``runtime_s`` or one of the
-run's paths are dropped, since they differ between runs that compute the
-same numbers. Snapshots of two trees that compute the same numbers are
-then equal under ``diff -r``::
+exit code, stdout and stderr. The key ``runtime_s`` is dropped from every
+JSON file, which stays valid JSON, and the lines that hold ``runtime_s`` or
+one of the run's paths from every other file, since they differ between
+runs that compute the same numbers. Snapshots of two trees that compute
+the same numbers are then equal under ``diff -r``::
 
     python tools/snapshot.py /tmp/after
     python tools/snapshot.py /tmp/before --src /path/to/other/checkout/src
@@ -46,6 +47,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import json
 import re
 import sys
 import tempfile
@@ -94,7 +96,14 @@ def commands(configs: Path, tmp: Path) -> dict[str, list[str]]:
 
 
 def strip(path: Path, drop: tuple[str, ...]) -> None:
-    """Drop the lines of a text file that contain any of `drop`."""
+    """Drop the key ``runtime_s`` from a JSON object file, written back as
+    se5nav writes it (indent 2), or the lines of another text file that
+    contain any of `drop`."""
+    if path.suffix == ".json":
+        data = json.loads(path.read_text())
+        data.pop("runtime_s", None)
+        path.write_text(json.dumps(data, indent=2))
+        return
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(line for line in lines if not any(s in line for s in drop)))
 
