@@ -20,11 +20,15 @@ trajectories must track each other over many decades of error decay.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import functools
 import json
 import logging
 import math
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -335,43 +339,106 @@ class RunTrace:
     failure: str | None = None  # why and when the run failed, at its final state
 
 
+def _ahead(items):
+    """Yield `items` as a worker made by ``os.fork`` computes them ahead, on another core (where there
+    is no ``os.fork``, as this process does). The worker pickles each item, or the exception raised
+    instead, into a pipe whose buffer bounds how far ahead it runs, and ends by ``os._exit``; one that
+    ends early is a RuntimeError. Closing this generator, which the caller must do however it leaves,
+    kills and reaps the worker."""
+    if not hasattr(os, "fork"):
+        yield from items
+        return
+    fd_in, fd_out = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+            out = open(fd_out, "wb")
+            for item in items:
+                pickle.dump(item, out, pickle.HIGHEST_PROTOCOL)
+                out.flush()
+        except BaseException as err:
+            pickle.dump(err, out, pickle.HIGHEST_PROTOCOL)
+            out.flush()
+        finally:
+            os._exit(0)
+    os.close(fd_out)
+    try:
+        with open(fd_in, "rb") as feed:
+            while True:
+                try:
+                    item = pickle.load(feed)
+                except EOFError:
+                    raise RuntimeError(f"the gain worker process {pid} ended before its last item") from None
+                if isinstance(item, BaseException):
+                    raise item
+                yield item
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _gains(cfg: ScenarioConfig, truth, pi, rngs, keep_rows: bool):
+    """What the estimate of :func:`run_observer` steps on, from truth and noise alone, per chunk of
+    ``_CHUNK_STEPS`` steps: its first step k0, :func:`_riccati_pass`'s (pis, fg, failure) from `pi` on,
+    and its measurement log (steps, channels, values), decimated channels at updates and full-rate ones
+    at records, if `keep_rows`. The front end works on distinct stage times; the noise of `rngs`
+    (:func:`spawn_channel_rngs`) is drawn in bulk, as one draw per step would. A failing chunk is the last."""
+    obs, dt, ts, n, m = cfg.observer, truth.dt, truth.t, len(truth) - 1, len(cfg.channels)
+    imu_rng, ch_rngs = rngs
+    imu_std = np.sqrt(cfg.imu_noise_power * (1.0 / dt)) if cfg.noise and cfg.imu_noise_power > 0 else None
+    samplers = [ChannelSampler(spec=ch, index=i, sim_dt=dt, rng=ch_rngs[i] if cfg.noise else None)
+                for i, ch in enumerate(cfg.channels)]
+    decimated = np.array([s.stride > 1 for s in samplers], dtype=bool)
+    row_order = np.argsort(decimated, kind="stable")  # a step's rows: full-rate channels first
+    recorded = np.isin(np.arange(n), record_steps(n, cfg.trace_stride))
+    layout, abar = UnifiedLayout(cfg.channels), build_abar(cfg.trajectory.g)
+    for k0 in range(0, n, _CHUNK_STEPS):
+        k1 = min(k0 + _CHUNK_STEPS, n)
+        r_st, p_st, v_st, w_st, a_st = truth.stage_times(k0, k1)
+        if imu_std is not None:
+            w_st, a_st = corrupt_imu(w_st, a_st, imu_std, imu_rng)
+        raw = layout.raw_from_pose(r_st, p_st, v_st)  # (step, time, channel, axis)
+        logged = np.empty((k1 - k0, m), dtype=bool)
+        for i, sampler in enumerate(samplers):
+            raw[:, :, i], logged[:, i] = sampler.sample(k0, raw[:, :, i])
+        logged[:, ~decimated] = recorded[k0:k1, None]
+        js, cs = np.nonzero(logged[:, row_order] & keep_rows)
+        pis, fg, failure = _riccati_pass(pi, (w_st, a_st, *layout.stacks(raw)), truth.stage_rows, ts[k0:k1], obs, abar)
+        yield k0, pis, fg, failure, (k0 + js, row_order[cs], raw[js, 0, row_order[cs]])
+        if failure is not None:
+            return
+        pi = pis[-1]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
                  keep_rows: bool = True) -> list[RunTrace]:
     """Drive a batch of observer runs over a truth run; one RunTrace per state.
 
-    `inits` is a sequence of initial states at the truth's t[0] that share
-    ``pi`` and ``t``; None runs the config's initial state alone. Their
-    estimates X (B x 3 x 8) step as one batch against one Riccati factor Pi,
-    which does not depend on the estimate, and each trace equals bit for bit
-    that of its state run alone. The channels, observer weights, seed, noise
-    switch, IMU noise power and trace stride come from `cfg`. `truth` has
-    times t, its step dt and the only two reads of it the run makes,
-    ``pose(k)`` and ``stages(k0, k1)``: a :class:`TruthRun` or a
-    :func:`coupled_truth`. Each channel is sampled at
-    its own rate with zero-order hold in between; full-rate channels and the
-    IMU are delivered at the truth's four RK4 stages. Noise, the IMU's too,
-    applies only when ``cfg.noise`` is on. The steps of :func:`record_steps`
-    are recorded; at each, ``stop_when(t, runs, att_err, col_norms)`` gets
-    the live runs' positions in the batch and their errors and returns which
-    of them stop (one bool for all or one per live run), and those leave the
-    batch. A run whose estimate turns non-finite, and every run at a step
-    whose Pi fails, leaves as a trace whose ``failure`` gives the reason and
-    whose final state is the failing step's start. ``keep_rows`` off keeps
-    only each trace's last record and no measurement log. Overflow and
-    invalid warnings are off: the checks catch a non-finite estimate.
+    `inits` is a sequence of initial states at the truth's t[0] that share ``pi`` and ``t``; None runs
+    the config's initial state alone. Their estimates X (B x 3 x 8) step as one batch against one
+    Riccati factor Pi, which does not depend on the estimate, and each trace equals bit for bit that of
+    its state run alone. The channels, observer weights, seed, noise switch, IMU noise power and trace
+    stride come from `cfg`. `truth` has times t, its step dt and the only reads of it the run makes,
+    ``pose(k)``, ``stage_times(k0, k1)`` and ``stage_rows``: a :class:`TruthRun` or a
+    :func:`coupled_truth`. Each channel is sampled at its own rate with zero-order hold in between;
+    full-rate channels and the IMU are delivered at the truth's four RK4 stages. Noise, the IMU's too,
+    applies only when ``cfg.noise`` is on. The steps of :func:`record_steps` are recorded; at each,
+    ``stop_when(t, runs, att_err, col_norms)`` gets the live runs' positions in the batch and their
+    errors and returns which of them stop (one bool for all or one per live run), and those leave the
+    batch. A run whose estimate turns non-finite, and every run at a step whose Pi fails, leaves as a
+    trace whose ``failure`` gives the reason and whose final state is the failing step's start.
+    ``keep_rows`` off keeps only each trace's last record and no measurement log. Overflow and invalid
+    warnings are off: the checks catch a non-finite estimate.
 
-    The rows are allocated once per field for the whole batch, so a
-    ``keep_rows`` batch holds every record of the horizon for every run up front.
-    What depends only on truth and noise (stage samples, y/r stacks, the
-    noisy IMU and its hat(omega)) is built ahead of the recursion, once
-    for the whole batch, in chunks of ``_CHUNK_STEPS`` steps, and Pi is
-    integrated over each chunk before the estimate steps through it. The
-    noise is drawn in bulk from the same per-channel streams in the same
-    order as one draw per step, so a seeded run gives the same numbers.
+    The rows are allocated once per field for the whole batch, so a ``keep_rows`` batch holds every
+    record of the horizon for every run up front. What depends only on truth and noise, the chunks of
+    :func:`_gains`, a worker process makes ahead of this estimate loop (:func:`_ahead`); the outputs do
+    not depend on where they are made.
     """
-    obs, dt, ts, n = cfg.observer, truth.dt, truth.t, len(truth) - 1
-    if abs(obs.dt - dt) > 1e-12:
+    obs, ts, n = cfg.observer, truth.t, len(truth) - 1
+    if abs(obs.dt - truth.dt) > 1e-12:
         raise ValueError("observer dt must match the truth sampling step")
     inits = [cfg.initial_state()] if inits is None else list(inits)
     if not inits:
@@ -381,41 +448,14 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
         raise ValueError("a batch of initial states must share pi and t")
     if inits[0].t != ts[0]:
         raise ValueError(f"the initial state's t={inits[0].t:g} is not the truth's start t={ts[0]:g}")
-    m = len(cfg.channels)
-    if m == 0:
+    if not cfg.channels:
         log.warning("no output channels configured; observer runs open loop")
-    imu_rng, ch_rngs = spawn_channel_rngs(cfg.seed, m)
-    imu_std = np.sqrt(cfg.imu_noise_power * (1.0 / dt)) if cfg.noise and cfg.imu_noise_power > 0 else None
-    samplers = [ChannelSampler(spec=ch, index=i, sim_dt=dt, rng=ch_rngs[i] if cfg.noise else None)
-                for i, ch in enumerate(cfg.channels)]
-    full_rate = [s.index for s in samplers if s.stride == 1]
-    # measurement rows of one step: full-rate channels first, then decimated
-    row_order = full_rate + [s.index for s in samplers if s.stride > 1]
-    layout = UnifiedLayout(cfg.channels)
-    pending_rows = []  # (step, measurement row)
     slots = {k: slot for slot, k in enumerate(record_steps(n, cfg.trace_stride).tolist())}  # trace row of each record
-
-    def chunk(k0: int, k1: int):
-        """The stage samples of steps k0 .. k1 - 1 that :func:`_riccati_pass` takes."""
-        r_st, p_st, v_st, w_st, a_st = truth.stages(k0, k1)
-        if imu_std is not None:
-            w_st, a_st = corrupt_imu(w_st, a_st, imu_std, imu_rng)
-        raw = layout.raw_from_pose(r_st, p_st, v_st)  # (step, stage, channel, axis)
-        logged = np.empty((k1 - k0, m), dtype=bool)
-        for sampler in samplers:
-            i = sampler.index
-            raw[:, :, i], logged[:, i] = sampler.sample(k0, raw[:, :, i])
-        if keep_rows:
-            # full-rate channels are logged at the recorded steps
-            logged[:, full_rate] = np.array([k in slots for k in range(k0, k1)])[:, None]
-            for j, c in zip(*np.nonzero(logged[:, row_order])):
-                i = row_order[c]
-                pending_rows.append((k0 + j, (ts[k0 + j], i, raw[j, 0, i].copy())))
-        return (w_st, a_st, *layout.stacks(raw))
+    logs = []  # (step, measurement row)
 
     x = np.stack([np.hstack([s.rhat, s.zhat]) for s in inits])
     live = np.arange(len(inits))  # the run of each row of x
-    abar, half_rho = build_abar(cfg.trajectory.g), 0.5 * np.asarray(obs.rho)
+    half_rho = 0.5 * np.asarray(obs.rho)
     n_rows = len(slots) if keep_rows else 1
     rows = {name: np.empty((n_rows, len(inits)) + shape) for name, shape in _ROW_SHAPES.items()}
     traces = [None] * len(inits)
@@ -423,46 +463,48 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
     def finish(run, state, stopped_at=None, failure=None):
         """End `run` in `state` with a copy of its rows up to the last record (a view keeps the batch's)."""
         traces[run] = RunTrace(**{name: col[:slot + 1, run].copy() for name, col in rows.items()},
-                               measurements=[m for step, m in pending_rows if step < k],
+                               measurements=[m for step, m in logs if step < k],
                                final_state=state, stopped_at=stopped_at, failure=failure)
 
-    for k in range(n + 1):
-        if k in slots:
-            slot = slots[k] if keep_rows else 0
-            rhat = x[..., :3]
-            r_k, p_k, v_k = truth.pose(k)
-            rep = error_arrays(r_k, z_block(p_k, v_k), rhat, x[..., 3:])
-            gram = (rhat.mT @ rhat - _I3).reshape(-1, 9)
-            record = {"t": ts[k], "phat": x[..., 3], "vhat": x[..., 4], "rhat": rhat, "ehat": x[..., 5:],
-                      "att_err": rep.angle, "col_norms": rep.column_norms, "x_body": rep.x_body,
-                      "mineig_p": np.linalg.eigvalsh(pi)[0],
-                      "rot_defect": np.sqrt(np.vecdot(gram, gram))}  # rounds as the 1-D norm does
-            for name, value in record.items():
-                rows[name][slot, live] = value
-            stop = np.zeros(live.size, dtype=bool)
-            if stop_when is not None:
-                stop[:] = stop_when(ts[k], live, rep.angle, rep.column_norms)
-            done = stop | (k == n)
-            if done.any():
-                for j in np.flatnonzero(done):
-                    finish(live[j], _state(x[j], pi, ts[k]), stopped_at=ts[k] if stop[j] else None)
-                x, live = x[~done], live[~done]
+    rngs = spawn_channel_rngs(cfg.seed, len(cfg.channels))  # made here, so numpy.random is imported once per process
+    with contextlib.closing(_ahead(_gains(cfg, truth, pi, rngs, keep_rows))) as feed:  # closed however it ends
+        for k in range(n + 1):
+            if k in slots:
+                slot = slots[k] if keep_rows else 0
+                rhat = x[..., :3]
+                r_k, p_k, v_k = truth.pose(k)
+                rep = error_arrays(r_k, z_block(p_k, v_k), rhat, x[..., 3:])
+                gram = (rhat.mT @ rhat - _I3).reshape(-1, 9)
+                record = {"t": ts[k], "phat": x[..., 3], "vhat": x[..., 4], "rhat": rhat, "ehat": x[..., 5:],
+                          "att_err": rep.angle, "col_norms": rep.column_norms, "x_body": rep.x_body,
+                          "mineig_p": np.linalg.eigvalsh(pi)[0],
+                          "rot_defect": np.sqrt(np.vecdot(gram, gram))}  # rounds as the 1-D norm does
+                for name, value in record.items():
+                    rows[name][slot, live] = value
+                stop = np.zeros(live.size, dtype=bool)
+                if stop_when is not None:
+                    stop[:] = stop_when(ts[k], live, rep.angle, rep.column_norms)
+                done = stop | (k == n)
+                if done.any():
+                    for j in np.flatnonzero(done):
+                        finish(live[j], _state(x[j], pi, ts[k]), stopped_at=ts[k] if stop[j] else None)
+                    x, live = x[~done], live[~done]
+                    if not live.size:
+                        break
+            if k % _CHUNK_STEPS == 0:
+                k0, pis, fg, pi_failure, (steps, chans, ys) = next(feed)
+                logs += zip(steps.tolist(), zip(ts[steps], chans.tolist(), ys))
+            x1 = _rk4_observer(x, fg[k - k0], obs.dt, half_rho)
+            finite = _finalize_step(x1)
+            keep = finite & (pi_failure is None or k - k0 + 1 < len(fg))  # a failing Pi ends every live run
+            if not keep.all():
+                for j in np.flatnonzero(~keep):
+                    reason = pi_failure if finite[j] else f"non-finite estimate at t={ts[k]:.4f}"
+                    finish(live[j], _state(x[j], pi, ts[k]), failure=reason)
+                x1, live = x1[keep], live[keep]
                 if not live.size:
                     break
-        if k % _CHUNK_STEPS == 0:
-            k0, k1 = k, min(k + _CHUNK_STEPS, n)
-            pis, fg, pi_failure = _riccati_pass(pi, chunk(k0, k1), ts[k0:k1], obs, abar)
-        x1 = _rk4_observer(x, fg[k - k0], obs.dt, half_rho)
-        finite = _finalize_step(x1)
-        keep = finite & (pi_failure is None or k - k0 + 1 < len(fg))  # a failing Pi ends every live run
-        if not keep.all():
-            for j in np.flatnonzero(~keep):
-                reason = pi_failure if finite[j] else f"non-finite estimate at t={ts[k]:.4f}"
-                finish(live[j], _state(x[j], pi, ts[k]), failure=reason)
-            x1, live = x1[keep], live[keep]
-            if not live.size:
-                break
-        x, pi = x1, pis[k - k0 + 1]
+            x, pi = x1, pis[k - k0 + 1]
     return traces
 
 

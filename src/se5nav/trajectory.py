@@ -201,15 +201,19 @@ class TruthRun:
         p, v, vdot, omega, ab = signals(self.spec, self.t[k], self.R[k])
         return TruthState(t=float(self.t[k]), p=p, v=v, vdot=vdot, R=self.R[k], omega=omega, aB=ab)
 
-    def stages(self, k0: int, k1: int):
-        """(R, p, v, omega, aB) at the four RK4 stages of steps k0 .. k1 - 1
-        as (step, stage, ...) tables: the step start, the midpoint twice,
-        and the end t_{k+1}. The three distinct times are evaluated once."""
+    stage_rows = (0, 1, 1, 2)  # the row of stage_times that each RK4 stage takes
+
+    def stage_times(self, k0: int, k1: int):
+        """(R, p, v, omega, aB) at the distinct stage times of steps k0 .. k1 - 1: start, midpoint, end."""
         self._build(k1)
         ts = np.stack([self.t[k0:k1], self.t[k0:k1] + 0.5 * self.dt, self.t[k0 + 1:k1 + 1]], axis=1)
         rs = np.stack([self._r[k0:k1], self._r_mid[k0:k1], self._r[k0 + 1:k1 + 1]], axis=1)
         p, v, _, omega, ab = signals(self.spec, ts, rs)
-        return tuple(a.take([0, 1, 1, 2], axis=1) for a in (rs, p, v, omega, ab))
+        return rs, p, v, omega, ab
+
+    def stages(self, k0: int, k1: int):
+        """:meth:`stage_times` at the four RK4 stages, (step, stage, ...): the midpoint twice."""
+        return tuple(a.take(self.stage_rows, axis=1) for a in self.stage_times(k0, k1))
 
 
 @dataclass
@@ -232,9 +236,13 @@ class CoupledTruth:
     def pose(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.R[k], self.p[k], self.v[k]
 
+    stage_rows = (0, 1, 2, 3)  # four distinct stage times
+
     def stages(self, k0: int, k1: int):
         """The stage tables of steps k0 .. k1 - 1 (as :meth:`TruthRun.stages`)."""
         return tuple(a[k0:k1] for a in self.stage_tables)
+
+    stage_times = stages
 
 
 def coupled_truth(spec: TrajectorySpec, duration: float, dt: float) -> CoupledTruth:

@@ -1,6 +1,9 @@
 import csv
 import dataclasses
+import os
+import signal
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -423,6 +426,132 @@ class TestRunObserver:
         assert np.allclose(truth_z - rtilde @ xhat.translation, ztilde, atol=1e-13)
 
 
+@contextmanager
+def deadline(seconds):
+    """TimeoutError instead of a hang if the block takes longer than `seconds`."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestGainWorker:
+    """run_observer takes its gains from a worker process that os.fork makes (scenario._ahead):
+    the worker ends with every run, its errors reach the caller, and the outputs are those of
+    the same generator run in this process where there is no os.fork."""
+
+    @pytest.fixture(autouse=True)
+    def no_hang(self):
+        with deadline(120):
+            yield
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_process_outlives_a_run(self, monkeypatch):
+        import se5nav.observer as observer
+
+        cfg = short_cfg(duration=0.3)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        [trace] = run_observer(cfg, truth)
+        assert trace.failure is None and trace.stopped_at is None
+        self.assert_no_child()
+
+        # a sweep batch that stops on the dwell rule, long before the horizon and the worker's last chunk
+        rows = sweep_agas(parse_scenario(STEREO), n_runs=3, seed=1)
+        assert all(row.converged and row.settle_time_s < 10.0 for row in rows)
+        self.assert_no_child()
+
+        def stop_rule_raises(t, runs, att, norms):
+            if t >= 0.1:
+                raise KeyError("stop rule")
+            return False
+
+        with pytest.raises(KeyError, match="stop rule") as raised:  # holds the traceback, and the run's frame
+            run_observer(cfg, truth, stop_when=stop_rule_raises)
+        self.assert_no_child()
+
+        monkeypatch.setattr(observer, "_check_pd", lambda pi, t: (min(3, len(t)), "injected"))
+        [failed] = run_observer(cfg, truth)
+        assert failed.failure == "injected" and failed.final_state.t == truth.t[3]
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("forked", [True, False])
+    def test_an_error_in_the_worker_reaches_the_caller(self, forked, monkeypatch):
+        import se5nav.trajectory as trajectory
+
+        def boom(truth, k0, k1):
+            raise ValueError("boom")
+
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(trajectory.TruthRun, "stage_times", boom)  # the producer's read of the truth
+        cfg = short_cfg(duration=0.3)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        with pytest.raises(ValueError, match="^boom$") as raised:  # holds the traceback, and the run's frame
+            run_observer(cfg, truth)
+        self.assert_no_child()
+
+    def test_a_killed_worker_is_a_runtime_error(self, monkeypatch):
+        import se5nav.trajectory as trajectory
+
+        caller, stage_times = os.getpid(), trajectory.TruthRun.stage_times
+
+        def killed_at_second_chunk(truth, k0, k1):
+            if k0 > 0 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return stage_times(truth, k0, k1)
+
+        monkeypatch.setattr(trajectory.TruthRun, "stage_times", killed_at_second_chunk)
+        cfg = short_cfg(duration=0.3)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        with pytest.raises(RuntimeError, match="gain worker process [0-9]+ ended"):
+            run_observer(cfg, truth)
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_the_forked_feed_equals_the_in_process_one(self, chunk, monkeypatch):
+        import se5nav.scenario as scenario
+
+        monkeypatch.setattr(scenario, "_CHUNK_STEPS", chunk)
+        stereo = dataclasses.replace(parse_scenario(STEREO), duration=0.3, trace_stride=3)
+        gps = parse_scenario(GPS)
+        gps = dataclasses.replace(gps, duration=0.1, channels=(
+            gps.channels[0], dataclasses.replace(gps.channels[1], rate=100.0),
+            dataclasses.replace(gps.channels[2], rate=40.0)))
+        batch = short_cfg(duration=0.3, trace_stride=2)
+        truths = {id(cfg): simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+                  for cfg in (stereo, gps, batch)}
+        inits = perturbed_states(batch, truths[id(batch)], 3)
+
+        def stop_run_1(t, runs, att, norms):
+            return (runs == 1) & (t >= 0.1)
+
+        def runs():
+            return (run_observer(stereo, truths[id(stereo)]) + run_observer(gps, truths[id(gps)])
+                    + run_observer(batch, truths[id(batch)], inits, stop_run_1))
+
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        forked = runs()
+        assert len(forks) == 3
+        monkeypatch.delattr(os, "fork")
+        alone = runs()
+        assert [trace.stopped_at for trace in alone[2:]] == [None, pytest.approx(0.1), None]
+        rows = alone[1].measurements
+        assert {c for _, c, _ in rows} == {0, 1, 2} and sum(c == 2 for _, c, _ in rows) == 4  # 40 Hz over 0.1 s
+        for trace, ref in zip(forked, alone, strict=True):
+            assert_traces_equal(trace, ref)
+
+
 class TestRunScenario:
     def test_writes_all_traces(self, tmp_path):
         cfg = short_cfg(trace_stride=100)
@@ -659,7 +788,7 @@ class TestSweep:
         import se5nav.trajectory as trajectory
 
         built, read = [], []
-        block_starts, stages, pose = trajectory.block_starts, trajectory.TruthRun.stages, trajectory.TruthRun.pose
+        block_starts, stages, pose = trajectory.block_starts, trajectory.TruthRun.stage_times, trajectory.TruthRun.pose
 
         def build_spy(spec, dt, k0, start, halves):
             built.append((k0, k0 + len(halves)))
@@ -673,8 +802,9 @@ class TestSweep:
             read.append(k)
             return pose(truth, k)
 
+        monkeypatch.delattr(os, "fork")  # the gains are made in this process, where the spies record
         monkeypatch.setattr(trajectory, "block_starts", build_spy)
-        monkeypatch.setattr(trajectory.TruthRun, "stages", stages_spy)
+        monkeypatch.setattr(trajectory.TruthRun, "stage_times", stages_spy)
         monkeypatch.setattr(trajectory.TruthRun, "pose", pose_spy)
         cfg = parse_scenario(STEREO)
         rows = sweep_agas(cfg, n_runs=24, seed=1)
