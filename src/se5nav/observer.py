@@ -234,10 +234,10 @@ def _check_pd(pi: np.ndarray, t) -> tuple[int, str | None]:
 def _finalize_step(x):
     """Projects the rotation block of each finite row of a batch X (B x 3 x 8)
     in place, whose shared step-end Pi the Riccati pass has checked; returns
-    which rows are finite."""
+    None when every row is finite, else which rows are."""
     if np.isfinite(x).all():
         x[..., :3] = project_rotation(x[..., :3])
-        return np.ones(len(x), dtype=bool)
+        return None
     finite = np.isfinite(x).all(axis=(-2, -1))
     x[finite, :, :3] = project_rotation(x[finite, :, :3])
     return finite
@@ -262,11 +262,12 @@ class ErrorReport:
 
 
 def error_arrays(truth_r, truth_z, rhat, zhat) -> ErrorReport:
-    """Errors against one truth of an estimate (rhat 3 x 3, zhat 3 x 5) or
-    of each of a stack of them, the report's fields stacked alike."""
+    """Errors of an estimate (rhat 3 x 3, zhat 3 x 5) or of each of a stack
+    of them against one truth (truth_r 3 x 3, truth_z 3 x 5) or against the
+    truth of each, stacked alike; the report's fields are stacked alike."""
     rtilde = truth_r @ rhat.mT
     ztilde = truth_z - rtilde @ zhat
-    x_body = (truth_r.T @ ztilde).mT.reshape(ztilde.shape[:-2] + (15,))  # vec
+    x_body = (truth_r.mT @ ztilde).mT.reshape(ztilde.shape[:-2] + (15,))  # vec
     return ErrorReport(
         rtilde=rtilde,
         angle=rotation_angle(rtilde),

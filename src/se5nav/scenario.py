@@ -91,15 +91,13 @@ ATT_THRESHOLD_RAD = 1e-2
 POS_THRESHOLD_M = 1e-2
 CONVERGENCE_DWELL_S = 0.5
 
-# the shape of one row of each RunTrace array
-_ROW_SHAPES = {"t": (), "phat": (3,), "vhat": (3,), "rhat": (3, 3), "ehat": (3, 3), "att_err": (),
-               "col_norms": (5,), "x_body": (15,), "mineig_p": (), "rot_defect": ()}
-
 # float64 values a run holds per step for its truth (t, p, v, R and R_mid of
-# a TruthRun) and per recorded step for its trace; the steps of a config and
-# of an obsv horizon are bounded so that they fit in _MAX_RUN_BYTES
+# a TruthRun) and per recorded step for its trace: the records of a one-run
+# batch (t, Pi, the truth's R and z, X) and the RunTrace derived from them
+# (X, t, att_err, col_norms, x_body, mineig_p, rot_defect); the steps of a
+# config and of an obsv horizon are bounded so that they fit in _MAX_RUN_BYTES
 _TRUTH_FLOATS_PER_STEP = 25
-_TRACE_FLOATS_PER_RECORD = sum(math.prod(shape) for shape in _ROW_SHAPES.values())
+_TRACE_FLOATS_PER_RECORD = (1 + 25 + 9 + 15 + 24) + (24 + 1 + 1 + 5 + 15 + 1 + 1)
 _MAX_RUN_BYTES = 4 << 30
 
 
@@ -318,6 +316,10 @@ _CHUNK_STEPS = 64
 
 _I3 = np.eye(3)
 
+# the gain pipe's buffer: about four chunks of a one-run batch (the default Linux pipe-max-size);
+# the default 64 kB holds less than one, so the worker would wait on each chunk's handoffs
+_PIPE_BYTES = 1 << 20
+
 
 @dataclass
 class RunTrace:
@@ -348,7 +350,11 @@ def _ahead(items):
     if not hasattr(os, "fork"):
         yield from items
         return
+    import fcntl  # POSIX, as os.fork is
+
     fd_in, fd_out = os.pipe()
+    with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ is Linux's, and its limit may refuse
+        fcntl.fcntl(fd_out, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
     pid = os.fork()
     if pid == 0:  # the worker
         try:
@@ -432,10 +438,12 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
     ``keep_rows`` off keeps only each trace's last record and no measurement log. Overflow and invalid
     warnings are off: the checks catch a non-finite estimate.
 
-    The rows are allocated once per field for the whole batch, so a ``keep_rows`` batch holds every
-    record of the horizon for every run up front. What depends only on truth and noise, the chunks of
-    :func:`_gains`, a worker process makes ahead of this estimate loop (:func:`_ahead`); the outputs do
-    not depend on where they are made.
+    The records are allocated once per field for the whole batch, so a ``keep_rows`` batch holds every
+    record of the horizon for every run up front. A record stores what its step produced, X per run and
+    t, Pi and the truth pose once; a run that ends derives its trace's errors, Pi's least eigenvalue and
+    Rhat's orthonormality defect from them, for all its records at once. What depends only on truth and
+    noise, the chunks of :func:`_gains`, a worker process makes ahead of this estimate loop
+    (:func:`_ahead`); the outputs do not depend on where they are made.
     """
     obs, ts, n = cfg.observer, truth.t, len(truth) - 1
     if abs(obs.dt - truth.dt) > 1e-12:
@@ -450,19 +458,28 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
         raise ValueError(f"the initial state's t={inits[0].t:g} is not the truth's start t={ts[0]:g}")
     if not cfg.channels:
         log.warning("no output channels configured; observer runs open loop")
-    slots = {k: slot for slot, k in enumerate(record_steps(n, cfg.trace_stride).tolist())}  # trace row of each record
+    slots = {k: slot for slot, k in enumerate(record_steps(n, cfg.trace_stride).tolist())}  # record row of each step
     logs = []  # (step, measurement row)
 
     x = np.stack([np.hstack([s.rhat, s.zhat]) for s in inits])
     live = np.arange(len(inits))  # the run of each row of x
     half_rho = 0.5 * np.asarray(obs.rho)
     n_rows = len(slots) if keep_rows else 1
-    rows = {name: np.empty((n_rows, len(inits)) + shape) for name, shape in _ROW_SHAPES.items()}
+    t_rows, pi_rows, r_rows, z_rows = (np.empty((n_rows,) + shape) for shape in ((), (5, 5), (3, 3), (3, 5)))
+    x_rows = np.empty((n_rows, len(inits), 3, 8))
     traces = [None] * len(inits)
 
     def finish(run, state, stopped_at=None, failure=None):
-        """End `run` in `state` with a copy of its rows up to the last record (a view keeps the batch's)."""
-        traces[run] = RunTrace(**{name: col[:slot + 1, run].copy() for name, col in rows.items()},
+        """End `run` in `state` with the trace of its records up to the last; the estimate fields
+        are views of one copy of its X rows (a view would keep the batch's)."""
+        xs = x_rows[:slot + 1, run].copy()
+        rhat = xs[..., :3]
+        rep = error_arrays(r_rows[:slot + 1], z_rows[:slot + 1], rhat, xs[..., 3:])
+        gram = (rhat.mT @ rhat - _I3).reshape(-1, 9)
+        traces[run] = RunTrace(t=t_rows[:slot + 1].copy(), phat=xs[..., 3], vhat=xs[..., 4], rhat=rhat,
+                               ehat=xs[..., 5:], att_err=rep.angle, col_norms=rep.column_norms,
+                               x_body=rep.x_body, mineig_p=np.linalg.eigvalsh(pi_rows[:slot + 1])[:, 0],
+                               rot_defect=np.sqrt(np.vecdot(gram, gram)),  # rounds as the 1-D norm does
                                measurements=[m for step, m in logs if step < k],
                                final_state=state, stopped_at=stopped_at, failure=failure)
 
@@ -471,18 +488,12 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
         for k in range(n + 1):
             if k in slots:
                 slot = slots[k] if keep_rows else 0
-                rhat = x[..., :3]
                 r_k, p_k, v_k = truth.pose(k)
-                rep = error_arrays(r_k, z_block(p_k, v_k), rhat, x[..., 3:])
-                gram = (rhat.mT @ rhat - _I3).reshape(-1, 9)
-                record = {"t": ts[k], "phat": x[..., 3], "vhat": x[..., 4], "rhat": rhat, "ehat": x[..., 5:],
-                          "att_err": rep.angle, "col_norms": rep.column_norms, "x_body": rep.x_body,
-                          "mineig_p": np.linalg.eigvalsh(pi)[0],
-                          "rot_defect": np.sqrt(np.vecdot(gram, gram))}  # rounds as the 1-D norm does
-                for name, value in record.items():
-                    rows[name][slot, live] = value
+                t_rows[slot], pi_rows[slot], r_rows[slot], z_rows[slot] = ts[k], pi, r_k, z_block(p_k, v_k)
+                x_rows[slot, live] = x
                 stop = np.zeros(live.size, dtype=bool)
                 if stop_when is not None:
+                    rep = error_arrays(r_rows[slot], z_rows[slot], x[..., :3], x[..., 3:])
                     stop[:] = stop_when(ts[k], live, rep.angle, rep.column_norms)
                 done = stop | (k == n)
                 if done.any():
@@ -496,12 +507,14 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
                 logs += zip(steps.tolist(), zip(ts[steps], chans.tolist(), ys))
             x1 = _rk4_observer(x, fg[k - k0], obs.dt, half_rho)
             finite = _finalize_step(x1)
-            keep = finite & (pi_failure is None or k - k0 + 1 < len(fg))  # a failing Pi ends every live run
-            if not keep.all():
-                for j in np.flatnonzero(~keep):
-                    reason = pi_failure if finite[j] else f"non-finite estimate at t={ts[k]:.4f}"
+            pi_fails = pi_failure is not None and k - k0 + 1 == len(fg)  # a failing Pi ends every live run
+            if finite is not None or pi_fails:
+                for j in range(live.size) if pi_fails else np.flatnonzero(~finite):
+                    reason = pi_failure if finite is None or finite[j] else f"non-finite estimate at t={ts[k]:.4f}"
                     finish(live[j], _state(x[j], pi, ts[k]), failure=reason)
-                x1, live = x1[keep], live[keep]
+                if pi_fails:
+                    break
+                x1, live = x1[finite], live[finite]
                 if not live.size:
                     break
             x, pi = x1, pis[k - k0 + 1]

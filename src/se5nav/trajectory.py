@@ -14,7 +14,6 @@ Conventions: NED inertial frame, gravity g = [0, 0, +9.81] m/s^2 by default
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -360,15 +359,24 @@ def simulate_truth(spec: TrajectorySpec, duration: float, dt: float = 1e-3) -> T
 
 
 def write_table(path, schema: str, header, rows) -> None:
-    """Write a CSV table: a ``# schema`` line, the header, then the rows.
-    Floats are written as ``.17g``, which reads back bit for bit, ints as
-    they are and None as an empty field."""
+    """Write a CSV table: a ``# schema`` line, the header, then the rows,
+    with the bytes the ``csv`` module's default dialect writes (``\\r\\n``
+    line ends). Floats are written as ``.17g``, which reads back bit for
+    bit, ints as they are and None as an empty field, each row by one ``%``
+    format per pattern of value types, of which a table has one or a few."""
+    formats = {}  # a row's value types -> its format
+
+    def line(row):
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:  # %.0s consumes None and writes nothing
+            fmt = formats[types] = ",".join("%.0s" if tp is type(None) else "%.17g" if issubclass(tp, float)
+                                            else "%d" for tp in types) + "\r\n"
+        return fmt % tuple(row)
+
     with open(path, "w", newline="") as fh:
-        fh.write(f"# {schema}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([f"{v:.17g}" if isinstance(v, float) else "" if v is None else v for v in row]
-                    for row in rows)
+        fh.write(f"# {schema}\n" + ",".join(header) + "\r\n")
+        fh.writelines(map(line, rows))
 
 
 def record_steps(n: int, stride: int) -> np.ndarray:

@@ -204,9 +204,10 @@ class TestRotationHelpers:
         fixed = project_rotation(stack[order])
         assert np.array_equal(fixed, np.stack([project_rotation(r) for r in stack[order]]))
         assert np.array_equal(project_rotation(stack[order].reshape(4, 4, 3, 3)), fixed.reshape(4, 4, 3, 3))
-        assert np.all(np.linalg.det(fixed) > 0)
+        assert np.all(np.linalg.det(fixed) > 0) and all(is_rotation(r) for r in fixed)
         svd_rows = np.isin(order, np.arange(4, 13))
         assert np.array_equal(fixed[svd_rows], np.stack([_svd_polar(r) for r in stack[order][svd_rows]]))
+        assert project_rotation(np.empty((0, 3, 3))).shape == (0, 3, 3)
 
 
 class TestSEn:

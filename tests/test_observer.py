@@ -5,7 +5,8 @@ import pytest
 
 from se5nav.frontend import UnifiedLayout, output_matrix
 from se5nav.lie import SEn, hat, kron, project_rotation, psi, so3_exp, vec, vec_inv
-from se5nav.observer import DivergenceError, ObserverConfig, ObserverState, build_a, build_abar, error_arrays
+from se5nav.observer import (DivergenceError, ErrorReport, ObserverConfig, ObserverState, build_a, build_abar,
+                             error_arrays)
 from se5nav.scenario import ScenarioConfig, bundled_config_path, parse_scenario, run_observer, scenario_output_map
 from se5nav.sensors import ChannelKind, ChannelSpec
 from se5nav.trajectory import TrajectorySpec, TruthState, coupled_truth, eval_omega, simulate_truth
@@ -422,6 +423,23 @@ class TestErrorReport:
         rep = error_arrays(truth.R, truth.z, state.rhat, state.zhat)
         assert np.isfinite(rep.angle)
         assert abs(rep.angle - np.pi) < 1e-6
+
+    def test_stacked_truths_equal_per_record_calls(self):
+        rng = np.random.default_rng(21)
+        truths = [random_truth(rng) for _ in range(6)]
+        rhat = np.stack([random_rotation(rng) for _ in truths])
+        zhat = rng.standard_normal((len(truths), 3, 5))
+        fields = [f.name for f in dataclasses.fields(ErrorReport)]
+        stacked = error_arrays(np.stack([t.R for t in truths]), np.stack([t.z for t in truths]), rhat, zhat)
+        one_truth = error_arrays(truths[0].R, truths[0].z, rhat, zhat)
+        for i, truth in enumerate(truths):
+            alone = error_arrays(truth.R, truth.z, rhat[i], zhat[i])
+            for name in fields:
+                assert np.array_equal(getattr(stacked, name)[i], getattr(alone, name)), name
+            alone = error_arrays(truths[0].R, truths[0].z, rhat[i], zhat[i])
+            for name in fields:
+                assert np.array_equal(getattr(one_truth, name)[i], getattr(alone, name)), name
+        assert one_truth.x_body.shape == stacked.x_body.shape == (len(truths), 15)
 
 
 class TestFullRuns:

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from se5nav.trajectory import (
     simulate_truth,
     synthesize_imu,
     truth_attitude,
+    write_table,
     write_truth_csv,
 )
 
@@ -411,6 +415,20 @@ class TestTruthCsv:
     def test_record_steps_of_a_stride_beyond_every_step(self):
         steps = record_steps(50, 10**20)
         assert steps.dtype == np.int64 and steps.tolist() == [0, 50]
+
+    def test_write_table_writes_the_csv_module_bytes(self, tmp_path):
+        header = ["x", "tiny", "huge", "n", "settle_time_s"]
+        rows = [[-0.0, 5e-324, 1e308, 7, None],
+                [np.nan, np.inf, -np.inf, -3, 0.1],  # a column may hold a float in one row and None in another
+                [np.float64(1 / 3), -5e-324, -1e308, 0, None],
+                (0.1, 2.5, 1e-300, 12345678901234567890, np.float64(2.25))]
+        write_table(tmp_path / "t.csv", "se5nav-test-v1", header, iter(rows))
+        ref = io.StringIO(newline="")
+        ref.write("# se5nav-test-v1\n")
+        writer = csv.writer(ref)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else "" if v is None else v for v in row] for row in rows)
+        assert (tmp_path / "t.csv").read_bytes() == ref.getvalue().encode()
 
     def test_schema_and_determinism(self, tmp_path):
         run = simulate_truth(reference_spec(), 0.1, 1e-3)
