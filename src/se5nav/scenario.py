@@ -94,10 +94,10 @@ CONVERGENCE_DWELL_S = 0.5
 # float64 values a run holds per step for its truth (t, p, v, R and R_mid of
 # a TruthRun) and per recorded step for its trace: the records of a one-run
 # batch (t, Pi, the truth's R and z, X) and the RunTrace derived from them
-# (X, t, att_err, col_norms, x_body, mineig_p, rot_defect); the steps of a
+# (X, t, truth_r, att_err, col_norms, x_body, mineig_p, rot_defect); the steps of a
 # config and of an obsv horizon are bounded so that they fit in _MAX_RUN_BYTES
 _TRUTH_FLOATS_PER_STEP = 25
-_TRACE_FLOATS_PER_RECORD = (1 + 25 + 9 + 15 + 24) + (24 + 1 + 1 + 5 + 15 + 1 + 1)
+_TRACE_FLOATS_PER_RECORD = (1 + 25 + 9 + 15 + 24) + (24 + 1 + 9 + 1 + 5 + 15 + 1 + 1)
 _MAX_RUN_BYTES = 4 << 30
 
 
@@ -335,6 +335,7 @@ class RunTrace:
     x_body: np.ndarray         # (N, 15)
     mineig_p: np.ndarray       # of P = Pi kron I_3, which has Pi's eigenvalues
     rot_defect: np.ndarray     # Frobenius orthonormality defect of Rhat
+    truth_r: np.ndarray        # (N, 3, 3): the truth attitude at the records
     measurements: list         # (t, channel, y) rows at update instants
     final_state: ObserverState
     stopped_at: float | None = None
@@ -385,11 +386,12 @@ def _ahead(items):
 
 
 def _gains(cfg: ScenarioConfig, truth, pi, rngs, keep_rows: bool):
-    """What the estimate of :func:`run_observer` steps on, from truth and noise alone, per chunk of
-    ``_CHUNK_STEPS`` steps: its first step k0, :func:`_riccati_pass`'s (pis, fg, failure) from `pi` on,
-    and its measurement log (steps, channels, values), decimated channels at updates and full-rate ones
-    at records, if `keep_rows`. The front end works on distinct stage times; the noise of `rngs`
-    (:func:`spawn_channel_rngs`) is drawn in bulk, as one draw per step would. A failing chunk is the last."""
+    """What the estimate of :func:`run_observer` steps on and records, from truth and noise alone, per
+    chunk of ``_CHUNK_STEPS`` steps: its first step k0, :func:`_riccati_pass`'s (pis, fg, failure) from
+    `pi` on, the truth pose (R, z) at its record steps (the last chunk's with step n) and its measurement
+    log (steps, channels, values), decimated channels at updates and full-rate ones at records, if
+    `keep_rows`. The front end works on distinct stage times; the noise of `rngs` (:func:`spawn_channel_rngs`)
+    is drawn in bulk, as one draw per step would. A failing chunk is the last."""
     obs, dt, ts, n, m = cfg.observer, truth.dt, truth.t, len(truth) - 1, len(cfg.channels)
     imu_rng, ch_rngs = rngs
     imu_std = np.sqrt(cfg.imu_noise_power * (1.0 / dt)) if cfg.noise and cfg.imu_noise_power > 0 else None
@@ -397,7 +399,7 @@ def _gains(cfg: ScenarioConfig, truth, pi, rngs, keep_rows: bool):
                 for i, ch in enumerate(cfg.channels)]
     decimated = np.array([s.stride > 1 for s in samplers], dtype=bool)
     row_order = np.argsort(decimated, kind="stable")  # a step's rows: full-rate channels first
-    recorded = np.isin(np.arange(n), record_steps(n, cfg.trace_stride))
+    recorded = np.isin(np.arange(n + 1), record_steps(n, cfg.trace_stride))
     layout, abar = UnifiedLayout(cfg.channels), build_abar(cfg.trajectory.g)
     for k0 in range(0, n, _CHUNK_STEPS):
         k1 = min(k0 + _CHUNK_STEPS, n)
@@ -411,7 +413,8 @@ def _gains(cfg: ScenarioConfig, truth, pi, rngs, keep_rows: bool):
         logged[:, ~decimated] = recorded[k0:k1, None]
         js, cs = np.nonzero(logged[:, row_order] & keep_rows)
         pis, fg, failure = _riccati_pass(pi, (w_st, a_st, *layout.stacks(raw)), truth.stage_rows, ts[k0:k1], obs, abar)
-        yield k0, pis, fg, failure, (k0 + js, row_order[cs], raw[js, 0, row_order[cs]])
+        r_at, p_at, v_at = truth.pose(k0 + np.flatnonzero(recorded[k0:k1 + (k1 == n)]))  # stage_times built them
+        yield k0, pis, fg, failure, (r_at, z_block(p_at, v_at)), (k0 + js, row_order[cs], raw[js, 0, row_order[cs]])
         if failure is not None:
             return
         pi = pis[-1]
@@ -426,9 +429,9 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
     the config's initial state alone. Their estimates X (B x 3 x 8) step as one batch against one
     Riccati factor Pi, which does not depend on the estimate, and each trace equals bit for bit that of
     its state run alone. The channels, observer weights, seed, noise switch, IMU noise power and trace
-    stride come from `cfg`. `truth` has times t, its step dt and the only reads of it the run makes,
-    ``pose(k)``, ``stage_times(k0, k1)`` and ``stage_rows``: a :class:`TruthRun` or a
-    :func:`coupled_truth`. Each channel is sampled at its own rate with zero-order hold in between;
+    stride come from `cfg`. `truth`, a :class:`TruthRun` or a :func:`coupled_truth`, has times t and its
+    step dt, all the estimate loop reads, and ``pose(steps)``, ``stage_times(k0, k1)`` and ``stage_rows``,
+    which :func:`_gains` reads. Each channel is sampled at its own rate with zero-order hold in between;
     full-rate channels and the IMU are delivered at the truth's four RK4 stages. Noise, the IMU's too,
     applies only when ``cfg.noise`` is on. The steps of :func:`record_steps` are recorded; at each,
     ``stop_when(t, runs, att_err, col_norms)`` gets the live runs' positions in the batch and their
@@ -440,10 +443,11 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
 
     The records are allocated once per field for the whole batch, so a ``keep_rows`` batch holds every
     record of the horizon for every run up front. A record stores what its step produced, X per run and
-    t, Pi and the truth pose once; a run that ends derives its trace's errors, Pi's least eigenvalue and
-    Rhat's orthonormality defect from them, for all its records at once. What depends only on truth and
-    noise, the chunks of :func:`_gains`, a worker process makes ahead of this estimate loop
-    (:func:`_ahead`); the outputs do not depend on where they are made.
+    t, Pi and its chunk's truth pose once; a run that ends copies the attitude into ``truth_r`` and
+    derives the errors (a one-record trace takes the stop rule's), Pi's least eigenvalue and Rhat's
+    orthonormality defect, for all its records at once. What depends only on truth and noise, the chunks
+    of :func:`_gains`, a worker process makes ahead of this estimate loop (:func:`_ahead`); the outputs
+    do not depend on where they are made.
     """
     obs, ts, n = cfg.observer, truth.t, len(truth) - 1
     if abs(obs.dt - truth.dt) > 1e-12:
@@ -469,16 +473,19 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
     x_rows = np.empty((n_rows, len(inits), 3, 8))
     traces = [None] * len(inits)
 
-    def finish(run, state, stopped_at=None, failure=None):
+    def finish(run, state, stopped_at=None, failure=None, row=None):
         """End `run` in `state` with the trace of its records up to the last; the estimate fields
-        are views of one copy of its X rows (a view would keep the batch's)."""
+        are views of one copy of its X rows (a view would keep the batch's). A one-record trace
+        takes its errors from `row` of the stop rule's report, the others derive them here."""
         xs = x_rows[:slot + 1, run].copy()
         rhat = xs[..., :3]
-        rep = error_arrays(r_rows[:slot + 1], z_rows[:slot + 1], rhat, xs[..., 3:])
+        rep = error_arrays(r_rows[:slot + 1], z_rows[:slot + 1], rhat, xs[..., 3:]) if row is None else errs
+        row = slice(None) if row is None else [row]
         gram = (rhat.mT @ rhat - _I3).reshape(-1, 9)
         traces[run] = RunTrace(t=t_rows[:slot + 1].copy(), phat=xs[..., 3], vhat=xs[..., 4], rhat=rhat,
-                               ehat=xs[..., 5:], att_err=rep.angle, col_norms=rep.column_norms,
-                               x_body=rep.x_body, mineig_p=np.linalg.eigvalsh(pi_rows[:slot + 1])[:, 0],
+                               ehat=xs[..., 5:], truth_r=r_rows[:slot + 1].copy(), att_err=rep.angle[row],
+                               col_norms=rep.column_norms[row], x_body=rep.x_body[row],
+                               mineig_p=np.linalg.eigvalsh(pi_rows[:slot + 1])[:, 0],
                                rot_defect=np.sqrt(np.vecdot(gram, gram)),  # rounds as the 1-D norm does
                                measurements=[m for step, m in logs if step < k],
                                final_state=state, stopped_at=stopped_at, failure=failure)
@@ -486,25 +493,26 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
     rngs = spawn_channel_rngs(cfg.seed, len(cfg.channels))  # made here, so numpy.random is imported once per process
     with contextlib.closing(_ahead(_gains(cfg, truth, pi, rngs, keep_rows))) as feed:  # closed however it ends
         for k in range(n + 1):
+            if k % _CHUNK_STEPS == 0 and k < n:  # the chunk from k on; the last also holds the record at n
+                k0, pis, fg, pi_failure, poses, (steps, chans, ys) = next(feed)
+                poses = zip(*poses)  # the truth pose of each record, in turn
+                logs += zip(steps.tolist(), zip(ts[steps], chans.tolist(), ys))
             if k in slots:
                 slot = slots[k] if keep_rows else 0
-                r_k, p_k, v_k = truth.pose(k)
-                t_rows[slot], pi_rows[slot], r_rows[slot], z_rows[slot] = ts[k], pi, r_k, z_block(p_k, v_k)
+                t_rows[slot], pi_rows[slot], (r_rows[slot], z_rows[slot]) = ts[k], pi, next(poses)
                 x_rows[slot, live] = x
                 stop = np.zeros(live.size, dtype=bool)
                 if stop_when is not None:
-                    rep = error_arrays(r_rows[slot], z_rows[slot], x[..., :3], x[..., 3:])
-                    stop[:] = stop_when(ts[k], live, rep.angle, rep.column_norms)
+                    errs = error_arrays(r_rows[slot], z_rows[slot], x[..., :3], x[..., 3:])
+                    stop[:] = stop_when(ts[k], live, errs.angle, errs.column_norms)
                 done = stop | (k == n)
                 if done.any():
                     for j in np.flatnonzero(done):
-                        finish(live[j], _state(x[j], pi, ts[k]), stopped_at=ts[k] if stop[j] else None)
+                        finish(live[j], _state(x[j], pi, ts[k]), stopped_at=ts[k] if stop[j] else None,
+                               row=None if keep_rows or stop_when is None else j)
                     x, live = x[~done], live[~done]
                     if not live.size:
                         break
-            if k % _CHUNK_STEPS == 0:
-                k0, pis, fg, pi_failure, (steps, chans, ys) = next(feed)
-                logs += zip(steps.tolist(), zip(ts[steps], chans.tolist(), ys))
             x1 = _rk4_observer(x, fg[k - k0], obs.dt, half_rho)
             finite = _finalize_step(x1)
             pi_fails = pi_failure is not None and k - k0 + 1 == len(fg)  # a failing Pi ends every live run
@@ -598,7 +606,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path | str | None = None) -> RunS
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_truth_csv(truth, out_dir / "truth.csv", stride=cfg.trace_stride)
+        write_truth_csv(cfg.trajectory, trace.t, trace.truth_r, out_dir / "truth.csv")
         write_measurement_csv(trace.measurements, out_dir / "measurements.csv")
         write_estimate_csv(trace, out_dir / "estimate.csv")
         with open(out_dir / "summary.json", "w") as fh:

@@ -81,12 +81,12 @@ class TruthState:
 
 
 def z_block(p, v) -> np.ndarray:
-    """Extended translation block [p, v, e1, e2, e3] (3 x 5) of a position
-    and a velocity; the e_i columns are the canonical basis."""
-    out = np.zeros((3, 5))
-    out[:, 0] = p
-    out[:, 1] = v
-    out[:, 2:] = np.eye(3)
+    """Extended translation block [p, v, e1, e2, e3] (3 x 5) of a position and a
+    velocity, or of each of a stack of them; the e_i columns are the canonical basis."""
+    out = np.zeros(np.shape(p)[:-1] + (3, 5))
+    out[..., 0] = p
+    out[..., 1] = v
+    out[..., 2:] = np.eye(3)
     return out
 
 
@@ -192,9 +192,9 @@ class TruthRun:
     def __len__(self) -> int:
         return self.t.size
 
-    def pose(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(R, p, v) at grid step k."""
-        return self._build(k)._r[k], self.p[k], self.v[k]
+    def pose(self, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(R, p, v) at grid step k, or at each of an array of steps."""
+        return self._build(int(np.max(k, initial=0)))._r[k], self.p[k], self.v[k]
 
     def state(self, k: int) -> TruthState:
         p, v, vdot, omega, ab = signals(self.spec, self.t[k], self.R[k])
@@ -232,7 +232,7 @@ class CoupledTruth:
     def __len__(self) -> int:
         return self.t.size
 
-    def pose(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pose(self, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.R[k], self.p[k], self.v[k]
 
     stage_rows = (0, 1, 2, 3)  # four distinct stage times
@@ -386,11 +386,11 @@ def record_steps(n: int, stride: int) -> np.ndarray:
     return np.append(np.arange(0, n, min(stride, max(n, 1))), n)
 
 
-def write_truth_csv(run: TruthRun, path, stride: int = 1) -> None:
-    """Truth trace at :func:`record_steps`: t, p[3], v[3], R row-major[9], omega[3], aB[3]."""
-    ks = record_steps(len(run) - 1, stride)
-    p, v, _, omega, ab = signals(run.spec, run.t[ks], run.R[ks])
+def write_truth_csv(spec: TrajectorySpec, t, r, path) -> None:
+    """Truth trace at times t with the attitudes r there, such as a trace's ``t`` and ``truth_r``:
+    t, p[3], v[3], R row-major[9], omega[3], aB[3], the others from :func:`signals`."""
+    p, v, _, omega, ab = signals(spec, t, r)
     write_table(path, TRUTH_CSV_SCHEMA,
                 ["t", "px", "py", "pz", "vx", "vy", "vz"] + [f"R{i}{j}" for i in range(3) for j in range(3)]
                 + ["wx", "wy", "wz", "ax", "ay", "az"],
-                np.column_stack([run.t[ks], p, v, run.R[ks].reshape(-1, 9), omega, ab]).tolist())
+                np.column_stack([t, p, v, r.reshape(-1, 9), omega, ab]).tolist())

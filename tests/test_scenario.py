@@ -26,9 +26,10 @@ from se5nav.scenario import (
 )
 from se5nav.lie import SEn, so3_exp
 from se5nav.observability import OBSV_CSV_SCHEMA
-from se5nav.observer import ESTIMATE_CSV_SCHEMA, ObserverConfig, ObserverState
+from se5nav.observer import ESTIMATE_CSV_SCHEMA, ObserverConfig, ObserverState, error_arrays
 from se5nav.sensors import MEASUREMENT_CSV_SCHEMA, ChannelKind, ChannelSpec
-from se5nav.trajectory import TRUTH_CSV_SCHEMA, TrajectorySpec, coupled_truth, signals, simulate_truth, z_block
+from se5nav.trajectory import (TRUTH_CSV_SCHEMA, TrajectorySpec, coupled_truth, record_steps, signals,
+                               simulate_truth, z_block)
 
 STEREO = bundled_config_path("stereo")
 GPS = bundled_config_path("gps")
@@ -270,6 +271,31 @@ class TestRunObserver:
             last = {f.name: getattr(trace, f.name)[-1:] for f in dataclasses.fields(RunTrace)
                     if isinstance(getattr(trace, f.name), np.ndarray)}
             assert_traces_equal(short, dataclasses.replace(trace, measurements=[], **last))
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    @pytest.mark.parametrize("duration", [0.128, 0.1])  # 128 steps, two whole chunks, and 100
+    def test_trace_truth_attitude_is_the_truths(self, coupled, duration):
+        import se5nav.scenario as scenario
+
+        cfg = short_cfg(duration=duration, trace_stride=7)
+        truth = (coupled_truth if coupled else simulate_truth)(cfg.trajectory, duration, cfg.observer.dt)
+        n = len(truth) - 1
+        assert (n % scenario._CHUNK_STEPS == 0) == (n == 128)
+        ks = record_steps(n, cfg.trace_stride)
+        inits = perturbed_states(cfg, truth, 3)
+        kept = run_observer(cfg, truth, inits)
+        expected = truth.pose(ks)[0]
+        for trace in kept:
+            assert np.array_equal(trace.truth_r, expected)
+
+        # without rows, each trace keeps the pose of the record it ended at; run 2 runs to step n
+        def stop_rule(t, runs, att, norms):
+            return (runs < 2) & (t >= 0.03 * (runs + 1))
+
+        short = run_observer(cfg, truth, inits, stop_rule, keep_rows=False)
+        assert [trace.stopped_at is not None for trace in short] == [True, True, False]
+        for trace in short:
+            assert np.array_equal(trace.truth_r, expected[truth.t[ks] == trace.t[0]])
 
     def test_batch_must_share_pi_and_t(self):
         cfg = short_cfg(duration=0.01)
@@ -515,6 +541,25 @@ class TestGainWorker:
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
         with pytest.raises(RuntimeError, match="gain worker process [0-9]+ ended"):
             run_observer(cfg, truth)
+        self.assert_no_child()
+
+    def test_the_main_process_builds_no_truth_attitude(self, monkeypatch, tmp_path):
+        import se5nav.trajectory as trajectory
+
+        caller, walk_blocks = os.getpid(), trajectory.walk_blocks
+
+        def walk_in_the_worker_only(*args):
+            if os.getpid() == caller:
+                raise AssertionError("the truth attitude was built in the main process")
+            return walk_blocks(*args)
+
+        monkeypatch.setattr(trajectory, "walk_blocks", walk_in_the_worker_only)
+        for config, duration in (("stereo", 0.5), ("gps", 0.2)):
+            cfg = dataclasses.replace(parse_scenario(bundled_config_path(config)), duration=duration)
+            run_scenario(cfg, tmp_path / config)
+            assert (tmp_path / config / "truth.csv").exists()
+        rows = sweep_agas(dataclasses.replace(parse_scenario(STEREO), duration=1.0), n_runs=4, seed=1)
+        assert len(rows) == 4
         self.assert_no_child()
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -784,6 +829,27 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_agas(short_cfg(), n_runs=0)
 
+    def test_each_record_derives_its_errors_once(self, monkeypatch):
+        import se5nav.scenario as scenario
+
+        cfg = parse_scenario(STEREO)
+        expected = sweep_agas(cfg, n_runs=24, seed=1)
+        calls, records, dwell_call = [], [], scenario._Dwell.__call__
+
+        def counted(*args):
+            calls.append(1)
+            return error_arrays(*args)
+
+        def dwell_spy(dwell, *args):
+            records.append(1)
+            return dwell_call(dwell, *args)
+
+        monkeypatch.setattr(scenario, "error_arrays", counted)
+        monkeypatch.setattr(scenario._Dwell, "__call__", dwell_spy)
+        assert sweep_agas(cfg, n_runs=24, seed=1) == expected
+        # the stop rule's errors are each stopping run's trace errors: no run derives them again
+        assert len(calls) == len(records) == 322
+
     def test_truth_is_built_only_as_far_as_the_runs_read(self, monkeypatch):
         import se5nav.trajectory as trajectory
 
@@ -799,7 +865,7 @@ class TestSweep:
             return stages(truth, k0, k1)
 
         def pose_spy(truth, k):
-            read.append(k)
+            read.extend(np.atleast_1d(k).tolist())
             return pose(truth, k)
 
         monkeypatch.delattr(os, "fork")  # the gains are made in this process, where the spies record

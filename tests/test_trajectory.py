@@ -385,8 +385,9 @@ class TestTruthOnDemand:
     def test_truth_csv_after_a_partial_build(self, eager, tmp_path):
         run = self.fresh()
         self.assert_equal(run, eager, 0, 100)
-        write_truth_csv(run, tmp_path / "lazy.csv", stride=7)
-        write_truth_csv(eager, tmp_path / "eager.csv", stride=7)
+        ks = record_steps(self.STEPS, 7)
+        write_truth_csv(run.spec, run.t[ks], run.pose(ks)[0], tmp_path / "lazy.csv")
+        write_truth_csv(eager.spec, eager.t[ks], eager.R[ks], tmp_path / "eager.csv")
         assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
 
     def test_reads_build_whole_segments_only_as_far_as_they_go(self, monkeypatch):
@@ -433,8 +434,9 @@ class TestTruthCsv:
     def test_schema_and_determinism(self, tmp_path):
         run = simulate_truth(reference_spec(), 0.1, 1e-3)
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_truth_csv(run, f1, stride=10)
-        write_truth_csv(run, f2, stride=10)
+        ks = record_steps(len(run) - 1, 10)
+        write_truth_csv(run.spec, run.t[ks], run.R[ks], f1)
+        write_truth_csv(run.spec, run.t[ks], run.R[ks], f2)
         b1, b2 = f1.read_bytes(), f2.read_bytes()
         assert b1 == b2
         lines = b1.decode().splitlines()
