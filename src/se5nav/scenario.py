@@ -91,12 +91,12 @@ ATT_THRESHOLD_RAD = 1e-2
 POS_THRESHOLD_M = 1e-2
 CONVERGENCE_DWELL_S = 0.5
 
-# float64 values a run holds per step for its truth (t, p, v, R and R_mid of
-# a TruthRun) and per recorded step for its trace: the records of a one-run
+# float64 values a run holds per step for its truth (t, R and R_mid of a
+# TruthRun) and per recorded step for its trace: the records of a one-run
 # batch (t, Pi, the truth's R and z, X) and the RunTrace derived from them
 # (X, t, truth_r, att_err, col_norms, x_body, mineig_p, rot_defect); the steps of a
 # config and of an obsv horizon are bounded so that they fit in _MAX_RUN_BYTES
-_TRUTH_FLOATS_PER_STEP = 25
+_TRUTH_FLOATS_PER_STEP = 19
 _TRACE_FLOATS_PER_RECORD = (1 + 25 + 9 + 15 + 24) + (24 + 1 + 9 + 1 + 5 + 15 + 1 + 1)
 _MAX_RUN_BYTES = 4 << 30
 

@@ -152,21 +152,19 @@ def signals(spec: TrajectorySpec, t, r) -> tuple[np.ndarray, ...]:
 class TruthRun:
     """A truth trajectory sampled on the uniform grid t_k = k dt.
 
-    It stores only what :func:`signals` cannot give: ``p``, ``v`` and the
-    integrated attitude ``R`` on the grid, and ``R_mid`` at the step
-    midpoints t_k + dt/2 (the exact midpoint of the per-step rotation
-    factor), the rows of :func:`truth_attitude`, built on demand in segments
-    of whole scan blocks (each at least ``_EXP_CHUNK`` steps and all earlier
-    ones long): :meth:`pose` and :meth:`stages` build as far as they read,
-    ``R`` and ``R_mid`` the whole horizon, with the same bits in any order.
-    The other signals are evaluated where they are read.
+    It stores only what :func:`signals` cannot give, the integrated attitude
+    ``R`` on the grid and ``R_mid`` at the step midpoints t_k + dt/2 (the
+    exact midpoint of the per-step rotation factor), the rows of
+    :func:`truth_attitude`, built on demand in segments of whole scan blocks
+    (each at least ``_EXP_CHUNK`` steps and all earlier ones long):
+    :meth:`pose` and :meth:`stages` build as far as they read, ``R`` and
+    ``R_mid`` the whole horizon, with the same bits in any order. p, v and
+    the other signals are evaluated where they are read.
     """
 
     spec: TrajectorySpec
     dt: float
     t: np.ndarray
-    p: np.ndarray
-    v: np.ndarray
 
     def __post_init__(self):
         self._r, self._r_mid, self._built = np.empty((self.t.size, 3, 3)), np.empty((self.t.size - 1, 3, 3)), 0
@@ -193,12 +191,12 @@ class TruthRun:
         return self.t.size
 
     def pose(self, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(R, p, v) at grid step k, or at each of an array of steps."""
-        return self._build(int(np.max(k, initial=0)))._r[k], self.p[k], self.v[k]
+        """(R, p, v) at grid step k, or at each of an array of steps; p and v from :func:`eval_trajectory`."""
+        return self._build(int(np.max(k, initial=0)))._r[k], *eval_trajectory(self.spec, self.t[k])[:2]
 
     def state(self, k: int) -> TruthState:
-        p, v, vdot, omega, ab = signals(self.spec, self.t[k], self.R[k])
-        return TruthState(t=float(self.t[k]), p=p, v=v, vdot=vdot, R=self.R[k], omega=omega, aB=ab)
+        p, v, vdot, omega, ab = signals(self.spec, self.t[k], r := self.pose(k)[0])
+        return TruthState(t=float(self.t[k]), p=p, v=v, vdot=vdot, R=r, omega=omega, aB=ab)
 
     stage_rows = (0, 1, 1, 2)  # the row of stage_times that each RK4 stage takes
 
@@ -352,10 +350,8 @@ def attitude_at(spec: TrajectorySpec, n: int, dt: float):
 
 
 def simulate_truth(spec: TrajectorySpec, duration: float, dt: float = 1e-3) -> TruthRun:
-    """Generate truth samples over [0, duration] at fixed step dt."""
-    ts = time_grid(duration, dt)
-    p, v, _ = eval_trajectory(spec, ts)
-    return TruthRun(spec, dt, ts, p, v)
+    """The truth over [0, duration] at fixed step dt: its grid, its attitude built as it is read."""
+    return TruthRun(spec, dt, time_grid(duration, dt))
 
 
 def write_table(path, schema: str, header, rows) -> None:

@@ -286,7 +286,7 @@ class TestObserverStep:
         state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
         new = run_observer(dataclasses.replace(ONE_STEP, channels=()), run, [state])[0].final_state
         # pure prediction tracks the truth over one step
-        assert np.max(np.abs(new.zhat[:, 0] - run.p[1])) < 1e-9
+        assert np.max(np.abs(new.zhat[:, 0] - run.pose(1)[1])) < 1e-9
         # P grows under V with no measurement information
         assert np.trace(new.P) > np.trace(state.P)
 

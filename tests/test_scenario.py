@@ -28,8 +28,8 @@ from se5nav.lie import SEn, so3_exp
 from se5nav.observability import OBSV_CSV_SCHEMA
 from se5nav.observer import ESTIMATE_CSV_SCHEMA, ObserverConfig, ObserverState, error_arrays
 from se5nav.sensors import MEASUREMENT_CSV_SCHEMA, ChannelKind, ChannelSpec
-from se5nav.trajectory import (TRUTH_CSV_SCHEMA, TrajectorySpec, coupled_truth, record_steps, signals,
-                               simulate_truth, z_block)
+from se5nav.trajectory import (TRUTH_CSV_SCHEMA, TrajectorySpec, coupled_truth, eval_trajectory, record_steps,
+                               signals, simulate_truth, z_block)
 
 STEREO = bundled_config_path("stereo")
 GPS = bundled_config_path("gps")
@@ -44,7 +44,7 @@ def short_cfg(**overrides):
 def perturbed_states(cfg, truth, n, seed=4):
     """cfg's initial state and n - 1 states at random errors from the truth."""
     rng = np.random.default_rng(seed)
-    z0 = z_block(truth.p[0], truth.v[0])
+    z0 = z_block(*truth.pose(0)[1:])
     return [cfg.initial_state()] + [
         ObserverState(xhat=estimate_from_errors(truth.R[0], z0, so3_exp(rng.uniform(-2.0, 2.0, 3)),
                                                 rng.uniform(-3.0, 3.0, (3, 5))),
@@ -315,7 +315,7 @@ class TestRunObserver:
         cfg = dataclasses.replace(parse_scenario(path).noiseless(), duration=0.5)
         assert cfg.trajectory.gravity == (0.0, 9.81, 0.0)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-        start = ObserverState(xhat=SEn(truth.R[0], z_block(truth.p[0], truth.v[0])), pi=np.eye(5), t=0.0)
+        start = ObserverState(xhat=SEn(truth.R[0], z_block(*truth.pose(0)[1:])), pi=np.eye(5), t=0.0)
         assert run_observer(cfg, truth, [start])[0].col_norms[:, 0].max() < 1e-6
 
     def test_noise_off_silences_the_imu(self):
@@ -562,6 +562,25 @@ class TestGainWorker:
         assert len(rows) == 4
         self.assert_no_child()
 
+    def test_the_main_process_evaluates_no_signal_over_the_grid(self, monkeypatch, tmp_path):
+        import se5nav.trajectory as trajectory
+
+        caller, eval_trajectory, sizes = os.getpid(), trajectory.eval_trajectory, []
+
+        def spy(spec, t):
+            if os.getpid() == caller:
+                sizes.append(np.size(t))
+            return eval_trajectory(spec, t)
+
+        monkeypatch.setattr(trajectory, "eval_trajectory", spy)
+        assert len(sweep_agas(parse_scenario(STEREO), 24)) == 24
+        assert sizes and max(sizes) <= 1  # pose(0)
+        sizes.clear()
+        cfg = dataclasses.replace(parse_scenario(STEREO), duration=1.0)
+        run_scenario(cfg, tmp_path)  # truth.csv: the signals at the record times
+        assert sizes and max(sizes) <= record_steps(round(cfg.duration / cfg.observer.dt), cfg.trace_stride).size
+        self.assert_no_child()
+
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_the_forked_feed_equals_the_in_process_one(self, chunk, monkeypatch):
         import se5nav.scenario as scenario
@@ -660,7 +679,8 @@ class TestTables:
         header, rows = read_table(tmp_path / "truth.csv", TRUTH_CSV_SCHEMA)
         assert len(header) == 22
         _, _, _, omega, ab = signals(truth.spec, truth.t, truth.R)
-        want = np.column_stack([truth.t, truth.p, truth.v, truth.R.reshape(-1, 9), omega, ab])
+        p, v, _ = eval_trajectory(truth.spec, truth.t)
+        want = np.column_stack([truth.t, p, v, truth.R.reshape(-1, 9), omega, ab])
         assert bits([[float(c) for c in row] for row in rows]) == bits(want[::cfg.trace_stride])
 
         header, rows = read_table(tmp_path / "estimate.csv", ESTIMATE_CSV_SCHEMA)

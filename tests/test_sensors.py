@@ -201,9 +201,9 @@ class TestChannelSampler:
         vals, updated = sampler.poll_stages(10, run)
         v_mid = eval_trajectory(run.spec, run.t[10] + 0.5 * run.dt)[1]
         assert updated
-        assert np.allclose(vals[0], run.v[10])
+        assert np.allclose(vals[0], run.pose(10)[2])
         assert np.allclose(vals[1], v_mid) and np.array_equal(vals[2], vals[1])
-        assert np.allclose(vals[3], run.v[11])
+        assert np.allclose(vals[3], run.pose(11)[2])
 
     def test_decimated_zero_order_hold(self):
         run = simulate_truth(TrajectorySpec(), 0.1, 1e-3)
@@ -214,7 +214,7 @@ class TestChannelSampler:
         v10, upd10 = sampler.poll_stages(10, run)
         assert upd0 and not upd5 and upd10
         assert np.array_equal(v0, v5)  # held
-        assert np.allclose(v10[0], run.v[10])
+        assert np.allclose(v10[0], run.pose(10)[2])
         assert sampler.effective_rate == pytest.approx(100.0)
 
     def test_stride_beyond_any_step_updates_once(self):

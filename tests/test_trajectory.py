@@ -239,8 +239,9 @@ class TestSimulateTruth:
     def test_finite_difference_velocity(self):
         run = simulate_truth(reference_spec(), 1.0, 1e-3)
         dt = run.dt
-        fd = (run.p[2:] - run.p[:-2]) / (2 * dt)
-        assert np.max(np.abs(fd - run.v[1:-1])) < 5e-4  # O(dt^2) with |v'''| ~ 500
+        p, v, _ = eval_trajectory(run.spec, run.t)
+        fd = (p[2:] - p[:-2]) / (2 * dt)
+        assert np.max(np.abs(fd - v[1:-1])) < 5e-4  # O(dt^2) with |v'''| ~ 500
 
     def test_attitude_stays_on_group_without_projection(self):
         run = simulate_truth(reference_spec(), 5.0, 1e-3)
@@ -308,6 +309,18 @@ class TestSimulateTruth:
             for s in range(4):
                 assert np.array_equal(a[j, s], synthesize_imu(vdot_t[s], rows[s], spec.g))
 
+    @pytest.mark.parametrize("dt", [1e-3, 2.5e-4])
+    def test_pose_evaluates_the_grid_rows_bit_for_bit(self, dt):
+        run = simulate_truth(reference_spec(), 2.0, dt)
+        n = len(run) - 1
+        p, v, _ = eval_trajectory(run.spec, run.t)
+        rng = np.random.default_rng(3)
+        steps = [n // 3, np.int64(n), *(rng.choice(n + 1, size, replace=False) for size in (1, 7, 9, 64, 1000))]
+        for k in steps:
+            _, p_k, v_k = run.pose(k)
+            assert p_k.shape == p[k].shape and p_k.tobytes() == p[k].tobytes()
+            assert v_k.shape == v[k].shape and v_k.tobytes() == v[k].tobytes()
+
     def test_memory_bound_counts_the_truth_arrays(self):
         def floats(n):
             run = simulate_truth(reference_spec(), n * 1e-3, 1e-3)
@@ -358,7 +371,7 @@ class TestTruthOnDemand:
         assert all(np.array_equal(a, b) for a, b in zip(run.stages(k0, k1), eager.stages(k0, k1), strict=True))
 
     def assert_whole(self, run, eager):
-        assert all(np.array_equal(getattr(run, name), getattr(eager, name)) for name in ("R", "R_mid", "p", "v"))
+        assert all(np.array_equal(getattr(run, name), getattr(eager, name)) for name in ("R", "R_mid"))
         for k0 in range(0, self.STEPS, 997):
             self.assert_equal(run, eager, k0, min(k0 + 997, self.STEPS))
 
@@ -389,6 +402,21 @@ class TestTruthOnDemand:
         write_truth_csv(run.spec, run.t[ks], run.pose(ks)[0], tmp_path / "lazy.csv")
         write_truth_csv(eager.spec, eager.t[ks], eager.R[ks], tmp_path / "eager.csv")
         assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
+
+    def test_state_builds_only_the_segment_that_holds_it(self, eager, monkeypatch):
+        import se5nav.trajectory as trajectory
+
+        walked, walk_blocks = [], trajectory.walk_blocks
+
+        def spy(starts, halves, rs):
+            walked.append(len(halves))
+            return walk_blocks(starts, halves, rs)
+
+        monkeypatch.setattr(trajectory, "walk_blocks", spy)
+        state, want = self.fresh().state(10), eager.state(10)
+        assert 0 < sum(walked) <= _EXP_CHUNK
+        for name in ("t", "p", "v", "vdot", "R", "omega", "aB"):
+            assert np.asarray(getattr(state, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
 
     def test_reads_build_whole_segments_only_as_far_as_they_go(self, monkeypatch):
         import se5nav.trajectory as trajectory
