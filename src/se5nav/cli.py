@@ -6,8 +6,9 @@ Subcommands:
     obsv <cfg> --delta D      observability Gramian across a time grid
     validate <cfg>            parse and check a config, print the result
 
-Output root: --out, else $SE5NAV_OUT, else ./runs. Exit codes: 0 success,
-2 bad config or output directory, 3 numerical divergence, 4 observability failure.
+Output root: --out, else $SE5NAV_OUT, else ./runs. Exit codes: 0 success, 2 bad config
+or output directory, 3 numerical divergence or, in a sweep, a run that did not converge,
+4 observability failure.
 """
 
 from __future__ import annotations

@@ -166,16 +166,15 @@ def _rk4_observer(x, fg, dt: float, half_rho):
     return rk4(lambda y, s: _observer_rhs(y, fg[s], half_rho), x, dt)[0]
 
 
-def _riccati_pass(pi, stages, rows, t, cfg: ObserverConfig, abar):
+def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
     """:func:`~se5nav.lie.rk4` steps of dPi = T Pi + Pi T^T + v I_5 with
     T = Abar - (q/2) Pi info, that is Abar Pi + Pi Abar^T - q Pi R_s^T R_s Pi + v I_5,
     each symmetrized, the steps starting at times `t`.
 
-    `stages` is (omega, accel, ys, rs): the IMU samples (step, time, 3), the processed outputs
-    ys (step, time, m, 3) and their reference vectors rs (step, time, m, 5) at the distinct stage
-    times of each step, and `rows` the time of each RK4 stage (a truth's ``stage_rows``). With the
-    estimate's top block rows X = [Rhat, zhat] (3 x 8) and the stacked y_bold rows
-    Y = [ys, rs] (m x 8), a stage has
+    `stages` is (omega, accel, ys, rs): the IMU samples (step, stage, 3), the processed outputs
+    ys (step, stage, m, 3) and their reference vectors rs (step, stage, m, 5) at the four RK4
+    stages of each step, as a truth's ``stages`` gives them. With the estimate's top block rows
+    X = [Rhat, zhat] (3 x 8) and the stacked y_bold rows Y = [ys, rs] (m x 8), a stage has
 
         F     = hat(omega) and accel in column 4, Abar^T below   (8 x 8)
         cross = Y^T rs,     info = rs^T rs                       (8 x 5, 5 x 5)
@@ -200,12 +199,12 @@ def _riccati_pass(pi, stages, rows, t, cfg: ObserverConfig, abar):
         return tp + tp.T + veye
 
     for st, inf in zip(stage, info):
-        pi, st[:] = rk4(lambda p, s: rhs(p, inf[rows[s]]), pi, dt)
+        pi, st[:] = rk4(lambda p, s: rhs(p, inf[s]), pi, dt)
         pi = 0.5 * (pi + pi.T)
     pis = np.concatenate([stage[:, 0], pi[None]])
     healthy, failure = _check_pd(pis[1:], t)
     n = min(healthy + 1, len(stage))  # the failing step runs, so that the estimate's own check comes first
-    fg = np.concatenate([flow[:n].take(rows, axis=1), q * (cross[:n].take(rows, axis=1) @ stage[:n])], axis=-1)
+    fg = np.concatenate([flow[:n], q * (cross[:n] @ stage[:n])], axis=-1)
     return pis[:n + 1], fg, failure
 
 
@@ -223,7 +222,7 @@ def _check_pd(pi: np.ndarray, t) -> tuple[int, str | None]:
     for j, p in enumerate(pi):
         try:
             if not finite[j]:
-                return j, f"non-finite estimate at t={t[j]:.4f}"
+                return j, f"non-finite Riccati matrix at t={t[j]:.4f}"
             np.linalg.cholesky(p)
         except np.linalg.LinAlgError:
             return j, (f"Riccati matrix lost positive definiteness at t={t[j]:.4f} (min eig "

@@ -390,8 +390,8 @@ def _gains(cfg: ScenarioConfig, truth, pi, rngs, keep_rows: bool):
     chunk of ``_CHUNK_STEPS`` steps: its first step k0, :func:`_riccati_pass`'s (pis, fg, failure) from
     `pi` on, the truth pose (R, z) at its record steps (the last chunk's with step n) and its measurement
     log (steps, channels, values), decimated channels at updates and full-rate ones at records, if
-    `keep_rows`. The front end works on distinct stage times; the noise of `rngs` (:func:`spawn_channel_rngs`)
-    is drawn in bulk, as one draw per step would. A failing chunk is the last."""
+    `keep_rows`. The front end works on the truth's four RK4 stages; the noise of `rngs`
+    (:func:`spawn_channel_rngs`) is drawn in bulk, as one draw per step would. A failing chunk is the last."""
     obs, dt, ts, n, m = cfg.observer, truth.dt, truth.t, len(truth) - 1, len(cfg.channels)
     imu_rng, ch_rngs = rngs
     imu_std = np.sqrt(cfg.imu_noise_power * (1.0 / dt)) if cfg.noise and cfg.imu_noise_power > 0 else None
@@ -403,17 +403,17 @@ def _gains(cfg: ScenarioConfig, truth, pi, rngs, keep_rows: bool):
     layout, abar = UnifiedLayout(cfg.channels), build_abar(cfg.trajectory.g)
     for k0 in range(0, n, _CHUNK_STEPS):
         k1 = min(k0 + _CHUNK_STEPS, n)
-        r_st, p_st, v_st, w_st, a_st = truth.stage_times(k0, k1)
+        r_st, p_st, v_st, w_st, a_st = truth.stages(k0, k1)
         if imu_std is not None:
             w_st, a_st = corrupt_imu(w_st, a_st, imu_std, imu_rng)
-        raw = layout.raw_from_pose(r_st, p_st, v_st)  # (step, time, channel, axis)
+        raw = layout.raw_from_pose(r_st, p_st, v_st)  # (step, stage, channel, axis)
         logged = np.empty((k1 - k0, m), dtype=bool)
         for i, sampler in enumerate(samplers):
             raw[:, :, i], logged[:, i] = sampler.sample(k0, raw[:, :, i])
         logged[:, ~decimated] = recorded[k0:k1, None]
         js, cs = np.nonzero(logged[:, row_order] & keep_rows)
-        pis, fg, failure = _riccati_pass(pi, (w_st, a_st, *layout.stacks(raw)), truth.stage_rows, ts[k0:k1], obs, abar)
-        r_at, p_at, v_at = truth.pose(k0 + np.flatnonzero(recorded[k0:k1 + (k1 == n)]))  # stage_times built them
+        pis, fg, failure = _riccati_pass(pi, (w_st, a_st, *layout.stacks(raw)), ts[k0:k1], obs, abar)
+        r_at, p_at, v_at = truth.pose(k0 + np.flatnonzero(recorded[k0:k1 + (k1 == n)]))  # stages built them
         yield k0, pis, fg, failure, (r_at, z_block(p_at, v_at)), (k0 + js, row_order[cs], raw[js, 0, row_order[cs]])
         if failure is not None:
             return
@@ -430,16 +430,16 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
     Riccati factor Pi, which does not depend on the estimate, and each trace equals bit for bit that of
     its state run alone. The channels, observer weights, seed, noise switch, IMU noise power and trace
     stride come from `cfg`. `truth`, a :class:`TruthRun` or a :func:`coupled_truth`, has times t and its
-    step dt, all the estimate loop reads, and ``pose(steps)``, ``stage_times(k0, k1)`` and ``stage_rows``,
-    which :func:`_gains` reads. Each channel is sampled at its own rate with zero-order hold in between;
-    full-rate channels and the IMU are delivered at the truth's four RK4 stages. Noise, the IMU's too,
-    applies only when ``cfg.noise`` is on. The steps of :func:`record_steps` are recorded; at each,
-    ``stop_when(t, runs, att_err, col_norms)`` gets the live runs' positions in the batch and their
-    errors and returns which of them stop (one bool for all or one per live run), and those leave the
-    batch. A run whose estimate turns non-finite, and every run at a step whose Pi fails, leaves as a
-    trace whose ``failure`` gives the reason and whose final state is the failing step's start.
-    ``keep_rows`` off keeps only each trace's last record and no measurement log. Overflow and invalid
-    warnings are off: the checks catch a non-finite estimate.
+    step dt, all the estimate loop reads, and ``pose(steps)`` and ``stages(k0, k1)``, which :func:`_gains`
+    reads. Each channel is sampled at its own rate with zero-order hold in between; full-rate channels
+    and the IMU are delivered at the truth's four RK4 stages (the start, the midpoint twice and the end
+    of a step). Noise, the IMU's too, applies only when ``cfg.noise`` is on. The steps of
+    :func:`record_steps` are recorded; at each, ``stop_when(t, runs, att_err, col_norms)`` gets the live
+    runs' positions in the batch and their errors and returns which of them stop (one bool for all or one
+    per live run), and those leave the batch. A run whose estimate turns non-finite, and every run at a
+    step whose Pi fails, leaves as a trace whose ``failure`` gives the reason and whose final state is the
+    failing step's start. ``keep_rows`` off keeps only each trace's last record and no measurement log.
+    Overflow and invalid warnings are off: the checks catch a non-finite estimate.
 
     The records are allocated once per field for the whole batch, so a ``keep_rows`` batch holds every
     record of the horizon for every run up front. A record stores what its step produced, X per run and

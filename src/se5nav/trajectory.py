@@ -191,26 +191,24 @@ class TruthRun:
         return self.t.size
 
     def pose(self, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(R, p, v) at grid step k, or at each of an array of steps; p and v from :func:`eval_trajectory`."""
-        return self._build(int(np.max(k, initial=0)))._r[k], *eval_trajectory(self.spec, self.t[k])[:2]
+        """(R, p, v) at grid step k, or at each of an array of steps, negative ones counted from the end
+        as NumPy indexing does; p and v from :func:`eval_trajectory`."""
+        t, k = self.t[k], np.mod(k, len(self))  # t[k] raises for a step out of range
+        return self._build(int(np.max(k, initial=0)))._r[k], *eval_trajectory(self.spec, t)[:2]
 
     def state(self, k: int) -> TruthState:
         p, v, vdot, omega, ab = signals(self.spec, self.t[k], r := self.pose(k)[0])
         return TruthState(t=float(self.t[k]), p=p, v=v, vdot=vdot, R=r, omega=omega, aB=ab)
 
-    stage_rows = (0, 1, 1, 2)  # the row of stage_times that each RK4 stage takes
-
-    def stage_times(self, k0: int, k1: int):
-        """(R, p, v, omega, aB) at the distinct stage times of steps k0 .. k1 - 1: start, midpoint, end."""
+    def stages(self, k0: int, k1: int):
+        """(R, p, v, omega, aB) at the four RK4 stages of steps k0 .. k1 - 1, as (step, stage, ...):
+        the start, the midpoint twice, and the end."""
         self._build(k1)
-        ts = np.stack([self.t[k0:k1], self.t[k0:k1] + 0.5 * self.dt, self.t[k0 + 1:k1 + 1]], axis=1)
-        rs = np.stack([self._r[k0:k1], self._r_mid[k0:k1], self._r[k0 + 1:k1 + 1]], axis=1)
+        mid, r_mid = self.t[k0:k1] + 0.5 * self.dt, self._r_mid[k0:k1]
+        ts = np.stack([self.t[k0:k1], mid, mid, self.t[k0 + 1:k1 + 1]], axis=1)
+        rs = np.stack([self._r[k0:k1], r_mid, r_mid, self._r[k0 + 1:k1 + 1]], axis=1)
         p, v, _, omega, ab = signals(self.spec, ts, rs)
         return rs, p, v, omega, ab
-
-    def stages(self, k0: int, k1: int):
-        """:meth:`stage_times` at the four RK4 stages, (step, stage, ...): the midpoint twice."""
-        return tuple(a.take(self.stage_rows, axis=1) for a in self.stage_times(k0, k1))
 
 
 @dataclass
@@ -233,13 +231,9 @@ class CoupledTruth:
     def pose(self, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.R[k], self.p[k], self.v[k]
 
-    stage_rows = (0, 1, 2, 3)  # four distinct stage times
-
     def stages(self, k0: int, k1: int):
         """The stage tables of steps k0 .. k1 - 1 (as :meth:`TruthRun.stages`)."""
         return tuple(a[k0:k1] for a in self.stage_tables)
-
-    stage_times = stages
 
 
 def coupled_truth(spec: TrajectorySpec, duration: float, dt: float) -> CoupledTruth:

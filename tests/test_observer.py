@@ -5,11 +5,12 @@ import pytest
 
 from se5nav.frontend import UnifiedLayout, output_matrix
 from se5nav.lie import SEn, hat, kron, project_rotation, psi, so3_exp, vec, vec_inv
-from se5nav.observer import (DivergenceError, ErrorReport, ObserverConfig, ObserverState, build_a, build_abar,
-                             error_arrays)
-from se5nav.scenario import ScenarioConfig, bundled_config_path, parse_scenario, run_observer, scenario_output_map
-from se5nav.sensors import ChannelKind, ChannelSpec
-from se5nav.trajectory import TrajectorySpec, TruthState, coupled_truth, eval_omega, simulate_truth
+from se5nav.observer import (DivergenceError, ErrorReport, ObserverConfig, ObserverState, _check_pd, build_a,
+                             build_abar, error_arrays)
+from se5nav.scenario import (ScenarioConfig, _gains, bundled_config_path, parse_scenario, run_observer,
+                             scenario_output_map)
+from se5nav.sensors import ChannelKind, ChannelSpec, spawn_channel_rngs
+from se5nav.trajectory import TrajectorySpec, TruthState, coupled_truth, eval_omega, simulate_truth, z_block
 
 from oracles import (
     build_d,
@@ -197,6 +198,11 @@ class TestRiccati:
         c = RNG.standard_normal((9, 15))
         p1 = riccati_step(p, a, c, 2.0, 1.0, 1e-4)
         assert np.max(np.abs(p1 - p1.T)) == 0.0
+
+    def test_a_non_finite_riccati_matrix_is_named(self):
+        pis = np.stack([np.eye(5), np.eye(5)])
+        pis[1, 2, 3] = np.nan
+        assert _check_pd(pis, np.array([0.0, 0.001])) == (1, "non-finite Riccati matrix at t=0.0010")
 
 
 class TestGain:
@@ -482,6 +488,62 @@ class TestFullRuns:
         ref = np.max(np.abs(xs_grid), axis=1)
         diff = np.max(np.abs(trace.x_body - xs_grid), axis=1)
         assert np.all(diff <= 1e-6 * ref + 1e-9)
+
+
+class TestKalmanBucyContraction:
+    """The translational half of the stability claim. With P = Pi kron I_3 and K_B = P C^T Q,
+    V = x_B^T (Pi^-1 kron I_3) x_B obeys dV/dt = -x_B^T ((q R_s^T R_s + v Pi^-2) kron I_3) x_B
+    <= -(v / lambda_max(Pi)) V (Kalman & Bucy 1961), whatever the attitude error, since x_B does
+    not depend on it. Checked on noiseless runs recording every step, on both bundled configs and
+    both truths, from one translational error and three attitude errors; Pi comes from the
+    producer of the gains, iterated here."""
+
+    X_B0 = np.array([[0.5, -0.4, 0.05, 0.0, -0.05],  # body-frame error of [p, v, e1, e2, e3]
+                     [-0.3, 0.6, 0.0, 0.05, 0.05],
+                     [0.2, 0.1, -0.05, 0.05, 0.0]])
+    ANGLES = (0.0, 2.5, 3.1)  # attitude errors (rad) about one axis
+    AXIS = np.array([1.0, -2.0, 2.0]) / 3.0
+
+    @pytest.fixture(scope="class", params=[("stereo", 3.0, simulate_truth), ("stereo", 3.0, coupled_truth),
+                                           ("gps", 1.0, simulate_truth), ("gps", 1.0, coupled_truth)],
+                    ids=["stereo-sampled", "stereo-coupled", "gps-sampled", "gps-coupled"])
+    def contraction(self, request):
+        """(t, V of each attitude error (3, N), v / lambda_max(Pi) (N,)) at every step."""
+        name, duration, make_truth = request.param
+        cfg = dataclasses.replace(parse_scenario(bundled_config_path(name)).noiseless(), duration=duration,
+                                  trace_stride=1)
+        truth = make_truth(cfg.trajectory, duration, cfg.observer.dt)
+        r0, p0, v0 = truth.pose(0)
+        start = r0.T @ z_block(p0, v0) - self.X_B0  # R^T z - x_B = Rhat^T zhat at t = 0
+        pi0 = cfg.initial_state().pi
+        inits = [ObserverState(xhat=SEn(rhat, rhat @ start), pi=pi0, t=0.0)
+                 for rhat in (so3_exp(angle * self.AXIS).T @ r0 for angle in self.ANGLES)]
+        traces = run_observer(cfg, truth, inits)
+        rngs = spawn_channel_rngs(cfg.seed, len(cfg.channels))
+        chunks = [pis for _, pis, *_ in _gains(cfg, truth, pi0, rngs, False)]
+        pis = np.concatenate([c[:-1] for c in chunks] + [chunks[-1][-1:]])
+        assert all(tr.failure is None and len(tr.t) == len(pis) for tr in traces)
+        xs = np.stack([tr.x_body.reshape(-1, 5, 3) for tr in traces])  # the columns of x_B per axis
+        assert np.allclose(xs[:, 0], self.X_B0.T, rtol=0, atol=1e-12)
+        v = np.sum(xs * np.linalg.solve(pis, xs), axis=(-2, -1))
+        return traces[0].t, v, cfg.observer.v / np.linalg.eigvalsh(pis)[:, -1]
+
+    def test_v_falls_at_every_step(self, contraction):
+        _, v, _ = contraction
+        # rounding moves V by about eps |x_B| |z|, far below 1e-12 V(0)
+        assert np.all(np.diff(v, axis=1) <= 1e-12 * v[:, :1])
+
+    def test_v_stays_under_the_riccati_rate_bound(self, contraction):
+        t, v, rate = contraction
+        decay = np.exp(-np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (rate[1:] + rate[:-1]))]))
+        # the trapezoid and RK4 errors of the bound are far below its margin, so there is no slack
+        assert np.all(v / v[:, :1] <= decay)
+
+    def test_v_does_not_depend_on_the_attitude_error(self, contraction):
+        _, v, _ = contraction
+        # equal in continuous time; the RK4 steps of the estimate leave a truncation error far below
+        # 1e-4, while an attitude error that entered x_B would move V at order one
+        assert np.all(np.abs(v[1:] - v[0]) <= 1e-4 * v[0])
 
 
 class TestKalmanReferenceRun:

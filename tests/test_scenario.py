@@ -519,7 +519,7 @@ class TestGainWorker:
 
         if not forked:
             monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(trajectory.TruthRun, "stage_times", boom)  # the producer's read of the truth
+        monkeypatch.setattr(trajectory.TruthRun, "stages", boom)  # the producer's read of the truth
         cfg = short_cfg(duration=0.3)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
         with pytest.raises(ValueError, match="^boom$") as raised:  # holds the traceback, and the run's frame
@@ -529,14 +529,14 @@ class TestGainWorker:
     def test_a_killed_worker_is_a_runtime_error(self, monkeypatch):
         import se5nav.trajectory as trajectory
 
-        caller, stage_times = os.getpid(), trajectory.TruthRun.stage_times
+        caller, stages = os.getpid(), trajectory.TruthRun.stages
 
         def killed_at_second_chunk(truth, k0, k1):
             if k0 > 0 and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return stage_times(truth, k0, k1)
+            return stages(truth, k0, k1)
 
-        monkeypatch.setattr(trajectory.TruthRun, "stage_times", killed_at_second_chunk)
+        monkeypatch.setattr(trajectory.TruthRun, "stages", killed_at_second_chunk)
         cfg = short_cfg(duration=0.3)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
         with pytest.raises(RuntimeError, match="gain worker process [0-9]+ ended"):
@@ -874,7 +874,7 @@ class TestSweep:
         import se5nav.trajectory as trajectory
 
         built, read = [], []
-        block_starts, stages, pose = trajectory.block_starts, trajectory.TruthRun.stage_times, trajectory.TruthRun.pose
+        block_starts, stages, pose = trajectory.block_starts, trajectory.TruthRun.stages, trajectory.TruthRun.pose
 
         def build_spy(spec, dt, k0, start, halves):
             built.append((k0, k0 + len(halves)))
@@ -890,7 +890,7 @@ class TestSweep:
 
         monkeypatch.delattr(os, "fork")  # the gains are made in this process, where the spies record
         monkeypatch.setattr(trajectory, "block_starts", build_spy)
-        monkeypatch.setattr(trajectory.TruthRun, "stage_times", stages_spy)
+        monkeypatch.setattr(trajectory.TruthRun, "stages", stages_spy)
         monkeypatch.setattr(trajectory.TruthRun, "pose", pose_spy)
         cfg = parse_scenario(STEREO)
         rows = sweep_agas(cfg, n_runs=24, seed=1)

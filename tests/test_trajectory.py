@@ -403,6 +403,16 @@ class TestTruthOnDemand:
         write_truth_csv(eager.spec, eager.t[ks], eager.R[ks], tmp_path / "eager.csv")
         assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
 
+    def test_negative_steps_count_from_the_end(self, eager):
+        n = len(eager)
+        for k, want in ((-1, n - 1), (np.array([-1, 0, -5]), np.array([n - 1, 0, n - 5]))):
+            got = self.fresh().pose(k)
+            assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                       for a, b in zip(got, eager.pose(want), strict=True))
+        state, last = self.fresh().state(-1), eager.state(n - 1)
+        assert all(np.asarray(getattr(state, name)).tobytes() == np.asarray(getattr(last, name)).tobytes()
+                   for name in ("t", "p", "v", "R", "aB"))
+
     def test_state_builds_only_the_segment_that_holds_it(self, eager, monkeypatch):
         import se5nav.trajectory as trajectory
 
