@@ -9,7 +9,7 @@ from types import ModuleType as _ModuleType
 
 from .frontend import UnifiedLayout
 from .lie import SEn, hat, project_rotation, rotation_angle, so3_exp
-from .observability import ExcitationReport, GramianReport
+from .observability import GramianReport
 from .observer import (
     DivergenceError,
     ErrorReport,

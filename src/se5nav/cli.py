@@ -21,8 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .observability import DEFAULT_MU_THRESHOLD
 from .observer import DivergenceError
 from .scenario import (
+    SWEEP_BALL,
+    SWEEP_MAX_ANGLE_DEG,
     ConfigError,
     check_gps_pe,
     check_observability,
@@ -101,7 +104,7 @@ def _cmd_obsv(args) -> int:
         print(f"t={r.t:6.2f}  delta={r.delta:.2f}  mu={r.mu:.6e}  {status}")
     if any(c.kind is ChannelKind.INERTIAL_POSITION for c in cfg.channels):
         pe = check_gps_pe(cfg, t=grid[0], delta=args.delta, threshold=args.mu)
-        print(f"excitation check: min-eig={pe.min_eig:.6e}  {'pass' if pe.passed else 'FAIL'}")
+        print(f"excitation check: min-eig={pe.mu:.6e}  {'pass' if pe.passed else 'FAIL'}")
     print(f"wrote {out / 'observability.csv'}")
     return EXIT_OK if all_pass else EXIT_OBSERVABILITY
 
@@ -155,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default=0)
     p_sweep.add_argument("--max-angle-deg", type=_checked(float, lambda a: 0 <= a <= 180,
                                                           "an angle in [0, 180] degrees"),
-                         default=170.0)
-    p_sweep.add_argument("--ball", type=_nonnegative, default=10.0)
+                         default=SWEEP_MAX_ANGLE_DEG)
+    p_sweep.add_argument("--ball", type=_nonnegative, default=SWEEP_BALL)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_obsv = sub.add_parser("obsv", help="observability Gramian check")
@@ -167,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                 lambda ts: all(0 <= t < np.inf for t in ts),
                                                 "comma-separated nonnegative times"),
                         help="comma-separated window start times (default 0..50 step 5)")
-    p_obsv.add_argument("--mu", type=_nonnegative, default=1e-6, help="pass threshold on min eigenvalue")
+    p_obsv.add_argument("--mu", type=_nonnegative, default=DEFAULT_MU_THRESHOLD, help="pass when min eigenvalue > MU")
     p_obsv.set_defaults(func=_cmd_obsv)
 
     p_val = sub.add_parser("validate", help="check a scenario config")

@@ -146,19 +146,6 @@ def kron_gramians(
     ]
 
 
-@dataclass(frozen=True)
-class ExcitationReport:
-    t: float
-    delta: float
-    matrix: np.ndarray
-    min_eig: float
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return self.min_eig >= self.threshold
-
-
 def gps_pe_condition(
     vdot_of_t,
     v_of_t,
@@ -166,19 +153,20 @@ def gps_pe_condition(
     xi_mag: np.ndarray | None,
     t: float,
     delta: float,
-    dt: float = 1e-3,
+    dt: float,
     threshold: float = DEFAULT_MU_THRESHOLD,
-) -> ExcitationReport:
+) -> GramianReport:
     """Persistency-of-excitation matrix for the GPS-aided configuration.
 
     Evaluates (1/delta) int (vdot - g)(vdot - g)^T ds, plus xi xi^T for a
     magnetometer direction ``xi_mag``, plus the windowed velocity outer
     product for a velocity channel; ``xi_mag=None`` or ``v_of_t=None``
-    means the configuration has no such channel. Full rank of the sum (min
-    eigenvalue at or above the threshold) is sufficient for uniform
-    observability of the corresponding error pair. ``vdot_of_t`` and
-    ``v_of_t`` are called once, on the array of quadrature nodes; a
-    constant (3,) return stands for every node.
+    means the configuration has no such channel. Full rank of the sum is
+    sufficient for uniform observability of the corresponding error pair:
+    the report's ``W`` is the 3 x 3 sum and ``mu`` its least eigenvalue,
+    which passes as a Gramian window's does. ``vdot_of_t`` and ``v_of_t``
+    are called once, on the array of quadrature nodes; a constant (3,)
+    return stands for every node.
     """
     ts, weights = window_nodes(t, delta, dt)
     g = np.asarray(g, dtype=float)
@@ -196,5 +184,4 @@ def gps_pe_condition(
     if v_of_t is not None:
         m = m + outer_mean(on_nodes(v_of_t))
     m = 0.5 * (m + m.T)
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    return ExcitationReport(t=t, delta=delta, matrix=m, min_eig=min_eig, threshold=threshold)
+    return GramianReport(t=t, delta=delta, W=m, mu=float(np.linalg.eigvalsh(m)[0]), threshold=threshold)

@@ -43,7 +43,6 @@ from .lie import SEn, so3_exp
 from .observability import (
     DEFAULT_MU_THRESHOLD,
     OBSV_CSV_SCHEMA,
-    ExcitationReport,
     GramianReport,
     gps_pe_condition,
     kron_gramians,
@@ -90,6 +89,8 @@ SWEEP_CSV_SCHEMA = "se5nav-sweep-v1"
 ATT_THRESHOLD_RAD = 1e-2
 POS_THRESHOLD_M = 1e-2
 CONVERGENCE_DWELL_S = 0.5
+SWEEP_MAX_ANGLE_DEG = 170.0  # sweep_agas's and `sweep --max-angle-deg`'s default
+SWEEP_BALL = 10.0  # sweep_agas's and `sweep --ball`'s default
 
 # float64 values a run holds per step for its truth (t, R and R_mid of a
 # TruthRun) and per recorded step for its trace: the records of a one-run
@@ -395,7 +396,7 @@ def _gains(cfg: ScenarioConfig, truth, pi, rngs, keep_rows: bool):
     obs, dt, ts, n, m = cfg.observer, truth.dt, truth.t, len(truth) - 1, len(cfg.channels)
     imu_rng, ch_rngs = rngs
     imu_std = np.sqrt(cfg.imu_noise_power * (1.0 / dt)) if cfg.noise and cfg.imu_noise_power > 0 else None
-    samplers = [ChannelSampler(spec=ch, index=i, sim_dt=dt, rng=ch_rngs[i] if cfg.noise else None)
+    samplers = [ChannelSampler(spec=ch, sim_dt=dt, rng=ch_rngs[i] if cfg.noise else None)
                 for i, ch in enumerate(cfg.channels)]
     decimated = np.array([s.stride > 1 for s in samplers], dtype=bool)
     row_order = np.argsort(decimated, kind="stable")  # a step's rows: full-rate channels first
@@ -651,8 +652,8 @@ def sweep_agas(
     cfg: ScenarioConfig,
     n_runs: int,
     seed: int = 0,
-    max_angle_rad: float = np.pi - np.deg2rad(10.0),
-    translation_ball: float = 10.0,
+    max_angle_rad: float = np.deg2rad(SWEEP_MAX_ANGLE_DEG),
+    translation_ball: float = SWEEP_BALL,
 ) -> list[SweepRow]:
     """Randomized-initial-condition convergence sweep, on `cfg` without noise.
 
@@ -759,8 +760,7 @@ def scenario_output_map(cfg: ScenarioConfig, horizon: float):
     return a_of_t, lambda t: c_const
 
 
-_OBSV_CHUNK_NODES = 1 << 16  # quadrature nodes evaluated at once in check_observability
-_OBSV_PIECE_NODES = 1 << 16  # nodes of one window evaluated at once; longer windows go in pieces
+_OBSV_NODES = 1 << 16  # quadrature nodes evaluated at once in check_observability
 
 
 def check_observability(
@@ -769,18 +769,17 @@ def check_observability(
     grid: list[float],
     threshold: float = DEFAULT_MU_THRESHOLD,
 ) -> list[GramianReport]:
-    """Gramian smallest eigenvalue across a grid of window start times.
+    """One :class:`GramianReport` per window start of `grid`; a window passes when its mu > `threshold`.
 
     Closed form on 5 x 5 matrices (:func:`kron_gramians`): the reference
     vectors at every trapezoid node t + k dt of every window come from the
-    channel rules of :class:`UnifiedLayout`, whole windows at a time up to
-    ``_OBSV_CHUNK_NODES`` nodes, and a window longer than ``_OBSV_PIECE_NODES``
-    in pieces of that many nodes. Lever-arm position channels take the truth
-    attitude at the nearest grid sample, as :func:`scenario_output_map`
-    does, from one :func:`attitude_at` for all windows; other configs
-    synthesize no truth. Window starts must be nonnegative, `delta` at
-    least the config's step dt and the last window end within the step
-    bound of a run's duration (ValueError).
+    channel rules of :class:`UnifiedLayout`, ``_OBSV_NODES`` nodes at a time:
+    whole windows up to that many, a longer window in pieces of that many.
+    Lever-arm position channels take the truth attitude at the nearest grid
+    sample, as :func:`scenario_output_map` does, from one :func:`attitude_at`
+    for all windows; other configs synthesize no truth. Window starts must be
+    nonnegative, `delta` at least the config's step dt and the last window
+    end within the step bound of a run's duration (ValueError).
     """
     dt = cfg.observer.dt
     if not delta >= dt:
@@ -792,13 +791,13 @@ def check_observability(
     offsets, _ = window_nodes(0.0, delta, dt)
     rows = _reference_rows(cfg, (starts + offsets[-1]).max(initial=0.0))
     abar = build_abar(cfg.trajectory.g)
-    piece = min(offsets.size, _OBSV_PIECE_NODES)
+    piece = min(offsets.size, _OBSV_NODES)
 
     def node_pieces(group):  # R_s at the nodes of the group's windows, a piece at a time
         for k0 in range(0, offsets.size, piece):
             yield rows(group[:, None] + offsets[k0:k0 + piece])
 
-    per_group = max(1, _OBSV_CHUNK_NODES // piece)
+    per_group = max(1, _OBSV_NODES // piece)
     reports = []
     for g0 in range(0, starts.size, per_group):
         group = starts[g0:g0 + per_group]
@@ -808,8 +807,8 @@ def check_observability(
 
 def check_gps_pe(
     cfg: ScenarioConfig, t: float, delta: float, threshold: float = DEFAULT_MU_THRESHOLD
-) -> ExcitationReport:
-    """Persistency-of-excitation check for a GPS-style configuration."""
+) -> GramianReport:
+    """Persistency-of-excitation check for a GPS-style configuration (:func:`gps_pe_condition`)."""
     spec = cfg.trajectory
     mags = [c for c in cfg.channels if c.kind is ChannelKind.BODY_VECTOR and c.gamma == 0]
     has_vel = any(c.kind is ChannelKind.INERTIAL_VELOCITY for c in cfg.channels)

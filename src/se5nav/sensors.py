@@ -134,7 +134,6 @@ class ChannelSampler:
     """
 
     spec: ChannelSpec
-    index: int
     sim_dt: float
     rng: np.random.Generator | None
     _stride: int = field(init=False)

@@ -296,7 +296,7 @@ def test_criterion_6_observability(stereo_cfg, gps_cfg):
         not problems,
         f"min mu: stereo {mus['stereo']:.3e}, gps {mus['gps']:.3e} (> 1e-6); "
         f"nested-channel mu {['%.3e' % m for m in nested]}; "
-        f"excitation min-eig {pe.min_eig:.3e} agrees"
+        f"excitation min-eig {pe.mu:.3e} agrees"
         + ("; " + "; ".join(problems) if problems else ""),
     )
 

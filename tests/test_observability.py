@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from se5nav.frontend import UnifiedLayout
-from se5nav.observability import gps_pe_condition, gramian, kron_gramians, transition_matrix, window_nodes
+from se5nav.observability import (GramianReport, gps_pe_condition, gramian, kron_gramians, transition_matrix,
+                                  window_nodes)
 from se5nav.observer import build_a, build_abar
 from se5nav.scenario import (
     bundled_config_path,
@@ -180,7 +181,7 @@ class TestClosedFormGramian:
             return attitude_at(*args)
 
         monkeypatch.setattr(scenario, "attitude_at", counted)
-        monkeypatch.setattr(scenario, "_OBSV_CHUNK_NODES", 3)
+        monkeypatch.setattr(scenario, "_OBSV_NODES", 2001)  # one whole window per group
         grouped = check_observability(cfg, delta=0.5, grid=grid)
         assert len(calls) == 1
         assert [rep.t for rep in grouped] == grid
@@ -194,8 +195,7 @@ class TestClosedFormGramian:
         cfg = make_cfg()
         grid = [0.0, 0.3, 2.5]
         whole = check_observability(cfg, delta=0.5, grid=grid)
-        monkeypatch.setattr(scenario, "_OBSV_CHUNK_NODES", 150)
-        monkeypatch.setattr(scenario, "_OBSV_PIECE_NODES", 150)
+        monkeypatch.setattr(scenario, "_OBSV_NODES", 150)
         pieced = check_observability(cfg, delta=0.5, grid=grid)
         assert [rep.t for rep in pieced] == grid
         for rep, ref in zip(pieced, whole):
@@ -284,8 +284,7 @@ class TestLeverArmAttitudeAtNodes:
         dt = cfg.observer.dt
         offsets = window_nodes(0.0, delta, dt)[0]
         if piece is not None:
-            monkeypatch.setattr(scenario, "_OBSV_CHUNK_NODES", piece)
-            monkeypatch.setattr(scenario, "_OBSV_PIECE_NODES", piece)
+            monkeypatch.setattr(scenario, "_OBSV_NODES", piece)
         attitudes, nodes, walked = [], [], []
         raw_from_pose, kron, walk = UnifiedLayout.raw_from_pose, scenario.kron_gramians, trajectory.walk_blocks
 
@@ -327,9 +326,27 @@ class TestGpsPeCondition:
             t=0.0, delta=1.0, dt=1e-3,
         )
         gg = np.outer(G_NED, G_NED)
-        assert np.max(np.abs(rep.matrix - gg)) < 1e-9
-        assert np.linalg.matrix_rank(rep.matrix, tol=1e-6) == 1
+        assert np.max(np.abs(rep.W - gg)) < 1e-9
+        assert np.linalg.matrix_rank(rep.W, tol=1e-6) == 1
         assert not rep.passed
+
+    def test_rank_one_fails_at_zero_threshold(self):
+        # g g^T has least eigenvalue exactly 0; like a Gramian window, the
+        # check passes only when mu is strictly above the threshold
+        rep = gps_pe_condition(
+            vdot_of_t=lambda t: np.zeros(3), v_of_t=None,
+            g=G_NED, xi_mag=None,
+            t=0.0, delta=1.0, dt=1e-3, threshold=0.0,
+        )
+        assert isinstance(rep, GramianReport) and rep.W.shape == (3, 3)
+        assert rep.mu == 0.0
+        assert rep.passed is False
+
+    def test_scenario_check_is_a_gramian_window_report(self):
+        # check_gps_pe reports as check_observability does: at a threshold equal to mu it fails
+        pe = check_gps_pe(gps_cfg(), t=0.0, delta=1.0)
+        assert isinstance(pe, GramianReport) and pe.W.shape == (3, 3) and pe.passed
+        assert not check_gps_pe(gps_cfg(), t=0.0, delta=1.0, threshold=pe.mu).passed
 
     def test_constant_velocity_with_aiding_passes(self):
         # vdot = 0; gravity, magnetic field, and velocity together span R^3
@@ -341,7 +358,7 @@ class TestGpsPeCondition:
             t=0.0, delta=1.0, dt=1e-3,
         )
         assert rep.passed
-        assert rep.min_eig > 1e-2
+        assert rep.mu > 1e-2
 
     def test_collinear_field_fails(self):
         # magnetic field parallel to gravity adds no new direction
@@ -388,7 +405,7 @@ class TestGpsPeCondition:
             acc = acc + 0.5 * np.outer(f, f)
             vel = vel + 0.5 * np.outer(v, v)
         want = 1e-3 * (acc + vel) + np.outer(xi, xi)
-        assert np.max(np.abs(rep.matrix - want)) < 1e-10 * np.max(np.abs(want))
+        assert np.max(np.abs(rep.W - want)) < 1e-10 * np.max(np.abs(want))
 
     def test_agreement_with_gramian_on_gps_scenario(self):
         """Excitation check passing implies the direct Gramian also passes."""

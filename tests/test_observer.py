@@ -7,8 +7,8 @@ from se5nav.frontend import UnifiedLayout, output_matrix
 from se5nav.lie import SEn, hat, kron, project_rotation, psi, so3_exp, vec, vec_inv
 from se5nav.observer import (DivergenceError, ErrorReport, ObserverConfig, ObserverState, _check_pd, build_a,
                              build_abar, error_arrays)
-from se5nav.scenario import (ScenarioConfig, _gains, bundled_config_path, parse_scenario, run_observer,
-                             scenario_output_map)
+from se5nav.scenario import (ScenarioConfig, _gains, bundled_config_path, estimate_from_errors, parse_scenario,
+                             run_observer, scenario_output_map)
 from se5nav.sensors import ChannelKind, ChannelSpec, spawn_channel_rngs
 from se5nav.trajectory import TrajectorySpec, TruthState, coupled_truth, eval_omega, simulate_truth, z_block
 
@@ -544,6 +544,82 @@ class TestKalmanBucyContraction:
         # equal in continuous time; the RK4 steps of the estimate leave a truncation error far below
         # 1e-4, while an attitude error that entered x_B would move V at order one
         assert np.all(np.abs(v[1:] - v[0]) <= 1e-4 * v[0])
+
+
+class TestAttitudeLyapunov:
+    """The attitude half of the stability claim (Mahony, Hamel & Pflimlin 2008). With M = diag(rho) and
+    Rtilde = R Rhat^T, the rotation innovation splits as delta_r = psi(M Rtilde) + Gamma x_B and
+    dRtilde/dt = -Rtilde hat(delta_r), so U = tr(M (I - Rtilde)) / 2 obeys
+    dU/dt = -|psi(M Rtilde)|^2 - psi(M Rtilde) . Gamma x_B. With x_B(0) = 0, x_B stays 0 in continuous time
+    (the RK4 steps leave at most about 2e-7 in it) and U is a strict Lyapunov function whose critical
+    points are I and the pi-rotations about e_k; a deficit about e_k grows there at (rho_i + rho_j) / 2.
+    A translational error adds at most the integral of |psi(M Rtilde)| |Gamma x_B| to U. Checked on
+    noiseless stereo runs on the coupled truth recording every step, set up as in
+    TestKalmanBucyContraction."""
+
+    RHO = (10.0, 6.0, 4.0)
+    STARTS = ((0.5, (1.0, -2.0, 2.0)), (1.5, (2.0, 1.0, -2.0)), (2.5, (-2.0, 2.0, 1.0)),
+              (3.05, (1.0, -2.0, 2.0)), (3.13, (0.0, 3.0, 4.0)))  # attitude errors (rad, axis) with x_B(0) = 0
+    ESCAPE_RATES = (5.0, 7.0, 8.0)  # (rho_i + rho_j) / 2 about e1, e2, e3, from pi - 1e-6 about each
+    ISS_ANGLES = (0.0, 1.0, 2.5, 3.1)  # about TestKalmanBucyContraction.AXIS, with its x_B(0)
+
+    def runs(self, duration, rotvecs, x_b0):
+        """(t, traces, Rtilde (runs, N, 3, 3)) of runs from the attitude errors exp(hat(rotvec)) and the
+        body-frame translational error x_b0 (3 x 5) at t = 0."""
+        cfg = dataclasses.replace(parse_scenario(bundled_config_path("stereo")).noiseless(), duration=duration,
+                                  trace_stride=1)
+        assert cfg.observer.rho == self.RHO
+        truth = coupled_truth(cfg.trajectory, duration, cfg.observer.dt)
+        r0, p0, v0 = truth.pose(0)
+        z0 = z_block(p0, v0)
+        inits = [ObserverState(xhat=estimate_from_errors(r0, z0, so3_exp(w), r0 @ x_b0), pi=cfg.initial_state().pi,
+                               t=0.0) for w in rotvecs]
+        traces = run_observer(cfg, truth, inits)
+        assert all(tr.failure is None and len(tr.t) == len(truth.t) for tr in traces)
+        z = z_block(truth.p, truth.v)
+        rtildes = np.stack([error_arrays(truth.R, z, tr.rhat, np.concatenate(
+            [tr.phat[..., None], tr.vhat[..., None], tr.ehat], axis=-1)).rtilde for tr in traces])
+        return truth.t, traces, rtildes
+
+    def potential(self, rtildes):
+        return 0.5 * (sum(self.RHO) - np.einsum("i,...ii->...", self.RHO, rtildes))
+
+    @pytest.fixture(scope="class")
+    def unforced(self):
+        """(t, traces, U) of the STARTS and the three escape starts, with x_B(0) = 0, over 5 s."""
+        rotvecs = [angle * np.asarray(axis) / np.linalg.norm(axis) for angle, axis in self.STARTS]
+        rotvecs += list((np.pi - 1e-6) * np.eye(3))
+        t, traces, rtildes = self.runs(5.0, rotvecs, np.zeros((3, 5)))
+        return t, traces, self.potential(rtildes)
+
+    def test_u_never_rises_without_translational_error(self, unforced):
+        _, _, u = unforced
+        # U rounds at about 2 eps sum(rho) = 9e-15; a step of the flow lowers it by |psi|^2 dt
+        assert np.all(np.diff(u, axis=1) <= 1e-13)
+        assert np.all(u[:, -1] < u[:, 0])
+
+    def test_escape_rate_from_the_pi_rotations(self, unforced):
+        t, traces, _ = unforced
+        # the deficit d about e_k stays about e_k and obeys dd/dt = rate sin(d); up to 0.8 s it stays below
+        # 1e-3, so log d is linear in t to about 1e-7
+        window = (t >= 0.1) & (t <= 0.8)
+        deficits = np.pi - np.stack([tr.att_err[window] for tr in traces[len(self.STARTS):]])
+        slopes = np.polyfit(t[window], np.log(deficits).T, 1)[0]
+        assert np.all(np.abs(slopes / np.array(self.ESCAPE_RATES) - 1.0) <= 0.01)
+
+    def test_translational_error_adds_at_most_the_iss_integral(self):
+        axis = TestKalmanBucyContraction.AXIS
+        t, traces, rtildes = self.runs(3.0, [a * axis for a in self.ISS_ANGLES], TestKalmanBucyContraction.X_B0)
+        u = self.potential(rtildes)
+        for tr, rtilde, u_run in zip(traces, rtildes, u):
+            rate = []
+            for rhat, rt, x_b in zip(tr.rhat, rtilde, tr.x_body):
+                psi_m, gamma = delta_r_decomposition(self.RHO, rhat, rt)
+                rate.append(np.linalg.norm(psi_m) * np.linalg.norm(gamma @ x_b))
+            rate = np.array(rate)
+            bound = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (rate[1:] + rate[:-1]))])
+            # -|psi|^2 dt per step is the margin for the trapezoid rule; 1e-13 covers U's rounding
+            assert np.all(u_run - u_run[0] <= bound + 1e-13)
 
 
 class TestKalmanReferenceRun:

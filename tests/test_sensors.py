@@ -115,11 +115,11 @@ class TestChannelSpecValidation:
             parse_channel_kind("sonar")
 
 
-def delivered(ch, rng, values, sim_dt=1e-3, index=0):
+def delivered(ch, rng, values, sim_dt=1e-3):
     """Samples a ChannelSampler delivers over consecutive steps whose
     stage values are all `values` (K, 3): (K, 3) at the step starts and
     the (K,) update mask."""
-    sampler = ChannelSampler(spec=ch, index=index, sim_dt=sim_dt, rng=rng)
+    sampler = ChannelSampler(spec=ch, sim_dt=sim_dt, rng=rng)
     out, updated = sampler.sample(0, np.repeat(np.asarray(values, dtype=float)[:, None], 3, axis=1))
     return out[:, 0], updated, sampler
 
@@ -130,9 +130,8 @@ class TestMeasureNoise:
 
     def test_zero_power_is_noiseless(self):
         ch = ChannelSpec(kind=ChannelKind.INERTIAL_VELOCITY, noise_power=0.0, rate=100.0)
-        y, _, sampler = delivered(ch, np.random.default_rng(0), [[1.0, 2.0, 3.0]], index=4)
+        y, _, _ = delivered(ch, np.random.default_rng(0), [[1.0, 2.0, 3.0]])
         assert np.array_equal(y[0], [1, 2, 3])
-        assert sampler.index == 4
 
     def test_noise_std_scaling(self):
         # power 1e-1 at 1000 Hz: per-axis sample std = sqrt(100) = 10
@@ -197,7 +196,7 @@ class TestChannelSampler:
     def test_full_rate_stage_values(self):
         run = simulate_truth(TrajectorySpec(), 0.1, 1e-3)
         ch = ChannelSpec(kind=ChannelKind.INERTIAL_VELOCITY)
-        sampler = ChannelSampler(spec=ch, index=0, sim_dt=1e-3, rng=None)
+        sampler = ChannelSampler(spec=ch, sim_dt=1e-3, rng=None)
         vals, updated = sampler.poll_stages(10, run)
         v_mid = eval_trajectory(run.spec, run.t[10] + 0.5 * run.dt)[1]
         assert updated
@@ -208,7 +207,7 @@ class TestChannelSampler:
     def test_decimated_zero_order_hold(self):
         run = simulate_truth(TrajectorySpec(), 0.1, 1e-3)
         ch = ChannelSpec(kind=ChannelKind.INERTIAL_VELOCITY, rate=100.0)  # every 10 steps
-        sampler = ChannelSampler(spec=ch, index=0, sim_dt=1e-3, rng=None)
+        sampler = ChannelSampler(spec=ch, sim_dt=1e-3, rng=None)
         v0, upd0 = sampler.poll_stages(0, run)
         v5, upd5 = sampler.poll_stages(5, run)
         v10, upd10 = sampler.poll_stages(10, run)
@@ -219,7 +218,7 @@ class TestChannelSampler:
 
     def test_stride_beyond_any_step_updates_once(self):
         ch = ChannelSpec(kind=ChannelKind.BODY_VELOCITY, rate=1e-300)
-        sampler = ChannelSampler(spec=ch, index=0, sim_dt=1e-3, rng=None)
+        sampler = ChannelSampler(spec=ch, sim_dt=1e-3, rng=None)
         values = np.arange(36.0).reshape(4, 3, 3)
         out, updated = sampler.sample(0, values)
         assert updated.tolist() == [True, False, False, False]
