@@ -81,20 +81,12 @@ class ObserverConfig:
 
 @dataclass(frozen=True)
 class ObserverState:
-    """Estimate Xhat and the 5 x 5 factor Pi of its Riccati matrix P = Pi kron I_3."""
+    """Estimate Xhat on SE_5(3) and the 5 x 5 factor Pi of its Riccati matrix P = Pi kron I_3 at time t:
+    the final state of a run, as :func:`_state` builds it."""
 
     xhat: SEn
     pi: np.ndarray
     t: float
-
-    def __post_init__(self):
-        if self.xhat.n != 5:
-            raise ValueError("observer state lives on SE_5(3)")
-        pi = np.asarray(self.pi, dtype=float)
-        if pi.shape != (5, 5):
-            raise ValueError("Pi must be 5 x 5")
-        if np.max(np.abs(pi - pi.T)) > 1e-9:
-            raise ValueError("Pi must be symmetric")
 
     @property
     def P(self) -> np.ndarray:
@@ -243,7 +235,7 @@ def _finalize_step(x):
 
 
 def _state(x: np.ndarray, pi: np.ndarray, t) -> ObserverState:
-    """ObserverState of one X = [Rhat, zhat] (3 x 8) and Pi."""
+    """ObserverState of one X = [Rhat, zhat] (3 x 8) and Pi; no other code builds one."""
     return ObserverState(xhat=SEn(x[:, :3], x[:, 3:], check=False), pi=pi, t=float(t))
 
 

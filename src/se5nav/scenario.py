@@ -156,10 +156,8 @@ class ScenarioConfig:
         if not self.settle_window >= 0:
             raise ValueError("[observer] settle_window must be nonnegative")
 
-    def initial_state(self) -> ObserverState:
-        rhat0 = so3_exp(np.asarray(self.rhat0_rotvec, dtype=float))
-        z = z_block(self.phat0, self.vhat0)
-        return ObserverState(xhat=SEn(rhat0, z), pi=self.p0_scale * np.eye(5), t=0.0)
+    def initial_estimate(self) -> SEn:
+        return SEn(so3_exp(np.asarray(self.rhat0_rotvec, dtype=float)), z_block(self.phat0, self.vhat0))
 
     def noiseless(self) -> "ScenarioConfig":
         return dataclasses.replace(self, noise=False)
@@ -386,12 +384,12 @@ def _ahead(items):
         os.waitpid(pid, 0)
 
 
-def _gains(cfg: ScenarioConfig, truth, pi, rngs, keep_rows: bool):
+def _gains(cfg: ScenarioConfig, truth, rngs, keep_rows: bool):
     """What the estimate of :func:`run_observer` steps on and records, from truth and noise alone, per
     chunk of ``_CHUNK_STEPS`` steps: its first step k0, :func:`_riccati_pass`'s (pis, fg, failure) from
-    `pi` on, the truth pose (R, z) at its record steps (the last chunk's with step n) and its measurement
-    log (steps, channels, values), decimated channels at updates and full-rate ones at records, if
-    `keep_rows`. The front end works on the truth's four RK4 stages; the noise of `rngs`
+    Pi(0) = ``cfg.p0_scale`` I on, the truth pose (R, z) at its record steps (the last chunk's with step
+    n) and its measurement log (steps, channels, values), decimated channels at updates and full-rate
+    ones at records, if `keep_rows`. The front end works on the truth's four RK4 stages; the noise of `rngs`
     (:func:`spawn_channel_rngs`) is drawn in bulk, as one draw per step would. A failing chunk is the last."""
     obs, dt, ts, n, m = cfg.observer, truth.dt, truth.t, len(truth) - 1, len(cfg.channels)
     imu_rng, ch_rngs = rngs
@@ -402,6 +400,7 @@ def _gains(cfg: ScenarioConfig, truth, pi, rngs, keep_rows: bool):
     row_order = np.argsort(decimated, kind="stable")  # a step's rows: full-rate channels first
     recorded = np.isin(np.arange(n + 1), record_steps(n, cfg.trace_stride))
     layout, abar = UnifiedLayout(cfg.channels), build_abar(cfg.trajectory.g)
+    pi = cfg.p0_scale * np.eye(5)
     for k0 in range(0, n, _CHUNK_STEPS):
         k1 = min(k0 + _CHUNK_STEPS, n)
         r_st, p_st, v_st, w_st, a_st = truth.stages(k0, k1)
@@ -422,25 +421,26 @@ def _gains(cfg: ScenarioConfig, truth, pi, rngs, keep_rows: bool):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
+def run_observer(cfg: ScenarioConfig, truth, estimates=None, stop_when=None,
                  keep_rows: bool = True) -> list[RunTrace]:
-    """Drive a batch of observer runs over a truth run; one RunTrace per state.
+    """Drive a batch of observer runs over a truth run; one RunTrace per estimate.
 
-    `inits` is a sequence of initial states at the truth's t[0] that share ``pi`` and ``t``; None runs
-    the config's initial state alone. Their estimates X (B x 3 x 8) step as one batch against one
-    Riccati factor Pi, which does not depend on the estimate, and each trace equals bit for bit that of
-    its state run alone. The channels, observer weights, seed, noise switch, IMU noise power and trace
-    stride come from `cfg`. `truth`, a :class:`TruthRun` or a :func:`coupled_truth`, has times t and its
-    step dt, all the estimate loop reads, and ``pose(steps)`` and ``stages(k0, k1)``, which :func:`_gains`
-    reads. Each channel is sampled at its own rate with zero-order hold in between; full-rate channels
-    and the IMU are delivered at the truth's four RK4 stages (the start, the midpoint twice and the end
-    of a step). Noise, the IMU's too, applies only when ``cfg.noise`` is on. The steps of
-    :func:`record_steps` are recorded; at each, ``stop_when(t, runs, att_err, col_norms)`` gets the live
-    runs' positions in the batch and their errors and returns which of them stop (one bool for all or one
-    per live run), and those leave the batch. A run whose estimate turns non-finite, and every run at a
-    step whose Pi fails, leaves as a trace whose ``failure`` gives the reason and whose final state is the
-    failing step's start. ``keep_rows`` off keeps only each trace's last record and no measurement log.
-    Overflow and invalid warnings are off: the checks catch a non-finite estimate.
+    `estimates` is a sequence of initial estimates on SE_5(3), at least one (else ValueError); None runs
+    the config's :meth:`~ScenarioConfig.initial_estimate` alone. Their X (B x 3 x 8) step as one batch from
+    the truth's t[0] against one Riccati factor Pi from Pi(0) = ``cfg.p0_scale`` I, which does not depend
+    on the estimate, and each trace equals bit for bit that of its estimate run alone. The channels,
+    observer weights, seed, noise switch, IMU noise power and trace stride come from `cfg`. `truth`, a
+    :class:`TruthRun` or a :func:`coupled_truth`, has times t and its step dt, all the estimate loop reads,
+    and ``pose(steps)`` and ``stages(k0, k1)``, which :func:`_gains` reads. Each channel is sampled at its
+    own rate with zero-order hold in between; full-rate channels and the IMU are delivered at the truth's
+    four RK4 stages (the start, the midpoint twice and the end of a step). Noise, the IMU's too, applies
+    only when ``cfg.noise`` is on. The steps of :func:`record_steps` are recorded; at each,
+    ``stop_when(t, runs, att_err, col_norms)`` gets the live runs' positions in the batch and their errors
+    and returns which of them stop (one bool for all or one per live run), and those leave the batch. A run
+    whose estimate turns non-finite, and every run at a step whose Pi fails, leaves as a trace whose
+    ``failure`` gives the reason and whose final state is the failing step's start. ``keep_rows`` off keeps
+    only each trace's last record and no measurement log. Overflow and invalid warnings are off: the checks
+    catch a non-finite estimate.
 
     The records are allocated once per field for the whole batch, so a ``keep_rows`` batch holds every
     record of the horizon for every run up front. A record stores what its step produced, X per run and
@@ -453,26 +453,21 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
     obs, ts, n = cfg.observer, truth.t, len(truth) - 1
     if abs(obs.dt - truth.dt) > 1e-12:
         raise ValueError("observer dt must match the truth sampling step")
-    inits = [cfg.initial_state()] if inits is None else list(inits)
-    if not inits:
-        raise ValueError("a batch needs at least one initial state")
-    pi = np.asarray(inits[0].pi, dtype=float)
-    if any(s.t != inits[0].t or not np.array_equal(s.pi, pi) for s in inits):
-        raise ValueError("a batch of initial states must share pi and t")
-    if inits[0].t != ts[0]:
-        raise ValueError(f"the initial state's t={inits[0].t:g} is not the truth's start t={ts[0]:g}")
+    estimates = [cfg.initial_estimate()] if estimates is None else list(estimates)
+    if not estimates or any(e.n != 5 for e in estimates):
+        raise ValueError("a batch needs at least one estimate, and every estimate lives on SE_5(3)")
     if not cfg.channels:
         log.warning("no output channels configured; observer runs open loop")
     slots = {k: slot for slot, k in enumerate(record_steps(n, cfg.trace_stride).tolist())}  # record row of each step
     logs = []  # (step, measurement row)
 
-    x = np.stack([np.hstack([s.rhat, s.zhat]) for s in inits])
-    live = np.arange(len(inits))  # the run of each row of x
+    x = np.stack([np.hstack([e.rotation, e.translation]) for e in estimates])
+    live = np.arange(len(estimates))  # the run of each row of x
     half_rho = 0.5 * np.asarray(obs.rho)
     n_rows = len(slots) if keep_rows else 1
     t_rows, pi_rows, r_rows, z_rows = (np.empty((n_rows,) + shape) for shape in ((), (5, 5), (3, 3), (3, 5)))
-    x_rows = np.empty((n_rows, len(inits), 3, 8))
-    traces = [None] * len(inits)
+    x_rows = np.empty((n_rows, len(estimates), 3, 8))
+    traces = [None] * len(estimates)
 
     def finish(run, state, stopped_at=None, failure=None, row=None):
         """End `run` in `state` with the trace of its records up to the last; the estimate fields
@@ -492,7 +487,7 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
                                final_state=state, stopped_at=stopped_at, failure=failure)
 
     rngs = spawn_channel_rngs(cfg.seed, len(cfg.channels))  # made here, so numpy.random is imported once per process
-    with contextlib.closing(_ahead(_gains(cfg, truth, pi, rngs, keep_rows))) as feed:  # closed however it ends
+    with contextlib.closing(_ahead(_gains(cfg, truth, rngs, keep_rows))) as feed:  # closed however it ends
         for k in range(n + 1):
             if k % _CHUNK_STEPS == 0 and k < n:  # the chunk from k on; the last also holds the record at n
                 k0, pis, fg, pi_failure, poses, (steps, chans, ys) = next(feed)
@@ -500,7 +495,7 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
                 logs += zip(steps.tolist(), zip(ts[steps], chans.tolist(), ys))
             if k in slots:
                 slot = slots[k] if keep_rows else 0
-                t_rows[slot], pi_rows[slot], (r_rows[slot], z_rows[slot]) = ts[k], pi, next(poses)
+                t_rows[slot], pi_rows[slot], (r_rows[slot], z_rows[slot]) = ts[k], pis[k - k0], next(poses)
                 x_rows[slot, live] = x
                 stop = np.zeros(live.size, dtype=bool)
                 if stop_when is not None:
@@ -509,7 +504,7 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
                 done = stop | (k == n)
                 if done.any():
                     for j in np.flatnonzero(done):
-                        finish(live[j], _state(x[j], pi, ts[k]), stopped_at=ts[k] if stop[j] else None,
+                        finish(live[j], _state(x[j], pis[k - k0], ts[k]), stopped_at=ts[k] if stop[j] else None,
                                row=None if keep_rows or stop_when is None else j)
                     x, live = x[~done], live[~done]
                     if not live.size:
@@ -520,13 +515,13 @@ def run_observer(cfg: ScenarioConfig, truth, inits=None, stop_when=None,
             if finite is not None or pi_fails:
                 for j in range(live.size) if pi_fails else np.flatnonzero(~finite):
                     reason = pi_failure if finite is None or finite[j] else f"non-finite estimate at t={ts[k]:.4f}"
-                    finish(live[j], _state(x[j], pi, ts[k]), failure=reason)
+                    finish(live[j], _state(x[j], pis[k - k0], ts[k]), failure=reason)
                 if pi_fails:
                     break
                 x1, live = x1[finite], live[finite]
                 if not live.size:
                     break
-            x, pi = x1, pis[k - k0 + 1]
+            x = x1
     return traces
 
 
@@ -678,7 +673,7 @@ def sweep_agas(
     seeds = np.random.SeedSequence(seed)  # spawn() continues its children: as one spawn(n_runs)
     size = -(-n_runs // -(-n_runs // _SWEEP_BATCH))
     for b0 in range(0, n_runs, size):
-        inits = []
+        estimates = []
         for i, child in enumerate(seeds.spawn(min(size, n_runs - b0)), start=b0):
             rng = np.random.default_rng(child)
             angle = rng.uniform(0.0, max_angle_rad)
@@ -691,11 +686,11 @@ def sweep_agas(
             v_err *= translation_ball * rng.uniform() / max(np.linalg.norm(v_err), 1e-12)
 
             zhat = z_block(rtilde.T @ (p0 - p_err), rtilde.T @ (v0 - v_err))
-            inits.append(ObserverState(xhat=SEn(rtilde.T @ r0, zhat), pi=cfg.p0_scale * np.eye(5), t=0.0))
+            estimates.append(SEn(rtilde.T @ r0, zhat))
             rows.append(SweepRow(run=i, seed=seed, init_angle_rad=angle, init_p_err=float(np.linalg.norm(p_err)),
                                  init_v_err=float(np.linalg.norm(v_err)), converged=False, settle_time_s=None))
-        dwell = _Dwell(dwell_checks, len(inits))
-        traces = run_observer(cfg, truth, inits, dwell, keep_rows=False)
+        dwell = _Dwell(dwell_checks, len(estimates))
+        traces = run_observer(cfg, truth, estimates, dwell, keep_rows=False)
         for row, trace, settle in zip(rows[b0:], traces, dwell.settle):
             row.converged, row.failure = trace.stopped_at is not None, trace.failure
             row.settle_time_s = settle if row.converged else None

@@ -14,8 +14,10 @@ observer can fuse:
 
 Noise follows the Simulink "noise power" convention: the configured value
 is a one-sided PSD and the per-sample standard deviation is
-sqrt(power * rate). Every channel draws from its own child stream of the
-master seed, so scenario runs are deterministic and replayable.
+sqrt(power * rate) at the effective rate 1 / (stride * dt) of the samples
+(see :class:`ChannelSpec`; the IMU's is 1 / dt). Every channel draws from
+its own child stream of the master seed, so scenario runs are deterministic
+and replayable.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ class ChannelSpec:
     gamma: int = 1                                      # body_vector only, 0 or 1
     b: tuple[float, float, float] = (0.0, 0.0, 0.0)     # inertial_position lever arm
     noise_power: float = 0.0                            # one-sided PSD, unit^2 s
-    rate: float | None = None                           # Hz; None means the simulation rate
+    # Hz, None for the simulation rate 1 / dt; sampled every stride = max(1, round(1 / (rate dt))) steps, at
+    # 1 / (stride dt): 300 Hz at dt = 1e-3 samples at 333.3 Hz, and a rate above 1 / dt at 1 / dt
+    rate: float | None = None
 
     def __post_init__(self):
         if self.gamma not in (0, 1):
@@ -100,7 +104,7 @@ def corrupt_imu(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Additive white Gaussian noise of standard deviation `std` per axis,
-    on the gyro and the accelerometer alike (sqrt(power * rate)).
+    on the gyro and the accelerometer alike (sqrt(power / dt), one draw per step).
 
     Accepts a single (3,) sample, a stack of stage samples (S, 3), or the
     stage samples of consecutive steps (..., S, 3). Each step takes one

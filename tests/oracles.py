@@ -76,9 +76,9 @@ def gain(P: np.ndarray, C: np.ndarray, Q: float, rhat: np.ndarray) -> tuple[np.n
     return kb, ki
 
 
-def geometric_error(state, truth) -> SEn:
-    """E = X Xhat^{-1} on SE_5(3) of an observer state against a truth sample, via group operations."""
-    return SEn(truth.R, truth.z, check=False) @ state.xhat.inverse()
+def geometric_error(xhat: SEn, truth) -> SEn:
+    """E = X Xhat^{-1} on SE_5(3) of an estimate against a truth sample, via group operations."""
+    return SEn(truth.R, truth.z, check=False) @ xhat.inverse()
 
 
 def _riccati_rhs(P: np.ndarray, a: np.ndarray, c: np.ndarray, q: float, v: float) -> np.ndarray:

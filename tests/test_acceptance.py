@@ -24,7 +24,6 @@ import pytest
 
 from se5nav.frontend import UnifiedLayout
 from se5nav.lie import SEn, hat, kron, psi, so3_exp, vec, vec_inv, vex
-from se5nav.observer import ObserverState
 from se5nav.scenario import (
     bundled_config_path,
     check_gps_pe,
@@ -180,12 +179,9 @@ def test_criterion_3_decoupling_twin(stereo_cfg):
     twin = dataclasses.replace(cfg, observer=obs, duration=6.0, trace_stride=int(round(0.05 / obs.dt)))
     truth = coupled_truth(spec, 6.0, obs.dt)
     # one batch: the twins share the truth, Pi and t, and a batch equals its single runs bit for bit
-    inits = [
-        ObserverState(xhat=estimate_from_errors(spec.r0, z0, so3_exp(np.deg2rad(angle_deg) * axis), ztilde),
-                      pi=np.eye(5), t=0.0)
-        for angle_deg in (10.0, 170.0)
-    ]
-    traces = run_observer(twin, truth, inits)
+    estimates = [estimate_from_errors(spec.r0, z0, so3_exp(np.deg2rad(angle_deg) * axis), ztilde)
+                 for angle_deg in (10.0, 170.0)]
+    traces = run_observer(twin, truth, estimates)
     assert np.max(np.abs(traces[0].x_body[0] - traces[1].x_body[0])) < 1e-14
     sup = float(np.max(np.abs(traces[0].x_body - traces[1].x_body)))
     _report(

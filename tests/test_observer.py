@@ -5,8 +5,8 @@ import pytest
 
 from se5nav.frontend import UnifiedLayout, output_matrix
 from se5nav.lie import SEn, hat, kron, project_rotation, psi, so3_exp, vec, vec_inv
-from se5nav.observer import (DivergenceError, ErrorReport, ObserverConfig, ObserverState, _check_pd, build_a,
-                             build_abar, error_arrays)
+from se5nav.observer import (DivergenceError, ErrorReport, ObserverConfig, _check_pd, build_a, build_abar,
+                             error_arrays)
 from se5nav.scenario import (ScenarioConfig, _gains, bundled_config_path, estimate_from_errors, parse_scenario,
                              run_observer, scenario_output_map)
 from se5nav.sensors import ChannelKind, ChannelSpec, spawn_channel_rngs
@@ -281,29 +281,28 @@ def unified_from_truth(channels, truth):
 class TestObserverStep:
     def test_single_step_advances_time_and_stays_healthy(self):
         run = one_step_truth(ONE_STEP)
-        state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
-        new = run_observer(ONE_STEP, run, [state])[0].final_state
+        new = run_observer(ONE_STEP, run, [SEn(run.R[0], run.state(0).z)])[0].final_state
         assert new.t == pytest.approx(1e-3)
         assert np.max(np.abs(new.P - new.P.T)) < 1e-12
         assert np.linalg.eigvalsh(new.P)[0] > 0
 
     def test_open_loop_prediction_without_channels(self):
         run = one_step_truth(ONE_STEP)
-        state = ObserverState(xhat=SEn(run.R[0], run.state(0).z), pi=np.eye(5), t=0.0)
-        new = run_observer(dataclasses.replace(ONE_STEP, channels=()), run, [state])[0].final_state
+        [trace] = run_observer(dataclasses.replace(ONE_STEP, channels=()), run, [SEn(run.R[0], run.state(0).z)])
+        new = trace.final_state
         # pure prediction tracks the truth over one step
         assert np.max(np.abs(new.zhat[:, 0] - run.pose(1)[1])) < 1e-9
         # P grows under V with no measurement information
-        assert np.trace(new.P) > np.trace(state.P)
+        assert np.trace(new.P) > 15 * ONE_STEP.p0_scale  # the trace of P(0) = p0 I_15
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_estimate_fails_the_run(self):
         z = np.zeros((3, 5))
         z[0, 0] = np.inf
-        bad = ObserverState(xhat=SEn(np.eye(3), z, check=False), pi=np.eye(5), t=0.0)
-        [trace] = run_observer(ONE_STEP, one_step_truth(ONE_STEP), [bad])
+        run = one_step_truth(ONE_STEP)
+        [trace] = run_observer(ONE_STEP, run, [SEn(np.eye(3), z, check=False)])
         assert trace.failure == "non-finite estimate at t=0.0000"
-        assert trace.final_state.t == bad.t
+        assert trace.final_state.t == run.t[0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -316,12 +315,8 @@ class TestObserverStep:
             ObserverConfig(dt=-1e-3)
 
     def test_state_validation(self):
-        with pytest.raises(ValueError):
-            ObserverState(xhat=SEn.identity(2), pi=np.eye(5), t=0.0)
-        pi_bad = np.eye(5)
-        pi_bad[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            ObserverState(xhat=SEn.identity(5), pi=pi_bad, t=0.0)
+        with pytest.raises(ValueError, match=r"SE_5\(3\)"):
+            run_observer(ONE_STEP, one_step_truth(ONE_STEP), [SEn.identity(2)])
 
 
 class TestKroneckerReduction:
@@ -345,23 +340,20 @@ class TestKroneckerReduction:
 
     @pytest.mark.parametrize("name", ["stereo", "gps"])
     def test_step_matches_15x15_flow(self, name):
-        cfg = parse_scenario(bundled_config_path(name)).noiseless()
+        cfg = dataclasses.replace(parse_scenario(bundled_config_path(name)).noiseless(), p0_scale=0.8)
         obs = cfg.observer
         run = one_step_truth(cfg)
         truth = run.state(0)
         rng = np.random.default_rng(11)
-        state = ObserverState(
-            xhat=SEn(so3_exp([0.3, -0.2, 0.5]) @ truth.R, truth.z + 0.5 * rng.standard_normal((3, 5))),
-            pi=0.8 * np.eye(5), t=truth.t,
-        )
-        new = run_observer(cfg, run, [state])[0].final_state
+        start = SEn(so3_exp([0.3, -0.2, 0.5]) @ truth.R, truth.z + 0.5 * rng.standard_normal((3, 5)))
+        new = run_observer(cfg, run, [start])[0].final_state
 
         # ys, rs and C at the step's four RK4 stages
         stages = run.stages(0, 1)
         omega, accel = stages[3][0], stages[4][0]
         layout = UnifiedLayout(cfg.channels)
         ys, rs = (a[0] for a in layout.stacks(layout.raw_from_pose(*stages[:3])))
-        y0 = (state.rhat, state.zhat, state.P)
+        y0 = (start.rotation, start.translation, cfg.p0_scale * np.eye(15))
 
         def f(y, row):
             return self._rhs_15(*y, omega[row], accel[row], output_matrix(rs[row]), ys[row], rs[row], obs,
@@ -385,8 +377,8 @@ class TestKroneckerReduction:
 class TestErrorReport:
     def test_perfect_estimate(self):
         truth = random_truth(RNG)
-        state = ObserverState(xhat=SEn(truth.R, truth.z), pi=np.eye(5), t=0.0)
-        rep = error_arrays(truth.R, truth.z, state.rhat, state.zhat)
+        xhat = SEn(truth.R, truth.z)
+        rep = error_arrays(truth.R, truth.z, xhat.rotation, xhat.translation)
         assert rep.angle == 0.0
         assert np.max(np.abs(rep.x_body)) < 1e-14
         assert np.max(rep.column_norms) < 1e-14
@@ -394,39 +386,31 @@ class TestErrorReport:
     def test_pure_rotation_offset(self):
         truth = random_truth(RNG)
         off = so3_exp([0, np.pi / 2, 0])
-        state = ObserverState(
-            xhat=SEn(off.T @ truth.R, off.T @ truth.z), pi=np.eye(5), t=0.0
-        )
-        rep = error_arrays(truth.R, truth.z, state.rhat, state.zhat)
+        xhat = SEn(off.T @ truth.R, off.T @ truth.z)
+        rep = error_arrays(truth.R, truth.z, xhat.rotation, xhat.translation)
         assert abs(rep.angle - np.pi / 2) < 1e-12
         assert np.allclose(rep.rtilde, off, atol=1e-13)
 
     def test_blockwise_matches_group_product(self):
         for _ in range(50):
             truth = random_truth(RNG)
-            state = ObserverState(
-                xhat=SEn(random_rotation(RNG), RNG.standard_normal((3, 5))),
-                pi=np.eye(5), t=0.0,
-            )
-            rep = error_arrays(truth.R, truth.z, state.rhat, state.zhat)
-            e = geometric_error(state, truth)
+            xhat = SEn(random_rotation(RNG), RNG.standard_normal((3, 5)))
+            rep = error_arrays(truth.R, truth.z, xhat.rotation, xhat.translation)
+            e = geometric_error(xhat, truth)
             assert np.max(np.abs(e.rotation - rep.rtilde)) < 1e-12
             assert np.max(np.abs(e.translation - rep.ztilde)) < 1e-12
 
     def test_x_body_is_vec_of_body_error(self):
         truth = random_truth(RNG)
-        state = ObserverState(
-            xhat=SEn(random_rotation(RNG), RNG.standard_normal((3, 5))),
-            pi=np.eye(5), t=0.0,
-        )
-        rep = error_arrays(truth.R, truth.z, state.rhat, state.zhat)
+        xhat = SEn(random_rotation(RNG), RNG.standard_normal((3, 5)))
+        rep = error_arrays(truth.R, truth.z, xhat.rotation, xhat.translation)
         assert np.allclose(rep.x_body, vec(truth.R.T @ rep.ztilde), atol=1e-14)
 
     def test_angle_clamped_for_near_pi(self):
         truth = random_truth(RNG)
         off = so3_exp(np.pi * np.array([0.0, 0.0, 1.0]))
-        state = ObserverState(xhat=SEn(off.T @ truth.R, truth.z), pi=np.eye(5), t=0.0)
-        rep = error_arrays(truth.R, truth.z, state.rhat, state.zhat)
+        xhat = SEn(off.T @ truth.R, truth.z)
+        rep = error_arrays(truth.R, truth.z, xhat.rotation, xhat.translation)
         assert np.isfinite(rep.angle)
         assert abs(rep.angle - np.pi) < 1e-6
 
@@ -455,8 +439,7 @@ class TestFullRuns:
         cfg = parse_scenario(bundled_config_path("stereo")).noiseless()
         truth = simulate_truth(cfg.trajectory, 10.0, cfg.observer.dt)
         z0 = truth.state(0).z
-        init = ObserverState(xhat=SEn(truth.R[0], z0), pi=np.eye(5), t=0.0)
-        [trace] = run_observer(dataclasses.replace(cfg, trace_stride=100), truth, [init])
+        [trace] = run_observer(dataclasses.replace(cfg, trace_stride=100), truth, [SEn(truth.R[0], z0)])
         assert trace.att_err.max() < 1e-6
         assert trace.col_norms.max() < 1e-6
 
@@ -515,12 +498,10 @@ class TestKalmanBucyContraction:
         truth = make_truth(cfg.trajectory, duration, cfg.observer.dt)
         r0, p0, v0 = truth.pose(0)
         start = r0.T @ z_block(p0, v0) - self.X_B0  # R^T z - x_B = Rhat^T zhat at t = 0
-        pi0 = cfg.initial_state().pi
-        inits = [ObserverState(xhat=SEn(rhat, rhat @ start), pi=pi0, t=0.0)
-                 for rhat in (so3_exp(angle * self.AXIS).T @ r0 for angle in self.ANGLES)]
-        traces = run_observer(cfg, truth, inits)
+        estimates = [SEn(rhat, rhat @ start) for rhat in (so3_exp(angle * self.AXIS).T @ r0 for angle in self.ANGLES)]
+        traces = run_observer(cfg, truth, estimates)
         rngs = spawn_channel_rngs(cfg.seed, len(cfg.channels))
-        chunks = [pis for _, pis, *_ in _gains(cfg, truth, pi0, rngs, False)]
+        chunks = [pis for _, pis, *_ in _gains(cfg, truth, rngs, False)]
         pis = np.concatenate([c[:-1] for c in chunks] + [chunks[-1][-1:]])
         assert all(tr.failure is None and len(tr.t) == len(pis) for tr in traces)
         xs = np.stack([tr.x_body.reshape(-1, 5, 3) for tr in traces])  # the columns of x_B per axis
@@ -572,9 +553,7 @@ class TestAttitudeLyapunov:
         truth = coupled_truth(cfg.trajectory, duration, cfg.observer.dt)
         r0, p0, v0 = truth.pose(0)
         z0 = z_block(p0, v0)
-        inits = [ObserverState(xhat=estimate_from_errors(r0, z0, so3_exp(w), r0 @ x_b0), pi=cfg.initial_state().pi,
-                               t=0.0) for w in rotvecs]
-        traces = run_observer(cfg, truth, inits)
+        traces = run_observer(cfg, truth, [estimate_from_errors(r0, z0, so3_exp(w), r0 @ x_b0) for w in rotvecs])
         assert all(tr.failure is None and len(tr.t) == len(truth.t) for tr in traces)
         z = z_block(truth.p, truth.v)
         rtildes = np.stack([error_arrays(truth.R, z, tr.rhat, np.concatenate(

@@ -26,7 +26,7 @@ from se5nav.scenario import (
 )
 from se5nav.lie import SEn, so3_exp
 from se5nav.observability import OBSV_CSV_SCHEMA
-from se5nav.observer import ESTIMATE_CSV_SCHEMA, ObserverConfig, ObserverState, error_arrays
+from se5nav.observer import ESTIMATE_CSV_SCHEMA, ObserverConfig, error_arrays
 from se5nav.sensors import MEASUREMENT_CSV_SCHEMA, ChannelKind, ChannelSpec
 from se5nav.trajectory import (TRUTH_CSV_SCHEMA, TrajectorySpec, coupled_truth, eval_trajectory, record_steps,
                                signals, simulate_truth, z_block)
@@ -41,14 +41,12 @@ def short_cfg(**overrides):
     return dataclasses.replace(cfg, **overrides)
 
 
-def perturbed_states(cfg, truth, n, seed=4):
-    """cfg's initial state and n - 1 states at random errors from the truth."""
+def perturbed_estimates(cfg, truth, n, seed=4):
+    """cfg's initial estimate and n - 1 estimates at random errors from the truth."""
     rng = np.random.default_rng(seed)
     z0 = z_block(*truth.pose(0)[1:])
-    return [cfg.initial_state()] + [
-        ObserverState(xhat=estimate_from_errors(truth.R[0], z0, so3_exp(rng.uniform(-2.0, 2.0, 3)),
-                                                rng.uniform(-3.0, 3.0, (3, 5))),
-                      pi=cfg.p0_scale * np.eye(5), t=0.0)
+    return [cfg.initial_estimate()] + [
+        estimate_from_errors(truth.R[0], z0, so3_exp(rng.uniform(-2.0, 2.0, 3)), rng.uniform(-3.0, 3.0, (3, 5)))
         for _ in range(n - 1)]
 
 
@@ -247,27 +245,27 @@ class TestRunObserver:
                                   noise=noise, trace_stride=3)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
         # and a fourth state whose position error is too large: its estimate turns non-finite early
-        start = cfg.initial_state()
-        huge = dataclasses.replace(start, xhat=SEn(start.rhat, z_block((1e4, 0.0, 0.0), start.vhat)))
-        inits = perturbed_states(cfg, truth, 3) + [huge]
+        start = cfg.initial_estimate()
+        huge = SEn(start.rotation, z_block((1e4, 0.0, 0.0), start.translation[:, 1]))
+        estimates = perturbed_estimates(cfg, truth, 3) + [huge]
         calls = []
 
         def stop_when(t, runs, att, norms):  # runs: the batch positions of the live runs
             calls.append(t)
             return (runs == stop_run) & (t >= 0.3)
 
-        batch = run_observer(cfg, truth, inits, stop_when)
+        batch = run_observer(cfg, truth, estimates, stop_when)
         assert len(batch) == 4 and len(calls) == batch[0].t.size  # once per record for the whole batch
         assert [trace.failure is not None for trace in batch] == [False, False, False, True]
         assert batch[3].t.size < batch[0].t.size and batch[3].stopped_at is None
-        for i, (init, trace) in enumerate(zip(inits, batch)):
+        for i, (init, trace) in enumerate(zip(estimates, batch)):
             [alone] = run_observer(cfg, truth, [init], lambda t, runs, att, norms: i == stop_run and t >= 0.3)
             assert_traces_equal(trace, alone)
         if stop_run is not None:
             assert batch[stop_run].stopped_at == pytest.approx(0.3)
             assert batch[stop_run].t.size < batch[0].t.size
         # without its rows a trace keeps its last record, stop and final state, and no measurements
-        for short, trace in zip(run_observer(cfg, truth, inits, stop_when, keep_rows=False), batch):
+        for short, trace in zip(run_observer(cfg, truth, estimates, stop_when, keep_rows=False), batch):
             last = {f.name: getattr(trace, f.name)[-1:] for f in dataclasses.fields(RunTrace)
                     if isinstance(getattr(trace, f.name), np.ndarray)}
             assert_traces_equal(short, dataclasses.replace(trace, measurements=[], **last))
@@ -282,8 +280,8 @@ class TestRunObserver:
         n = len(truth) - 1
         assert (n % scenario._CHUNK_STEPS == 0) == (n == 128)
         ks = record_steps(n, cfg.trace_stride)
-        inits = perturbed_states(cfg, truth, 3)
-        kept = run_observer(cfg, truth, inits)
+        estimates = perturbed_estimates(cfg, truth, 3)
+        kept = run_observer(cfg, truth, estimates)
         expected = truth.pose(ks)[0]
         for trace in kept:
             assert np.array_equal(trace.truth_r, expected)
@@ -292,22 +290,29 @@ class TestRunObserver:
         def stop_rule(t, runs, att, norms):
             return (runs < 2) & (t >= 0.03 * (runs + 1))
 
-        short = run_observer(cfg, truth, inits, stop_rule, keep_rows=False)
+        short = run_observer(cfg, truth, estimates, stop_rule, keep_rows=False)
         assert [trace.stopped_at is not None for trace in short] == [True, True, False]
         for trace in short:
             assert np.array_equal(trace.truth_r, expected[truth.t[ks] == trace.t[0]])
 
-    def test_batch_must_share_pi_and_t(self):
+    def test_batch_needs_an_estimate(self):
         cfg = short_cfg(duration=0.01)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-        init = cfg.initial_state()
-        for other in (dataclasses.replace(init, pi=2.0 * np.eye(5)), dataclasses.replace(init, t=1.0)):
-            with pytest.raises(ValueError, match="share pi and t"):
-                run_observer(cfg, truth, [init, other])
-        with pytest.raises(ValueError, match="at least one initial state"):
+        with pytest.raises(ValueError, match="at least one estimate"):
             run_observer(cfg, truth, [])
-        with pytest.raises(ValueError, match="not the truth's start"):
-            run_observer(cfg, truth, [dataclasses.replace(init, t=7.0)])
+
+    def test_a_batch_starts_from_the_configs_p0(self):
+        cfg = short_cfg(duration=0.01, p0_scale=2.5)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+
+        def first_record(t, runs, att, norms):
+            return True
+
+        for traces in (run_observer(cfg, truth, stop_when=first_record),
+                       run_observer(cfg, truth, perturbed_estimates(cfg, truth, 2), first_record)):
+            for trace in traces:
+                assert trace.stopped_at == truth.t[0] == trace.final_state.t
+                assert np.array_equal(trace.final_state.pi, 2.5 * np.eye(5))
 
     def test_observer_takes_gravity_from_the_trajectory(self, tmp_path):
         path = tmp_path / "east.cfg"
@@ -315,7 +320,7 @@ class TestRunObserver:
         cfg = dataclasses.replace(parse_scenario(path).noiseless(), duration=0.5)
         assert cfg.trajectory.gravity == (0.0, 9.81, 0.0)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-        start = ObserverState(xhat=SEn(truth.R[0], z_block(*truth.pose(0)[1:])), pi=np.eye(5), t=0.0)
+        start = SEn(truth.R[0], z_block(*truth.pose(0)[1:]))
         assert run_observer(cfg, truth, [start])[0].col_norms[:, 0].max() < 1e-6
 
     def test_noise_off_silences_the_imu(self):
@@ -335,8 +340,8 @@ class TestRunObserver:
         make_truth = coupled_truth if coupled else simulate_truth
         truth = make_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
 
-        def run(stride, inits=None):
-            return run_observer(dataclasses.replace(cfg, trace_stride=stride), truth, inits)
+        def run(stride, estimates=None):
+            return run_observer(dataclasses.replace(cfg, trace_stride=stride), truth, estimates)
 
         [clean] = run(1)
         finalize = scenario._finalize_step
@@ -361,12 +366,12 @@ class TestRunObserver:
         assert np.array_equal(state.vhat, clean.vhat[7])
 
         # in a batch of three, a NaN in run 1 alone fails run 1 with its state; the others run on
-        inits = perturbed_states(cfg, truth, 3)
+        estimates = perturbed_estimates(cfg, truth, 3)
         monkeypatch.setattr(scenario, "_finalize_step", finalize)
-        clean, untouched = run(1, inits)[1], run(5, inits)
+        clean, untouched = run(1, estimates)[1], run(5, estimates)
         calls.clear()
         monkeypatch.setattr(scenario, "_finalize_step", nan_in_row_at_step_7(1))
-        batch = run(5, inits)
+        batch = run(5, estimates)
         assert [trace.failure for trace in batch] == [None, "non-finite estimate at t=0.0070", None]
         state = batch[1].final_state
         assert state.t == clean.t[7]
@@ -382,8 +387,8 @@ class TestRunObserver:
 
         cfg = short_cfg(duration=0.02, trace_stride=5)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-        inits = perturbed_states(cfg, truth, 3)
-        clean = run_observer(dataclasses.replace(cfg, trace_stride=1), truth, inits)
+        estimates = perturbed_estimates(cfg, truth, 3)
+        clean = run_observer(dataclasses.replace(cfg, trace_stride=1), truth, estimates)
         check_pd, finalize = observer._check_pd, scenario._finalize_step
         calls = []
 
@@ -399,7 +404,7 @@ class TestRunObserver:
 
         monkeypatch.setattr(observer, "_check_pd", pi_fails_at_step_7)
         monkeypatch.setattr(scenario, "_finalize_step", nan_in_run_1_at_step_7)
-        batch = run_observer(cfg, truth, inits)
+        batch = run_observer(cfg, truth, estimates)
         assert len(calls) == 8
         assert [trace.failure for trace in batch] == [
             "injected at t=0.0070", "non-finite estimate at t=0.0070", "injected at t=0.0070"]
@@ -415,7 +420,7 @@ class TestRunObserver:
         noisy_truth = simulate_truth(noisy.trajectory, noisy.duration, noisy.observer.dt)
         cfg = short_cfg(duration=0.3, trace_stride=2)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-        inits = perturbed_states(cfg, truth, 3)
+        estimates = perturbed_estimates(cfg, truth, 3)
         check_pd = observer._check_pd
 
         def fail_at_step_70(pi, t):  # Pi passes at every step but step 70 (t = 0.07)
@@ -429,9 +434,9 @@ class TestRunObserver:
         for size in (64, 7, 1):
             monkeypatch.setattr(scenario, "_CHUNK_STEPS", size)
             monkeypatch.setattr(observer, "_check_pd", check_pd)
-            runs = run_observer(noisy, noisy_truth) + run_observer(cfg, truth, inits)
+            runs = run_observer(noisy, noisy_truth) + run_observer(cfg, truth, estimates)
             monkeypatch.setattr(observer, "_check_pd", fail_at_step_70)
-            results.append((runs, run_observer(cfg, truth, inits)))
+            results.append((runs, run_observer(cfg, truth, estimates)))
         (runs, failed), others = results[0], results[1:]
         for trace, clean in zip(failed, runs[1:]):  # a failing Pi ends every run at its step
             assert trace.failure == "injected at t=0.0700"
@@ -594,14 +599,14 @@ class TestGainWorker:
         batch = short_cfg(duration=0.3, trace_stride=2)
         truths = {id(cfg): simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
                   for cfg in (stereo, gps, batch)}
-        inits = perturbed_states(batch, truths[id(batch)], 3)
+        estimates = perturbed_estimates(batch, truths[id(batch)], 3)
 
         def stop_run_1(t, runs, att, norms):
             return (runs == 1) & (t >= 0.1)
 
         def runs():
             return (run_observer(stereo, truths[id(stereo)]) + run_observer(gps, truths[id(gps)])
-                    + run_observer(batch, truths[id(batch)], inits, stop_run_1))
+                    + run_observer(batch, truths[id(batch)], estimates, stop_run_1))
 
         fork, forks = os.fork, []
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -755,10 +760,7 @@ class TestAntipodalBoundary:
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
         truth0 = truth.state(0)
         rtilde = so3_exp(np.pi * np.array([0.0, 0.0, 1.0]))
-        init = ObserverState(
-            xhat=estimate_from_errors(truth0.R, truth0.z, rtilde, np.zeros((3, 5))),
-            pi=np.eye(5), t=0.0,
-        )
+        init = estimate_from_errors(truth0.R, truth0.z, rtilde, np.zeros((3, 5)))
         [trace] = run_observer(dataclasses.replace(cfg, trace_stride=100), truth, [init])
         assert np.isfinite(trace.att_err).all()
         assert trace.mineig_p.min() > 0.0
@@ -788,9 +790,9 @@ class TestSweep:
         cfg = short_cfg(duration=2.5)  # too short for some runs to converge
         batches = []
 
-        def spy(cfg, truth, inits, stop_when, **kwargs):
-            batches.append(inits)
-            return run_observer(cfg, truth, inits, stop_when, **kwargs)
+        def spy(cfg, truth, estimates, stop_when, **kwargs):
+            batches.append(estimates)
+            return run_observer(cfg, truth, estimates, stop_when, **kwargs)
 
         monkeypatch.setattr(scenario, "run_observer", spy)
         rows = sweep_agas(cfg, n_runs=5, seed=0)
@@ -819,9 +821,9 @@ class TestSweep:
         whole = sweep_agas(cfg, n_runs=5, seed=0)
         calls = []
 
-        def counted(cfg, truth, inits, stop_when, **kwargs):
-            calls.append(len(inits))
-            return run_observer(cfg, truth, inits, stop_when, **kwargs)
+        def counted(cfg, truth, estimates, stop_when, **kwargs):
+            calls.append(len(estimates))
+            return run_observer(cfg, truth, estimates, stop_when, **kwargs)
 
         monkeypatch.setattr(scenario, "run_observer", counted)
         monkeypatch.setattr(scenario, "_SWEEP_BATCH", 2)

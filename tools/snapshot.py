@@ -9,7 +9,7 @@ directory per command:
 - a sweep in which four of eight runs diverge: ``sweep --runs 8 --seed 3
   --ball 3000`` on ``stereo.cfg`` cut to 0.02 s, so that the divergence
   output (stderr, exit code and ``sweep.csv``) is compared too;
-- ``obsv`` on both bundled configs.
+- ``obsv`` and ``validate`` on both bundled configs.
 
 Each directory holds the files the command wrote and ``stdout.txt``: its
 exit code, stdout and stderr. The key ``runtime_s`` is dropped from every
@@ -92,6 +92,7 @@ def commands(configs: Path, tmp: Path) -> dict[str, list[str]]:
     jobs["sweep-stereo-diverging"] = ["sweep", str(cfg), *DIVERGING_SWEEP_FLAGS]
     for name in RUN_HORIZONS:
         jobs[f"obsv-{name}"] = ["obsv", str(configs / f"{name}.cfg")]
+        jobs[f"validate-{name}"] = ["validate", str(configs / f"{name}.cfg")]
     return jobs
 
 
