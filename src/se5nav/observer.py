@@ -16,27 +16,35 @@ keeps the form P = Pi kron I_3, with the 5 x 5 factor
 
 which does not depend on the estimate (Barrau & Bonnabel, "The Invariant
 Extended Kalman Filter as a Stable Observer", IEEE TAC 2017). The
-observer's state is (Rhat, zhat, Pi), and P is derived from Pi. One
-driver, ``scenario.run_observer``, steps the observer: for a chunk of
+observer's state is (Rhat, zhat, Pi), and P is derived from Pi. The
+innovation Delta has rotation part hat(delta_r) built from the auxiliary
+basis columns and translation part K_I dz folded back into a 3 x 5 block,
+q Rhat ((Pi R_s^T)(dz Rhat))^T for the innovation rows dz. With
+Rhat Rhat^T = I, which the projection onto SO(3) keeps, everything but
+hat(delta_r) Xhat is linear in Xhat from the right, Xhat A(t), and A does
+not depend on the estimate.
+
+One driver, ``scenario.run_observer``, steps the observer: for a chunk of
 steps it hands the raw stage samples (IMU, processed outputs, reference
 vectors) to :func:`_riccati_pass`, which integrates Pi over the chunk,
-checks it positive definite and turns it into gains; the estimate then
-takes its RK4 steps on those gains (:func:`_rk4_observer`), and
+checks it positive definite and forms each step's right factor M_k, the
+RK4 transition of A over the step. A step of the estimate
+(:func:`_rk4_observer`) is a Lie-Trotter split of the two parts (Hairer,
+Lubich & Wanner, "Geometric Numerical Integration", 2006, II.5 and IV.8):
+the rotation exp(dt hat(delta_r)) on the left, then M_k on the right; and
 :func:`_finalize_step` re-projects the rotation block of each finite run
-onto SO(3). The innovation Delta has rotation part hat(delta_r) built
-from the auxiliary basis columns and translation part K_I dz folded back
-into a 3 x 5 block, q Rhat ((Pi R_s^T)(dz Rhat))^T for the innovation
-rows dz.
+onto SO(3).
 
 The translational error x_B = vec(R^T (z - Rtilde zhat)) of this observer
 follows the linear time-varying closed loop
 
     dx_B/dt = (A(t) - K_B(t) C(t)) x_B,     K_B = P C^T Q,
 
-independently of the attitude error. The tests integrate that system
-directly, with the generic 15 x 15 Riccati flow (``tests/oracles.py``), as
-the oracle for the full observer, as :func:`build_a` and the oracles'
-``gain`` serve for its parts.
+independently of the attitude error. A left rotation of Xhat leaves x_B
+unchanged, so the split step keeps that independence to rounding. The
+tests integrate that system directly, with the generic 15 x 15 Riccati
+flow (``tests/oracles.py``), as the oracle for the full observer, as
+:func:`build_a` and the oracles' ``gain`` serve for its parts.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .lie import SEn, hat, kron, project_rotation, rk4, rotation_angle
 
 _I3 = np.eye(3)
 _EYE5 = np.eye(5)
+_EYE8 = np.eye(8)
 
 ESTIMATE_CSV_SCHEMA = "se5nav-estimate-v1"
 
@@ -132,36 +141,40 @@ def build_a(omega: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 # integration core ----------------------------------------------------------
 
-def _observer_rhs(x, fg, half_rho):
-    """Vector field of a batch of estimates X = [Rhat, zhat] (B x 3 x 8) at
-    one stage, with that stage's flow F and gain G = q cross Pi side by side
-    in fg = [F | G] (8 x 13), and rho / 2.
+def _observer_rhs(flow, cross, pi, q: float):
+    """Stage generators A = F - [0 | q cross Pi] (... x 8 x 8) of the estimate's right-linear part
+    dX = X A, from each stage's flow F (8 x 8), cross (8 x 5) and Pi (5 x 5), stacked alike.
 
-    dX = X F + hat(delta_r) X - (Rhat Rhat^T) X G, the last term only in
-    the zhat columns: it is the gain K_I applied to the innovations
-    dz_i = -X y_bold_i, folded to 3 x 5, that is
-    q Rhat ((Pi R_s^T)(dz Rhat))^T with dz stacked as rows.
+    -X [0 | q cross Pi] is the gain K_I applied to the innovations dz_i = -X y_bold_i, folded to
+    3 x 5, once Rhat Rhat^T = I, which :func:`_finalize_step` keeps; X F is the flow's part.
     """
-    rhat = x[..., :3]
-    m = x[..., 5:] * half_rho
-    xfg = x @ fg
-    dx = xfg[..., :8] + (m.mT - m) @ x  # m^T - m = hat(delta_r(ehat, rho))
-    dx[..., 3:] -= (rhat @ rhat.mT) @ xfg[..., 8:]
-    return dx
+    gen = flow.copy()
+    gen[..., 3:] -= q * (cross @ pi)
+    return gen
 
 
-def _rk4_observer(x, fg, dt: float, half_rho):
-    """One :func:`~se5nav.lie.rk4` step of the estimate over the [F | G] of
-    the four RK4 stages: the step start, the midpoint twice, and the end. A
-    sampled truth repeats its midpoint; the coupled oracle has its own four
-    stages. Returns the raw X; the caller projects and checks."""
-    return rk4(lambda y, s: _observer_rhs(y, fg[s], half_rho), x, dt)[0]
+def _rk4_observer(x, m_k, dt: float, half_rho):
+    """One Lie-Trotter step of a batch of estimates X = [Rhat, zhat] (B x 3 x 8): the attitude
+    innovation's left part, X <- exp(dt hat(delta_r)) X with delta_r from X's ehat and rho / 2,
+    in Rodrigues' closed form, then the right-linear part X <- X M_k, with M_k the step's
+    transition from :func:`_riccati_pass`. The left rotation leaves x_B unchanged, so x_B follows
+    the right factors alone, whatever the attitude error. Returns the raw X; the caller projects
+    and checks."""
+    m = x[..., 5:] * (dt * half_rho)
+    w = m.mT - m  # dt hat(delta_r(ehat, rho)), which generates a rotation by the angle 2h
+    flat = w.reshape(-1, 9)
+    # h > 0; the 1e-300 moves no h above 1e-142, below which sin(h) / h and cos(h) round to 1 anyway
+    h = np.sqrt(0.125 * np.vecdot(flat, flat) + 1e-300)[:, None, None]
+    s = np.sin(h) / h
+    # Rodrigues: sin(2h) / 2h = s cos(h) and (1 - cos(2h)) / (2h)^2 = s^2 / 2
+    rot = _I3 + (s * np.cos(h)) * w + (0.5 * s * s) * (w @ w)
+    return (rot @ x) @ m_k
 
 
 def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
     """:func:`~se5nav.lie.rk4` steps of dPi = T Pi + Pi T^T + v I_5 with
     T = Abar - (q/2) Pi info, that is Abar Pi + Pi Abar^T - q Pi R_s^T R_s Pi + v I_5,
-    each symmetrized, the steps starting at times `t`.
+    each symmetrized, the steps starting at times `t`, and each step's right factor M_k.
 
     `stages` is (omega, accel, ys, rs): the IMU samples (step, stage, 3), the processed outputs
     ys (step, stage, m, 3) and their reference vectors rs (step, stage, m, 5) at the four RK4
@@ -171,13 +184,16 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
         F     = hat(omega) and accel in column 4, Abar^T below   (8 x 8)
         cross = Y^T rs,     info = rs^T rs                       (8 x 5, 5 x 5)
 
-    Returns (pis, fg, failure): Pi at the start and end of each step, the
-    estimate's [F | G] with G = q cross Pi on each step's stages, and None
-    or, when one batched Cholesky finds a step's Pi non-finite or not
-    positive definite, the reason that step fails; the pass then ends there.
+    and the generator A = F - [0 | q cross Pi] (:func:`_observer_rhs`) at Pi's stage value. M_k
+    (8 x 8) is one RK4 step of dM = M A from the identity over the step's four stages, all steps
+    of the pass at once; X M_k is then the RK4 step of dX = X A from X.
+
+    Returns (pis, m_k, failure): Pi at the start and end of each step, M_k of each step, and None
+    or, when one batched Cholesky finds a step's Pi non-finite or not positive definite, the
+    reason that step fails; the pass then ends there.
     """
     omega, accel, ys, rs = stages
-    q, hq, dt, veye = cfg.q, 0.5 * cfg.q, cfg.dt, cfg.v * _EYE5
+    hq, dt, veye = 0.5 * cfg.q, cfg.dt, cfg.v * _EYE5
     flow = np.zeros(omega.shape[:-1] + (8, 8))
     flow[..., :3, :3] = hat(omega)
     flow[..., :3, 4] = accel
@@ -196,8 +212,9 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
     pis = np.concatenate([stage[:, 0], pi[None]])
     healthy, failure = _check_pd(pis[1:], t)
     n = min(healthy + 1, len(stage))  # the failing step runs, so that the estimate's own check comes first
-    fg = np.concatenate([flow[:n], q * (cross[:n] @ stage[:n])], axis=-1)
-    return pis[:n + 1], fg, failure
+    gen = _observer_rhs(flow[:n], cross[:n], stage[:n], cfg.q)
+    m_k = rk4(lambda m, s: m @ gen[:, s], _EYE8, dt)[0]
+    return pis[:n + 1], m_k, failure
 
 
 def _check_pd(pi: np.ndarray, t) -> tuple[int, str | None]:

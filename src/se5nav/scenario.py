@@ -11,10 +11,11 @@ over a truth generated up front, sensors sampled at their rates with
 zero-order hold and the IMU and full-rate channels delivered at the
 truth's stage rows. Two truths exist: :func:`simulate_truth` samples the
 trajectory at the step starts and midpoints, and :func:`coupled_truth`
-integrates it by RK4 and keeps its four stages, so truth and observer
-form one RK4 flow; that faithful discretization of the continuous-time
-error system backs the linear-equivalence and decoupling oracles, where
-trajectories must track each other over many decades of error decay.
+integrates it by RK4 and keeps its four stages, so the truth and the
+observer's right factors form one RK4 flow; that faithful discretization
+of the continuous-time error system backs the linear-equivalence and
+decoupling oracles, where trajectories must track each other over many
+decades of error decay.
 """
 
 from __future__ import annotations
@@ -315,8 +316,9 @@ _CHUNK_STEPS = 64
 
 _I3 = np.eye(3)
 
-# the gain pipe's buffer: about four chunks of a one-run batch (the default Linux pipe-max-size);
-# the default 64 kB holds less than one, so the worker would wait on each chunk's handoffs
+# the gain pipe's buffer (the default Linux pipe-max-size): about 20 chunks of at most 49 kB each,
+# 32 kB of them the right factors M_k; the default 64 kB holds about one, so the worker would wait
+# on each chunk's handoff
 _PIPE_BYTES = 1 << 20
 
 
@@ -386,7 +388,7 @@ def _ahead(items):
 
 def _gains(cfg: ScenarioConfig, truth, rngs, keep_rows: bool):
     """What the estimate of :func:`run_observer` steps on and records, from truth and noise alone, per
-    chunk of ``_CHUNK_STEPS`` steps: its first step k0, :func:`_riccati_pass`'s (pis, fg, failure) from
+    chunk of ``_CHUNK_STEPS`` steps: its first step k0, :func:`_riccati_pass`'s (pis, m_k, failure) from
     Pi(0) = ``cfg.p0_scale`` I on, the truth pose (R, z) at its record steps (the last chunk's with step
     n) and its measurement log (steps, channels, values), decimated channels at updates and full-rate
     ones at records, if `keep_rows`. The front end works on the truth's four RK4 stages; the noise of `rngs`
@@ -412,9 +414,9 @@ def _gains(cfg: ScenarioConfig, truth, rngs, keep_rows: bool):
             raw[:, :, i], logged[:, i] = sampler.sample(k0, raw[:, :, i])
         logged[:, ~decimated] = recorded[k0:k1, None]
         js, cs = np.nonzero(logged[:, row_order] & keep_rows)
-        pis, fg, failure = _riccati_pass(pi, (w_st, a_st, *layout.stacks(raw)), ts[k0:k1], obs, abar)
+        pis, m_k, failure = _riccati_pass(pi, (w_st, a_st, *layout.stacks(raw)), ts[k0:k1], obs, abar)
         r_at, p_at, v_at = truth.pose(k0 + np.flatnonzero(recorded[k0:k1 + (k1 == n)]))  # stages built them
-        yield k0, pis, fg, failure, (r_at, z_block(p_at, v_at)), (k0 + js, row_order[cs], raw[js, 0, row_order[cs]])
+        yield k0, pis, m_k, failure, (r_at, z_block(p_at, v_at)), (k0 + js, row_order[cs], raw[js, 0, row_order[cs]])
         if failure is not None:
             return
         pi = pis[-1]
@@ -490,7 +492,7 @@ def run_observer(cfg: ScenarioConfig, truth, estimates=None, stop_when=None,
     with contextlib.closing(_ahead(_gains(cfg, truth, rngs, keep_rows))) as feed:  # closed however it ends
         for k in range(n + 1):
             if k % _CHUNK_STEPS == 0 and k < n:  # the chunk from k on; the last also holds the record at n
-                k0, pis, fg, pi_failure, poses, (steps, chans, ys) = next(feed)
+                k0, pis, m_k, pi_failure, poses, (steps, chans, ys) = next(feed)
                 poses = zip(*poses)  # the truth pose of each record, in turn
                 logs += zip(steps.tolist(), zip(ts[steps], chans.tolist(), ys))
             if k in slots:
@@ -509,9 +511,9 @@ def run_observer(cfg: ScenarioConfig, truth, estimates=None, stop_when=None,
                     x, live = x[~done], live[~done]
                     if not live.size:
                         break
-            x1 = _rk4_observer(x, fg[k - k0], obs.dt, half_rho)
+            x1 = _rk4_observer(x, m_k[k - k0], obs.dt, half_rho)
             finite = _finalize_step(x1)
-            pi_fails = pi_failure is not None and k - k0 + 1 == len(fg)  # a failing Pi ends every live run
+            pi_fails = pi_failure is not None and k - k0 + 1 == len(m_k)  # a failing Pi ends every live run
             if finite is not None or pi_fails:
                 for j in range(live.size) if pi_fails else np.flatnonzero(~finite):
                     reason = pi_failure if finite is None or finite[j] else f"non-finite estimate at t={ts[k]:.4f}"

@@ -10,7 +10,8 @@ from se5nav.observer import (DivergenceError, ErrorReport, ObserverConfig, _chec
 from se5nav.scenario import (ScenarioConfig, _gains, bundled_config_path, estimate_from_errors, parse_scenario,
                              run_observer, scenario_output_map)
 from se5nav.sensors import ChannelKind, ChannelSpec, spawn_channel_rngs
-from se5nav.trajectory import TrajectorySpec, TruthState, coupled_truth, eval_omega, simulate_truth, z_block
+from se5nav.trajectory import (TrajectorySpec, TruthState, coupled_truth, eval_omega, eval_trajectory,
+                               simulate_truth, z_block)
 
 from oracles import (
     build_d,
@@ -321,18 +322,19 @@ class TestObserverStep:
 
 class TestKroneckerReduction:
     """With Q = qI, V = vI and P = p0 I_15 the Riccati flow stays Pi kron I_3:
-    one observer step on the 5 x 5 factor equals one RK4 step of the
+    one observer step on the 5 x 5 factor equals the split step of the
     generic 15 x 15 observer, built here from build_a, output_matrix and
-    the gain pair."""
+    the gain pair: the left rotation exp(dt hat(delta_r)), then one RK4 step
+    of the right-linear flow, whose gain takes Rhat Rhat^T = I, beside one
+    RK4 step of P."""
 
     @staticmethod
     def _rhs_15(rhat, zhat, p, omega, accel, c, ys, rs, cfg, g):
         a = build_a(omega, g)
         dz = -(ys @ rhat.T + rs @ zhat.T).reshape(-1)
-        kb, ki = gain(p, c, cfg.q, rhat)
-        hdr = hat(delta_r(zhat[:, 2:5], cfg.rho))
-        drhat = rhat @ hat(omega) + hdr @ rhat
-        dzhat = hdr @ zhat + vec_inv(ki @ dz, 3, 5)
+        kb, ki = gain(p, c, cfg.q, np.eye(3))
+        drhat = rhat @ hat(omega)
+        dzhat = vec_inv(ki @ dz, 3, 5)
         dzhat[:, 0] += zhat[:, 1]
         dzhat[:, 1] += zhat[:, 2:5] @ g + rhat @ accel
         dp = a @ p + p @ a.T - kb @ c @ p + cfg.v * np.eye(15)
@@ -353,7 +355,9 @@ class TestKroneckerReduction:
         omega, accel = stages[3][0], stages[4][0]
         layout = UnifiedLayout(cfg.channels)
         ys, rs = (a[0] for a in layout.stacks(layout.raw_from_pose(*stages[:3])))
-        y0 = (start.rotation, start.translation, cfg.p0_scale * np.eye(15))
+        h = obs.dt
+        left = so3_exp(h * delta_r(start.translation[:, 2:5], obs.rho))
+        y0 = (left @ start.rotation, left @ start.translation, cfg.p0_scale * np.eye(15))
 
         def f(y, row):
             return self._rhs_15(*y, omega[row], accel[row], output_matrix(rs[row]), ys[row], rs[row], obs,
@@ -362,7 +366,6 @@ class TestKroneckerReduction:
         def shift(y, h, dy):
             return tuple(a + h * b for a, b in zip(y, dy))
 
-        h = obs.dt
         k1 = f(y0, 0)
         k2 = f(shift(y0, h / 2, k1), 1)
         k3 = f(shift(y0, h / 2, k2), 2)
@@ -522,9 +525,32 @@ class TestKalmanBucyContraction:
 
     def test_v_does_not_depend_on_the_attitude_error(self, contraction):
         _, v, _ = contraction
-        # equal in continuous time; the RK4 steps of the estimate leave a truncation error far below
-        # 1e-4, while an attitude error that entered x_B would move V at order one
+        # equal in continuous time, and to rounding in the split step, whose left rotation leaves x_B
+        # unchanged; an attitude error that entered x_B would move V at order one
         assert np.all(np.abs(v[1:] - v[0]) <= 1e-4 * v[0])
+
+
+class TestDecouplingAtTheBundledStep:
+    """Criterion 3's twins, 10 and 170 deg attitude errors with one translational error over 6 s,
+    at the bundled dt = 1e-3 rather than criterion 3's 2.5e-4, on both truths: the split step's
+    left rotation leaves x_B unchanged and its right factor does not depend on the estimate, so
+    the twins' x_B agree to rounding, not to a truncation error of the step."""
+
+    @pytest.mark.parametrize("make_truth", [coupled_truth, simulate_truth])
+    def test_twins_agree_to_rounding(self, make_truth):
+        cfg = dataclasses.replace(parse_scenario(bundled_config_path("stereo")).noiseless(), duration=6.0,
+                                  trace_stride=50)
+        spec = cfg.trajectory
+        assert cfg.observer.dt == 1e-3
+        p0, v0, _ = eval_trajectory(spec, 0.0)
+        z0 = z_block(p0, v0)
+        ztilde = spec.r0 @ vec_inv(np.random.default_rng(7).standard_normal(15), 3, 5)
+        axis = np.array([1.0, -0.5, 2.0]) / np.sqrt(5.25)
+        estimates = [estimate_from_errors(spec.r0, z0, so3_exp(np.deg2rad(angle) * axis), ztilde)
+                     for angle in (10.0, 170.0)]
+        traces = run_observer(cfg, make_truth(spec, 6.0, cfg.observer.dt), estimates)
+        assert all(tr.failure is None and tr.t[-1] == pytest.approx(6.0) for tr in traces)
+        assert np.max(np.abs(traces[0].x_body - traces[1].x_body)) < 1e-12
 
 
 class TestAttitudeLyapunov:
@@ -532,7 +558,7 @@ class TestAttitudeLyapunov:
     Rtilde = R Rhat^T, the rotation innovation splits as delta_r = psi(M Rtilde) + Gamma x_B and
     dRtilde/dt = -Rtilde hat(delta_r), so U = tr(M (I - Rtilde)) / 2 obeys
     dU/dt = -|psi(M Rtilde)|^2 - psi(M Rtilde) . Gamma x_B. With x_B(0) = 0, x_B stays 0 in continuous time
-    (the RK4 steps leave at most about 2e-7 in it) and U is a strict Lyapunov function whose critical
+    (the split step leaves at most about 4e-10 in it) and U is a strict Lyapunov function whose critical
     points are I and the pi-rotations about e_k; a deficit about e_k grows there at (rho_i + rho_j) / 2.
     A translational error adds at most the integral of |psi(M Rtilde)| |Gamma x_B| to U. Checked on
     noiseless stereo runs on the coupled truth recording every step, set up as in

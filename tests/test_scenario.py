@@ -244,9 +244,10 @@ class TestRunObserver:
         cfg = dataclasses.replace(parse_scenario(bundled_config_path(config)), duration=duration,
                                   noise=noise, trace_stride=3)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
-        # and a fourth state whose position error is too large: its estimate turns non-finite early
+        # and a fourth state whose position error overflows float64 in the first steps: its estimate
+        # turns non-finite there
         start = cfg.initial_estimate()
-        huge = SEn(start.rotation, z_block((1e4, 0.0, 0.0), start.translation[:, 1]))
+        huge = SEn(start.rotation, z_block((1e200, 0.0, 0.0), start.translation[:, 1]))
         estimates = perturbed_estimates(cfg, truth, 3) + [huge]
         calls = []
 
@@ -258,6 +259,7 @@ class TestRunObserver:
         assert len(batch) == 4 and len(calls) == batch[0].t.size  # once per record for the whole batch
         assert [trace.failure is not None for trace in batch] == [False, False, False, True]
         assert batch[3].t.size < batch[0].t.size and batch[3].stopped_at is None
+        assert batch[3].failure == f"non-finite estimate at t={truth.t[1]:.4f}"
         for i, (init, trace) in enumerate(zip(estimates, batch)):
             [alone] = run_observer(cfg, truth, [init], lambda t, runs, att, norms: i == stop_run and t >= 0.3)
             assert_traces_equal(trace, alone)
@@ -833,16 +835,18 @@ class TestSweep:
     def test_diverging_runs_fail_alone_under_any_batch_cap(self, monkeypatch):
         import se5nav.scenario as scenario
 
-        # of 8 runs, four diverge within the first steps; the others and the rows do not depend on the cap
+        # of 8 runs, six overflow float64 within the first steps, at different steps; the others and
+        # the rows do not depend on the cap
         cfg = dataclasses.replace(parse_scenario(STEREO), duration=0.02)
         results = []
         for cap in (1, 2, 8, 64):
             monkeypatch.setattr(scenario, "_SWEEP_BATCH", cap)
-            results.append(sweep_agas(cfg, n_runs=8, seed=3, translation_ball=3000.0))
+            results.append(sweep_agas(cfg, n_runs=8, seed=3, translation_ball=2e157))
         expected = results[0]
         assert {row.run: row.failure for row in expected if row.failure} == {
-            2: "non-finite estimate at t=0.0050", 5: "non-finite estimate at t=0.0060",
-            6: "non-finite estimate at t=0.0050", 7: "non-finite estimate at t=0.0030"}
+            0: "non-finite estimate at t=0.0040", 2: "non-finite estimate at t=0.0030",
+            3: "non-finite estimate at t=0.0090", 5: "non-finite estimate at t=0.0030",
+            6: "non-finite estimate at t=0.0020", 7: "non-finite estimate at t=0.0010"}
         assert not any(row.converged for row in expected)
         for rows in results[1:]:
             assert rows == expected

@@ -6,9 +6,11 @@ directory per command:
 - ``run`` on copies of the bundled configs cut to the benchmark horizons
   (stereo 5 s, GPS 2 s) for seeds 1 and 7919;
 - ``sweep --runs 24`` on ``stereo.cfg`` for seeds 0, 1 and 7919;
-- a sweep in which four of eight runs diverge: ``sweep --runs 8 --seed 3
-  --ball 3000`` on ``stereo.cfg`` cut to 0.02 s, so that the divergence
-  output (stderr, exit code and ``sweep.csv``) is compared too;
+- a sweep in which six of eight runs diverge: ``sweep --runs 8 --seed 3
+  --ball 2e157`` on ``stereo.cfg`` cut to 0.02 s, so that the divergence
+  output (stderr, exit code and ``sweep.csv``) is compared too. The
+  observer stays finite from any start that float64 can step; at this ball
+  six estimates overflow within the first steps and two do not;
 - ``obsv`` and ``validate`` on both bundled configs.
 
 Each directory holds the files the command wrote and ``stdout.txt``: its
@@ -60,7 +62,7 @@ SWEEP_SEEDS = (0, 1, 7919)
 SWEEP_RUNS = 24
 # a sweep runs without noise, so the seed its config is given does not matter
 DIVERGING_SWEEP_S = 0.02
-DIVERGING_SWEEP_FLAGS = ("--runs", "8", "--seed", "3", "--ball", "3000")
+DIVERGING_SWEEP_FLAGS = ("--runs", "8", "--seed", "3", "--ball", "2e157")
 # a number that is not part of a name such as seed1 or Rh00
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
