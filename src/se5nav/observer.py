@@ -20,7 +20,7 @@ observer's state is (Rhat, zhat, Pi), and P is derived from Pi. The
 innovation Delta has rotation part hat(delta_r) built from the auxiliary
 basis columns and translation part K_I dz folded back into a 3 x 5 block,
 q Rhat ((Pi R_s^T)(dz Rhat))^T for the innovation rows dz. With
-Rhat Rhat^T = I, which the projection onto SO(3) keeps, everything but
+Rhat Rhat^T = I, which the step keeps (below), everything but
 hat(delta_r) Xhat is linear in Xhat from the right, Xhat A(t), and A does
 not depend on the estimate.
 
@@ -28,12 +28,12 @@ One driver, ``scenario.run_observer``, steps the observer: for a chunk of
 steps it hands the raw stage samples (IMU, processed outputs, reference
 vectors) to :func:`_riccati_pass`, which integrates Pi over the chunk,
 checks it positive definite and forms each step's right factor M_k, the
-RK4 transition of A over the step. A step of the estimate
-(:func:`_rk4_observer`) is a Lie-Trotter split of the two parts (Hairer,
-Lubich & Wanner, "Geometric Numerical Integration", 2006, II.5 and IV.8):
-the rotation exp(dt hat(delta_r)) on the left, then M_k on the right; and
-:func:`_finalize_step` re-projects the rotation block of each finite run
-onto SO(3).
+RK4 transition of A over the step with a rotation as its rotation block.
+A step of the estimate (:func:`_rk4_observer`) is a Lie-Trotter split of
+the two parts (Hairer, Lubich & Wanner, "Geometric Numerical Integration",
+2006, II.5 and IV.8): the rotation exp(dt hat(delta_r)) on the left, then
+M_k on the right, so Rhat stays a product of rotations; and
+:func:`_finalize_step` checks each run's estimate finite.
 
 The translational error x_B = vec(R^T (z - Rtilde zhat)) of this observer
 follows the linear time-varying closed loop
@@ -146,7 +146,7 @@ def _observer_rhs(flow, cross, pi, q: float):
     dX = X A, from each stage's flow F (8 x 8), cross (8 x 5) and Pi (5 x 5), stacked alike.
 
     -X [0 | q cross Pi] is the gain K_I applied to the innovations dz_i = -X y_bold_i, folded to
-    3 x 5, once Rhat Rhat^T = I, which :func:`_finalize_step` keeps; X F is the flow's part.
+    3 x 5, once Rhat Rhat^T = I, which the split step keeps; X F is the flow's part.
     """
     gen = flow.copy()
     gen[..., 3:] -= q * (cross @ pi)
@@ -158,8 +158,7 @@ def _rk4_observer(x, m_k, dt: float, half_rho):
     innovation's left part, X <- exp(dt hat(delta_r)) X with delta_r from X's ehat and rho / 2,
     in Rodrigues' closed form, then the right-linear part X <- X M_k, with M_k the step's
     transition from :func:`_riccati_pass`. The left rotation leaves x_B unchanged, so x_B follows
-    the right factors alone, whatever the attitude error. Returns the raw X; the caller projects
-    and checks."""
+    the right factors alone, whatever the attitude error. Returns X; the caller checks it finite."""
     m = x[..., 5:] * (dt * half_rho)
     w = m.mT - m  # dt hat(delta_r(ehat, rho)), which generates a rotation by the angle 2h
     flat = w.reshape(-1, 9)
@@ -186,11 +185,12 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
 
     and the generator A = F - [0 | q cross Pi] (:func:`_observer_rhs`) at Pi's stage value. M_k
     (8 x 8) is one RK4 step of dM = M A from the identity over the step's four stages, all steps
-    of the pass at once; X M_k is then the RK4 step of dX = X A from X.
+    of the pass at once, its rotation block (off SO(3) by about 1e-11 on a noisy gyro) then replaced
+    by its polar factor; X M_k is then the RK4 step of dX = X A from X up to that defect.
 
     Returns (pis, m_k, failure): Pi at the start and end of each step, M_k of each step, and None
     or, when one batched Cholesky finds a step's Pi non-finite or not positive definite, the
-    reason that step fails; the pass then ends there.
+    reason that step fails; the pass then ends there, that step's M_k as RK4 left it.
     """
     omega, accel, ys, rs = stages
     hq, dt, veye = 0.5 * cfg.q, cfg.dt, cfg.v * _EYE5
@@ -214,6 +214,7 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
     n = min(healthy + 1, len(stage))  # the failing step runs, so that the estimate's own check comes first
     gen = _observer_rhs(flow[:n], cross[:n], stage[:n], cfg.q)
     m_k = rk4(lambda m, s: m @ gen[:, s], _EYE8, dt)[0]
+    m_k[:healthy, :3, :3] = project_rotation(m_k[:healthy, :3, :3])
     return pis[:n + 1], m_k, failure
 
 
@@ -240,15 +241,9 @@ def _check_pd(pi: np.ndarray, t) -> tuple[int, str | None]:
 
 
 def _finalize_step(x):
-    """Projects the rotation block of each finite row of a batch X (B x 3 x 8)
-    in place, whose shared step-end Pi the Riccati pass has checked; returns
-    None when every row is finite, else which rows are."""
-    if np.isfinite(x).all():
-        x[..., :3] = project_rotation(x[..., :3])
-        return None
+    """Which rows of a batch X (B x 3 x 8) are finite, None when all are: the estimate's check of a step."""
     finite = np.isfinite(x).all(axis=(-2, -1))
-    x[finite, :, :3] = project_rotation(x[finite, :, :3])
-    return finite
+    return None if finite.all() else finite
 
 
 def _state(x: np.ndarray, pi: np.ndarray, t) -> ObserverState:

@@ -644,6 +644,12 @@ class _Dwell:
 _SWEEP_BATCH = 64
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` bit for bit, yet finite past about 1.3e154, where the square of x overflows."""
+    e = np.frexp(np.abs(x).max())[1]  # scaling by a power of two is exact
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def sweep_agas(
     cfg: ScenarioConfig,
@@ -689,8 +695,8 @@ def sweep_agas(
 
             zhat = z_block(rtilde.T @ (p0 - p_err), rtilde.T @ (v0 - v_err))
             estimates.append(SEn(rtilde.T @ r0, zhat))
-            rows.append(SweepRow(run=i, seed=seed, init_angle_rad=angle, init_p_err=float(np.linalg.norm(p_err)),
-                                 init_v_err=float(np.linalg.norm(v_err)), converged=False, settle_time_s=None))
+            rows.append(SweepRow(run=i, seed=seed, init_angle_rad=angle, init_p_err=_norm(p_err),
+                                 init_v_err=_norm(v_err), converged=False, settle_time_s=None))
         dwell = _Dwell(dwell_checks, len(estimates))
         traces = run_observer(cfg, truth, estimates, dwell, keep_rows=False)
         for row, trace, settle in zip(rows[b0:], traces, dwell.settle):

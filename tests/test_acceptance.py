@@ -159,9 +159,11 @@ def test_criterion_2_linear_equivalence(stereo_cfg):
 
 def test_criterion_3_decoupling_twin(stereo_cfg):
     """Identical translational error, attitude errors of 10 vs 170 deg:
-    the two error trajectories differ by < 1e-8 sup-norm. The difference
-    peaks in the initial transient and scales as dt^4; the run uses
-    dt = 2.5e-4 where the claim's numerical realization has margin."""
+    the two error trajectories differ by < 1e-8 sup-norm. The step's left
+    rotation leaves x_B unchanged and its right factor does not depend on
+    the estimate, so the twins agree to rounding at any dt; the run keeps
+    the criterion's dt = 2.5e-4 (the bundled 1e-3 is tested in
+    tests/test_observer.py::TestDecouplingAtTheBundledStep)."""
     cfg = stereo_cfg.noiseless()
     obs = dataclasses.replace(cfg.observer, dt=2.5e-4)
     spec = cfg.trajectory

@@ -209,6 +209,16 @@ class TestRotationHelpers:
         assert np.array_equal(fixed[svd_rows], np.stack([_svd_polar(r) for r in stack[order][svd_rows]]))
         assert project_rotation(np.empty((0, 3, 3))).shape == (0, 3, 3)
 
+    def test_non_finite_matrices_stay_non_finite(self):
+        rng = np.random.default_rng(8)
+        stack = np.stack([random_rotation(rng) for _ in range(4)])
+        stack[1] += 1e-6 * rng.standard_normal((3, 3))  # takes the SVD beside them
+        stack[2, 0, 1], stack[3, 2, 2] = np.inf, np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            fixed = project_rotation(stack)
+        assert np.array_equal(fixed[:2], project_rotation(stack[:2]))
+        assert not np.isfinite(fixed[2:]).all(axis=(-2, -1)).any()
+
 
 class TestSEn:
     def test_identity_compose(self):

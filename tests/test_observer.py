@@ -1,14 +1,15 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from se5nav.frontend import UnifiedLayout, output_matrix
 from se5nav.lie import SEn, hat, kron, project_rotation, psi, so3_exp, vec, vec_inv
-from se5nav.observer import (DivergenceError, ErrorReport, ObserverConfig, _check_pd, build_a, build_abar,
-                             error_arrays)
+from se5nav.observer import (DivergenceError, ErrorReport, ObserverConfig, _check_pd, _riccati_pass, build_a,
+                             build_abar, error_arrays)
 from se5nav.scenario import (ScenarioConfig, _gains, bundled_config_path, estimate_from_errors, parse_scenario,
-                             run_observer, scenario_output_map)
+                             run_observer, scenario_output_map, sweep_agas)
 from se5nav.sensors import ChannelKind, ChannelSpec, spawn_channel_rngs
 from se5nav.trajectory import (TrajectorySpec, TruthState, coupled_truth, eval_omega, eval_trajectory,
                                simulate_truth, z_block)
@@ -318,6 +319,85 @@ class TestObserverStep:
     def test_state_validation(self):
         with pytest.raises(ValueError, match=r"SE_5\(3\)"):
             run_observer(ONE_STEP, one_step_truth(ONE_STEP), [SEn.identity(2)])
+
+
+def rotation_defect(m_k):
+    """max |M11^T M11 - I| over the rotation blocks of a stack of right factors (..., 8, 8)."""
+    rot = m_k[..., :3, :3]
+    return np.abs(rot.mT @ rot - np.eye(3)).max()
+
+
+class TestRightFactorRotations:
+    """The gain worker replaces the rotation block of each right factor M_k whose step-end Pi passed
+    by its polar factor, so Rhat stays a product of rotations and the estimate loop projects nothing."""
+
+    @staticmethod
+    def noisy_stereo_chunk(monkeypatch):
+        """The arguments (pi, stages, t, cfg, abar) that _gains hands _riccati_pass for the first chunk
+        of a noisy stereo run."""
+        import se5nav.scenario as scenario
+
+        cfg = dataclasses.replace(parse_scenario(bundled_config_path("stereo")), duration=0.1)
+        assert cfg.noise and cfg.imu_noise_power > 0
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _riccati_pass(*args)
+
+        monkeypatch.setattr(scenario, "_riccati_pass", spy)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        next(_gains(cfg, truth, spawn_channel_rngs(cfg.seed, len(cfg.channels)), False))
+        return calls[0]
+
+    def test_rotation_blocks_are_rotations_on_a_noisy_chunk(self, monkeypatch):
+        pis, m_k, failure = _riccati_pass(*self.noisy_stereo_chunk(monkeypatch))
+        assert failure is None and len(m_k) == 64
+        # an RK4 step of the noisy gyro leaves SO(3) by about 1e-11; one Newton-Schulz step, by its square
+        assert rotation_defect(m_k) < 1e-15
+        assert np.all(np.linalg.det(m_k[:, :3, :3]) > 0)
+        assert np.all(m_k[:, 3:, :3] == 0.0)  # so Rhat M_k's rotation is Rhat M11, a product of rotations
+
+    def test_a_failing_step_with_non_finite_inputs_ends_the_chunk(self, monkeypatch):
+        pi, (omega, accel, ys, rs), t, obs, abar = self.noisy_stereo_chunk(monkeypatch)
+        rs = rs.copy()
+        rs[5] = np.nan  # Pi at the end of step 5 is non-finite, and so is its right factor
+        pis, m_k, failure = _riccati_pass(pi, (omega, accel, ys, rs), t, obs, abar)
+        assert failure == f"non-finite Riccati matrix at t={t[5]:.4f}"
+        assert len(pis) == 7 and len(m_k) == 6
+        assert not np.isfinite(m_k[5]).any()  # the failing step's factor, left as it came
+        assert rotation_defect(m_k[:5]) < 1e-15
+
+    def test_an_overflowing_imu_fails_the_run_under_a_healthy_pi(self):
+        # a valid config: Pi does not read the IMU and passes, while gyro samples near 3e151 overflow
+        # every M_k, whose rotation blocks the SVD cannot take; they stay non-finite instead
+        cfg = dataclasses.replace(parse_scenario(bundled_config_path("stereo")), duration=0.02,
+                                  imu_noise_power=1e300)
+        [trace] = run_observer(cfg, simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt))
+        assert trace.failure == "non-finite estimate at t=0.0000"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the gains are forked only where os.fork exists")
+    def test_the_main_process_projects_nothing(self, monkeypatch):
+        import se5nav.observer as observer
+
+        caller, calls = os.getpid(), []
+
+        def spy(r):  # counts the calls of this process only, not those of the forked gain worker
+            if os.getpid() == caller:
+                calls.append(r.shape)
+            return project_rotation(r)
+
+        monkeypatch.setattr(observer, "project_rotation", spy)
+        cfg = dataclasses.replace(parse_scenario(bundled_config_path("stereo")), duration=0.2)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        [trace] = run_observer(cfg, truth)
+        rows = sweep_agas(cfg, n_runs=8, seed=1)  # one batch
+        assert calls == []
+        assert trace.failure is None and all(row.failure is None for row in rows)
+        # with the gains made in this process, the spy sees the worker's one projection per chunk
+        monkeypatch.delattr(os, "fork")
+        run_observer(cfg, truth)
+        assert calls == [(64, 3, 3)] * 3 + [(8, 3, 3)]
 
 
 class TestKroneckerReduction:

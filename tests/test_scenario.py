@@ -851,6 +851,14 @@ class TestSweep:
         for rows in results[1:]:
             assert rows == expected
 
+    def test_init_errors_stay_finite_past_the_square_overflow(self):
+        # np.linalg.norm squares the error, which overflows once it passes about 1.3e154
+        cfg = dataclasses.replace(parse_scenario(STEREO), duration=0.02)
+        rows = sweep_agas(cfg, n_runs=8, seed=3, translation_ball=2e157)
+        errs = np.array([(row.init_p_err, row.init_v_err) for row in rows])
+        assert np.all(np.isfinite(errs)) and errs.max() <= 2e157
+        assert errs.max() > 1e155
+
     def test_requires_at_least_one_run(self):
         with pytest.raises(ValueError):
             sweep_agas(short_cfg(), n_runs=0)

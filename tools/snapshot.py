@@ -10,7 +10,10 @@ directory per command:
   --ball 2e157`` on ``stereo.cfg`` cut to 0.02 s, so that the divergence
   output (stderr, exit code and ``sweep.csv``) is compared too. The
   observer stays finite from any start that float64 can step; at this ball
-  six estimates overflow within the first steps and two do not;
+  six estimates overflow within the first steps and two do not. The
+  initial errors, up to 2e157, are written as finite numbers: their square
+  would overflow, so the sweep takes the norm of each error scaled by a
+  power of two;
 - ``obsv`` and ``validate`` on both bundled configs.
 
 Each directory holds the files the command wrote and ``stdout.txt``: its
