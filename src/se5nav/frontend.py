@@ -79,7 +79,6 @@ class UnifiedLayout:
         self._y_raw_idx = np.array(y_raw, dtype=int)
         self._r_raw_idx = np.array(r_raw, dtype=int)
         self.constant_r = not r_raw
-        self._c_cache = fast_output_matrix(self.r_base) if self.constant_r else None
 
     def stacks(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(ys, rs) from raw samples (..., m, 3): shapes (..., m, 3) and
@@ -93,9 +92,7 @@ class UnifiedLayout:
         return ys, rs
 
     def c_matrix(self, rs: np.ndarray) -> np.ndarray:
-        if self._c_cache is not None:
-            return self._c_cache
-        return fast_output_matrix(rs)
+        return fast_output_matrix(self.r_base if self.constant_r else rs)
 
     def raw_from_pose(self, r: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Noiseless raw samples for every channel at a pose, (m, 3): the

@@ -118,10 +118,6 @@ class ObserverState:
     def vhat(self) -> np.ndarray:
         return self.xhat.translation[:, 1]
 
-    @property
-    def ehat(self) -> np.ndarray:
-        return self.xhat.translation[:, 2:5]
-
 
 # system matrices ----------------------------------------------------------
 
@@ -188,9 +184,9 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
     of the pass at once, its rotation block (off SO(3) by about 1e-11 on a noisy gyro) then replaced
     by its polar factor; X M_k is then the RK4 step of dX = X A from X up to that defect.
 
-    Returns (pis, m_k, failure): Pi at the start and end of each step, M_k of each step, and None
-    or, when one batched Cholesky finds a step's Pi non-finite or not positive definite, the
-    reason that step fails; the pass then ends there, that step's M_k as RK4 left it.
+    Returns (pis, m_k, failure) for the leading steps whose end-of-step Pi one batched Cholesky
+    finds finite and positive definite: Pi at the start and end of each, M_k of each, and None or,
+    where the pass ends short, the reason the next step fails.
     """
     omega, accel, ys, rs = stages
     hq, dt, veye = 0.5 * cfg.q, cfg.dt, cfg.v * _EYE5
@@ -210,11 +206,10 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
         pi, st[:] = rk4(lambda p, s: rhs(p, inf[s]), pi, dt)
         pi = 0.5 * (pi + pi.T)
     pis = np.concatenate([stage[:, 0], pi[None]])
-    healthy, failure = _check_pd(pis[1:], t)
-    n = min(healthy + 1, len(stage))  # the failing step runs, so that the estimate's own check comes first
+    n, failure = _check_pd(pis[1:], t)
     gen = _observer_rhs(flow[:n], cross[:n], stage[:n], cfg.q)
     m_k = rk4(lambda m, s: m @ gen[:, s], _EYE8, dt)[0]
-    m_k[:healthy, :3, :3] = project_rotation(m_k[:healthy, :3, :3])
+    m_k[..., :3, :3] = project_rotation(m_k[..., :3, :3])
     return pis[:n + 1], m_k, failure
 
 

@@ -439,18 +439,19 @@ def run_observer(cfg: ScenarioConfig, truth, estimates=None, stop_when=None,
     only when ``cfg.noise`` is on. The steps of :func:`record_steps` are recorded; at each,
     ``stop_when(t, runs, att_err, col_norms)`` gets the live runs' positions in the batch and their errors
     and returns which of them stop (one bool for all or one per live run), and those leave the batch. A run
-    whose estimate turns non-finite, and every run at a step whose Pi fails, leaves as a trace whose
-    ``failure`` gives the reason and whose final state is the failing step's start. ``keep_rows`` off keeps
-    only each trace's last record and no measurement log. Overflow and invalid warnings are off: the checks
-    catch a non-finite estimate.
+    that fails leaves as a trace whose ``failure`` gives the reason and whose final state is the failing
+    step's start: every live run, before the first step that :func:`_riccati_pass` passes no factor for,
+    with Pi's reason, and a run alone, after a step that turns its estimate non-finite. ``keep_rows`` off
+    keeps only each trace's last record and no measurement log. Overflow and invalid warnings are off: the
+    checks catch a non-finite estimate.
 
     The records are allocated once per field for the whole batch, so a ``keep_rows`` batch holds every
     record of the horizon for every run up front. A record stores what its step produced, X per run and
     t, Pi and its chunk's truth pose once; a run that ends copies the attitude into ``truth_r`` and
-    derives the errors (a one-record trace takes the stop rule's), Pi's least eigenvalue and Rhat's
-    orthonormality defect, for all its records at once. What depends only on truth and noise, the chunks
-    of :func:`_gains`, a worker process makes ahead of this estimate loop (:func:`_ahead`); the outputs
-    do not depend on where they are made.
+    derives the errors from its own records, Pi's least eigenvalue and Rhat's orthonormality defect, for
+    all its records at once. What depends only on truth and noise, the chunks of :func:`_gains`, a worker
+    process makes ahead of this estimate loop (:func:`_ahead`); the outputs do not depend on where they
+    are made.
     """
     obs, ts, n = cfg.observer, truth.t, len(truth) - 1
     if abs(obs.dt - truth.dt) > 1e-12:
@@ -471,18 +472,16 @@ def run_observer(cfg: ScenarioConfig, truth, estimates=None, stop_when=None,
     x_rows = np.empty((n_rows, len(estimates), 3, 8))
     traces = [None] * len(estimates)
 
-    def finish(run, state, stopped_at=None, failure=None, row=None):
-        """End `run` in `state` with the trace of its records up to the last; the estimate fields
-        are views of one copy of its X rows (a view would keep the batch's). A one-record trace
-        takes its errors from `row` of the stop rule's report, the others derive them here."""
+    def finish(run, state, stopped_at=None, failure=None):
+        """End `run` in `state` with the trace of its records up to the last, and their errors; the
+        estimate fields are views of one copy of its X rows (a view would keep the batch's)."""
         xs = x_rows[:slot + 1, run].copy()
         rhat = xs[..., :3]
-        rep = error_arrays(r_rows[:slot + 1], z_rows[:slot + 1], rhat, xs[..., 3:]) if row is None else errs
-        row = slice(None) if row is None else [row]
+        rep = error_arrays(r_rows[:slot + 1], z_rows[:slot + 1], rhat, xs[..., 3:])
         gram = (rhat.mT @ rhat - _I3).reshape(-1, 9)
         traces[run] = RunTrace(t=t_rows[:slot + 1].copy(), phat=xs[..., 3], vhat=xs[..., 4], rhat=rhat,
-                               ehat=xs[..., 5:], truth_r=r_rows[:slot + 1].copy(), att_err=rep.angle[row],
-                               col_norms=rep.column_norms[row], x_body=rep.x_body[row],
+                               ehat=xs[..., 5:], truth_r=r_rows[:slot + 1].copy(), att_err=rep.angle,
+                               col_norms=rep.column_norms, x_body=rep.x_body,
                                mineig_p=np.linalg.eigvalsh(pi_rows[:slot + 1])[:, 0],
                                rot_defect=np.sqrt(np.vecdot(gram, gram)),  # rounds as the 1-D norm does
                                measurements=[m for step, m in logs if step < k],
@@ -506,20 +505,19 @@ def run_observer(cfg: ScenarioConfig, truth, estimates=None, stop_when=None,
                 done = stop | (k == n)
                 if done.any():
                     for j in np.flatnonzero(done):
-                        finish(live[j], _state(x[j], pis[k - k0], ts[k]), stopped_at=ts[k] if stop[j] else None,
-                               row=None if keep_rows or stop_when is None else j)
+                        finish(live[j], _state(x[j], pis[k - k0], ts[k]), stopped_at=ts[k] if stop[j] else None)
                     x, live = x[~done], live[~done]
                     if not live.size:
                         break
+            if pi_failure is not None and k - k0 == len(m_k):  # Pi fails in this step: every live run ends before it
+                for j in range(live.size):
+                    finish(live[j], _state(x[j], pis[k - k0], ts[k]), failure=pi_failure)
+                break
             x1 = _rk4_observer(x, m_k[k - k0], obs.dt, half_rho)
             finite = _finalize_step(x1)
-            pi_fails = pi_failure is not None and k - k0 + 1 == len(m_k)  # a failing Pi ends every live run
-            if finite is not None or pi_fails:
-                for j in range(live.size) if pi_fails else np.flatnonzero(~finite):
-                    reason = pi_failure if finite is None or finite[j] else f"non-finite estimate at t={ts[k]:.4f}"
-                    finish(live[j], _state(x[j], pis[k - k0], ts[k]), failure=reason)
-                if pi_fails:
-                    break
+            if finite is not None:
+                for j in np.flatnonzero(~finite):
+                    finish(live[j], _state(x[j], pis[k - k0], ts[k]), failure=f"non-finite estimate at t={ts[k]:.4f}")
                 x1, live = x1[finite], live[finite]
                 if not live.size:
                     break

@@ -249,7 +249,9 @@ class TestUnifiedLayout:
         assert layout.constant_r
         raw = RNG.standard_normal((2, 3))
         _, rs = layout.stacks(raw)
-        assert layout.c_matrix(rs) is layout.c_matrix(rs)
+        # a constant R_s gives one C, whatever stack of stages it is asked for
+        assert np.array_equal(layout.c_matrix(rs), output_matrix(rs))
+        assert np.array_equal(layout.c_matrix(np.stack([rs, rs])), output_matrix(rs))
 
     def test_no_channels(self):
         layout = UnifiedLayout([])

@@ -383,7 +383,7 @@ class TestRunObserver:
         for i in (0, 2):
             assert_traces_equal(batch[i], untouched[i])
 
-    def test_a_failing_pi_ends_every_run_each_with_its_own_reason(self, monkeypatch):
+    def test_a_failing_pi_ends_every_run_before_its_step(self, monkeypatch):
         import se5nav.observer as observer
         import se5nav.scenario as scenario
 
@@ -398,7 +398,7 @@ class TestRunObserver:
             healthy, failure = check_pd(pi, t)
             return (7, f"injected at t={t[7]:.4f}") if len(t) > 7 else (healthy, failure)
 
-        def nan_in_run_1_at_step_7(x):  # and in the same step run 1's estimate turns non-finite
+        def nan_in_run_1_at_step_7(x):  # and in the same step run 1's estimate would turn non-finite
             calls.append(x.shape)
             if len(calls) == 8:
                 x[1, 0, 3] = np.nan
@@ -407,12 +407,20 @@ class TestRunObserver:
         monkeypatch.setattr(observer, "_check_pd", pi_fails_at_step_7)
         monkeypatch.setattr(scenario, "_finalize_step", nan_in_run_1_at_step_7)
         batch = run_observer(cfg, truth, estimates)
-        assert len(calls) == 8
-        assert [trace.failure for trace in batch] == [
-            "injected at t=0.0070", "non-finite estimate at t=0.0070", "injected at t=0.0070"]
+        assert len(calls) == 7  # step 7 is never taken
+        assert [trace.failure for trace in batch] == ["injected at t=0.0070"] * 3
         for trace, alone in zip(batch, clean):
             assert trace.final_state.t == truth.t[7] and trace.t[-1] == truth.t[5]
             assert np.array_equal(trace.final_state.rhat, alone.rhat[7])
+
+    def test_an_overflowing_pi_names_the_riccati_matrix(self):
+        # a valid config whose Pi overflows within its first step: every run ends at t = 0 with Pi's reason
+        cfg = dataclasses.replace(parse_scenario(STEREO), duration=0.02, p0_scale=1e150)
+        truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
+        for trace in run_observer(cfg, truth, perturbed_estimates(cfg, truth, 3)):
+            assert trace.failure == "non-finite Riccati matrix at t=0.0000"
+            assert trace.final_state.t == 0.0
+            assert np.array_equal(trace.final_state.pi, 1e150 * np.eye(5))
 
     def test_chunk_size_changes_nothing(self, monkeypatch):
         import se5nav.observer as observer
@@ -881,8 +889,8 @@ class TestSweep:
         monkeypatch.setattr(scenario, "error_arrays", counted)
         monkeypatch.setattr(scenario._Dwell, "__call__", dwell_spy)
         assert sweep_agas(cfg, n_runs=24, seed=1) == expected
-        # the stop rule's errors are each stopping run's trace errors: no run derives them again
-        assert len(calls) == len(records) == 322
+        # the stop rule derives the live batch's errors at each record, and each run its trace's once
+        assert len(records) == 322 and len(calls) == 322 + 24
 
     def test_truth_is_built_only_as_far_as_the_runs_read(self, monkeypatch):
         import se5nav.trajectory as trajectory
@@ -1033,6 +1041,18 @@ class TestCli:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == EXIT_DIVERGED
         assert "non-finite" in capsys.readouterr().err
+
+    def test_overflowing_pi_exits_3_naming_the_riccati_matrix(self, tmp_path, capsys):
+        from se5nav.cli import EXIT_DIVERGED
+
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(STEREO.read_text().replace("duration = 60.0", "duration = 0.02")
+                       .replace("p0_scale = 1.0", "p0_scale = 1e150"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert "non-finite Riccati matrix at t=0.0000" in err and "Traceback" not in err
 
     def test_huge_translation_ball_exits_3_without_warnings(self, tmp_path, capsys):
         from se5nav.cli import EXIT_DIVERGED

@@ -14,6 +14,9 @@ directory per command:
   initial errors, up to 2e157, are written as finite numbers: their square
   would overflow, so the sweep takes the norm of each error scaled by a
   power of two;
+- a run whose Riccati matrix fails: ``run`` on ``stereo.cfg`` cut to
+  0.02 s with ``p0_scale = 1e150``, so that Pi overflows within the first
+  step and the failure output (stderr and exit code) is compared too;
 - ``obsv`` and ``validate`` on both bundled configs.
 
 Each directory holds the files the command wrote and ``stdout.txt``: its
@@ -66,16 +69,18 @@ SWEEP_RUNS = 24
 # a sweep runs without noise, so the seed its config is given does not matter
 DIVERGING_SWEEP_S = 0.02
 DIVERGING_SWEEP_FLAGS = ("--runs", "8", "--seed", "3", "--ball", "2e157")
+FAILING_PI_S = 0.02
+FAILING_PI_P0 = "1e150"
 # a number that is not part of a name such as seed1 or Rh00
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def shortened_config(bundled: Path, dest: Path, seed: int, duration: float) -> Path:
+def shortened_config(bundled: Path, dest: Path, seed: int, duration: float, **observer: str) -> Path:
     """Copy of a bundled config with its seed, duration and settle window
-    set as the benchmark sets them."""
+    set as the benchmark sets them, and any other `observer` keys set."""
     ini = configparser.ConfigParser()
     ini.read(bundled, encoding="utf-8")
-    ini["observer"].update(seed=str(seed), duration=str(duration), settle_window=str(duration / 2))
+    ini["observer"].update(seed=str(seed), duration=str(duration), settle_window=str(duration / 2), **observer)
     dest.mkdir(parents=True)
     path = dest / bundled.name
     with open(path, "w") as fh:
@@ -95,6 +100,9 @@ def commands(configs: Path, tmp: Path) -> dict[str, list[str]]:
                                             "--runs", str(SWEEP_RUNS), "--seed", str(seed)]
     cfg = shortened_config(configs / "stereo.cfg", tmp / "stereo-diverging", 0, DIVERGING_SWEEP_S)
     jobs["sweep-stereo-diverging"] = ["sweep", str(cfg), *DIVERGING_SWEEP_FLAGS]
+    cfg = shortened_config(configs / "stereo.cfg", tmp / "stereo-failing-pi", 0, FAILING_PI_S,
+                           p0_scale=FAILING_PI_P0)
+    jobs["run-stereo-failing-pi"] = ["run", str(cfg)]
     for name in RUN_HORIZONS:
         jobs[f"obsv-{name}"] = ["obsv", str(configs / f"{name}.cfg")]
         jobs[f"validate-{name}"] = ["validate", str(configs / f"{name}.cfg")]
