@@ -15,7 +15,9 @@ keeps the form P = Pi kron I_3, with the 5 x 5 factor
     dPi/dt = Abar Pi + Pi Abar^T - q Pi R_s^T R_s Pi + v I_5,
 
 which does not depend on the estimate (Barrau & Bonnabel, "The Invariant
-Extended Kalman Filter as a Stable Observer", IEEE TAC 2017). The
+Extended Kalman Filter as a Stable Observer", IEEE TAC 2017) and which
+Pi = V U^-1 solves where d[U; V]/dt = [[-Abar^T, q R_s^T R_s], [v I_5,
+Abar]] [U; V] (Davison & Maki, IEEE TAC 18(1), 1973), a linear flow. The
 observer's state is (Rhat, zhat, Pi), and P is derived from Pi. The
 innovation Delta has rotation part hat(delta_r) built from the auxiliary
 basis columns and translation part K_I dz folded back into a 3 x 5 block,
@@ -26,8 +28,8 @@ not depend on the estimate.
 
 One driver, ``scenario.run_observer``, steps the observer: for a chunk of
 steps it hands the raw stage samples (IMU, processed outputs, reference
-vectors) to :func:`_riccati_pass`, which integrates Pi over the chunk,
-checks it positive definite and forms each step's right factor M_k, the
+vectors) to :func:`_riccati_pass`, which steps [U; V] over the chunk,
+checks Pi positive definite and forms each step's right factor M_k, the
 RK4 transition of A over the step with a rotation as its rotation block.
 A step of the estimate (:func:`_rk4_observer`) is a Lie-Trotter split of
 the two parts (Hairer, Lubich & Wanner, "Geometric Numerical Integration",
@@ -58,6 +60,7 @@ from .lie import SEn, hat, kron, project_rotation, rk4, rotation_angle
 _I3 = np.eye(3)
 _EYE5 = np.eye(5)
 _EYE8 = np.eye(8)
+_PI_BLOCK = 16  # steps between resets of [U; V] to [I; Pi], from step 0; U's conditioning worsens with their span
 
 ESTIMATE_CSV_SCHEMA = "se5nav-estimate-v1"
 
@@ -166,10 +169,9 @@ def _rk4_observer(x, m_k, dt: float, half_rho):
     return (rot @ x) @ m_k
 
 
-def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
-    """:func:`~se5nav.lie.rk4` steps of dPi = T Pi + Pi T^T + v I_5 with
-    T = Abar - (q/2) Pi info, that is Abar Pi + Pi Abar^T - q Pi R_s^T R_s Pi + v I_5,
-    each symmetrized, the steps starting at times `t`, and each step's right factor M_k.
+def _riccati_pass(uv, k0: int, stages, t, cfg: ObserverConfig, abar):
+    """Pi = V U^-1 over the steps k0, k0 + 1, ... of a chunk, starting at times `t`, from [U; V] = `uv`,
+    by the linear flow d[U; V] = H [U; V], H = [[-Abar^T, q info], [v I_5, Abar]]; and each step's M_k.
 
     `stages` is (omega, accel, ys, rs): the IMU samples (step, stage, 3), the processed outputs
     ys (step, stage, m, 3) and their reference vectors rs (step, stage, m, 5) at the four RK4
@@ -179,38 +181,46 @@ def _riccati_pass(pi, stages, t, cfg: ObserverConfig, abar):
         F     = hat(omega) and accel in column 4, Abar^T below   (8 x 8)
         cross = Y^T rs,     info = rs^T rs                       (8 x 5, 5 x 5)
 
-    and the generator A = F - [0 | q cross Pi] (:func:`_observer_rhs`) at Pi's stage value. M_k
-    (8 x 8) is one RK4 step of dM = M A from the identity over the step's four stages, all steps
-    of the pass at once, its rotation block (off SO(3) by about 1e-11 on a noisy gyro) then replaced
-    by its polar factor; X M_k is then the RK4 step of dX = X A from X up to that defect.
+    One batched :func:`~se5nav.lie.rk4` on the 10 x 10 identity gives each step's transition and stage
+    maps; a product per step carries [U; V], reset to [I; Pi] at the steps ``_PI_BLOCK`` divides, so U
+    stays well conditioned and Pi does not depend on the chunks; :func:`_pi_of` gives Pi at every step
+    and stage by one batched solve. M_k (8 x 8) is one RK4 step of dM = M A from the identity, A =
+    F - [0 | q cross Pi] (:func:`_observer_rhs`) at each stage's Pi, all steps at once, its rotation
+    block (off SO(3) by about 1e-11 on a noisy gyro) then replaced by its polar factor.
 
-    Returns (pis, m_k, failure) for the leading steps whose end-of-step Pi one batched Cholesky
-    finds finite and positive definite: Pi at the start and end of each, M_k of each, and None or,
-    where the pass ends short, the reason the next step fails.
+    Returns (pis, m_k, failure, uv) for the leading steps whose end-of-step Pi one batched Cholesky
+    finds finite and positive definite: Pi at the start and end of each, M_k of each, None or, where
+    the pass ends short, the reason the next step fails, and [U; V] at the chunk's end.
     """
     omega, accel, ys, rs = stages
-    hq, dt, veye = 0.5 * cfg.q, cfg.dt, cfg.v * _EYE5
     flow = np.zeros(omega.shape[:-1] + (8, 8))
-    flow[..., :3, :3] = hat(omega)
-    flow[..., :3, 4] = accel
-    flow[..., 3:, 3:] = abar.T
+    flow[..., :3, :3], flow[..., :3, 4], flow[..., 3:, 3:] = hat(omega), accel, abar.T
     cross = np.concatenate([ys, rs], axis=-1).mT @ rs
-    info = rs.mT @ rs
-    stage = np.empty((len(info), 4, 5, 5))  # Pi at the four RK4 stages of each step
-
-    def rhs(p, info):
-        tp = (abar - hq * (p @ info)) @ p
-        return tp + tp.T + veye
-
-    for st, inf in zip(stage, info):
-        pi, st[:] = rk4(lambda p, s: rhs(p, inf[s]), pi, dt)
-        pi = 0.5 * (pi + pi.T)
-    pis = np.concatenate([stage[:, 0], pi[None]])
+    ham = np.zeros(rs.shape[:2] + (10, 10))
+    ham[..., :5, :5], ham[..., 5:, :5], ham[..., 5:, 5:] = -abar.T, cfg.v * _EYE5, abar
+    ham[..., :5, 5:] = cfg.q * (rs.mT @ rs)
+    phi, (_, *maps) = rk4(lambda y, s: ham[:, s] @ y, np.eye(10), cfg.dt)
+    uvs = [uv]
+    for k, step in enumerate(phi, k0 + 1):
+        uvs.append(step @ uvs[-1] if k % _PI_BLOCK else np.concatenate([_EYE5, _pi_of(step @ uvs[-1])]))
+    at_stages = (np.stack(maps, 1) @ np.stack(uvs[:-1])[:, None]).reshape(-1, 10, 5)  # stages 1 to 3
+    pis, stage = np.split(_pi_of(np.concatenate([uvs, at_stages])), [len(uvs)])
+    stage = np.concatenate([pis[:-1, None], stage.reshape(-1, 3, 5, 5)], axis=1)
     n, failure = _check_pd(pis[1:], t)
     gen = _observer_rhs(flow[:n], cross[:n], stage[:n], cfg.q)
-    m_k = rk4(lambda m, s: m @ gen[:, s], _EYE8, dt)[0]
+    m_k = rk4(lambda m, s: m @ gen[:, s], _EYE8, cfg.dt)[0]
     m_k[..., :3, :3] = project_rotation(m_k[..., :3, :3])
-    return pis[:n + 1], m_k, failure
+    return pis[:n + 1], m_k, failure, uvs[-1]
+
+
+def _pi_of(uv):
+    """Pi = V U^-1 of each [U; V] of a stack (..., 10, 5), symmetrized as 0.5 Pi + 0.5 Pi^T, which
+    overflows nowhere Pi does not; infinite where U is singular or the solve overflows."""
+    try:
+        pi = np.linalg.solve(uv[..., :5, :].mT, uv[..., 5:, :].mT)  # Pi^T
+    except np.linalg.LinAlgError:
+        return np.stack([_pi_of(y) for y in uv]) if uv.ndim > 2 else np.full((5, 5), np.inf)
+    return 0.5 * pi + 0.5 * pi.mT
 
 
 def _check_pd(pi: np.ndarray, t) -> tuple[int, str | None]:

@@ -402,7 +402,7 @@ def _gains(cfg: ScenarioConfig, truth, rngs, keep_rows: bool):
     row_order = np.argsort(decimated, kind="stable")  # a step's rows: full-rate channels first
     recorded = np.isin(np.arange(n + 1), record_steps(n, cfg.trace_stride))
     layout, abar = UnifiedLayout(cfg.channels), build_abar(cfg.trajectory.g)
-    pi = cfg.p0_scale * np.eye(5)
+    uv = np.concatenate([np.eye(5), cfg.p0_scale * np.eye(5)])  # [U; V] = [I; Pi(0)]
     for k0 in range(0, n, _CHUNK_STEPS):
         k1 = min(k0 + _CHUNK_STEPS, n)
         r_st, p_st, v_st, w_st, a_st = truth.stages(k0, k1)
@@ -414,12 +414,11 @@ def _gains(cfg: ScenarioConfig, truth, rngs, keep_rows: bool):
             raw[:, :, i], logged[:, i] = sampler.sample(k0, raw[:, :, i])
         logged[:, ~decimated] = recorded[k0:k1, None]
         js, cs = np.nonzero(logged[:, row_order] & keep_rows)
-        pis, m_k, failure = _riccati_pass(pi, (w_st, a_st, *layout.stacks(raw)), ts[k0:k1], obs, abar)
+        pis, m_k, failure, uv = _riccati_pass(uv, k0, (w_st, a_st, *layout.stacks(raw)), ts[k0:k1], obs, abar)
         r_at, p_at, v_at = truth.pose(k0 + np.flatnonzero(recorded[k0:k1 + (k1 == n)]))  # stages built them
         yield k0, pis, m_k, failure, (r_at, z_block(p_at, v_at)), (k0 + js, row_order[cs], raw[js, 0, row_order[cs]])
         if failure is not None:
             return
-        pi = pis[-1]
 
 
 @np.errstate(over="ignore", invalid="ignore")

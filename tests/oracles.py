@@ -1,15 +1,18 @@
 """Oracles for the observer, kept apart from the package code they check.
 
 :func:`riccati_step` is one RK4 step of the generic 15 x 15 Riccati flow
-dP = A P + P A^T - P C^T Q C P + V, and :func:`kalman_reference_run`
-integrates the closed-loop translational error system
+dP = A P + P A^T - P C^T Q C P + V, :func:`riccati_flow_step` one RK4
+step of the 30 x 30 linear flow whose P = V U^-1 solves it, and
+:func:`kalman_reference_run` integrates the closed-loop translational
+error system
 
     dx_B/dt = (A(t) - K_B(t) C(t)) x_B,     K_B = P C^T Q,
 
-directly, with that Riccati flow beside it. The observer itself integrates
-only the 5 x 5 factor Pi of P = Pi kron I_3. The generic observer's parts
-(its input and commutator matrices, the rotation innovation and the gain
-pair) are written out here as the paper states them.
+directly, with the Riccati flow of :func:`riccati_step` beside it. The
+observer itself integrates only the 5 x 5 factor Pi of P = Pi kron I_3.
+The generic observer's parts (its input and commutator matrices, the
+rotation innovation and the gain pair) are written out here as the paper
+states them.
 :func:`sequential_attitude` is the truth attitude as a step-by-step
 product, which :func:`se5nav.trajectory.truth_attitude` matches to
 rounding. :func:`kron_gramians_einsum` is the closed-form Gramian with each
@@ -107,6 +110,28 @@ def riccati_step(P: np.ndarray, a: np.ndarray, c: np.ndarray, q: float, v: float
     except np.linalg.LinAlgError:
         raise DivergenceError("Riccati matrix lost positive definiteness") from None
     return P
+
+
+def riccati_flow_step(P: np.ndarray, a, c, q: float, v: float, dt: float) -> list[np.ndarray]:
+    """One RK4 step of the linear flow d[U; V] = [[-A^T, C^T Q C], [V, A]] [U; V] from [I; P], of
+    which P = V U^-1 solves the Riccati flow (Davison & Maki, IEEE TAC 18(1), 1973), with Q = qI,
+    V = vI and A, C given at the four RK4 stages (`a`, `c`: one matrix per stage).
+
+    Returns P = V U^-1, symmetrized, at the four stages and at the step's end.
+    """
+    n = len(P)
+    hs = [np.block([[-a[s].T, q * c[s].T @ c[s]], [v * np.eye(n), a[s]]]) for s in range(4)]
+    y1 = np.vstack([np.eye(n), P])
+    k1 = hs[0] @ y1
+    y2 = y1 + 0.5 * dt * k1
+    k2 = hs[1] @ y2
+    y3 = y1 + 0.5 * dt * k2
+    k3 = hs[2] @ y3
+    y4 = y1 + dt * k3
+    k4 = hs[3] @ y4
+    end = y1 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ps = [np.linalg.solve(y[:n].T, y[n:].T) for y in (y1, y2, y3, y4, end)]  # P^T
+    return [0.5 * (p + p.T) for p in ps]
 
 
 def kalman_reference_run(

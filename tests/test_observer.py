@@ -6,8 +6,8 @@ import pytest
 
 from se5nav.frontend import UnifiedLayout, output_matrix
 from se5nav.lie import SEn, hat, kron, project_rotation, psi, so3_exp, vec, vec_inv
-from se5nav.observer import (DivergenceError, ErrorReport, ObserverConfig, _check_pd, _riccati_pass, build_a,
-                             build_abar, error_arrays)
+from se5nav.observer import (DivergenceError, ErrorReport, ObserverConfig, _check_pd, _pi_of, _riccati_pass,
+                             build_a, build_abar, error_arrays)
 from se5nav.scenario import (ScenarioConfig, _gains, bundled_config_path, estimate_from_errors, parse_scenario,
                              run_observer, scenario_output_map, sweep_agas)
 from se5nav.sensors import ChannelKind, ChannelSpec, spawn_channel_rngs
@@ -22,6 +22,7 @@ from oracles import (
     gain,
     geometric_error,
     kalman_reference_run,
+    riccati_flow_step,
     riccati_step,
 )
 
@@ -206,6 +207,19 @@ class TestRiccati:
         pis[1, 2, 3] = np.nan
         assert _check_pd(pis, np.array([0.0, 0.001])) == (1, "non-finite Riccati matrix at t=0.0010")
 
+    def test_a_singular_u_or_a_non_finite_u_v_gives_a_non_finite_pi(self):
+        pi = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+        pi[0, 1] = pi[1, 0] = 0.5
+        uvs = np.stack([np.vstack([np.eye(5), pi])] * 4)
+        uvs[1, :5, 2] = 0.0  # U singular: the batched solve raises, and this Pi alone is infinite
+        uvs[2, 3, 1] = np.inf  # an overflowed U
+        uvs[3, 7, 1] = np.nan  # and V
+        with np.errstate(all="raise"):
+            got = _pi_of(uvs)
+        assert np.array_equal(got[0], pi)
+        assert np.isinf(got[1]).all() and not np.isfinite(got[2]).all() and not np.isfinite(got[3]).all()
+        assert _check_pd(got, np.arange(4.0)) == (1, "non-finite Riccati matrix at t=1.0000")
+
 
 class TestGain:
     def test_identity_case(self):
@@ -333,8 +347,8 @@ class TestRightFactorRotations:
 
     @staticmethod
     def noisy_stereo_chunk(monkeypatch):
-        """The arguments (pi, stages, t, cfg, abar) that _gains hands _riccati_pass for the first chunk
-        of a noisy stereo run."""
+        """The arguments (uv, k0, stages, t, cfg, abar) that _gains hands _riccati_pass for the first
+        chunk of a noisy stereo run."""
         import se5nav.scenario as scenario
 
         cfg = dataclasses.replace(parse_scenario(bundled_config_path("stereo")), duration=0.1)
@@ -351,7 +365,7 @@ class TestRightFactorRotations:
         return calls[0]
 
     def test_rotation_blocks_are_rotations_on_a_noisy_chunk(self, monkeypatch):
-        pis, m_k, failure = _riccati_pass(*self.noisy_stereo_chunk(monkeypatch))
+        pis, m_k, failure, _ = _riccati_pass(*self.noisy_stereo_chunk(monkeypatch))
         assert failure is None and len(m_k) == 64
         # an RK4 step of the noisy gyro leaves SO(3) by about 1e-11; one Newton-Schulz step, by its square
         assert rotation_defect(m_k) < 1e-15
@@ -359,10 +373,10 @@ class TestRightFactorRotations:
         assert np.all(m_k[:, 3:, :3] == 0.0)  # so Rhat M_k's rotation is Rhat M11, a product of rotations
 
     def test_a_failing_step_with_non_finite_inputs_ends_the_chunk(self, monkeypatch):
-        pi, (omega, accel, ys, rs), t, obs, abar = self.noisy_stereo_chunk(monkeypatch)
+        uv, k0, (omega, accel, ys, rs), t, obs, abar = self.noisy_stereo_chunk(monkeypatch)
         rs = rs.copy()
         rs[5] = np.nan  # Pi at the end of step 5 is non-finite: the pass hands over steps 0 to 4 alone
-        pis, m_k, failure = _riccati_pass(pi, (omega, accel, ys, rs), t, obs, abar)
+        pis, m_k, failure, _ = _riccati_pass(uv, k0, (omega, accel, ys, rs), t, obs, abar)
         assert failure == f"non-finite Riccati matrix at t={t[5]:.4f}"
         assert len(pis) == 6 and len(m_k) == 5
         assert rotation_defect(m_k) < 1e-15
@@ -404,20 +418,18 @@ class TestKroneckerReduction:
     one observer step on the 5 x 5 factor equals the split step of the
     generic 15 x 15 observer, built here from build_a, output_matrix and
     the gain pair: the left rotation exp(dt hat(delta_r)), then one RK4 step
-    of the right-linear flow, whose gain takes Rhat Rhat^T = I, beside one
-    RK4 step of P."""
+    of the right-linear flow, whose gain takes Rhat Rhat^T = I, with P at its
+    stages from one RK4 step of the 30 x 30 linear flow of [U; V] (oracles)."""
 
     @staticmethod
     def _rhs_15(rhat, zhat, p, omega, accel, c, ys, rs, cfg, g):
-        a = build_a(omega, g)
         dz = -(ys @ rhat.T + rs @ zhat.T).reshape(-1)
-        kb, ki = gain(p, c, cfg.q, np.eye(3))
+        _, ki = gain(p, c, cfg.q, np.eye(3))
         drhat = rhat @ hat(omega)
         dzhat = vec_inv(ki @ dz, 3, 5)
         dzhat[:, 0] += zhat[:, 1]
         dzhat[:, 1] += zhat[:, 2:5] @ g + rhat @ accel
-        dp = a @ p + p @ a.T - kb @ c @ p + cfg.v * np.eye(15)
-        return drhat, dzhat, dp
+        return drhat, dzhat
 
     @pytest.mark.parametrize("name", ["stereo", "gps"])
     def test_step_matches_15x15_flow(self, name):
@@ -429,17 +441,23 @@ class TestKroneckerReduction:
         start = SEn(so3_exp([0.3, -0.2, 0.5]) @ truth.R, truth.z + 0.5 * rng.standard_normal((3, 5)))
         new = run_observer(cfg, run, [start])[0].final_state
 
-        # ys, rs and C at the step's four RK4 stages
+        # ys, rs and C at the step's four RK4 stages, and P at them and at the step's end. A's gyro part
+        # -I_5 kron hat(omega) adds -I_10 kron hat(omega) to the flow's matrix, which commutes with it and
+        # cancels from V U^-1 exactly but not through RK4's stages (1.2e-9 and 1.1e-10 in zhat after this
+        # step on stereo and GPS), so P's flow takes A without it, as the observer's 5 x 5 factor does
         stages = run.stages(0, 1)
         omega, accel = stages[3][0], stages[4][0]
         layout = UnifiedLayout(cfg.channels)
         ys, rs = (a[0] for a in layout.stacks(layout.raw_from_pose(*stages[:3])))
+        cs = [output_matrix(r) for r in rs]
+        *ps, p1 = riccati_flow_step(cfg.p0_scale * np.eye(15), [build_a(np.zeros(3), cfg.trajectory.g)] * 4, cs,
+                                    obs.q, obs.v, obs.dt)
         h = obs.dt
         left = so3_exp(h * delta_r(start.translation[:, 2:5], obs.rho))
-        y0 = (left @ start.rotation, left @ start.translation, cfg.p0_scale * np.eye(15))
+        y0 = (left @ start.rotation, left @ start.translation)
 
         def f(y, row):
-            return self._rhs_15(*y, omega[row], accel[row], output_matrix(rs[row]), ys[row], rs[row], obs,
+            return self._rhs_15(*y, ps[row], omega[row], accel[row], cs[row], ys[row], rs[row], obs,
                                 cfg.trajectory.g)
 
         def shift(y, h, dy):
@@ -449,11 +467,32 @@ class TestKroneckerReduction:
         k2 = f(shift(y0, h / 2, k1), 1)
         k3 = f(shift(y0, h / 2, k2), 2)
         k4 = f(shift(y0, h, k3), 3)
-        rhat1, zhat1, p1 = (a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-                            for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4))
+        rhat1, zhat1 = (a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4))
         assert np.max(np.abs(new.rhat - project_rotation(rhat1))) < 1e-13
         assert np.max(np.abs(new.zhat - zhat1)) < 1e-13
         assert np.max(np.abs(new.P - 0.5 * (p1 + p1.T))) < 1e-13
+
+
+class TestPiAccuracy:
+    """Pi from the RK4 step of its linear Hamiltonian flow, against the same pass at dt / 64."""
+
+    @staticmethod
+    def noiseless_pis(name, duration, dt):
+        """Pi at steps 1 .. n of the bundled config `name` without noise, over `duration` at step `dt`,
+        as the gain worker's chunks ship it."""
+        cfg = parse_scenario(bundled_config_path(name)).noiseless()
+        cfg = dataclasses.replace(cfg, duration=duration, observer=dataclasses.replace(cfg.observer, dt=dt))
+        truth = simulate_truth(cfg.trajectory, duration, dt)
+        chunks = _gains(cfg, truth, spawn_channel_rngs(cfg.seed, len(cfg.channels)), False)
+        return np.concatenate([pis[1:] for _, pis, *_ in chunks])
+
+    @pytest.mark.parametrize("name, duration, dt", [("stereo", 0.2, 1e-3), ("gps", 0.05, 2.5e-4)])
+    def test_pi_is_fourth_order_accurate(self, name, duration, dt):
+        ref = self.noiseless_pis(name, duration, dt / 64)
+        err = np.abs(self.noiseless_pis(name, duration, dt) - ref[63::64]).max()
+        assert err <= 1e-6  # 7.2e-8 on stereo and 4.0e-9 on GPS; RK4 on Pi itself is off by 1.7e-3 on stereo
+        if name == "gps":  # S varies in time here: the error falls as dt^4 (15.7x when dt halves)
+            assert err >= 12 * np.abs(self.noiseless_pis(name, duration, dt / 2) - ref[31::32]).max()
 
 
 class TestErrorReport:

@@ -414,13 +414,14 @@ class TestRunObserver:
             assert np.array_equal(trace.final_state.rhat, alone.rhat[7])
 
     def test_an_overflowing_pi_names_the_riccati_matrix(self):
-        # a valid config whose Pi overflows within its first step: every run ends at t = 0 with Pi's reason
-        cfg = dataclasses.replace(parse_scenario(STEREO), duration=0.02, p0_scale=1e150)
+        # a valid config whose [U; V], and so Pi, overflows within its first step: every run ends at
+        # t = 0 with Pi's reason
+        cfg = dataclasses.replace(parse_scenario(STEREO), duration=0.02, p0_scale=1e307)
         truth = simulate_truth(cfg.trajectory, cfg.duration, cfg.observer.dt)
         for trace in run_observer(cfg, truth, perturbed_estimates(cfg, truth, 3)):
             assert trace.failure == "non-finite Riccati matrix at t=0.0000"
             assert trace.final_state.t == 0.0
-            assert np.array_equal(trace.final_state.pi, 1e150 * np.eye(5))
+            assert np.array_equal(trace.final_state.pi, 1e307 * np.eye(5))
 
     def test_chunk_size_changes_nothing(self, monkeypatch):
         import se5nav.observer as observer
@@ -852,9 +853,9 @@ class TestSweep:
             results.append(sweep_agas(cfg, n_runs=8, seed=3, translation_ball=2e157))
         expected = results[0]
         assert {row.run: row.failure for row in expected if row.failure} == {
-            0: "non-finite estimate at t=0.0040", 2: "non-finite estimate at t=0.0030",
-            3: "non-finite estimate at t=0.0090", 5: "non-finite estimate at t=0.0030",
-            6: "non-finite estimate at t=0.0020", 7: "non-finite estimate at t=0.0010"}
+            0: "non-finite estimate at t=0.0130", 2: "non-finite estimate at t=0.0030",
+            3: "non-finite estimate at t=0.0060", 5: "non-finite estimate at t=0.0030",
+            6: "non-finite estimate at t=0.0040", 7: "non-finite estimate at t=0.0010"}
         assert not any(row.converged for row in expected)
         for rows in results[1:]:
             assert rows == expected
@@ -1047,7 +1048,21 @@ class TestCli:
 
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(STEREO.read_text().replace("duration = 60.0", "duration = 0.02")
-                       .replace("p0_scale = 1.0", "p0_scale = 1e150"))
+                       .replace("p0_scale = 1.0", "p0_scale = 1e307"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert "non-finite Riccati matrix at t=0.0000" in err and "Traceback" not in err
+
+    def test_the_largest_finite_pi0_exits_3_without_warnings(self, tmp_path, capsys):
+        from se5nav.cli import EXIT_DIVERGED
+
+        # Pi(0) = 1.7e308 I is finite, but (Pi + Pi^T) / 2 would overflow it to inf, which the run's
+        # trace could not take: Pi fails in the first step and the run ends in Pi(0) as given
+        cfg = tmp_path / "largest.cfg"
+        cfg.write_text(STEREO.read_text().replace("duration = 60.0", "duration = 0.02")
+                       .replace("p0_scale = 1.0", "p0_scale = 1.7e308"))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == EXIT_DIVERGED

@@ -15,7 +15,7 @@ directory per command:
   would overflow, so the sweep takes the norm of each error scaled by a
   power of two;
 - a run whose Riccati matrix fails: ``run`` on ``stereo.cfg`` cut to
-  0.02 s with ``p0_scale = 1e150``, so that Pi overflows within the first
+  0.02 s with ``p0_scale = 1e307``, so that Pi overflows within the first
   step and the failure output (stderr and exit code) is compared too;
 - ``obsv`` and ``validate`` on both bundled configs.
 
@@ -70,7 +70,7 @@ SWEEP_RUNS = 24
 DIVERGING_SWEEP_S = 0.02
 DIVERGING_SWEEP_FLAGS = ("--runs", "8", "--seed", "3", "--ball", "2e157")
 FAILING_PI_S = 0.02
-FAILING_PI_P0 = "1e150"
+FAILING_PI_P0 = "1e307"
 # a number that is not part of a name such as seed1 or Rh00
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
