@@ -7,8 +7,8 @@ Subcommands:
     validate <cfg>            parse and check a config, print the result
 
 Output root: --out, else $SE5NAV_OUT, else ./runs. Exit codes: 0 success, 2 bad config
-or output directory, 3 numerical divergence or, in a sweep, a run that did not converge,
-4 observability failure.
+or output directory, 3 numerical failure (a diverged run or a non-finite obsv matrix) or,
+in a sweep, a run that did not converge, 4 observability failure.
 """
 
 from __future__ import annotations
@@ -190,6 +190,9 @@ def main(argv=None) -> int:
         print(f"error: run diverged: {err}", file=sys.stderr)
         if err.state is not None:
             print(f"  last healthy state at t={err.state.t:.4f}", file=sys.stderr)
+        return EXIT_DIVERGED
+    except FloatingPointError as err:  # obsv: a Gramian or excitation matrix that is not finite
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED
 
 

@@ -100,9 +100,12 @@ def gramian(
     return GramianReport(t=t, delta=delta, W=w, mu=mu, threshold=threshold)
 
 
+_OBSV_NODES = 1 << 16  # quadrature nodes whose rows kron_gramians evaluates at once
+
+
 def kron_gramians(
     abar: np.ndarray,
-    pieces,
+    rows,
     starts,
     delta: float,
     dt: float,
@@ -111,11 +114,12 @@ def kron_gramians(
     """Closed-form Gramians of A(t) = Abar kron I3 - I5 kron hat(omega(t))
     with C(t) = R_s(t) kron I3, one per window start.
 
-    ``pieces`` yields the rows of R_s at the nodes of :func:`window_nodes`
-    of every window, shaped (windows, K, m, 5), K consecutive nodes at a
-    time. The transition matrix factors as Phibar kron Q with Q
-    orthogonal, so the rotation cancels in
-    (C phi)^T (C phi) and W = Wbar kron I3 with
+    ``rows`` is R_s as a function of times of any shape, its values shaped
+    times.shape + (m, 5). It is evaluated at the nodes of
+    :func:`window_nodes`, ``_OBSV_NODES`` at a time: whole windows up to
+    that many, a longer window in pieces of that many. The transition
+    matrix factors as Phibar kron Q with Q orthogonal, so the rotation
+    cancels in (C phi)^T (C phi) and W = Wbar kron I3 with
 
         Wbar = (1/delta) int Phibar^T R_s^T R_s Phibar ds,
 
@@ -123,32 +127,39 @@ def kron_gramians(
     Abar^3 = 0. The quadrature is the trapezoid rule of :func:`gramian` on
     the same nodes, so mu is the same number. A piece adds (D B)^T B to each
     window, B (K m x 5) the rows R_s Phibar at its K nodes, D their weights.
+    A Wbar that is not finite raises FloatingPointError naming its window.
     """
     offsets, weights = window_nodes(0.0, delta, dt)
     abar2 = abar @ abar
     if np.any(abar2 @ abar):
         raise ValueError("Abar^3 must vanish for the polynomial transition matrix")
-    wbar, k0 = None, 0
-    for rs in pieces:
-        k1 = k0 + rs.shape[1]
-        taus = offsets[k0:k1, None, None]
-        b = rs @ (np.eye(5) + abar * taus + abar2 * (0.5 * taus * taus))
-        part = (b * weights[k0:k1, None, None]).reshape(len(b), -1, 5).mT @ b.reshape(len(b), -1, 5)
-        wbar, k0 = part if wbar is None else wbar + part, k1
-    if k0 != offsets.size:
-        raise ValueError(f"expected {offsets.size} nodes per window, got {k0}")
-    wbar = wbar / delta
-    wbar = 0.5 * (wbar + np.swapaxes(wbar, -1, -2))
-    mus = np.linalg.eigvalsh(wbar)[:, 0]
-    return [
-        GramianReport(t=float(t), delta=delta, W=np.kron(w, _I3), mu=float(mu), threshold=threshold)
-        for t, w, mu in zip(starts, wbar, mus)
-    ]
+    starts = np.asarray(starts, dtype=float)
+    piece = min(offsets.size, _OBSV_NODES)
+    per_group = max(1, _OBSV_NODES // piece)
+    reports = []
+    for g0 in range(0, starts.size, per_group):
+        group, wbar = starts[g0:g0 + per_group], None
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Wbar is reported below
+            for k0 in range(0, offsets.size, piece):
+                rs = rows(group[:, None] + offsets[k0:k0 + piece])
+                taus = offsets[k0:k0 + piece, None, None]
+                b = rs @ (np.eye(5) + abar * taus + abar2 * (0.5 * taus * taus))
+                part = (b * weights[k0:k0 + piece, None, None]).reshape(len(b), -1, 5).mT @ b.reshape(len(b), -1, 5)
+                wbar = part if wbar is None else wbar + part
+            wbar = wbar / delta
+            wbar = 0.5 * (wbar + np.swapaxes(wbar, -1, -2))
+        bad = ~np.isfinite(wbar).all(axis=(1, 2))
+        if np.any(bad):
+            raise FloatingPointError(f"non-finite observability Gramian in the window at t={group[np.argmax(bad)]:g}")
+        mus = np.linalg.eigvalsh(wbar)[:, 0]
+        reports += [GramianReport(t=float(t), delta=delta, W=np.kron(w, _I3), mu=float(mu), threshold=threshold)
+                    for t, w, mu in zip(group, wbar, mus)]
+    return reports
 
 
 def gps_pe_condition(
-    vdot_of_t,
-    v_of_t,
+    vdot,
+    v,
     g: np.ndarray,
     xi_mag: np.ndarray | None,
     t: float,
@@ -160,28 +171,30 @@ def gps_pe_condition(
 
     Evaluates (1/delta) int (vdot - g)(vdot - g)^T ds, plus xi xi^T for a
     magnetometer direction ``xi_mag``, plus the windowed velocity outer
-    product for a velocity channel; ``xi_mag=None`` or ``v_of_t=None``
-    means the configuration has no such channel. Full rank of the sum is
+    product for a velocity channel; ``xi_mag=None`` or ``v=None`` means
+    the configuration has no such channel. Full rank of the sum is
     sufficient for uniform observability of the corresponding error pair:
     the report's ``W`` is the 3 x 3 sum and ``mu`` its least eigenvalue,
-    which passes as a Gramian window's does. ``vdot_of_t`` and ``v_of_t``
-    are called once, on the array of quadrature nodes; a constant (3,)
-    return stands for every node.
+    which passes as a Gramian window's does. ``vdot`` and ``v`` are the
+    values at the nodes of :func:`window_nodes`, shaped (nodes, 3); a (3,)
+    value stands for every node. A sum that is not finite raises
+    FloatingPointError naming the window.
     """
     ts, weights = window_nodes(t, delta, dt)
     g = np.asarray(g, dtype=float)
 
-    def on_nodes(fn):
-        return np.broadcast_to(np.asarray(fn(ts), dtype=float), ts.shape + (3,))
-
     def outer_mean(x):
+        x = np.broadcast_to(np.asarray(x, dtype=float), ts.shape + (3,))
         return np.einsum("k,ki,kj->ij", weights, x, x) / delta
 
-    m = outer_mean(on_nodes(vdot_of_t) - g)
-    if xi_mag is not None:
-        xi = np.asarray(xi_mag, dtype=float)
-        m = m + np.outer(xi, xi)
-    if v_of_t is not None:
-        m = m + outer_mean(on_nodes(v_of_t))
-    m = 0.5 * (m + m.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is reported below
+        m = outer_mean(vdot - g)
+        if xi_mag is not None:
+            xi = np.asarray(xi_mag, dtype=float)
+            m = m + np.outer(xi, xi)
+        if v is not None:
+            m = m + outer_mean(v)
+        m = 0.5 * (m + m.T)
+    if not np.all(np.isfinite(m)):
+        raise FloatingPointError(f"non-finite excitation matrix in the window at t={t:g}")
     return GramianReport(t=t, delta=delta, W=m, mu=float(np.linalg.eigvalsh(m)[0]), threshold=threshold)

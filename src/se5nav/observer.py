@@ -105,22 +105,6 @@ class ObserverState:
         """The 15 x 15 Riccati matrix Pi kron I_3."""
         return kron(self.pi, _I3)
 
-    @property
-    def rhat(self) -> np.ndarray:
-        return self.xhat.rotation
-
-    @property
-    def zhat(self) -> np.ndarray:
-        return self.xhat.translation
-
-    @property
-    def phat(self) -> np.ndarray:
-        return self.xhat.translation[:, 0]
-
-    @property
-    def vhat(self) -> np.ndarray:
-        return self.xhat.translation[:, 1]
-
 
 # system matrices ----------------------------------------------------------
 

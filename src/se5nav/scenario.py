@@ -760,9 +760,6 @@ def scenario_output_map(cfg: ScenarioConfig, horizon: float):
     return a_of_t, lambda t: c_const
 
 
-_OBSV_NODES = 1 << 16  # quadrature nodes evaluated at once in check_observability
-
-
 def check_observability(
     cfg: ScenarioConfig,
     delta: float,
@@ -771,13 +768,12 @@ def check_observability(
 ) -> list[GramianReport]:
     """One :class:`GramianReport` per window start of `grid`; a window passes when its mu > `threshold`.
 
-    Closed form on 5 x 5 matrices (:func:`kron_gramians`): the reference
-    vectors at every trapezoid node t + k dt of every window come from the
-    channel rules of :class:`UnifiedLayout`, ``_OBSV_NODES`` nodes at a time:
-    whole windows up to that many, a longer window in pieces of that many.
-    Lever-arm position channels take the truth attitude at the nearest grid
-    sample, as :func:`scenario_output_map` does, from one :func:`attitude_at`
-    for all windows; other configs synthesize no truth. Window starts must be
+    Closed form on 5 x 5 matrices (:func:`kron_gramians`), with the
+    reference vectors at the nodes of every window from the channel rules
+    of :class:`UnifiedLayout` (:func:`_reference_rows`). Lever-arm position
+    channels take the truth attitude at the nearest grid sample, as
+    :func:`scenario_output_map` does, from one :func:`attitude_at` for all
+    windows; other configs synthesize no truth. Window starts must be
     nonnegative, `delta` at least the config's step dt and the last window
     end within the step bound of a run's duration (ValueError).
     """
@@ -788,21 +784,8 @@ def check_observability(
     if not np.all(starts >= 0):
         raise ValueError("window start times must be nonnegative")
     _check_steps((float(starts.max(initial=0.0)) + delta) / dt, cfg.trace_stride, "(max --grid + --delta) / dt")
-    offsets, _ = window_nodes(0.0, delta, dt)
-    rows = _reference_rows(cfg, (starts + offsets[-1]).max(initial=0.0))
-    abar = build_abar(cfg.trajectory.g)
-    piece = min(offsets.size, _OBSV_NODES)
-
-    def node_pieces(group):  # R_s at the nodes of the group's windows, a piece at a time
-        for k0 in range(0, offsets.size, piece):
-            yield rows(group[:, None] + offsets[k0:k0 + piece])
-
-    per_group = max(1, _OBSV_NODES // piece)
-    reports = []
-    for g0 in range(0, starts.size, per_group):
-        group = starts[g0:g0 + per_group]
-        reports += kron_gramians(abar, node_pieces(group), group, delta, dt, threshold=threshold)
-    return reports
+    rows = _reference_rows(cfg, window_nodes(starts.max(initial=0.0), delta, dt)[0][-1])
+    return kron_gramians(build_abar(cfg.trajectory.g), rows, starts, delta, dt, threshold=threshold)
 
 
 def check_gps_pe(
@@ -812,15 +795,9 @@ def check_gps_pe(
     spec = cfg.trajectory
     mags = [c for c in cfg.channels if c.kind is ChannelKind.BODY_VECTOR and c.gamma == 0]
     has_vel = any(c.kind is ChannelKind.INERTIAL_VELOCITY for c in cfg.channels)
-
-    def vdot_of_t(s):
-        return eval_trajectory(spec, s)[2]
-
-    def v_of_t(s):
-        return eval_trajectory(spec, s)[1]
-
+    _, v, vdot = eval_trajectory(spec, window_nodes(t, delta, cfg.observer.dt)[0])
     return gps_pe_condition(
-        vdot_of_t, v_of_t if has_vel else None, spec.g,
+        vdot, v if has_vel else None, spec.g,
         xi_mag=mags[0].xi_vec if mags else None,
         t=t, delta=delta, dt=cfg.observer.dt, threshold=threshold,
     )

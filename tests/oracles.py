@@ -8,7 +8,7 @@ error system
 
     dx_B/dt = (A(t) - K_B(t) C(t)) x_B,     K_B = P C^T Q,
 
-directly, with the Riccati flow of :func:`riccati_step` beside it. The
+directly, with P from the linear flow of :func:`riccati_flow_step`. The
 observer itself integrates only the 5 x 5 factor Pi of P = Pi kron I_3.
 The generic observer's parts (its input and commutator matrices, the
 rotation innovation and the gain pair) are written out here as the paper
@@ -148,9 +148,10 @@ def kalman_reference_run(
     """Directly integrate the closed-loop translational error system.
 
     dx/dt = (A(t) - K_B(t) C(t)) x with K_B = P C^T Q and P from the same
-    Riccati flow the full observer uses; RK4 with A and C evaluated at the
-    stage times, matching the observer's staging. Returns (times, x
-    trajectory) including the initial sample.
+    linear Hamiltonian flow the full observer steps (:func:`riccati_flow_step`);
+    x by RK4 with A, C and P at the stage values of that step, matching the
+    observer's staging. Returns (times, x trajectory) including the initial
+    sample.
     """
     ts = t0 + time_grid(t1 - t0, dt)
     n = ts.size - 1
@@ -160,9 +161,7 @@ def kalman_reference_run(
     P = np.array(p0, dtype=float)
 
     def f(xx, pp, a, c):
-        pct = pp @ c.T
-        kb = pct * q
-        return a @ xx - kb @ (c @ xx), _riccati_rhs(pp, a, c, q, v)
+        return a @ xx - (pp @ c.T * q) @ (c @ xx)
 
     # A and C once per grid node and midpoint: a step's end is the next start
     a0, c0 = a_of_t(ts[0]), c_of_t(ts[0])
@@ -170,13 +169,12 @@ def kalman_reference_run(
         t_half = ts[k] + 0.5 * dt
         a_half, c_half = a_of_t(t_half), c_of_t(t_half)
         a1, c1 = a_of_t(ts[k + 1]), c_of_t(ts[k + 1])
-        k1 = f(x, P, a0, c0)
-        k2 = f(x + 0.5 * dt * k1[0], P + 0.5 * dt * k1[1], a_half, c_half)
-        k3 = f(x + 0.5 * dt * k2[0], P + 0.5 * dt * k2[1], a_half, c_half)
-        k4 = f(x + dt * k3[0], P + dt * k3[1], a1, c1)
-        x = x + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        P = P + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        P = 0.5 * (P + P.T)
+        *ps, P = riccati_flow_step(P, [a0, a_half, a_half, a1], [c0, c_half, c_half, c1], q, v, dt)
+        k1 = f(x, ps[0], a0, c0)
+        k2 = f(x + 0.5 * dt * k1, ps[1], a_half, c_half)
+        k3 = f(x + 0.5 * dt * k2, ps[2], a_half, c_half)
+        k4 = f(x + dt * k3, ps[3], a1, c1)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         xs[k + 1] = x
         a0, c0 = a1, c1
     return ts, xs
@@ -196,18 +194,14 @@ def sequential_attitude(r0: np.ndarray, half_steps: np.ndarray) -> tuple[np.ndar
     return rs, r_mid
 
 
-def kron_gramians_einsum(abar, pieces, starts, delta, dt, threshold=DEFAULT_MU_THRESHOLD):
+def kron_gramians_einsum(abar, rows, starts, delta, dt, threshold=DEFAULT_MU_THRESHOLD):
     """The Gramians of :func:`se5nav.observability.kron_gramians`, taking the
-    same arguments, with the trapezoid sum over each piece's nodes written
+    same arguments, with the trapezoid sum over every window's nodes written
     as one einsum over nodes and rows."""
     offsets, weights = window_nodes(0.0, delta, dt)
-    abar2, wbar, k0 = abar @ abar, 0.0, 0
-    for rs in pieces:
-        k1 = k0 + rs.shape[1]
-        taus = offsets[k0:k1, None, None]
-        b = rs @ (np.eye(5) + abar * taus + abar2 * (0.5 * taus * taus))
-        wbar, k0 = wbar + np.einsum("k,wkmi,wkmj->wij", weights[k0:k1], b, b), k1
-    wbar = wbar / delta
+    taus = offsets[:, None, None]
+    b = rows(np.asarray(starts)[:, None] + offsets) @ (np.eye(5) + abar * taus + abar @ abar * (0.5 * taus * taus))
+    wbar = np.einsum("k,wkmi,wkmj->wij", weights, b, b) / delta
     wbar = 0.5 * (wbar + np.swapaxes(wbar, -1, -2))
     return [GramianReport(t=float(t), delta=delta, W=np.kron(w, np.eye(3)), mu=float(np.linalg.eigvalsh(w)[0]),
                           threshold=threshold) for t, w in zip(starts, wbar)]

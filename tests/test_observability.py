@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from se5nav.frontend import UnifiedLayout
 from se5nav.observability import (GramianReport, gps_pe_condition, gramian, kron_gramians, transition_matrix,
                                   window_nodes)
-from se5nav.observer import build_a, build_abar
+from se5nav.observer import build_a
 from se5nav.scenario import (
     bundled_config_path,
     check_gps_pe,
@@ -168,6 +168,7 @@ class TestClosedFormGramian:
             assert np.array_equal(rep.W, single.W) and rep.mu == single.mu
 
     def test_node_budget_groups_windows(self, monkeypatch):
+        import se5nav.observability as observability
         import se5nav.scenario as scenario
 
         cfg = gps_cfg()
@@ -181,7 +182,7 @@ class TestClosedFormGramian:
             return attitude_at(*args)
 
         monkeypatch.setattr(scenario, "attitude_at", counted)
-        monkeypatch.setattr(scenario, "_OBSV_NODES", 2001)  # one whole window per group
+        monkeypatch.setattr(observability, "_OBSV_NODES", 2001)  # one whole window per group
         grouped = check_observability(cfg, delta=0.5, grid=grid)
         assert len(calls) == 1
         assert [rep.t for rep in grouped] == grid
@@ -190,12 +191,12 @@ class TestClosedFormGramian:
 
     @pytest.mark.parametrize("make_cfg", [stereo_cfg, gps_cfg], ids=["stereo", "gps"])
     def test_long_window_summed_in_pieces(self, make_cfg, monkeypatch):
-        import se5nav.scenario as scenario
+        import se5nav.observability as observability
 
         cfg = make_cfg()
         grid = [0.0, 0.3, 2.5]
         whole = check_observability(cfg, delta=0.5, grid=grid)
-        monkeypatch.setattr(scenario, "_OBSV_NODES", 150)
+        monkeypatch.setattr(observability, "_OBSV_NODES", 150)
         pieced = check_observability(cfg, delta=0.5, grid=grid)
         assert [rep.t for rep in pieced] == grid
         for rep, ref in zip(pieced, whole):
@@ -218,15 +219,12 @@ class TestClosedFormGramian:
             assert np.max(np.abs(rep.W - ref.W)) <= 1e-12 * np.max(np.abs(ref.W))
             assert abs(rep.mu - ref.mu) <= 1e-12 * np.linalg.norm(ref.W, 2)
 
-    def test_node_count_checked(self):
-        abar = build_abar(np.array([0.0, 0.0, 9.81]))
-        with pytest.raises(ValueError, match="nodes"):
-            kron_gramians(abar, [np.ones((1, 5, 2, 5))], [0.0], 0.01, 1e-3)
-
     def test_rejects_drift_that_is_not_nilpotent(self):
-        rs = np.ones((1, 11, 2, 5))
+        def rows(ts):
+            return np.ones(np.shape(ts) + (2, 5))
+
         with pytest.raises(ValueError, match="Abar"):
-            kron_gramians(np.eye(5), [rs], [0.0], 0.01, 1e-3)
+            kron_gramians(np.eye(5), rows, [0.0], 0.01, 1e-3)
 
     def test_no_truth_without_lever_arm(self, monkeypatch):
         import se5nav.scenario as scenario
@@ -277,14 +275,14 @@ class TestLeverArmAttitudeAtNodes:
     ], ids=["block-end", "ends-at-block-start", "ends-at-horizon", "overlapping", "unsorted", "one-step",
             "pieced"])
     def test_node_attitudes_equal_eager_rows(self, grid, delta, piece, monkeypatch):
+        import se5nav.observability as observability
         import se5nav.scenario as scenario
         import se5nav.trajectory as trajectory
 
         cfg = gps_cfg()
         dt = cfg.observer.dt
-        offsets = window_nodes(0.0, delta, dt)[0]
         if piece is not None:
-            monkeypatch.setattr(scenario, "_OBSV_NODES", piece)
+            monkeypatch.setattr(observability, "_OBSV_NODES", piece)
         attitudes, nodes, walked = [], [], []
         raw_from_pose, kron, walk = UnifiedLayout.raw_from_pose, scenario.kron_gramians, trajectory.walk_blocks
 
@@ -292,12 +290,12 @@ class TestLeverArmAttitudeAtNodes:
             attitudes.append(r)
             return raw_from_pose(layout, r, p, v)
 
-        def kron_spy(abar, pieces, starts, *args, **kwargs):
-            pieces, k0 = list(pieces), 0  # the spied rows are taken in the order of the pieces
-            for rs in pieces:
-                nodes.append(np.asarray(starts)[:, None] + offsets[k0:k0 + rs.shape[1]])
-                k0 += rs.shape[1]
-            return kron(abar, pieces, starts, *args, **kwargs)
+        def kron_spy(abar, rows, starts, *args, **kwargs):
+            def rows_spy(ts):  # the spied attitudes are taken in the order of the node calls
+                nodes.append(ts)
+                return rows(ts)
+
+            return kron(abar, rows_spy, starts, *args, **kwargs)
 
         def walk_spy(starts, halves, rs):
             walked.append(len(halves))
@@ -321,7 +319,7 @@ class TestGpsPeCondition:
     def test_static_hover_without_aiding_fails(self):
         # vdot = 0 and no magnetometer/velocity terms: matrix = g g^T, rank 1
         rep = gps_pe_condition(
-            vdot_of_t=lambda t: np.zeros(3), v_of_t=None,
+            vdot=np.zeros(3), v=None,
             g=G_NED, xi_mag=None,
             t=0.0, delta=1.0, dt=1e-3,
         )
@@ -334,7 +332,7 @@ class TestGpsPeCondition:
         # g g^T has least eigenvalue exactly 0; like a Gramian window, the
         # check passes only when mu is strictly above the threshold
         rep = gps_pe_condition(
-            vdot_of_t=lambda t: np.zeros(3), v_of_t=None,
+            vdot=np.zeros(3), v=None,
             g=G_NED, xi_mag=None,
             t=0.0, delta=1.0, dt=1e-3, threshold=0.0,
         )
@@ -353,7 +351,7 @@ class TestGpsPeCondition:
         xi = np.array([1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)])
         v_const = np.array([0.0, 1.0, 0.0])  # off the span of g and xi
         rep = gps_pe_condition(
-            vdot_of_t=lambda t: np.zeros(3), v_of_t=lambda t: v_const,
+            vdot=np.zeros(3), v=v_const,
             g=G_NED, xi_mag=xi,
             t=0.0, delta=1.0, dt=1e-3,
         )
@@ -364,7 +362,7 @@ class TestGpsPeCondition:
         # magnetic field parallel to gravity adds no new direction
         xi = np.array([0.0, 0.0, 1.0])
         rep = gps_pe_condition(
-            vdot_of_t=lambda t: np.zeros(3), v_of_t=None,
+            vdot=np.zeros(3), v=None,
             g=G_NED, xi_mag=xi,
             t=0.0, delta=1.0, dt=1e-3,
         )
@@ -373,9 +371,9 @@ class TestGpsPeCondition:
     def test_reference_trajectory_with_magnetometer_passes(self):
         spec = TrajectorySpec()
         xi = np.array([1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)])
+        _, v, vdot = eval_trajectory(spec, window_nodes(0.0, 2.0, 1e-3)[0])
         rep = gps_pe_condition(
-            vdot_of_t=lambda t: eval_trajectory(spec, t)[2],
-            v_of_t=lambda t: eval_trajectory(spec, t)[1],
+            vdot=vdot, v=v,
             g=spec.g, xi_mag=xi,
             t=0.0, delta=2.0, dt=1e-3,
         )
@@ -384,18 +382,12 @@ class TestGpsPeCondition:
     def test_matches_per_node_quadrature(self):
         spec = TrajectorySpec()
         xi = np.array([1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)])
-        calls = []
-
-        def vdot_of_t(t):
-            calls.append(t)
-            return eval_trajectory(spec, t)[2]
-
+        _, v, vdot = eval_trajectory(spec, window_nodes(0.5, 1.0, 1e-3)[0])
         rep = gps_pe_condition(
-            vdot_of_t=vdot_of_t, v_of_t=lambda t: eval_trajectory(spec, t)[1],
+            vdot=vdot, v=v,
             g=spec.g, xi_mag=xi,
             t=0.5, delta=1.0, dt=1e-3,
         )
-        assert len(calls) == 1
         ts = 0.5 + np.arange(1001) * 1e-3
         acc = sum(np.outer(f, f) for f in (eval_trajectory(spec, s)[2] - spec.g for s in ts[1:-1]))
         vel = sum(np.outer(v, v) for v in (eval_trajectory(spec, s)[1] for s in ts[1:-1]))

@@ -307,7 +307,7 @@ class TestObserverStep:
         [trace] = run_observer(dataclasses.replace(ONE_STEP, channels=()), run, [SEn(run.R[0], run.state(0).z)])
         new = trace.final_state
         # pure prediction tracks the truth over one step
-        assert np.max(np.abs(new.zhat[:, 0] - run.pose(1)[1])) < 1e-9
+        assert np.max(np.abs(new.xhat.translation[:, 0] - run.pose(1)[1])) < 1e-9
         # P grows under V with no measurement information
         assert np.trace(new.P) > 15 * ONE_STEP.p0_scale  # the trace of P(0) = p0 I_15
 
@@ -468,8 +468,8 @@ class TestKroneckerReduction:
         k3 = f(shift(y0, h / 2, k2), 2)
         k4 = f(shift(y0, h, k3), 3)
         rhat1, zhat1 = (a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4))
-        assert np.max(np.abs(new.rhat - project_rotation(rhat1))) < 1e-13
-        assert np.max(np.abs(new.zhat - zhat1)) < 1e-13
+        assert np.max(np.abs(new.xhat.rotation - project_rotation(rhat1))) < 1e-13
+        assert np.max(np.abs(new.xhat.translation - zhat1)) < 1e-13
         assert np.max(np.abs(new.P - 0.5 * (p1 + p1.T))) < 1e-13
 
 

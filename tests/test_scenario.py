@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from se5nav.cli import EXIT_CONFIG, EXIT_OBSERVABILITY, EXIT_OK, main
+from se5nav.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OBSERVABILITY, EXIT_OK, main
 from se5nav.scenario import (
     SWEEP_CSV_SCHEMA,
     ConfigError,
@@ -60,7 +60,8 @@ def assert_traces_equal(trace, ref):
                 assert ta == tb and ca == cb and np.array_equal(ya, yb)
         elif field.name == "final_state":
             assert a.t == b.t
-            assert np.array_equal(a.rhat, b.rhat) and np.array_equal(a.zhat, b.zhat)
+            assert np.array_equal(a.xhat.rotation, b.xhat.rotation)
+            assert np.array_equal(a.xhat.translation, b.xhat.translation)
             assert np.array_equal(a.pi, b.pi)
         elif field.name in ("stopped_at", "failure"):
             assert a == b, field.name
@@ -363,9 +364,9 @@ class TestRunObserver:
         assert failed.t[-1] == clean.t[5]  # the rows end at the last record before the failing step
         state = failed.final_state
         assert state.t == clean.t[7]
-        assert np.array_equal(state.rhat, clean.rhat[7])
-        assert np.array_equal(state.phat, clean.phat[7])
-        assert np.array_equal(state.vhat, clean.vhat[7])
+        assert np.array_equal(state.xhat.rotation, clean.rhat[7])
+        assert np.array_equal(state.xhat.translation[:, 0], clean.phat[7])
+        assert np.array_equal(state.xhat.translation[:, 1], clean.vhat[7])
 
         # in a batch of three, a NaN in run 1 alone fails run 1 with its state; the others run on
         estimates = perturbed_estimates(cfg, truth, 3)
@@ -377,9 +378,9 @@ class TestRunObserver:
         assert [trace.failure for trace in batch] == [None, "non-finite estimate at t=0.0070", None]
         state = batch[1].final_state
         assert state.t == clean.t[7]
-        assert np.array_equal(state.rhat, clean.rhat[7])
-        assert np.array_equal(state.phat, clean.phat[7])
-        assert np.array_equal(state.vhat, clean.vhat[7])
+        assert np.array_equal(state.xhat.rotation, clean.rhat[7])
+        assert np.array_equal(state.xhat.translation[:, 0], clean.phat[7])
+        assert np.array_equal(state.xhat.translation[:, 1], clean.vhat[7])
         for i in (0, 2):
             assert_traces_equal(batch[i], untouched[i])
 
@@ -411,7 +412,7 @@ class TestRunObserver:
         assert [trace.failure for trace in batch] == ["injected at t=0.0070"] * 3
         for trace, alone in zip(batch, clean):
             assert trace.final_state.t == truth.t[7] and trace.t[-1] == truth.t[5]
-            assert np.array_equal(trace.final_state.rhat, alone.rhat[7])
+            assert np.array_equal(trace.final_state.xhat.rotation, alone.rhat[7])
 
     def test_an_overflowing_pi_names_the_riccati_matrix(self):
         # a valid config whose [U; V], and so Pi, overflows within its first step: every run ends at
@@ -452,7 +453,7 @@ class TestRunObserver:
         for trace, clean in zip(failed, runs[1:]):  # a failing Pi ends every run at its step
             assert trace.failure == "injected at t=0.0700"
             assert trace.final_state.t == truth.t[70]
-            assert np.array_equal(trace.final_state.rhat, clean.rhat[35])
+            assert np.array_equal(trace.final_state.xhat.rotation, clean.rhat[35])
         for other_runs, other_failed in others:
             for trace, other in zip(runs + failed, other_runs + other_failed):
                 assert_traces_equal(other, trace)
@@ -962,6 +963,23 @@ class TestCli:
         assert main(["--out", str(tmp_path), "obsv", str(weak),
                      "--delta", "1.0", "--grid", "0"]) == EXIT_OBSERVABILITY
 
+    @pytest.mark.parametrize("old, new, matrix", [
+        ("b = 0.1, 0.0, 0.0", "b = 1e300, 0, 0", "observability Gramian"),
+        ("amp = 1.0, 0.25, -0.4330127018922193", "amp = 1e153, 0.25, 0", "excitation matrix"),
+    ], ids=["lever-arm-1e300", "amp-1e153"])
+    def test_obsv_overflow_is_a_numerical_failure(self, tmp_path, capsys, old, new, matrix):
+        # a config that validates but whose matrix overflows float64 exits 3, naming the matrix and
+        # the window, with no numpy warning and no traceback
+        text = GPS.read_text()
+        assert old in text
+        cfg = tmp_path / "gps.cfg"
+        cfg.write_text(text.replace(old, new))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", str(cfg)]) == EXIT_OK
+            assert main(["--out", str(tmp_path), "obsv", str(cfg)]) == EXIT_DIVERGED
+        assert capsys.readouterr().err == f"error: non-finite {matrix} in the window at t=0\n"
+
     def test_sweep_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(STEREO.read_text().replace("duration = 60.0", "duration = 5.0"))
@@ -973,8 +991,6 @@ class TestCli:
         assert "converged 2/2" in capsys.readouterr().out
 
     def test_divergence_exit_code(self, tmp_path, capsys):
-        from se5nav.cli import EXIT_DIVERGED
-
         # a grossly oversized step destabilizes the gain update immediately
         cfg = tmp_path / "unstable.cfg"
         cfg.write_text(
@@ -1033,8 +1049,6 @@ class TestCli:
         assert "--grid" in err and "--delta" in err and "Traceback" not in err
 
     def test_non_finite_estimate_exits_3_without_warnings(self, tmp_path, capsys):
-        from se5nav.cli import EXIT_DIVERGED
-
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(STEREO.read_text().replace("duration = 60.0", "duration = 1.0")
                        .replace("phat0 = 1.0, 1.0, 1.0", "phat0 = 1e300, 0, 0"))
@@ -1044,8 +1058,6 @@ class TestCli:
         assert "non-finite" in capsys.readouterr().err
 
     def test_overflowing_pi_exits_3_naming_the_riccati_matrix(self, tmp_path, capsys):
-        from se5nav.cli import EXIT_DIVERGED
-
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(STEREO.read_text().replace("duration = 60.0", "duration = 0.02")
                        .replace("p0_scale = 1.0", "p0_scale = 1e307"))
@@ -1056,8 +1068,6 @@ class TestCli:
         assert "non-finite Riccati matrix at t=0.0000" in err and "Traceback" not in err
 
     def test_the_largest_finite_pi0_exits_3_without_warnings(self, tmp_path, capsys):
-        from se5nav.cli import EXIT_DIVERGED
-
         # Pi(0) = 1.7e308 I is finite, but (Pi + Pi^T) / 2 would overflow it to inf, which the run's
         # trace could not take: Pi fails in the first step and the run ends in Pi(0) as given
         cfg = tmp_path / "largest.cfg"
@@ -1070,8 +1080,6 @@ class TestCli:
         assert "non-finite Riccati matrix at t=0.0000" in err and "Traceback" not in err
 
     def test_huge_translation_ball_exits_3_without_warnings(self, tmp_path, capsys):
-        from se5nav.cli import EXIT_DIVERGED
-
         # the initial errors' norms overflow float64
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -17,7 +17,10 @@ directory per command:
 - a run whose Riccati matrix fails: ``run`` on ``stereo.cfg`` cut to
   0.02 s with ``p0_scale = 1e307``, so that Pi overflows within the first
   step and the failure output (stderr and exit code) is compared too;
-- ``obsv`` and ``validate`` on both bundled configs.
+- ``obsv`` and ``validate`` on both bundled configs;
+- an ``obsv`` whose Gramian overflows: ``gps.cfg`` with the lever arm
+  ``b = 1e300, 0, 0``, so that the numerical-failure output (stderr and
+  exit code) is compared too.
 
 Each directory holds the files the command wrote and ``stdout.txt``: its
 exit code, stdout and stderr. The key ``runtime_s`` is dropped from every
@@ -43,8 +46,11 @@ replaces ``diff -r``::
     python tools/snapshot.py --compare /tmp/before /tmp/after
 
 For each file that differs it prints the largest relative difference
-|a - b| / max(|a|, |b|) over its numbers, then the largest per field over
-all files (a CSV column, else the name before the number on its line). Any
+|a - b| / max(|a|, |b|, s) over its numbers, then the largest per field
+over all files. A number's field is its CSV column, else the name before
+it on its line, and s is the largest |value| of that field over both
+versions of the file, so a value that crosses zero reads its move against
+the field's scale and not against itself. Any
 other difference, text that differs or a file only one side has, is
 listed, and the exit code is then 1. The change states the bound the
 numbers must meet; the report shows whether they do.
@@ -71,21 +77,29 @@ DIVERGING_SWEEP_S = 0.02
 DIVERGING_SWEEP_FLAGS = ("--runs", "8", "--seed", "3", "--ball", "2e157")
 FAILING_PI_S = 0.02
 FAILING_PI_P0 = "1e307"
+OVERFLOW_LEVER_ARM = "1e300, 0, 0"
 # a number that is not part of a name such as seed1 or Rh00
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def shortened_config(bundled: Path, dest: Path, seed: int, duration: float, **observer: str) -> Path:
-    """Copy of a bundled config with its seed, duration and settle window
-    set as the benchmark sets them, and any other `observer` keys set."""
+def edited_config(bundled: Path, dest: Path, sections: dict[str, dict[str, str]]) -> Path:
+    """Copy of a bundled config with the keys of `sections` set, section by section."""
     ini = configparser.ConfigParser()
     ini.read(bundled, encoding="utf-8")
-    ini["observer"].update(seed=str(seed), duration=str(duration), settle_window=str(duration / 2), **observer)
+    for name, keys in sections.items():
+        ini[name].update(keys)
     dest.mkdir(parents=True)
     path = dest / bundled.name
     with open(path, "w") as fh:
         ini.write(fh)
     return path
+
+
+def shortened_config(bundled: Path, dest: Path, seed: int, duration: float, **observer: str) -> Path:
+    """Copy of a bundled config with its seed, duration and settle window
+    set as the benchmark sets them, and any other `observer` keys set."""
+    keys = dict(seed=str(seed), duration=str(duration), settle_window=str(duration / 2), **observer)
+    return edited_config(bundled, dest, {"observer": keys})
 
 
 def commands(configs: Path, tmp: Path) -> dict[str, list[str]]:
@@ -106,6 +120,8 @@ def commands(configs: Path, tmp: Path) -> dict[str, list[str]]:
     for name in RUN_HORIZONS:
         jobs[f"obsv-{name}"] = ["obsv", str(configs / f"{name}.cfg")]
         jobs[f"validate-{name}"] = ["validate", str(configs / f"{name}.cfg")]
+    cfg = edited_config(configs / "gps.cfg", tmp / "gps-overflow", {"channel.2": {"b": OVERFLOW_LEVER_ARM}})
+    jobs["obsv-gps-overflow"] = ["obsv", str(cfg)]
     return jobs
 
 
@@ -122,12 +138,30 @@ def strip(path: Path, drop: tuple[str, ...]) -> None:
     path.write_text("".join(line for line in lines if not any(s in line for s in drop)))
 
 
+def numbers(line: str, header: list[str] | None) -> list[tuple[str, float]]:
+    """(field, value) of each number on a line: its column of `header`, else the name before it."""
+    found = []
+    for m in NUMBER.finditer(line):
+        if header:
+            field = header[line.count(",", 0, m.start())]
+        else:
+            names = re.findall(r"[A-Za-z_]\w*", line[:m.start()])
+            field = names[-1] if names else "?"
+        found.append((field, float(m.group())))
+    return found
+
+
 def numeric_diff(before: str, after: str, csv_file: bool):
     """Two texts compared line by line: the relative differences of the
-    numbers that stand in the same places, as (difference, field, line)
-    triples, and the numbers of the lines that differ otherwise."""
+    numbers that stand in the same places, each against its field's scale
+    (see the module doc), as (difference, field, line) triples, and the
+    numbers of the lines that differ otherwise."""
     lines_b, lines_a = before.splitlines(), after.splitlines()
     header = lines_b[1].split(",") if csv_file and len(lines_b) > 1 else None
+    scale = {}
+    for line in lines_b + lines_a:
+        for field, x in numbers(line, header):
+            scale[field] = max(scale.get(field, 0.0), abs(x))
     diffs, other = [], list(range(min(len(lines_b), len(lines_a)) + 1, max(len(lines_b), len(lines_a)) + 1))
     for i, (lb, la) in enumerate(zip(lines_b, lines_a), start=1):
         if lb == la:
@@ -135,16 +169,8 @@ def numeric_diff(before: str, after: str, csv_file: bool):
         if NUMBER.split(lb) != NUMBER.split(la):
             other.append(i)
             continue
-        found = []
-        for mb, ma in zip(NUMBER.finditer(lb), NUMBER.finditer(la)):
-            x, y = float(mb.group()), float(ma.group())
-            if x != y:
-                if header:
-                    field = header[lb.count(",", 0, mb.start())]
-                else:
-                    names = re.findall(r"[A-Za-z_]\w*", lb[:mb.start()])
-                    field = names[-1] if names else "?"
-                found.append((abs(x - y) / max(abs(x), abs(y)), field, i))
+        found = [(abs(x - y) / max(abs(x), abs(y), scale[field]), field, i)
+                 for (field, x), (_, y) in zip(numbers(lb, header), numbers(la, header)) if x != y]
         diffs += found
         if not found:  # the same values written differently
             other.append(i)
