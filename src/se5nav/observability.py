@@ -100,7 +100,7 @@ def gramian(
     return GramianReport(t=t, delta=delta, W=w, mu=mu, threshold=threshold)
 
 
-_OBSV_NODES = 1 << 16  # quadrature nodes whose rows kron_gramians evaluates at once
+_OBSV_NODES = 1 << 12  # quadrature nodes whose rows kron_gramians evaluates at once
 
 
 def kron_gramians(
@@ -116,8 +116,9 @@ def kron_gramians(
 
     ``rows`` is R_s as a function of times of any shape, its values shaped
     times.shape + (m, 5). It is evaluated at the nodes of
-    :func:`window_nodes`, ``_OBSV_NODES`` at a time: whole windows up to
-    that many, a longer window in pieces of that many. The transition
+    :func:`window_nodes`, ``_OBSV_NODES`` = 4,096 at a time, so memory does
+    not grow with the grid: whole windows up to that many (4,001 or 1,001
+    nodes by default), a longer window in pieces of that many. The transition
     matrix factors as Phibar kron Q with Q orthogonal, so the rotation
     cancels in (C phi)^T (C phi) and W = Wbar kron I3 with
 
@@ -126,7 +127,8 @@ def kron_gramians(
     where Phibar(tau) = I + Abar tau + Abar^2 tau^2 / 2 is exact because
     Abar^3 = 0. The quadrature is the trapezoid rule of :func:`gramian` on
     the same nodes, so mu is the same number. A piece adds (D B)^T B to each
-    window, B (K m x 5) the rows R_s Phibar at its K nodes, D their weights.
+    window, B (K m x 5) the rows R_s Phibar at its K nodes, D their weights;
+    the pieces are taken in turn, each for every group of windows.
     A Wbar that is not finite raises FloatingPointError naming its window.
     """
     offsets, weights = window_nodes(0.0, delta, dt)
@@ -136,25 +138,23 @@ def kron_gramians(
     starts = np.asarray(starts, dtype=float)
     piece = min(offsets.size, _OBSV_NODES)
     per_group = max(1, _OBSV_NODES // piece)
-    reports = []
-    for g0 in range(0, starts.size, per_group):
-        group, wbar = starts[g0:g0 + per_group], None
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Wbar is reported below
-            for k0 in range(0, offsets.size, piece):
-                rs = rows(group[:, None] + offsets[k0:k0 + piece])
-                taus = offsets[k0:k0 + piece, None, None]
-                b = rs @ (np.eye(5) + abar * taus + abar2 * (0.5 * taus * taus))
+    wbar = np.empty((starts.size, 5, 5))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Wbar is reported below
+        for k0 in range(0, offsets.size, piece):
+            taus = offsets[k0:k0 + piece, None, None]
+            phibar = np.eye(5) + abar * taus + abar2 * (0.5 * taus * taus)  # the same for every group
+            for g0 in range(0, starts.size, per_group):
+                b = rows(starts[g0:g0 + per_group, None] + offsets[k0:k0 + piece]) @ phibar
                 part = (b * weights[k0:k0 + piece, None, None]).reshape(len(b), -1, 5).mT @ b.reshape(len(b), -1, 5)
-                wbar = part if wbar is None else wbar + part
-            wbar = wbar / delta
-            wbar = 0.5 * (wbar + np.swapaxes(wbar, -1, -2))
-        bad = ~np.isfinite(wbar).all(axis=(1, 2))
-        if np.any(bad):
-            raise FloatingPointError(f"non-finite observability Gramian in the window at t={group[np.argmax(bad)]:g}")
-        mus = np.linalg.eigvalsh(wbar)[:, 0]
-        reports += [GramianReport(t=float(t), delta=delta, W=np.kron(w, _I3), mu=float(mu), threshold=threshold)
-                    for t, w, mu in zip(group, wbar, mus)]
-    return reports
+                wbar[g0:g0 + per_group] = part if k0 == 0 else wbar[g0:g0 + per_group] + part
+        wbar = wbar / delta
+        wbar = 0.5 * (wbar + np.swapaxes(wbar, -1, -2))
+    bad = ~np.isfinite(wbar).all(axis=(1, 2))
+    if np.any(bad):
+        raise FloatingPointError(f"non-finite observability Gramian in the window at t={starts[np.argmax(bad)]:g}")
+    mus = np.linalg.eigvalsh(wbar)[:, 0]
+    return [GramianReport(t=float(t), delta=delta, W=np.kron(w, _I3), mu=float(mu), threshold=threshold)
+            for t, w, mu in zip(starts, wbar, mus)]
 
 
 def gps_pe_condition(

@@ -230,9 +230,9 @@ def _check_pd(pi: np.ndarray, t) -> tuple[int, str | None]:
 
 
 def _finalize_step(x):
-    """Which rows of a batch X (B x 3 x 8) are finite, None when all are: the estimate's check of a step."""
-    finite = np.isfinite(x).all(axis=(-2, -1))
-    return None if finite.all() else finite
+    """Which rows of a batch X (B x 3 x 8) are finite, None when all are: the estimate's check of a step,
+    one reduction over the batch unless a row is not finite."""
+    return None if np.isfinite(x).all() else np.isfinite(x).all(axis=(-2, -1))
 
 
 def _state(x: np.ndarray, pi: np.ndarray, t) -> ObserverState:

@@ -268,6 +268,12 @@ def coupled_truth(spec: TrajectorySpec, duration: float, dt: float) -> CoupledTr
 
 _EXP_CHUNK = 4096  # half-step exponentials built per batch in block_starts
 _SCAN_BLOCK = 256  # steps per block of the truth attitude scan; fixed, so R[k] does not depend on n
+_START_SEGMENT = 1 << 16  # steps whose factors attitude_at holds at once while it chains the block starts
+
+
+def _half_steps(spec: TrajectorySpec, dt: float, k: np.ndarray) -> np.ndarray:
+    """The half-step factors E_k = exp(dt/2 hat(omega(t_k + dt/2))) of steps k, k.shape + (3, 3)."""
+    return so3_exp(0.5 * dt * eval_omega(spec, k * dt + 0.5 * dt))
 
 
 def block_starts(spec: TrajectorySpec, dt: float, k0: int, start: np.ndarray, halves: np.ndarray) -> np.ndarray:
@@ -277,7 +283,7 @@ def block_starts(spec: TrajectorySpec, dt: float, k0: int, start: np.ndarray, ha
     m, size = len(halves), _SCAN_BLOCK
     for c0 in range(0, m, _EXP_CHUNK):
         c1 = min(c0 + _EXP_CHUNK, m)
-        halves[c0:c1] = so3_exp(0.5 * dt * eval_omega(spec, np.arange(k0 + c0, k0 + c1) * dt + 0.5 * dt))
+        halves[c0:c1] = _half_steps(spec, dt, np.arange(k0 + c0, k0 + c1))
     blocks = np.eye(3)
     for j in range(size):
         half = halves[j:m // size * size:size]
@@ -324,21 +330,31 @@ def truth_attitude(spec: TrajectorySpec, n: int, dt: float) -> tuple[np.ndarray,
 
 def attitude_at(spec: TrajectorySpec, n: int, dt: float):
     """R[k] of :func:`truth_attitude` bit for bit, as a function of steps k in
-    0 .. n of any shape: the block starts are chained once, and a call walks
-    only the blocks that hold its steps and that no call walked before."""
-    size = _SCAN_BLOCK
-    rows = np.empty((n // size + 1, size, 3, 3))  # whole blocks out past step n: E_k, then R once walked
-    starts = block_starts(spec, dt, 0, spec.r0, rows.reshape(-1, 3, 3))
-    walked = np.zeros(len(rows), dtype=bool)
+    0 .. n of any shape. Only the block starts are kept, n // L + 1 of them,
+    chained by :func:`block_starts` over segments of ``_START_SEGMENT`` steps,
+    each from the last start of the one before, through one factor buffer. A
+    call recomputes the factors of the blocks that hold its steps and walks
+    them, but for the blocks of the last call, which it keeps."""
+    size, segment = _SCAN_BLOCK, _START_SEGMENT
+    starts, halves = np.empty((n // size + 1, 3, 3)), np.empty((min(n, segment), 3, 3))
+    starts[0] = spec.r0
+    for k0 in range(0, n, segment):
+        chained = block_starts(spec, dt, k0, starts[k0 // size], halves[:n - k0])
+        starts[k0 // size:k0 // size + len(chained)] = chained
+    last = np.empty(0, dtype=int), np.empty((0, size, 3, 3))  # the blocks of the last call and their R rows
 
     def at(k):
-        new = np.unique(k // size)
-        new = new[~walked[new]]
-        if new.size:
-            rs = np.empty((new.size, size, 3, 3))
-            walk_blocks(starts[new], rows[new].reshape(-1, 3, 3), rs.reshape(-1, 3, 3))
-            rows[new], walked[new] = rs, True
-        return rows[k // size, k % size]
+        nonlocal last
+        blocks = np.unique(k // size)
+        rows, held = np.empty((blocks.size, size, 3, 3)), np.isin(blocks, last[0])
+        rows[held] = last[1][np.searchsorted(last[0], blocks[held])]
+        if not held.all():
+            new = blocks[~held]
+            factors = _half_steps(spec, dt, new[:, None] * size + np.arange(size)).reshape(-1, 3, 3)
+            walk_blocks(starts[new], factors, rs := np.empty_like(factors))
+            rows[~held] = rs.reshape(-1, size, 3, 3)
+        last = blocks, rows
+        return rows[np.searchsorted(blocks, k // size), k % size]
 
     return at
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -218,6 +220,21 @@ class TestClosedFormGramian:
             assert rep.t == ref.t
             assert np.max(np.abs(rep.W - ref.W)) <= 1e-12 * np.max(np.abs(ref.W))
             assert abs(rep.mu - ref.mu) <= 1e-12 * np.linalg.norm(ref.W, 2)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # the lever-arm attitude keeps only its block starts and R_s is evaluated on 4,096 nodes at a
+        # time, so windows out to 501 s (2,004,000 steps) need about what the default grid needs
+        def traced_peak(grid):
+            tracemalloc.start()
+            try:
+                check_observability(cfg, delta=1.0, grid=grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cfg = gps_cfg()
+        default, far = traced_peak(list(np.arange(0.0, 51.0, 5.0))), traced_peak([0.0, 250.0, 500.0])
+        assert far < 16e6 and far <= 1.5 * default
 
     def test_rejects_drift_that_is_not_nilpotent(self):
         def rows(ts):

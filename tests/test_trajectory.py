@@ -10,6 +10,7 @@ from se5nav.trajectory import (
     _EXP_CHUNK,
     _SCAN_BLOCK,
     TrajectorySpec,
+    attitude_at,
     coupled_truth,
     eval_omega,
     eval_trajectory,
@@ -448,6 +449,63 @@ class TestTruthOnDemand:
         assert built == [(0, _EXP_CHUNK), (_EXP_CHUNK, 2 * _EXP_CHUNK), (2 * _EXP_CHUNK, 4 * _EXP_CHUNK)]
         assert len(run.R) == self.STEPS + 1
         assert built[-1] == (4 * _EXP_CHUNK, self.STEPS)
+
+
+class TestAttitudeAt:
+    """attitude_at keeps only the block starts, chained segment by segment;
+    with segments of two scan blocks, every read equals the eager
+    truth_attitude bit for bit, across segment and block boundaries, in
+    repeated and overlapping calls."""
+
+    L = _SCAN_BLOCK
+    SEGMENT = 2 * _SCAN_BLOCK
+
+    @pytest.fixture(autouse=True)
+    def short_segments(self, monkeypatch):
+        import se5nav.trajectory as trajectory
+
+        monkeypatch.setattr(trajectory, "_START_SEGMENT", self.SEGMENT)
+
+    @pytest.mark.parametrize("n", [0, 3 * 2 * _SCAN_BLOCK, 5 * 2 * _SCAN_BLOCK + 100], ids=["none", "whole", "partial"])
+    def test_reads_equal_the_eager_rows(self, n, monkeypatch):
+        import se5nav.trajectory as trajectory
+
+        chained, block_starts = [], trajectory.block_starts
+
+        def spy(spec, dt, k0, start, halves):
+            chained.append((k0, len(halves)))
+            return block_starts(spec, dt, k0, start, halves)
+
+        monkeypatch.setattr(trajectory, "block_starts", spy)
+        spec, dt = TrajectorySpec(), 1e-3
+        at = attitude_at(spec, n, dt)
+        assert chained == [(k0, min(self.SEGMENT, n - k0)) for k0 in range(0, n, self.SEGMENT)]
+        eager = truth_attitude(spec, n, dt)[0]
+        edges = np.arange(0, n + 1, self.L)
+        straddling = np.unique(np.clip(np.concatenate([edges - 1, edges, edges + 1, [n]]), 0, n))
+        reads = [straddling, straddling,  # repeated
+                 np.arange(max(n - 700, 0), n + 1), np.arange(max(n - 900, 0), max(n - 300, 0) + 1),  # overlapping
+                 straddling[::-1].reshape(-1, 1), np.int64(n), n]  # another shape, a 0-d step, an int
+        for k in reads:
+            got = at(k)
+            assert got.shape == np.shape(k) + (3, 3) and np.array_equal(got, eager[k])
+
+    def test_consecutive_scalar_steps_walk_each_block_once(self, monkeypatch):
+        import se5nav.trajectory as trajectory
+
+        n, spec, dt = 5 * self.SEGMENT + 100, TrajectorySpec(), 1e-3
+        eager = truth_attitude(spec, n, dt)[0]
+        walked, walk_blocks = [], trajectory.walk_blocks
+
+        def spy(starts, halves, rs):
+            walked.append(len(starts))
+            return walk_blocks(starts, halves, rs)
+
+        monkeypatch.setattr(trajectory, "walk_blocks", spy)
+        at = attitude_at(spec, n, dt)
+        for k in range(n + 1):
+            assert np.array_equal(at(k), eager[k])
+        assert walked == [1] * (n // self.L + 1)
 
 
 class TestTruthCsv:

@@ -18,6 +18,9 @@ directory per command:
   0.02 s with ``p0_scale = 1e307``, so that Pi overflows within the first
   step and the failure output (stderr and exit code) is compared too;
 - ``obsv`` and ``validate`` on both bundled configs;
+- ``obsv`` on ``gps.cfg`` with ``--grid 0,250,500``, whose last window
+  ends at 501 s, so that the lever-arm attitude's block starts are
+  compared where they are chained over about 31 segments;
 - an ``obsv`` whose Gramian overflows: ``gps.cfg`` with the lever arm
   ``b = 1e300, 0, 0``, so that the numerical-failure output (stderr and
   exit code) is compared too.
@@ -78,6 +81,7 @@ DIVERGING_SWEEP_FLAGS = ("--runs", "8", "--seed", "3", "--ball", "2e157")
 FAILING_PI_S = 0.02
 FAILING_PI_P0 = "1e307"
 OVERFLOW_LEVER_ARM = "1e300, 0, 0"
+FAR_GRID = "0,250,500"
 # a number that is not part of a name such as seed1 or Rh00
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -120,6 +124,7 @@ def commands(configs: Path, tmp: Path) -> dict[str, list[str]]:
     for name in RUN_HORIZONS:
         jobs[f"obsv-{name}"] = ["obsv", str(configs / f"{name}.cfg")]
         jobs[f"validate-{name}"] = ["validate", str(configs / f"{name}.cfg")]
+    jobs["obsv-gps-far-grid"] = ["obsv", str(configs / "gps.cfg"), "--grid", FAR_GRID]
     cfg = edited_config(configs / "gps.cfg", tmp / "gps-overflow", {"channel.2": {"b": OVERFLOW_LEVER_ARM}})
     jobs["obsv-gps-overflow"] = ["obsv", str(cfg)]
     return jobs
